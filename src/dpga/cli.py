@@ -209,20 +209,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [v for v in (args.values or "").split(",") if v.strip()]
+    values = [v.strip() for v in (args.values or "").split(",") if v.strip()]
     if not values:
         raise ConfigurationError("sweep needs a non-empty --values list")
     if "." not in (args.axis or ""):
         raise ConfigurationError("sweep axis must look like section.key")
+    key_slug = args.axis.replace(".", "_")
+    slugs = [v.replace("/", "-").replace(" ", "") for v in values]
+    if len(set(slugs)) != len(slugs):
+        raise ConfigurationError(
+            f"sweep values {values} would write the same output file twice")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    key_slug = args.axis.replace(".", "_")
     summary = ["value,final_eval_acc,total_up_bytes,total_down_bytes,final_sim_time"]
-    for value in values:
+    for value, slug in zip(values, slugs):
         sets = list(args.set) + [f"{args.axis}={value}"]
         cfg = load_config(args.config, sets, args.seed)
         records = run_experiment(cfg, workers=args.workers)
-        slug = value.strip().replace("/", "-").replace(" ", "")
         run_path = out_dir / f"{key_slug}_{slug}.csv"
         write_metrics_csv(records, run_path)
         last = records[-1]

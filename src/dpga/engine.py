@@ -1,20 +1,15 @@
 """Experiment driver: four algorithms under one deterministic clock.
 
-Algorithms
-    fedavg          dense exchange every round, size-weighted averaging,
-                    synchronous (delay 0), sequential clock.
-    dga             dense exchange, aggregate applied D rounds late with
-                    the correction term, parallel clock.
-    dpga            random-walk update rate, Top-K partial exchange,
-                    delayed aggregation with correction, parallel clock.
-    static-partial  fixed tail mask, synchronous, sequential clock.
+What each algorithm is made of lives in one table, SCHEMES: which
+coordinates go up, whether aggregation is size-weighted, and whether the
+exchange is synchronous. The rest of this module reads that table and
+never an algorithm's name.
 
 Clock model: every round costs t_compute. A sequential round additionally
 blocks on its exchange (latency + bytes / bandwidth); a parallel run hides
 communication behind compute and only pays the final exchange once at the
-end, when the still-in-flight aggregates drain. Dense exchanges are
-accounted as value-only payloads; partial exchanges pay 4 extra bytes per
-entry for the coordinate index.
+end, when the still-in-flight aggregates drain. Payload sizes come from
+masking.payload_bytes.
 
 Determinism: every random stream is derived from (seed, purpose tag), the
 per-(round, client) batch streams included, and all reductions run in a
@@ -26,21 +21,46 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from collections import deque
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import Dataset, PartitionConfig, gen_synthetic, partition
 from .errors import ConfigurationError, ProtocolError
-from .masking import ENTRY_BYTES, HEADER_BYTES, snap_rate
+from .masking import payload_bytes, snap_rate
 from .models import ModelSpec, evaluate, init_params
 from .protocol import (AGGREGATION_MODES, CORRECTION_SCOPES, ClientState,
                        apply_correction, build_upload, local_round,
                        pairwise_mean, server_aggregate, static_partial_mask)
 from .ratewalk import RateState, state_index
 
-ALGORITHMS = ("fedavg", "dga", "dpga", "static-partial")
+
+@dataclass(frozen=True)
+class Scheme:
+    """The parts one algorithm is made of.
+
+    upload: which coordinates go up each round: "dense" (all of them, sent
+        without an index list), "top-k" (the largest |z| at a random-walk
+        rate) or "static" (a fixed tail mask).
+    weighted: the server weights each client by its shard size.
+    synchronous: every aggregate applies in its own round (delay 0).
+    """
+
+    upload: str
+    weighted: bool
+    synchronous: bool
+
+
+# The paper's scheme comes first and is SimConfig's default; the other
+# three are the baselines it is compared against.
+SCHEMES = {
+    "dpga": Scheme(upload="top-k", weighted=False, synchronous=False),
+    "fedavg": Scheme(upload="dense", weighted=True, synchronous=True),
+    "dga": Scheme(upload="dense", weighted=False, synchronous=False),
+    "static-partial": Scheme(upload="static", weighted=False, synchronous=True),
+}
+ALGORITHMS = tuple(SCHEMES)
 TIMINGS = ("sequential", "parallel")
 
 # Purpose tags for derived random streams.
@@ -55,7 +75,7 @@ def _derived_seed(seed: int, tag: int) -> int:
 class SimConfig:
     """Everything that determines a run. Same config, same output bytes."""
 
-    algorithm: str = "dpga"
+    algorithm: str = ALGORITHMS[0]
     n_clients: int = 8
     rounds: int = 50
     local_epochs: int = 2
@@ -103,7 +123,6 @@ class MetricsRecord:
     p: float
     train_loss: float
     eval_acc: float
-    eval_acc_client_mean: float
 
 
 def comm_time(nbytes: float, bandwidth: float, latency: float) -> float:
@@ -117,21 +136,10 @@ def comm_time(nbytes: float, bandwidth: float, latency: float) -> float:
     return latency + nbytes / bandwidth
 
 
-def _dense_payload(count: int) -> int:
-    # A dense vector needs no index list: header plus 8 bytes per value.
-    return HEADER_BYTES + 8 * count
-
-
-def _sparse_payload(count: int) -> int:
-    return HEADER_BYTES + ENTRY_BYTES * count
-
-
 def _worst_roundtrip_bytes(cfg: SimConfig) -> int:
     """Per-client up+down bytes of the largest possible exchange (p = 1)."""
-    d = cfg.model_spec().dim
-    if cfg.algorithm in ("fedavg", "dga"):
-        return 2 * _dense_payload(d)
-    return 2 * _sparse_payload(d)
+    indexed = SCHEMES[cfg.algorithm].upload != "dense"
+    return 2 * payload_bytes(cfg.model_spec().dim, indexed)
 
 
 def derive_D(cfg: SimConfig) -> int:
@@ -141,7 +149,7 @@ def derive_D(cfg: SimConfig) -> int:
 
 
 def resolve_delay(cfg: SimConfig) -> int:
-    if cfg.algorithm in ("fedavg", "static-partial"):
+    if SCHEMES[cfg.algorithm].synchronous:
         if cfg.delay not in (None, 0):
             raise ConfigurationError(
                 f"{cfg.algorithm} is synchronous; delay must be 0 or omitted")
@@ -170,6 +178,12 @@ def validate_config(cfg: SimConfig) -> tuple[int, str]:
     """Check every field; returns the resolved (delay, timing)."""
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {cfg.algorithm!r}")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        # An infinite bandwidth is a free link; no other real may be non-finite.
+        if isinstance(value, float) and not math.isfinite(value) and not (
+                f.name == "bandwidth" and value == math.inf):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
     if cfg.n_clients < 1:
         raise ConfigurationError("n_clients must be >= 1")
     if cfg.rounds < 1:
@@ -199,8 +213,9 @@ def validate_config(cfg: SimConfig) -> tuple[int, str]:
         raise ConfigurationError(f"unknown correction scope {cfg.correction_scope!r}")
     if not 0.0 < cfg.static_fraction <= 1.0:
         raise ConfigurationError("static_fraction must be in (0, 1]")
-    if cfg.algorithm == "fedavg" and cfg.aggregation != "per-component":
-        raise ConfigurationError("fedavg uses size-weighted per-component averaging")
+    if SCHEMES[cfg.algorithm].weighted and cfg.aggregation != "per-component":
+        raise ConfigurationError(
+            f"{cfg.algorithm} uses size-weighted per-component averaging")
     cfg.model_spec()  # validates the model fields
     comm_time(0, cfg.bandwidth, cfg.latency)
     delay = resolve_delay(cfg)
@@ -228,6 +243,7 @@ class Simulation:
     def __init__(self, cfg: SimConfig, workers: int = 1):
         self.cfg = cfg
         self.delay, self.timing = validate_config(cfg)
+        self.scheme = SCHEMES[cfg.algorithm]
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
         self.workers = workers
@@ -259,24 +275,24 @@ class Simulation:
                         spec=self.spec, max_pending=self.delay + 1)
             for i, idx in enumerate(shards)
         ]
-        sizes = np.array([c.n_i for c in self.clients], dtype=np.float64)
-        self._beta = sizes / sizes.sum()
         self._test_batch = test.batch()
         self.train, self.test = train, test
 
-        if cfg.algorithm == "dpga":
-            if cfg.per_client_walk:
-                self._walks = [RateState.from_seed(cfg.walk_p0, cfg.walk_m,
-                                                   [cfg.seed, _SEED_WALK, i])
-                               for i in range(cfg.n_clients)]
-            else:
-                self._walks = [RateState.from_seed(cfg.walk_p0, cfg.walk_m,
-                                                   [cfg.seed, _SEED_WALK])]
+        self._weights = None
+        if self.scheme.weighted:
+            sizes = np.array([c.n_i for c in self.clients], dtype=np.float64)
+            self._weights = sizes / sizes.sum()
+        self._walks: list[RateState] = []
+        if self.scheme.upload == "dense":
+            self._shared = np.arange(self.spec.dim, dtype=np.int64)
+        elif self.scheme.upload == "static":
+            self._shared = static_partial_mask(self.spec, cfg.static_fraction)
         else:
-            self._walks = []
-        self._static_set = (static_partial_mask(self.spec, cfg.static_fraction)
-                            if cfg.algorithm == "static-partial" else None)
-        self._sparse_wire = cfg.algorithm in ("dpga", "static-partial")
+            self._shared = None  # build_upload picks Top-K by |z|
+            seeds = ([[cfg.seed, _SEED_WALK, i] for i in range(cfg.n_clients)]
+                     if cfg.per_client_walk else [[cfg.seed, _SEED_WALK]])
+            self._walks = [RateState.from_seed(cfg.walk_p0, cfg.walk_m, seed)
+                           for seed in seeds]
 
         self.records: list[MetricsRecord] = []
         self.correction_log: list[tuple[int, float]] = []  # (round, max |g - z|)
@@ -284,21 +300,19 @@ class Simulation:
     # ---- helpers ---- #
 
     def _payload(self, count: int) -> int:
-        return _sparse_payload(count) if self._sparse_wire else _dense_payload(count)
+        return payload_bytes(count, indexed=self.scheme.upload != "dense")
 
     def _rates(self, round_: int) -> list[float]:
         cfg = self.cfg
-        if cfg.algorithm == "dpga":
-            if round_ == 1:  # the first round runs at the configured p0
-                return [w.p for w in self._walks] * (
-                    1 if cfg.per_client_walk else cfg.n_clients)
-            if cfg.per_client_walk:
-                return [w.sample() for w in self._walks]
-            p = self._walks[0].sample()
-            return [p] * cfg.n_clients
-        if cfg.algorithm == "static-partial":
+        if self.scheme.upload == "dense":
+            return [1.0] * cfg.n_clients
+        if self.scheme.upload == "static":
             return [snap_rate(cfg.static_fraction)] * cfg.n_clients
-        return [1.0] * cfg.n_clients
+        if round_ == 1:  # the first round runs at the configured p0
+            rates = [w.p for w in self._walks]
+        else:
+            rates = [w.sample() for w in self._walks]
+        return rates if cfg.per_client_walk else rates * cfg.n_clients
 
     def _local_all(self, round_: int) -> list[np.ndarray]:
         cfg = self.cfg
@@ -314,7 +328,7 @@ class Simulation:
 
     def _deliver(self, agg, down_sizes: list[int]) -> int:
         worst = 0.0
-        for client, nbytes in zip(self.clients, down_sizes):
+        for client in self.clients:
             delta = apply_correction(client, agg, self.cfg.eta,
                                      scope=self.cfg.correction_scope)
             worst = max(worst, delta)
@@ -325,16 +339,12 @@ class Simulation:
         wbar = pairwise_mean(np.stack([c.weights for c in self.clients]))
         train_loss = objective(self.clients)
         _, acc = evaluate(wbar, self._test_batch, self.spec)
-        per_client = [evaluate(c.weights, self._test_batch, self.spec)[1]
-                      for c in self.clients]
-        return train_loss, acc, float(np.mean(per_client))
+        return train_loss, acc
 
     # ---- main loop ---- #
 
     def run(self) -> list[MetricsRecord]:
         cfg = self.cfg
-        d = self.spec.dim
-        dense_all = np.arange(d, dtype=np.int64)
         inflight: deque = deque()
         up_total = 0
         down_total = 0
@@ -344,19 +354,12 @@ class Simulation:
             rates = self._rates(t)
             zs = self._local_all(t)
 
-            msgs = []
-            for client, z, p in zip(self.clients, zs, rates):
-                if cfg.algorithm in ("fedavg", "dga"):
-                    msgs.append(build_upload(client, z, p, t, shared=dense_all))
-                elif cfg.algorithm == "static-partial":
-                    msgs.append(build_upload(client, z, p, t, shared=self._static_set))
-                else:
-                    msgs.append(build_upload(client, z, p, t))
+            msgs = [build_upload(client, z, p, t, shared=self._shared)
+                    for client, z, p in zip(self.clients, zs, rates)]
             up_sizes = [self._payload(m.count) for m in msgs]
             up_total += sum(up_sizes)
 
-            weights = self._beta if cfg.algorithm == "fedavg" else None
-            agg = server_aggregate(msgs, cfg.aggregation, weights)
+            agg = server_aggregate(msgs, cfg.aggregation, self._weights)
             if cfg.correction_scope == "own-shared":
                 down_sizes = [self._payload(m.count) for m in msgs]
             else:
@@ -364,26 +367,21 @@ class Simulation:
             inflight.append((t + self.delay, agg, down_sizes))
             exchange = max(u + dn for u, dn in zip(up_sizes, down_sizes))
 
-            while inflight and inflight[0][0] <= t:
+            # The last round drains everything still in flight.
+            while inflight and (inflight[0][0] <= t or t == cfg.rounds):
                 _, due, sizes = inflight.popleft()
                 down_total += self._deliver(due, sizes)
-            if t == cfg.rounds:
-                while inflight:
-                    _, due, sizes = inflight.popleft()
-                    down_total += self._deliver(due, sizes)
 
             clock += cfg.t_compute
-            if self.timing == "sequential":
-                clock += comm_time(exchange, cfg.bandwidth, cfg.latency)
-            elif t == cfg.rounds:
-                # Parallel runs only wait once, for the final exchange to drain.
+            # Parallel runs only wait once, for the final exchange to drain.
+            if self.timing == "sequential" or t == cfg.rounds:
                 clock += comm_time(exchange, cfg.bandwidth, cfg.latency)
 
             if t % cfg.eval_every == 0 or t == cfg.rounds:
-                train_loss, acc, acc_clients = self._evaluate()
+                train_loss, acc = self._evaluate()
             else:
-                train_loss = acc = acc_clients = float("nan")
-            if cfg.algorithm == "static-partial":
+                train_loss = acc = float("nan")
+            if self.scheme.upload == "static":
                 p_used = cfg.static_fraction  # nominal; the wire rate is snapped
             elif cfg.per_client_walk:
                 p_used = float(np.mean(rates))
@@ -391,8 +389,7 @@ class Simulation:
                 p_used = rates[0]
             self.records.append(MetricsRecord(
                 round=t, sim_time=clock, up_bytes=up_total, down_bytes=down_total,
-                p=p_used, train_loss=train_loss, eval_acc=acc,
-                eval_acc_client_mean=acc_clients))
+                p=p_used, train_loss=train_loss, eval_acc=acc))
 
         if any(c.pending for c in self.clients):
             raise ProtocolError("run ended with undelivered aggregates")

@@ -5,7 +5,7 @@ accumulated gradient and keeps the rest private. Messages travel in a
 little-endian binary layout ("DPG1"): 4-byte magic, u64 round, u8 rate
 numerator (p * 10), u32 entry count, then the ascending u32 indices and
 their f64 values. Index overhead is real and counted: 12 bytes per entry
-against 8 for a dense value.
+against 8 for a dense value, whose coordinates the receiver already knows.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .errors import ConfigurationError, ContractViolationError, DecodeError
 MAGIC = b"DPG1"
 _HEADER = struct.Struct("<4sQBI")
 HEADER_BYTES = _HEADER.size          # 17
-ENTRY_BYTES = 4 + 8                  # u32 index + f64 value
+VALUE_BYTES = 8                      # f64 value
+ENTRY_BYTES = 4 + VALUE_BYTES        # u32 index + f64 value
 
 RATE_DENOM = 10  # update rates live on the 0.1 grid
 
@@ -96,16 +97,6 @@ def extract_shared(z: np.ndarray, shared: np.ndarray, round: int, p: float) -> S
     return SparseGradient(round=round, p=p, indices=shared.copy(), values=z[shared])
 
 
-def merge(global_part: SparseGradient, local_z: np.ndarray) -> np.ndarray:
-    """Global values on the shared support, local values elsewhere."""
-    local_z = np.asarray(local_z, dtype=np.float64)
-    if global_part.count and global_part.indices[-1] >= local_z.shape[0]:
-        raise ContractViolationError("message indices exceed local vector length")
-    out = local_z.copy()
-    out[global_part.indices] = global_part.values
-    return out
-
-
 def _rate_numerator(p: float) -> int:
     num = round(p * RATE_DENOM)
     if not 1 <= num <= RATE_DENOM or abs(p * RATE_DENOM - num) > 1e-9:
@@ -122,9 +113,18 @@ def snap_rate(fraction: float) -> float:
     return num / RATE_DENOM
 
 
+def payload_bytes(count: int, indexed: bool = True) -> int:
+    """Bytes on the wire for `count` values: the header plus one entry each.
+
+    An entry is an index and a value; a dense payload (indexed=False) sends
+    the values alone.
+    """
+    return HEADER_BYTES + (ENTRY_BYTES if indexed else VALUE_BYTES) * count
+
+
 def message_bytes(msg: SparseGradient) -> int:
     """Exact encoded size without materializing the bytes."""
-    return HEADER_BYTES + ENTRY_BYTES * msg.count
+    return payload_bytes(msg.count)
 
 
 def encode(msg: SparseGradient) -> bytes:
@@ -150,7 +150,7 @@ def decode(data: bytes) -> SparseGradient:
         raise DecodeError(f"bad magic {magic!r}", 0)
     if not 1 <= num <= RATE_DENOM:
         raise DecodeError(f"rate numerator {num} outside 1..{RATE_DENOM}", 12)
-    expected = HEADER_BYTES + ENTRY_BYTES * count
+    expected = payload_bytes(count)
     if len(data) != expected:
         raise DecodeError(
             f"length {len(data)} != {expected} required for {count} entries",

@@ -190,20 +190,6 @@ def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
     return loss, flat
 
 
-def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    """One descent step: params - eta * grad."""
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if params.shape != grad.shape:
-        raise ContractViolationError("params and grad must have the same shape")
-    if not eta > 0.0:
-        raise ContractViolationError("eta must be positive")
-    out = params - eta * grad
-    if not np.all(np.isfinite(out)):
-        raise ContractViolationError("sgd_step produced non-finite parameters")
-    return out
-
-
 def finite_diff_check(params: np.ndarray, batch: Batch, spec: ModelSpec,
                       h: float = 1e-5) -> float:
     """Max relative error of the analytic gradient vs central differences.

@@ -74,8 +74,3 @@ class RateState:
         j = int(self.rng.choice(N_STATES, p=row))
         self.p = float(GRID[j])
         return self.p
-
-
-def sample_next(state: RateState) -> float:
-    """Functional alias for RateState.sample."""
-    return state.sample()

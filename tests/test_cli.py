@@ -96,11 +96,10 @@ class TestMetricsCsv:
     def _records(self):
         return [MetricsRecord(round=1, sim_time=1.5, up_bytes=100,
                               down_bytes=100, p=0.5, train_loss=1.0986,
-                              eval_acc=0.4, eval_acc_client_mean=0.35),
+                              eval_acc=0.4),
                 MetricsRecord(round=2, sim_time=3.0, up_bytes=200,
                               down_bytes=200, p=0.6, train_loss=float("nan"),
-                              eval_acc=float("nan"),
-                              eval_acc_client_mean=float("nan"))]
+                              eval_acc=float("nan"))]
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -159,6 +158,14 @@ class TestRunCommand:
                      "--set", "run.eta=-1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_nan_latency_exits_2(self, config_file, tmp_path, capsys):
+        code = main(["run", "--config", str(config_file),
+                     "--set", "network.latency=nan", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "latency must be finite" in err
+        assert "Traceback" not in err
+
     def test_seed_flag_changes_output(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["run", "--config", str(config_file), "--out", str(a)])
@@ -201,6 +208,21 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config_file),
                      "--axis", "run.algorithm", "--values", "",
                      "--out", str(tmp_path / "s")]) == 2
+
+    def test_colliding_values_exit_2(self, config_file, tmp_path):
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(config_file),
+                     "--axis", "run.algorithm", "--values", "dga, dga",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_values_are_stripped(self, config_file, tmp_path):
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(config_file),
+                     "--set", "run.rounds=2", "--axis", "run.algorithm",
+                     "--values", " dga , dpga", "--out", str(out)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["dga", "dpga"]
 
     def test_bad_axis_exit_2(self, config_file, tmp_path):
         assert main(["sweep", "--config", str(config_file),

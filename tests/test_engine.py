@@ -105,10 +105,21 @@ class TestConfigValidation:
         dict(correction_scope="everything"),
         dict(static_fraction=0.0),
         dict(algorithm="fedavg", aggregation="divide-by-n"),
+        dict(latency=math.nan),
+        dict(latency=math.inf),
+        dict(t_compute=math.inf),
+        dict(eta=math.inf),
+        dict(spread=math.nan),
+        dict(alpha=math.inf),
+        dict(rho=math.nan),
+        dict(walk_p0=math.nan),
+        dict(static_fraction=math.nan),
+        dict(bandwidth=math.nan),
+        dict(bandwidth=-math.inf),
     ])
     def test_rejected_configs(self, kw):
         with pytest.raises(ConfigurationError):
-            Simulation(_cfg(bandwidth=1e9, **kw))
+            Simulation(_cfg(**{"bandwidth": 1e9, **kw}))
 
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError):

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpga.errors import ConfigurationError, ContractViolationError, DecodeError
 from dpga.masking import (ENTRY_BYTES, HEADER_BYTES, SparseGradient, decode,
-                          encode, extract_shared, merge, message_bytes,
-                          shared_count, snap_rate, topk_shared_indices)
+                          encode, extract_shared, message_bytes, shared_count,
+                          snap_rate, topk_shared_indices)
 
 
 class TestSharedCount:
@@ -84,30 +85,6 @@ class TestExtractMerge:
         assert msg.round == 7 and msg.p == 0.5
         np.testing.assert_array_equal(msg.indices, [0, 1])
         np.testing.assert_array_equal(msg.values, [3.0, -5.0])
-
-    def test_merge_substitutes_shared_keeps_personal(self):
-        msg = SparseGradient(round=0, p=0.3, indices=[0, 1, 2],
-                             values=[1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(
-            merge(msg, np.array([9.0, 9.0, 9.0, 0.0])), [1.0, 1.0, 1.0, 0.0])
-
-    def test_merge_leaves_input_alone(self):
-        msg = SparseGradient(round=0, p=0.1, indices=[1], values=[5.0])
-        local = np.array([1.0, 2.0, 3.0])
-        merge(msg, local)
-        np.testing.assert_array_equal(local, [1.0, 2.0, 3.0])
-
-    def test_merge_rejects_oversized_support(self):
-        msg = SparseGradient(round=0, p=0.1, indices=[5], values=[1.0])
-        with pytest.raises(ContractViolationError):
-            merge(msg, np.zeros(3))
-
-    def test_extract_then_merge_roundtrip(self):
-        rng = np.random.default_rng(8)
-        z = rng.standard_normal(40)
-        shared = topk_shared_indices(z, 0.4)
-        msg = extract_shared(z, shared, round=1, p=0.4)
-        np.testing.assert_array_equal(merge(msg, z), z)
 
 
 class TestSparseGradient:
@@ -219,6 +196,40 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError) as exc:
             decode(bytes(blob))
         assert exc.value.offset == HEADER_BYTES + 4 * 1  # the offending index
+
+
+@st.composite
+def _valid_blobs(draw):
+    """Encoded DPG1 messages: any round, grid rate, support and values."""
+    indices = sorted(draw(st.sets(st.integers(0, 2 ** 32 - 1), max_size=6)))
+    values = draw(st.lists(st.floats(), min_size=len(indices),
+                           max_size=len(indices)))
+    return encode(SparseGradient(round=draw(st.integers(0, 2 ** 64 - 1)),
+                                 p=draw(st.integers(1, 10)) / 10,
+                                 indices=indices, values=values))
+
+
+class TestDecodeProperties:
+    """Damaged input either decodes or raises DecodeError, nothing else."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=_valid_blobs(), data=st.data())
+    def test_truncation(self, blob, data):
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(DecodeError):
+            decode(blob[:cut])
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=_valid_blobs(), data=st.data())
+    def test_single_byte_change(self, blob, data):
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        new = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]))
+        damaged = blob[:pos] + bytes([new]) + blob[pos + 1:]
+        try:
+            msg = decode(damaged)
+        except DecodeError:
+            return
+        assert message_bytes(msg) == len(damaged)
 
 
 class TestSnapRate:

@@ -5,7 +5,7 @@ import pytest
 
 from dpga.errors import ConfigurationError, ContractViolationError
 from dpga.models import (Batch, ModelSpec, evaluate, finite_diff_check,
-                         init_params, loss_and_gradient, sgd_step)
+                         init_params, loss_and_gradient)
 
 
 def _logistic(dim=3, classes=2):
@@ -162,21 +162,6 @@ class TestFiniteDifference:
         # Offset params so no pre-activation sits on the relu kink.
         params = rng.standard_normal(spec.dim) + 0.05
         assert finite_diff_check(params, batch, spec) < 1e-4
-
-
-class TestSgdStep:
-    def test_example(self):
-        np.testing.assert_array_equal(
-            sgd_step(np.array([1.0, 2.0]), np.array([10.0, -10.0]), 0.1),
-            [0.0, 3.0])
-
-    def test_rejects_bad_eta(self):
-        with pytest.raises(ContractViolationError):
-            sgd_step(np.zeros(2), np.zeros(2), 0.0)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            sgd_step(np.zeros(2), np.zeros(3), 0.1)
 
 
 class TestInitParams:

@@ -6,7 +6,7 @@ import pytest
 from dpga.checks import enumerate_transition
 from dpga.errors import ConfigurationError
 from dpga.ratewalk import (GRID, RateState, m_step_matrix, one_step_matrix,
-                           sample_next, state_index, transition_distribution)
+                           state_index, transition_distribution)
 
 
 class TestOneStepMatrix:
@@ -98,7 +98,7 @@ class TestSampling:
     def test_stays_on_grid(self):
         state = RateState.from_seed(0.5, 3, seed=1)
         for _ in range(200):
-            p = sample_next(state)
+            p = state.sample()
             assert round(p * 10) == pytest.approx(p * 10, abs=1e-12)
             assert 0.1 <= p <= 1.0
 
