@@ -31,7 +31,8 @@ class SuiteResult:
 
 # ---- gradients vs central differences ---- #
 
-def check_gradients(cases: int = 25, seed: int = 20240, grad_fn=None) -> SuiteResult:
+def check_gradients(cases: int = 25, seed: int = 20240,
+                    grad_fn=loss_and_gradient) -> SuiteResult:
     """Randomized finite-difference validation of the analytic gradients.
 
     grad_fn exists so a deliberately broken gradient can be injected to
@@ -51,29 +52,12 @@ def check_gradients(cases: int = 25, seed: int = 20240, grad_fn=None) -> SuiteRe
             batch = Batch(rng.standard_normal((n, dim)),
                           rng.integers(0, classes, size=n))
             params = rng.standard_normal(spec.dim)
-            if grad_fn is None:
-                err = finite_diff_check(params, batch, spec)
-            else:
-                err = _fd_against(grad_fn, params, batch, spec)
+            err = finite_diff_check(params, batch, spec, grad_fn=grad_fn)
             worst[kind] = max(worst[kind], err)
     passed = all(worst[k] < limits[k] for k in worst)
     detail = ", ".join(f"{k} max_rel_err={worst[k]:.3e} (limit {limits[k]:g})"
                        for k in worst)
     return SuiteResult("finite-diff", passed, detail)
-
-
-def _fd_against(grad_fn, params, batch, spec, h: float = 1e-5) -> float:
-    _, grad = grad_fn(params, batch, spec)
-    worst = 0.0
-    for j in range(params.shape[0]):
-        bump = params.copy()
-        bump[j] += h
-        hi, _ = loss_and_gradient(bump, batch, spec)
-        bump[j] = params[j] - h
-        lo, _ = loss_and_gradient(bump, batch, spec)
-        numeric = (hi - lo) / (2.0 * h)
-        worst = max(worst, abs(grad[j] - numeric) / max(1.0, abs(grad[j])))
-    return worst
 
 
 # ---- rate walk vs brute-force enumeration ---- #
@@ -152,7 +136,7 @@ def check_reductions() -> SuiteResult:
     trajectory must equal straight synchronized gradient averaging bitwise,
     re-derived here with a plain loop over the model primitives.
     """
-    sym = Simulation(_mini_config(delay=2, timing="parallel"))
+    sym = Simulation(_mini_config(delay=2))
     shard = sym.clients[0].shard
     for c in sym.clients:
         c.shard = shard  # identical data on every client
@@ -162,7 +146,7 @@ def check_reductions() -> SuiteResult:
         return SuiteResult("reduction-identities", False,
                            f"identical clients saw correction {worst:.3e} != 0")
 
-    cfg = _mini_config(delay=0, timing="sequential", rounds=6)
+    cfg = _mini_config(delay=0, rounds=6)
     sim = Simulation(cfg)
     w = sim.clients[0].weights.copy()
     shards = [c.shard for c in sim.clients]

@@ -58,10 +58,6 @@ def _batch(text: str):
 def _auto_int(text: str):
     return None if text.strip().lower() == "auto" else int(text)
 
-def _auto_str(text: str):
-    t = text.strip()
-    return None if t.lower() == "auto" else t
-
 def _int_tuple(text: str) -> tuple[int, ...]:
     t = text.strip()
     if not t:
@@ -92,7 +88,6 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("network", "latency"): ("latency", _float),
     ("network", "t_compute"): ("t_compute", _float),
     ("network", "delay"): ("delay", _auto_int),
-    ("network", "timing"): ("timing", _auto_str),
     ("walk", "m"): ("walk_m", _int),
     ("walk", "p0"): ("walk_p0", _float),
     ("walk", "per_client"): ("per_client_walk", _bool),
@@ -174,22 +169,24 @@ def write_metrics_csv(records, path: Path) -> None:
 def read_metrics_csv(path: Path) -> dict[str, list[float]]:
     """Parse a metrics CSV; raises ConfigurationError naming the bad row."""
     cols: dict[str, list[float]] = {name: [] for name in CSV_HEADER.split(",")}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER.split(","):
-            raise ConfigurationError(f"{path}: row 1: expected header {CSV_HEADER!r}")
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(cols):
-                raise ConfigurationError(f"{path}: row {i}: expected "
-                                         f"{len(cols)} fields, got {len(row)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}: row {i}: non-numeric field") from None
-            for name, v in zip(cols, vals):
-                cols[name].append(v)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigurationError(f"cannot read metrics CSV {path}: {exc}") from None
+    if rows[:1] != [CSV_HEADER.split(",")]:
+        raise ConfigurationError(f"{path}: row 1: expected header {CSV_HEADER!r}")
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(cols):
+            raise ConfigurationError(f"{path}: row {i}: expected "
+                                     f"{len(cols)} fields, got {len(row)}")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}: row {i}: non-numeric field") from None
+        for name, v in zip(cols, vals):
+            cols[name].append(v)
     return cols
 
 
@@ -197,7 +194,7 @@ def read_metrics_csv(path: Path) -> dict[str, list[float]]:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
-    records = run_experiment(cfg, workers=args.workers)
+    records = run_experiment(cfg)
     out = Path(args.out)
     write_metrics_csv(records, out)
     last = records[-1]
@@ -225,7 +222,7 @@ def cmd_sweep(args) -> int:
     for value, slug in zip(values, slugs):
         sets = list(args.set) + [f"{args.axis}={value}"]
         cfg = load_config(args.config, sets, args.seed)
-        records = run_experiment(cfg, workers=args.workers)
+        records = run_experiment(cfg)
         run_path = out_dir / f"{key_slug}_{slug}.csv"
         write_metrics_csv(records, run_path)
         last = records[-1]
@@ -259,6 +256,8 @@ def cmd_plot(args) -> int:
                 xs.append(x)
                 ys.append(y)
         series.append((path.stem, xs, ys))
+    if not any(xs for _, xs, _ in series):
+        raise ConfigurationError(f"no evaluated rows to plot in {', '.join(args.csv)}")
     svg = render_plot(series, x_label=args.x)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -280,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config value (repeatable)")
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (beats DPGA_SEED and the file)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for client updates (no output effect)")
 
     p_run = sub.add_parser("run", help="run one experiment, write a metrics CSV")
     common(p_run)

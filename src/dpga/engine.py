@@ -5,22 +5,21 @@ coordinates go up, whether aggregation is size-weighted, and whether the
 exchange is synchronous. The rest of this module reads that table and
 never an algorithm's name.
 
-Clock model: every round costs t_compute. A sequential round additionally
-blocks on its exchange (latency + bytes / bandwidth); a parallel run hides
-communication behind compute and only pays the final exchange once at the
-end, when the still-in-flight aggregates drain. Payload sizes come from
+Clock model: every round costs t_compute. With delay 0 a round
+additionally blocks on its exchange (latency + bytes / bandwidth); with a
+delay D > 0 communication hides behind compute and only the final exchange
+is paid once at the end, when the still-in-flight aggregates drain. D must
+therefore cover a full round trip. Payload sizes come from
 masking.payload_bytes.
 
 Determinism: every random stream is derived from (seed, purpose tag), the
 per-(round, client) batch streams included, and all reductions run in a
-fixed order, so a config reproduces its metrics byte for byte regardless
-of the worker-thread count.
+fixed order, so a config reproduces its metrics byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from dataclasses import dataclass, fields
 
@@ -61,7 +60,6 @@ SCHEMES = {
     "static-partial": Scheme(upload="static", weighted=False, synchronous=True),
 }
 ALGORITHMS = tuple(SCHEMES)
-TIMINGS = ("sequential", "parallel")
 
 # Purpose tags for derived random streams.
 _SEED_DATA, _SEED_PART, _SEED_INIT, _SEED_WALK, _SEED_BATCH = range(1, 6)
@@ -81,7 +79,6 @@ class SimConfig:
     local_epochs: int = 2
     eta: float = 0.1
     batch_size: int | None = None        # None = full shard
-    timing: str | None = None            # None = pick from delay
     delay: int | None = None             # None = derive from the network
     bandwidth: float = 1e6               # bytes per time unit
     latency: float = 0.0
@@ -136,46 +133,46 @@ def comm_time(nbytes: float, bandwidth: float, latency: float) -> float:
     return latency + nbytes / bandwidth
 
 
-def _worst_roundtrip_bytes(cfg: SimConfig) -> int:
-    """Per-client up+down bytes of the largest possible exchange (p = 1)."""
+def _worst_roundtrip(cfg: SimConfig) -> float:
+    """Per-client up+down time of the largest possible exchange (p = 1)."""
     indexed = SCHEMES[cfg.algorithm].upload != "dense"
-    return 2 * payload_bytes(cfg.model_spec().dim, indexed)
+    return comm_time(2 * payload_bytes(cfg.model_spec().dim, indexed),
+                     cfg.bandwidth, cfg.latency)
+
+
+def _covering_rounds(rt: float, t_compute: float) -> int:
+    rounds = rt / t_compute
+    if not math.isfinite(rounds):
+        raise ConfigurationError(f"a round trip of {rt:g} time units spans "
+                                 "more compute rounds than can be counted")
+    return int(math.ceil(rounds))
 
 
 def derive_D(cfg: SimConfig) -> int:
     """Smallest whole number of compute rounds that covers one round trip."""
-    rt = comm_time(_worst_roundtrip_bytes(cfg), cfg.bandwidth, cfg.latency)
-    return int(math.ceil(rt / cfg.t_compute))
+    return _covering_rounds(_worst_roundtrip(cfg), cfg.t_compute)
 
 
 def resolve_delay(cfg: SimConfig) -> int:
+    """The delay D a run uses: 0 blocks on every exchange, D > 0 hides it
+    behind D rounds of compute and must cover the worst round trip."""
     if SCHEMES[cfg.algorithm].synchronous:
         if cfg.delay not in (None, 0):
             raise ConfigurationError(
                 f"{cfg.algorithm} is synchronous; delay must be 0 or omitted")
         return 0
-    return derive_D(cfg) if cfg.delay is None else cfg.delay
-
-
-def resolve_timing(cfg: SimConfig, delay: int) -> str:
-    timing = cfg.timing or ("parallel" if delay > 0 else "sequential")
-    if timing not in TIMINGS:
-        raise ConfigurationError(f"unknown timing {cfg.timing!r}")
-    if timing == "sequential" and delay > 0:
+    rt = _worst_roundtrip(cfg)
+    delay = _covering_rounds(rt, cfg.t_compute) if cfg.delay is None else cfg.delay
+    if delay > 0 and rt > delay * cfg.t_compute:
         raise ConfigurationError(
-            "sequential timing blocks on every exchange, so delay must be 0")
-    if timing == "parallel":
-        rt = comm_time(_worst_roundtrip_bytes(cfg), cfg.bandwidth, cfg.latency)
-        if rt > delay * cfg.t_compute:
-            raise ConfigurationError(
-                f"delay {delay} hides only {delay * cfg.t_compute:g} time units "
-                f"but a full exchange takes {rt:g}; corrections would arrive "
-                "before their uploads finish")
-    return timing
+            f"delay {delay} hides only {delay * cfg.t_compute:g} time units "
+            f"but a full exchange takes {rt:g}; corrections would arrive "
+            "before their uploads finish")
+    return delay
 
 
-def validate_config(cfg: SimConfig) -> tuple[int, str]:
-    """Check every field; returns the resolved (delay, timing)."""
+def validate_config(cfg: SimConfig) -> int:
+    """Check every field; returns the resolved delay."""
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {cfg.algorithm!r}")
     for f in fields(cfg):
@@ -200,6 +197,8 @@ def validate_config(cfg: SimConfig) -> tuple[int, str]:
         raise ConfigurationError("t_compute must be positive")
     if cfg.eval_every < 1:
         raise ConfigurationError("eval_every must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     if cfg.per_class < 1:
         raise ConfigurationError("per_class must be >= 1")
     if cfg.test_per_class < 1:
@@ -218,9 +217,7 @@ def validate_config(cfg: SimConfig) -> tuple[int, str]:
             f"{cfg.algorithm} uses size-weighted per-component averaging")
     cfg.model_spec()  # validates the model fields
     comm_time(0, cfg.bandwidth, cfg.latency)
-    delay = resolve_delay(cfg)
-    timing = resolve_timing(cfg, delay)
-    return delay, timing
+    return resolve_delay(cfg)
 
 
 def objective(clients: list[ClientState]) -> float:
@@ -240,13 +237,10 @@ def objective(clients: list[ClientState]) -> float:
 class Simulation:
     """A fully built experiment; run() yields one MetricsRecord per round."""
 
-    def __init__(self, cfg: SimConfig, workers: int = 1):
+    def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.delay, self.timing = validate_config(cfg)
+        self.delay = validate_config(cfg)
         self.scheme = SCHEMES[cfg.algorithm]
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        self.workers = workers
 
         self.spec = cfg.model_spec()
         # One draw covers train and eval so both see the same class means;
@@ -316,15 +310,9 @@ class Simulation:
 
     def _local_all(self, round_: int) -> list[np.ndarray]:
         cfg = self.cfg
-        rngs = [np.random.default_rng([cfg.seed, _SEED_BATCH, round_, c.id])
+        return [local_round(c, cfg.local_epochs, cfg.eta, cfg.batch_size,
+                            np.random.default_rng([cfg.seed, _SEED_BATCH, round_, c.id]))
                 for c in self.clients]
-        work = [(c, cfg.local_epochs, cfg.eta, cfg.batch_size, r)
-                for c, r in zip(self.clients, rngs)]
-        if self.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as ex:
-                futures = [ex.submit(local_round, *args) for args in work]
-                return [f.result() for f in futures]
-        return [local_round(*args) for args in work]
 
     def _deliver(self, agg, down_sizes: list[int]) -> int:
         worst = 0.0
@@ -373,8 +361,8 @@ class Simulation:
                 down_total += self._deliver(due, sizes)
 
             clock += cfg.t_compute
-            # Parallel runs only wait once, for the final exchange to drain.
-            if self.timing == "sequential" or t == cfg.rounds:
+            # A delayed run only waits once, for the final exchange to drain.
+            if self.delay == 0 or t == cfg.rounds:
                 clock += comm_time(exchange, cfg.bandwidth, cfg.latency)
 
             if t % cfg.eval_every == 0 or t == cfg.rounds:
@@ -396,6 +384,6 @@ class Simulation:
         return self.records
 
 
-def run_experiment(cfg: SimConfig, workers: int = 1) -> list[MetricsRecord]:
+def run_experiment(cfg: SimConfig) -> list[MetricsRecord]:
     """Build and run a simulation; returns one MetricsRecord per round."""
-    return Simulation(cfg, workers=workers).run()
+    return Simulation(cfg).run()

@@ -191,14 +191,16 @@ def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
 
 
 def finite_diff_check(params: np.ndarray, batch: Batch, spec: ModelSpec,
-                      h: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient vs central differences.
+                      h: float = 1e-5, grad_fn=loss_and_gradient) -> float:
+    """Max relative error of grad_fn's gradient vs central differences of
+    the loss.
 
     Error per coordinate is |analytic - numeric| / max(1, |analytic|); the
-    maximum over all coordinates is returned.
+    maximum over all coordinates is returned. grad_fn lets a test inject a
+    broken gradient to prove the check has teeth.
     """
     params = _check_args(params, batch, spec)
-    _, grad = loss_and_gradient(params, batch, spec)
+    _, grad = grad_fn(params, batch, spec)
     worst = 0.0
     for j in range(params.shape[0]):
         bump = params.copy()

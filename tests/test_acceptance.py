@@ -10,11 +10,11 @@ Every test here prints exactly one `criterion N: PASS/FAIL - detail` line
     3  m-step walk distributions match brute-force path enumeration
     4  analytic gradients match central finite differences
     5  mask-size/complementarity/dominance properties and codec roundtrips
-    6  the clock model follows its closed-form arithmetic in both timings
+    6  the clock model follows its closed-form arithmetic at delay 0
+       (blocking) and at delay D > 0 (hidden exchange)
     7  the comparative experiment reproduces the expected byte/time
        orderings against a golden baseline accuracy
-    8  the comparative run is byte-reproducible across reruns and worker
-       thread counts
+    8  the comparative run is byte-reproducible across reruns
     9  the partitioner's cover/coverage/skew contracts hold at fixed seeds
 """
 
@@ -218,17 +218,17 @@ def test_clock_model_arithmetic():
                  spread=1.0, alpha=1.0, rho=1.0, seed=5, eval_every=100)
     rt = comm_time(2 * dense, net["bandwidth"], net["latency"])
 
-    # Parallel with a constant exchange: pre-final rounds pay compute only,
-    # the final round drains one exchange.
+    # Delay D > 0 with a constant exchange: pre-final rounds pay compute
+    # only, the final round drains one exchange.
     T = 12
     par = run_experiment(SimConfig(algorithm="dga", rounds=T, delay=3,
                                    **net, **small))
     a_ok = (all(par[t - 1].sim_time == float(t) for t in range(1, T))
             and par[-1].sim_time == T * 1.0 + rt)
 
-    # Sequential with the same exchange blocks every round.
+    # Delay 0 with the same exchange blocks every round.
     seq = run_experiment(SimConfig(algorithm="dga", rounds=T, delay=0,
-                                   timing="sequential", **net, **small))
+                                   **net, **small))
     b_ok = all(seq[t - 1].sim_time == t * (1.0 + rt) for t in range(1, T + 1))
 
     gap_ok = (par[-1].sim_time < seq[-1].sim_time
@@ -238,7 +238,7 @@ def test_clock_model_arithmetic():
     # round): rebuild both closed forms from the recorded byte deltas.
     walk = dict(walk_p0=0.5, walk_m=2)
     recs = run_experiment(SimConfig(algorithm="dpga", rounds=10, delay=0,
-                                    timing="sequential", **walk, **net, **small))
+                                    **walk, **net, **small))
     expected = 0.0
     prev_up = 0
     c_ok = True
@@ -256,19 +256,19 @@ def test_clock_model_arithmetic():
             and recs[-1].sim_time == 10 * 1.0 + comm_time(
                 2 * last, net["bandwidth"], net["latency"]))
 
-    # Zero communication cost is the only way the two timings agree.
+    # Zero communication cost is the only way delay 0 and delay D agree.
     zero = dict(bandwidth=math.inf, latency=0.0, t_compute=1.0)
     zp = run_experiment(SimConfig(algorithm="dga", rounds=8, delay=2,
                                   **zero, **small))
     zs = run_experiment(SimConfig(algorithm="dga", rounds=8, delay=0,
-                                  timing="sequential", **zero, **small))
+                                  **zero, **small))
     e_ok = zp[-1].sim_time == zs[-1].sim_time == 8.0
 
     ok = a_ok and b_ok and gap_ok and c_ok and d_ok and e_ok
     _verdict(6, ok,
-             f"parallel = T*t_compute + last exchange (constant {a_ok}, "
-             f"varying {d_ok}); sequential = sum of per-round costs "
-             f"(constant {b_ok}, varying {c_ok}); parallel < sequential by "
+             f"delay D = T*t_compute + last exchange (constant {a_ok}, "
+             f"varying {d_ok}); delay 0 = sum of per-round costs "
+             f"(constant {b_ok}, varying {c_ok}); delay D < delay 0 by "
              f"(T-1)*comm ({gap_ok}); equal iff comm = 0 ({e_ok}), all exact")
 
 
@@ -314,16 +314,13 @@ def test_comparative_experiment_orderings():
 def test_comparative_run_reproducibility(tmp_path):
     cfg = comparative_config("dpga")
     files = {}
-    for name, workers in (("first", 1), ("second", 1), ("threaded", 4)):
+    for name in ("first", "second"):
         path = tmp_path / f"{name}.csv"
-        write_metrics_csv(run_experiment(cfg, workers=workers), path)
+        write_metrics_csv(run_experiment(cfg), path)
         files[name] = path.read_bytes()
-    rerun_ok = files["first"] == files["second"]
-    workers_ok = files["first"] == files["threaded"]
-    ok = rerun_ok and workers_ok
+    ok = files["first"] == files["second"]
     _verdict(8, ok,
-             f"rerun CSV byte-identical ({'yes' if rerun_ok else 'no'}), "
-             f"workers 1 vs 4 byte-identical ({'yes' if workers_ok else 'no'}), "
+             f"rerun CSV byte-identical ({'yes' if ok else 'no'}), "
              f"{len(files['first'])} bytes each")
 
 

@@ -166,6 +166,22 @@ class TestRunCommand:
         assert "latency must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, env, sets", [
+        (["--seed", "-1"], None, []),
+        ([], "-3", []),
+        ([], None, ["--set", "run.seed=-1"]),
+    ], ids=["flag", "env", "key"])
+    def test_negative_seed_exits_2(self, config_file, tmp_path, capsys,
+                                   monkeypatch, flag, env, sets):
+        if env is not None:
+            monkeypatch.setenv("DPGA_SEED", env)
+        code = main(["run", "--config", str(config_file), *flag, *sets,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err
+        assert "Traceback" not in err
+
     def test_seed_flag_changes_output(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["run", "--config", str(config_file), "--out", str(a)])
@@ -282,3 +298,23 @@ class TestPlotCommand:
         code = main(["plot", str(bad), "--out", str(tmp_path / "p.svg")])
         assert code == 2
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00", b"1" * 200_000],
+                             ids=["missing", "not-utf8", "oversized-field"])
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "m.csv"
+        if content is not None:
+            path.write_bytes(content)
+        code = main(["plot", str(path), "--out", str(tmp_path / "p.svg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read metrics CSV" in err
+        assert "Traceback" not in err
+
+    def test_no_evaluated_rows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(CSV_HEADER + "\n1,1,10,10,1,nan,nan\n")
+        code = main(["plot", str(path), "--out", str(tmp_path / "p.svg")])
+        assert code == 2
+        assert "no evaluated rows" in capsys.readouterr().err
+        assert not (tmp_path / "p.svg").exists()

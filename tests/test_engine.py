@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpga.engine import (MetricsRecord, SimConfig, Simulation, comm_time,
-                         derive_D, objective, resolve_delay, resolve_timing,
-                         run_experiment)
+from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
+                         Simulation, comm_time, derive_D, objective,
+                         resolve_delay, run_experiment)
 from dpga.errors import ConfigurationError
 from dpga.masking import ENTRY_BYTES, HEADER_BYTES
 from dpga.models import evaluate
@@ -67,25 +68,45 @@ class TestDeriveDelay:
 
 
 class TestResolveTiming:
-    def test_auto_picks_by_delay(self):
-        cfg = _cfg(algorithm="dga", bandwidth=1e9)
-        assert resolve_timing(cfg, 0) == "sequential"
-        assert resolve_timing(cfg, 2) == "parallel"
-
-    def test_sequential_rejects_positive_delay(self):
-        with pytest.raises(ConfigurationError):
-            resolve_timing(_cfg(algorithm="dga", timing="sequential"), 1)
+    """Delay 0 blocks on every exchange; a delay D > 0 hides the exchange
+    behind D rounds of compute, so D must cover the worst round trip."""
 
     def test_parallel_needs_delay_covering_roundtrip(self):
         # Round trip takes 3 time units but delay 1 hides only 1.
-        cfg = _cfg(algorithm="dga", timing="parallel", latency=3.0,
-                   bandwidth=1e9, t_compute=1.0)
+        cfg = _cfg(algorithm="dga", delay=1, latency=3.0, bandwidth=1e9,
+                   t_compute=1.0)
         with pytest.raises(ConfigurationError):
-            resolve_timing(cfg, 1)
+            resolve_delay(cfg)
+        assert resolve_delay(_cfg(algorithm="dga", delay=0, latency=3.0,
+                                  bandwidth=1e9, t_compute=1.0)) == 0
 
-    def test_unknown_timing_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_timing(_cfg(timing="warp", bandwidth=1e9), 0)
+    # Each network value mixes a range where round trips span a few compute
+    # rounds with the whole range of floats the config accepts or rejects.
+    @settings(max_examples=300, deadline=None)
+    @given(algorithm=st.sampled_from(ALGORITHMS),
+           bandwidth=(st.floats(100.0, 1e5)
+                      | st.floats(min_value=0.0, allow_nan=False)),
+           latency=(st.floats(0.0, 10.0)
+                    | st.floats(min_value=-1.0, allow_nan=False)),
+           t_compute=(st.floats(0.1, 5.0)
+                      | st.floats(min_value=0.0, exclude_min=True,
+                                  allow_nan=False, allow_infinity=False)),
+           delay=st.none() | st.integers(0, 20))
+    def test_resolved_delay_is_zero_or_covers_roundtrip(
+            self, algorithm, bandwidth, latency, t_compute, delay):
+        cfg = _cfg(algorithm=algorithm, bandwidth=bandwidth, latency=latency,
+                   t_compute=t_compute, delay=delay)
+        try:
+            got = resolve_delay(cfg)
+        except ConfigurationError:
+            return
+        if SCHEMES[algorithm].synchronous:
+            assert got == 0
+        elif delay is not None:
+            assert got == delay
+        if got > 0:
+            payload = DENSE if SCHEMES[algorithm].upload == "dense" else SPARSE_FULL
+            assert comm_time(2 * payload, bandwidth, latency) <= got * t_compute
 
 
 class TestConfigValidation:
@@ -116,14 +137,11 @@ class TestConfigValidation:
         dict(static_fraction=math.nan),
         dict(bandwidth=math.nan),
         dict(bandwidth=-math.inf),
+        dict(seed=-1),
     ])
     def test_rejected_configs(self, kw):
         with pytest.raises(ConfigurationError):
             Simulation(_cfg(**{"bandwidth": 1e9, **kw}))
-
-    def test_bad_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            Simulation(_cfg(bandwidth=1e9), workers=0)
 
 
 class TestClockModel:
@@ -263,11 +281,6 @@ class TestDeterminism:
     def test_same_config_same_records(self):
         cfg = _cfg(algorithm="dpga", delay=2, bandwidth=1e6, batch_size=4)
         assert run_experiment(cfg) == run_experiment(cfg)
-
-    def test_worker_threads_do_not_change_output(self):
-        cfg = _cfg(algorithm="dpga", delay=2, bandwidth=1e6, batch_size=4,
-                   rounds=5)
-        assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=4)
 
     def test_seed_changes_output(self):
         a = run_experiment(_cfg(algorithm="dpga", delay=1, bandwidth=1e6))

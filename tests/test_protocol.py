@@ -1,7 +1,10 @@
 """Client/server protocol: local rounds, aggregation, delayed corrections."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpga.errors import ContractViolationError, ProtocolError
 from dpga.masking import SparseGradient, topk_shared_indices
@@ -209,6 +212,40 @@ class TestServerAggregate:
     def test_empty_input_rejected(self):
         with pytest.raises(ContractViolationError):
             server_aggregate([])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8), d=st.integers(1, 40),
+           kind=st.sampled_from(["per-component", "weighted", "divide-by-n"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_plain_loop_reference(self, data, n, d, kind, seed):
+        rng = np.random.default_rng(seed)
+        subsets = [sorted(data.draw(st.sets(st.integers(0, d - 1), max_size=d)))
+                   for _ in range(n)]
+        msgs = [self._msg(idx, rng.standard_normal(len(idx))) for idx in subsets]
+        weights = rng.uniform(0.5, 1.5, n) if kind == "weighted" else None
+        mode = "divide-by-n" if kind == "divide-by-n" else "per-component"
+        agg = server_aggregate(msgs, mode, weights)
+
+        union = sorted(set().union(*subsets))
+        want, counts = [], []
+        for j in union:
+            contrib = [(i, float(m.values[subsets[i].index(j)]))
+                       for i, m in enumerate(msgs) if j in subsets[i]]
+            counts.append(len(contrib))
+            if kind == "weighted":
+                want.append(math.fsum(weights[i] * v for i, v in contrib)
+                            / math.fsum(weights[i] for i, _ in contrib))
+            else:
+                total = math.fsum(v for _, v in contrib)
+                want.append(total / (n if kind == "divide-by-n" else len(contrib)))
+
+        np.testing.assert_array_equal(agg.indices, np.array(union, dtype=np.int64))
+        np.testing.assert_array_equal(agg.counts, counts)
+        # Relative to the largest value: the tree and fsum round differently,
+        # which matters only where contributions cancel.
+        scale = max((abs(v) for m in msgs for v in m.values), default=0.0)
+        np.testing.assert_allclose(agg.values, want, rtol=1e-12,
+                                   atol=1e-12 * scale)
 
 
 class TestApplyCorrection:
