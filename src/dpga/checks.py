@@ -1,9 +1,9 @@
 """Self-contained oracle suites behind the `check` subcommand.
 
 Each suite re-derives expected behavior by an independent route (finite
-differences, brute-force path enumeration, byte roundtrips, straight-line
-reference loops) and compares the implementation against it. All suites
-are deterministic.
+differences, brute-force path enumeration, byte roundtrips, sorting
+references, straight-line reference loops) and compares the
+implementation against it. All suites are deterministic.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ import numpy as np
 
 from .engine import SimConfig, Simulation
 from .masking import (SparseGradient, decode, encode, message_bytes,
-                      shared_count)
+                      shared_count, topk_shared_indices)
 from .models import Batch, ModelSpec, finite_diff_check, init_params, \
     loss_and_gradient
-from .protocol import pairwise_mean
+from .protocol import (AGGREGATION_MODES, GlobalAggregate, pairwise_mean,
+                       pairwise_sum, server_aggregate)
 from .ratewalk import GRID, transition_distribution
 
 
@@ -116,6 +117,86 @@ def check_codec(cases: int = 1000, seed: int = 77) -> SuiteResult:
                        f"{cases} random messages round-tripped byte-exactly")
 
 
+# ---- exchange layer vs sorting references ---- #
+
+def lexsort_topk(z: np.ndarray, p: float) -> np.ndarray:
+    """Top-K by definition: sort by (-|z|, index), keep K, sort ascending."""
+    order = np.lexsort((np.arange(z.shape[0]), -np.abs(z)))
+    return np.sort(order[:shared_count(p, z.shape[0])])
+
+
+def union_aggregate(messages: list[SparseGradient], mode: str,
+                    weights: np.ndarray | None) -> GlobalAggregate:
+    """Aggregate over the sorted union of indices, placed by searchsorted."""
+    union = np.unique(np.concatenate([m.indices for m in messages]))
+    slots = np.zeros((len(messages), union.shape[0]))
+    present = np.zeros((len(messages), union.shape[0]), dtype=np.int64)
+    for i, m in enumerate(messages):
+        pos = np.searchsorted(union, m.indices)
+        slots[i, pos] = m.values
+        present[i, pos] = 1
+    counts = present.sum(axis=0)
+    if mode == "divide-by-n":
+        values = pairwise_sum(slots) / len(messages)
+    elif weights is None:
+        values = pairwise_sum(slots) / counts
+    else:
+        values = (pairwise_sum(slots * weights[:, None])
+                  / pairwise_sum(present * weights[:, None]))
+    return GlobalAggregate(round=messages[0].round, indices=union,
+                           values=values, counts=counts)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _exchange_vector(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Gaussian, or small integers with signed zeros so magnitudes tie."""
+    if rng.integers(0, 2):
+        return rng.standard_normal(d)
+    z = rng.integers(-3, 4, size=d).astype(np.float64)
+    z[z == 0.0] *= rng.choice([-1.0, 1.0], size=np.count_nonzero(z == 0.0))
+    return z
+
+
+def check_exchange(cases: int = 1000, seed: int = 4099) -> SuiteResult:
+    """Top-K selection and server aggregation against sorting references.
+
+    Each case draws d, then checks Top-K of one vector against the lexsort
+    definition and the aggregate of 1-8 uploads against the union and
+    searchsorted route, bit for bit, in a random aggregation mode.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        d = int(rng.integers(1, 300))
+        z = _exchange_vector(rng, d)
+        p = float(GRID[rng.integers(0, GRID.shape[0])])
+        if not _same_bits(topk_shared_indices(z, p), lexsort_topk(z, p)):
+            return SuiteResult("exchange", False,
+                               f"case {i}: Top-K differs from the lexsort rule")
+        msgs = []
+        for _ in range(int(rng.integers(1, 9))):
+            z = _exchange_vector(rng, d)
+            p = float(GRID[rng.integers(0, GRID.shape[0])])
+            idx = topk_shared_indices(z, p)
+            msgs.append(SparseGradient(round=i, p=p, indices=idx, values=z[idx]))
+        mode = AGGREGATION_MODES[int(rng.integers(0, len(AGGREGATION_MODES)))]
+        weights = None
+        if mode == "per-component" and rng.integers(0, 2):
+            sizes = rng.integers(1, 50, size=len(msgs)).astype(np.float64)
+            weights = sizes / sizes.sum()
+        got = server_aggregate(msgs, d, mode, weights)
+        want = union_aggregate(msgs, mode, weights)
+        if not all(_same_bits(getattr(got, f), getattr(want, f))
+                   for f in ("indices", "values", "counts")):
+            return SuiteResult("exchange", False,
+                               f"case {i}: aggregate differs from the union route")
+    return SuiteResult("exchange", True,
+                       f"{cases} cases: Top-K equals the lexsort rule and the "
+                       "aggregate equals the union route bit for bit")
+
+
 # ---- protocol reductions ---- #
 
 def _mini_config(**kw) -> SimConfig:
@@ -173,5 +254,6 @@ def check_reductions() -> SuiteResult:
 
 def run_all(suites=None) -> list[SuiteResult]:
     if suites is None:
-        suites = [check_gradients, check_walk, check_codec, check_reductions]
+        suites = [check_gradients, check_walk, check_codec, check_exchange,
+                  check_reductions]
     return [fn() for fn in suites]

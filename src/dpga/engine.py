@@ -142,10 +142,15 @@ def _worst_roundtrip(cfg: SimConfig) -> float:
 
 def _covering_rounds(rt: float, t_compute: float) -> int:
     rounds = rt / t_compute
-    if not math.isfinite(rounds):
-        raise ConfigurationError(f"a round trip of {rt:g} time units spans "
-                                 "more compute rounds than can be counted")
-    return int(math.ceil(rounds))
+    # The quotient rounds, so its ceiling can fall one step short of rt;
+    # then take the next round (past 2**53, the next float).
+    while math.isfinite(rounds):
+        covering = math.ceil(rounds)
+        if covering * t_compute >= rt:
+            return covering
+        rounds = math.nextafter(covering, math.inf)
+    raise ConfigurationError(f"a round trip of {rt:g} time units spans "
+                             "more compute rounds than can be counted")
 
 
 def derive_D(cfg: SimConfig) -> int:
@@ -217,7 +222,19 @@ def validate_config(cfg: SimConfig) -> int:
             f"{cfg.algorithm} uses size-weighted per-component averaging")
     cfg.model_spec()  # validates the model fields
     comm_time(0, cfg.bandwidth, cfg.latency)
-    return resolve_delay(cfg)
+    delay = resolve_delay(cfg)
+    # The clock is largest when every exchange is as big as it can be.
+    rt = _worst_roundtrip(cfg)
+    try:
+        last_clock = (cfg.rounds * (cfg.t_compute + rt) if delay == 0
+                      else cfg.rounds * cfg.t_compute + rt)
+    except OverflowError:  # more rounds than a float can hold
+        last_clock = math.inf
+    if not math.isfinite(last_clock):
+        raise ConfigurationError(
+            "the clock would reach inf; shrink rounds, t_compute or the "
+            "round trip")
+    return delay
 
 
 def objective(clients: list[ClientState]) -> float:
@@ -347,7 +364,7 @@ class Simulation:
             up_sizes = [self._payload(m.count) for m in msgs]
             up_total += sum(up_sizes)
 
-            agg = server_aggregate(msgs, cfg.aggregation, self._weights)
+            agg = server_aggregate(msgs, self.spec.dim, cfg.aggregation, self._weights)
             if cfg.correction_scope == "own-shared":
                 down_sizes = [self._payload(m.count) for m in msgs]
             else:

@@ -1,7 +1,11 @@
 """Top-K coordinate selection and the sparse gradient wire format.
 
 A client shares the K = ceil(p * d) largest-magnitude coordinates of its
-accumulated gradient and keeps the rest private. Messages travel in a
+accumulated gradient and keeps the rest private. Selection runs in O(d):
+one np.partition finds the K-th largest magnitude t, every coordinate
+above t is kept, and the remaining slots go to the lowest-indexed
+coordinates equal to t, so magnitude ties resolve toward the lower index
+without a sort. Messages travel in a
 little-endian binary layout ("DPG1"): 4-byte magic, u64 round, u8 rate
 numerator (p * 10), u32 entry count, then the ascending u32 indices and
 their f64 values. Index overhead is real and counted: 12 bytes per entry
@@ -76,16 +80,28 @@ class SparseGradient:
 def topk_shared_indices(z: np.ndarray, p: float) -> np.ndarray:
     """Indices of the K = ceil(p * d) largest |z| entries, sorted ascending.
 
-    Magnitude ties resolve toward the lower index, so the selection is a
-    pure function of (z, p).
+    Runs in O(d) without a sort: t = the K-th largest |z| (np.partition),
+    every |z| > t is kept, and the remaining slots go to the lowest-indexed
+    entries where |z| == t. Magnitude ties therefore resolve toward the
+    lower index, so the selection is a pure function of (z, p). z must be
+    finite.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.shape[0] < 1:
         raise ContractViolationError("z must be a non-empty 1-d vector")
-    k = shared_count(p, z.shape[0])
-    # lexsort: primary key -|z| ascending (largest first), ties by index.
-    order = np.lexsort((np.arange(z.shape[0]), -np.abs(z)))
-    return np.sort(order[:k])
+    if not np.isfinite(z).all():
+        raise ContractViolationError("z must be finite")
+    d = z.shape[0]
+    k = shared_count(p, d)
+    if k == d:
+        return np.arange(d)
+    mag = np.abs(z)
+    t = np.partition(mag, d - k)[d - k]
+    keep = mag >= t
+    excess = np.count_nonzero(keep) - k
+    if excess:  # more than K tie at t: the highest-indexed ties stay private
+        keep[np.flatnonzero(mag == t)[-excess:]] = False
+    return np.flatnonzero(keep)
 
 
 def extract_shared(z: np.ndarray, shared: np.ndarray, round: int, p: float) -> SparseGradient:

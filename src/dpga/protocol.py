@@ -185,7 +185,8 @@ def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
     return msg
 
 
-def server_aggregate(messages: list[SparseGradient], mode: str = "per-component",
+def server_aggregate(messages: list[SparseGradient], d: int,
+                     mode: str = "per-component",
                      weights: np.ndarray | None = None) -> GlobalAggregate:
     """Combine one round's uploads into a global aggregate.
 
@@ -194,6 +195,10 @@ def server_aggregate(messages: list[SparseGradient], mode: str = "per-component"
     the sum of contributions divided by the full client count, so missing
     clients drag a coordinate toward zero. Messages must be passed in
     ascending client-id order; the reduction order is fixed by position.
+
+    d is the model size: every index must lie below it. Each message is
+    scattered into one row of an (n_messages, d) buffer, so the work is
+    linear in d and no index is sorted or searched.
     """
     if not messages:
         raise ContractViolationError("nothing to aggregate")
@@ -209,22 +214,27 @@ def server_aggregate(messages: list[SparseGradient], mode: str = "per-component"
         if mode != "per-component":
             raise ContractViolationError("weights only apply to per-component mode")
 
-    union = np.unique(np.concatenate([m.indices for m in messages]))
-    slots = np.zeros((len(messages), union.shape[0]))
-    present = np.zeros((len(messages), union.shape[0]), dtype=np.int64)
+    slots = np.zeros((len(messages), d))
+    present = np.zeros((len(messages), d), dtype=bool)
     for i, m in enumerate(messages):
-        pos = np.searchsorted(union, m.indices)
-        slots[i, pos] = m.values
-        present[i, pos] = 1
+        if m.count and m.indices[-1] >= d:
+            raise ContractViolationError(
+                f"index {m.indices[-1]} outside a model of size {d}")
+        slots[i, m.indices] = m.values
+        present[i, m.indices] = True
     counts = present.sum(axis=0)
+    union = np.flatnonzero(counts)
+    counts = counts[union]
 
+    # The tree runs over all d columns; each column sums on its own, so the
+    # union's values carry the same bits as a tree over the union alone.
     if mode == "divide-by-n":
-        values = pairwise_sum(slots) / len(messages)
+        values = pairwise_sum(slots)[union] / len(messages)
     elif weights is None:
-        values = pairwise_sum(slots) / counts
+        values = pairwise_sum(slots)[union] / counts
     else:
-        num = pairwise_sum(slots * weights[:, None])
-        den = pairwise_sum(present * weights[:, None])
+        num = pairwise_sum(slots * weights[:, None])[union]
+        den = pairwise_sum(present * weights[:, None])[union]
         values = num / den
     return GlobalAggregate(round=round_, indices=union, values=values, counts=counts)
 

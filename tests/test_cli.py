@@ -182,6 +182,24 @@ class TestRunCommand:
         assert "seed must be >= 0" in err
         assert "Traceback" not in err
 
+    def test_derived_delay_at_rounding_edge_runs(self, tmp_path):
+        # 13 rounds of compute end one float step short of this round trip.
+        code = main(["run", "--set", "run.algorithm=dga",
+                     "--set", "network.bandwidth=inf",
+                     "--set", "network.latency=121.07555316910238",
+                     "--set", "network.t_compute=9.313504089930952",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+
+    def test_overflowing_clock_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["run", "--set", "run.algorithm=fedavg",
+                     "--set", "network.latency=1e308", "--set", "run.rounds=3",
+                     "--out", str(out)])
+        assert code == 2
+        assert "clock would reach inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_changes_output(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["run", "--config", str(config_file), "--out", str(a)])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
                          Simulation, comm_time, derive_D, objective,
@@ -96,17 +96,38 @@ class TestResolveTiming:
             self, algorithm, bandwidth, latency, t_compute, delay):
         cfg = _cfg(algorithm=algorithm, bandwidth=bandwidth, latency=latency,
                    t_compute=t_compute, delay=delay)
+        payload = DENSE if SCHEMES[algorithm].upload == "dense" else SPARSE_FULL
+        try:
+            rt = comm_time(2 * payload, bandwidth, latency)
+        except ConfigurationError:
+            rt = math.nan  # a link the config rejects
         try:
             got = resolve_delay(cfg)
         except ConfigurationError:
+            # A derived delay exists whenever the round trip spans a
+            # countable number of compute rounds.
+            assert not (delay is None and math.isfinite(rt / t_compute))
             return
         if SCHEMES[algorithm].synchronous:
             assert got == 0
         elif delay is not None:
             assert got == delay
         if got > 0:
-            payload = DENSE if SCHEMES[algorithm].upload == "dense" else SPARSE_FULL
-            assert comm_time(2 * payload, bandwidth, latency) <= got * t_compute
+            assert rt <= got * t_compute
+
+    # A round trip one float step above n rounds of compute: the quotient
+    # often rounds back to n, whose rounds then end just short of it.
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 100), t_compute=st.floats(0.01, 50.0))
+    @example(n=13, t_compute=9.313504089930952)  # latency 121.07555316910238
+    def test_derived_delay_covers_roundtrip_at_rounding_edge(self, n, t_compute):
+        latency = math.nextafter(n * t_compute, math.inf)
+        cfg = _cfg(algorithm="dga", bandwidth=math.inf, latency=latency,
+                   t_compute=t_compute)
+        got = resolve_delay(cfg)
+        assert got == derive_D(cfg)
+        assert latency <= got * t_compute
+        assert (got - 1) * t_compute < latency
 
 
 class TestConfigValidation:
@@ -138,6 +159,8 @@ class TestConfigValidation:
         dict(bandwidth=math.nan),
         dict(bandwidth=-math.inf),
         dict(seed=-1),
+        dict(algorithm="fedavg", latency=1e308, rounds=3),  # clock overflows
+        dict(rounds=10 ** 400),                            # so does the count
     ])
     def test_rejected_configs(self, kw):
         with pytest.raises(ConfigurationError):

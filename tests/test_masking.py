@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpga.errors import ConfigurationError, ContractViolationError, DecodeError
 from dpga.masking import (ENTRY_BYTES, HEADER_BYTES, SparseGradient, decode,
@@ -76,6 +76,35 @@ class TestTopK:
     def test_rejects_empty(self):
         with pytest.raises(ContractViolationError):
             topk_shared_indices(np.empty(0), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # Partition and sort would place NaN at opposite ends.
+        with pytest.raises(ContractViolationError):
+            topk_shared_indices(np.array([1.0, bad, 0.0]), 0.5)
+
+    @staticmethod
+    def _lexsort_topk(z, k):
+        """The defining rule: largest |z| first, ties to the lower index."""
+        order = np.lexsort((np.arange(z.shape[0]), -np.abs(z)))
+        return np.sort(order[:k])
+
+    # Integer-valued z makes many ties; signed zeros tie with each other.
+    @settings(max_examples=400, deadline=None)
+    @given(z=st.lists(st.integers(-3, 3).map(float)
+                      | st.sampled_from([0.0, -0.0])
+                      | st.floats(-1e6, 1e6),
+                      min_size=1, max_size=60),
+           num=st.integers(1, 10))
+    @example(z=[-0.0], num=1)                      # d == 1
+    @example(z=[0.0, -0.0, 2.0, -2.0, 0.0], num=10)  # k == d
+    @example(z=[0.0, -0.0, 1.0, -0.0, 0.0], num=6)   # tie at a signed zero
+    def test_matches_lexsort_definition(self, z, num):
+        z = np.array(z)
+        p = num / 10.0
+        got = topk_shared_indices(z, p)
+        np.testing.assert_array_equal(
+            got, self._lexsort_topk(z, shared_count(p, z.shape[0])))
 
 
 class TestExtractMerge:

@@ -154,23 +154,23 @@ class TestServerAggregate:
         return SparseGradient(round=round, p=p, indices=indices, values=values)
 
     def test_singleton_coordinate_mean(self):
-        agg = server_aggregate([self._msg([3], [7.0])])
+        agg = server_aggregate([self._msg([3], [7.0])], 4)
         np.testing.assert_array_equal(agg.indices, [3])
         np.testing.assert_array_equal(agg.values, [7.0])
         np.testing.assert_array_equal(agg.counts, [1])
 
     def test_two_contributors(self):
         msgs = [self._msg([2], [2.0]), self._msg([2], [4.0])]
-        agg = server_aggregate(msgs, "per-component")
+        agg = server_aggregate(msgs, 3, "per-component")
         np.testing.assert_array_equal(agg.values, [3.0])
-        agg_n = server_aggregate(msgs, "divide-by-n")
+        agg_n = server_aggregate(msgs, 3, "divide-by-n")
         np.testing.assert_array_equal(agg_n.values, [6.0 / 2])
 
     def test_divide_by_n_counts_absentees(self):
         msgs = [self._msg([0], [2.0]), self._msg([1], [4.0]),
                 self._msg([0, 1], [2.0, 4.0])]
-        per = server_aggregate(msgs, "per-component")
-        div = server_aggregate(msgs, "divide-by-n")
+        per = server_aggregate(msgs, 2, "per-component")
+        div = server_aggregate(msgs, 2, "divide-by-n")
         np.testing.assert_array_equal(per.values, [2.0, 4.0])
         np.testing.assert_allclose(div.values, [4.0 / 3, 8.0 / 3])
 
@@ -181,37 +181,47 @@ class TestServerAggregate:
         for _ in range(5):
             idx = np.sort(rng.choice(30, size=8, replace=False))
             msgs.append(self._msg(idx, rng.standard_normal(8)))
-        per = server_aggregate(msgs, "per-component")
-        div = server_aggregate(msgs, "divide-by-n")
+        per = server_aggregate(msgs, 30, "per-component")
+        div = server_aggregate(msgs, 30, "divide-by-n")
         np.testing.assert_array_equal(per.indices, div.indices)
         np.testing.assert_allclose(div.values,
                                    per.values * per.counts / len(msgs),
                                    rtol=1e-12)
 
     def test_unshared_coordinates_absent(self):
-        agg = server_aggregate([self._msg([1, 5], [1.0, 2.0])])
+        agg = server_aggregate([self._msg([1, 5], [1.0, 2.0])], 6)
         mask, _ = agg.lookup(np.array([0, 1, 2, 5]))
         np.testing.assert_array_equal(mask, [False, True, False, True])
 
     def test_weighted_mean(self):
         msgs = [self._msg([0], [1.0]), self._msg([0], [5.0])]
-        agg = server_aggregate(msgs, "per-component",
+        agg = server_aggregate(msgs, 1, "per-component",
                                weights=np.array([0.75, 0.25]))
         np.testing.assert_allclose(agg.values, [0.75 * 1.0 + 0.25 * 5.0])
 
     def test_weights_rejected_outside_per_component(self):
         msgs = [self._msg([0], [1.0])]
         with pytest.raises(ContractViolationError):
-            server_aggregate(msgs, "divide-by-n", weights=np.array([1.0]))
+            server_aggregate(msgs, 1, "divide-by-n", weights=np.array([1.0]))
 
     def test_mixed_rounds_rejected(self):
         msgs = [self._msg([0], [1.0], round=1), self._msg([0], [1.0], round=2)]
         with pytest.raises(ContractViolationError):
-            server_aggregate(msgs)
+            server_aggregate(msgs, 1)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ContractViolationError):
-            server_aggregate([])
+            server_aggregate([], 1)
+
+    def test_index_outside_model_rejected(self):
+        # A decoded u32 index can be far beyond the model; it must not size
+        # the aggregation buffer.
+        msgs = [self._msg([0, 2], [1.0, 2.0]),
+                self._msg([1, 2 ** 32 - 1], [1.0, 2.0])]
+        with pytest.raises(ContractViolationError):
+            server_aggregate(msgs, 3)
+        with pytest.raises(ContractViolationError):
+            server_aggregate([self._msg([3], [1.0])], 3)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8), d=st.integers(1, 40),
@@ -224,7 +234,7 @@ class TestServerAggregate:
         msgs = [self._msg(idx, rng.standard_normal(len(idx))) for idx in subsets]
         weights = rng.uniform(0.5, 1.5, n) if kind == "weighted" else None
         mode = "divide-by-n" if kind == "divide-by-n" else "per-component"
-        agg = server_aggregate(msgs, mode, weights)
+        agg = server_aggregate(msgs, d, mode, weights)
 
         union = sorted(set().union(*subsets))
         want, counts = [], []
@@ -280,7 +290,7 @@ class TestApplyCorrection:
         for c in clients:
             z = local_round(c, 2, 0.1, None, np.random.default_rng(1))
             msgs.append(build_upload(c, z, 0.5, round=1))
-        agg = server_aggregate(msgs)
+        agg = server_aggregate(msgs, SPEC.dim)
         trajectories = []
         for c in clients:
             assert apply_correction(c, agg, eta=0.1) == 0.0
@@ -349,7 +359,7 @@ class TestDelayedPipelineTrace:
             z1.append(z)
             msgs1.append(build_upload(c, z, 0.5, round=1))
             sets1.append(msgs1[-1].indices)
-        agg1 = server_aggregate(msgs1)
+        agg1 = server_aggregate(msgs1, SPEC.dim)
 
         # round 2: another local step, then the round-1 aggregate lands
         z2 = []
@@ -358,7 +368,7 @@ class TestDelayedPipelineTrace:
             build_upload(c, z2[-1], 0.5, round=2)
         for c in clients:
             apply_correction(c, agg1, eta)
-        agg2 = server_aggregate([c.pending[0].z_shared for c in clients])
+        agg2 = server_aggregate([c.pending[0].z_shared for c in clients], SPEC.dim)
         for c in clients:
             apply_correction(c, agg2, eta)
 
