@@ -211,6 +211,10 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError("sweep needs a non-empty --values list")
     if "." not in (args.axis or ""):
         raise ConfigurationError("sweep axis must look like section.key")
+    if args.seed is not None and [
+            part.strip() for part in args.axis.split(".", 1)] == ["run", "seed"]:
+        raise ConfigurationError(
+            "--seed would override every value of the run.seed axis")
     key_slug = args.axis.replace(".", "_")
     slugs = [v.replace("/", "-").replace(" ", "") for v in values]
     if len(set(slugs)) != len(slugs):

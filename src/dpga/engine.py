@@ -27,12 +27,12 @@ import numpy as np
 
 from .data import Dataset, PartitionConfig, gen_synthetic, partition
 from .errors import ConfigurationError, ProtocolError
-from .masking import payload_bytes, snap_rate
-from .models import ModelSpec, evaluate, init_params
+from .masking import U32_MAX, payload_bytes, snap_rate
+from .models import Batch, ModelSpec, evaluate, init_params
 from .protocol import (AGGREGATION_MODES, CORRECTION_SCOPES, ClientState,
                        apply_correction, build_upload, local_round,
                        pairwise_mean, server_aggregate, static_partial_mask)
-from .ratewalk import RateState, state_index
+from .ratewalk import MAX_STEPS, RateState, state_index
 
 
 @dataclass(frozen=True)
@@ -168,9 +168,14 @@ def resolve_delay(cfg: SimConfig) -> int:
         return 0
     rt = _worst_roundtrip(cfg)
     delay = _covering_rounds(rt, cfg.t_compute) if cfg.delay is None else cfg.delay
-    if delay > 0 and rt > delay * cfg.t_compute:
+    try:
+        hidden = delay * cfg.t_compute
+    except OverflowError:
         raise ConfigurationError(
-            f"delay {delay} hides only {delay * cfg.t_compute:g} time units "
+            "delay is more rounds than a float can hold") from None
+    if delay > 0 and rt > hidden:
+        raise ConfigurationError(
+            f"delay {delay} hides only {hidden:g} time units "
             f"but a full exchange takes {rt:g}; corrections would arrive "
             "before their uploads finish")
     return delay
@@ -208,8 +213,8 @@ def validate_config(cfg: SimConfig) -> int:
         raise ConfigurationError("per_class must be >= 1")
     if cfg.test_per_class < 1:
         raise ConfigurationError("test_per_class must be >= 1")
-    if cfg.walk_m < 0:
-        raise ConfigurationError("walk m must be >= 0")
+    if not 0 <= cfg.walk_m <= MAX_STEPS:
+        raise ConfigurationError(f"walk m must be in 0..{MAX_STEPS}")
     state_index(cfg.walk_p0)
     if cfg.aggregation not in AGGREGATION_MODES:
         raise ConfigurationError(f"unknown aggregation mode {cfg.aggregation!r}")
@@ -220,7 +225,10 @@ def validate_config(cfg: SimConfig) -> int:
     if SCHEMES[cfg.algorithm].weighted and cfg.aggregation != "per-component":
         raise ConfigurationError(
             f"{cfg.algorithm} uses size-weighted per-component averaging")
-    cfg.model_spec()  # validates the model fields
+    if cfg.model_spec().dim > U32_MAX:  # building the spec validates it
+        raise ConfigurationError(
+            "the model has more parameters than the DPG1 wire format can "
+            f"index; its u32 indices and entry counts stop at {U32_MAX}")
     comm_time(0, cfg.bandwidth, cfg.latency)
     delay = resolve_delay(cfg)
     # The clock is largest when every exchange is as big as it can be.
@@ -237,18 +245,12 @@ def validate_config(cfg: SimConfig) -> int:
     return delay
 
 
-def objective(clients: list[ClientState]) -> float:
-    """Global training objective: size-weighted mean of the local losses,
-    all evaluated at the mean of the client weight vectors."""
-    if not clients:
-        raise ConfigurationError("objective needs at least one client")
-    wbar = pairwise_mean(np.stack([c.weights for c in clients]))
-    total = sum(c.n_i for c in clients)
-    value = 0.0
-    for c in clients:
-        loss, _ = evaluate(wbar, c.shard, c.spec)
-        value += (c.n_i / total) * loss
-    return float(value)
+def objective(wbar: np.ndarray, train: Batch, spec: ModelSpec) -> float:
+    """Global training objective at wbar: sum_k (n_k / n) F_k(wbar), the
+    size-weighted mean of the client losses. The shards partition the
+    training set, so that is the mean loss over train in one pass."""
+    loss, _ = evaluate(wbar, train, spec)
+    return loss
 
 
 class Simulation:
@@ -286,7 +288,7 @@ class Simulation:
                         spec=self.spec, max_pending=self.delay + 1)
             for i, idx in enumerate(shards)
         ]
-        self._test_batch = test.batch()
+        self._train_batch, self._test_batch = train.batch(), test.batch()
         self.train, self.test = train, test
 
         self._weights = None
@@ -342,7 +344,7 @@ class Simulation:
 
     def _evaluate(self):
         wbar = pairwise_mean(np.stack([c.weights for c in self.clients]))
-        train_loss = objective(self.clients)
+        train_loss = objective(wbar, self._train_batch, self.spec)
         _, acc = evaluate(wbar, self._test_batch, self.spec)
         return train_loss, acc
 

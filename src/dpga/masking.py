@@ -27,6 +27,7 @@ _HEADER = struct.Struct("<4sQBI")
 HEADER_BYTES = _HEADER.size          # 17
 VALUE_BYTES = 8                      # f64 value
 ENTRY_BYTES = 4 + VALUE_BYTES        # u32 index + f64 value
+U32_MAX = 2 ** 32 - 1                # bounds every index and the entry count
 
 RATE_DENOM = 10  # update rates live on the 0.1 grid
 
@@ -145,9 +146,9 @@ def message_bytes(msg: SparseGradient) -> int:
 
 def encode(msg: SparseGradient) -> bytes:
     """Serialize a message to the DPG1 layout."""
-    if msg.count >= 2 ** 32:
+    if msg.count > U32_MAX:
         raise ContractViolationError("entry count exceeds u32")
-    if msg.count and msg.indices[-1] >= 2 ** 32:
+    if msg.count and msg.indices[-1] > U32_MAX:
         raise ContractViolationError("index exceeds u32")
     if msg.round >= 2 ** 64:
         raise ContractViolationError("round exceeds u64")

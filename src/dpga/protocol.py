@@ -3,10 +3,10 @@
 Per round a client runs K local SGD steps, accumulates the step gradients
 into a single vector z, and uploads the Top-K shared part of z. The server
 averages the shared parts component-wise over whoever contributed each
-coordinate. The aggregate returns D rounds later; the client then swaps
-the shared part of that old z for the global values and rebuilds its
-weights from the round the upload left, replaying the local updates it
-made in the meantime.
+coordinate, keeping one value per model coordinate. The aggregate returns
+D rounds later; the client then swaps the shared part of that old z for
+the global values and rebuilds its weights from the round the upload
+left, replaying the local updates it made in the meantime.
 
 Float discipline: within a round, weights are always materialized as
 w_round_start - eta * z_partial (left-to-right accumulation), so
@@ -64,18 +64,14 @@ def pairwise_mean(rows: np.ndarray) -> np.ndarray:
 class PendingRound:
     """An upload still waiting for its aggregate.
 
-    Keeps both the sparse message that went out and the full accumulated
+    Keeps the coordinates the client shared and the full accumulated
     gradient of that round; the latter is needed to rebuild weights when
     the aggregate lands.
     """
 
     round: int
-    z_shared: SparseGradient
+    shared: np.ndarray
     z_full: np.ndarray
-
-    @property
-    def shared_set(self) -> np.ndarray:
-        return self.z_shared.indices
 
 
 @dataclass
@@ -105,29 +101,21 @@ class ClientState:
 
 @dataclass(eq=False)
 class GlobalAggregate:
-    """Component-wise aggregate of one round's uploads.
+    """Component-wise aggregate of one round's uploads, in model coordinates.
 
-    values[j] pairs with indices[j]; counts[j] is how many clients
-    contributed that coordinate. Coordinates nobody shared are absent.
+    values and counts have one entry per model coordinate: counts[j] is how
+    many clients shared coordinate j and values[j] is their aggregate.
+    Where nobody shared, both are 0.
     """
 
     round: int
-    indices: np.ndarray
     values: np.ndarray
     counts: np.ndarray
 
-    def lookup(self, want: np.ndarray):
-        """Values for the requested ascending indices.
-
-        Returns (mask, vals): mask marks which requested indices the
-        aggregate defines, vals are their values (length mask.sum()).
-        """
-        if self.indices.shape[0] == 0:
-            return np.zeros(want.shape[0], dtype=bool), np.empty(0)
-        pos = np.searchsorted(self.indices, want)
-        mask = (pos < self.indices.shape[0]) & (self.indices[np.minimum(
-            pos, self.indices.shape[0] - 1)] == want)
-        return mask, self.values[pos[mask]]
+    @property
+    def indices(self) -> np.ndarray:
+        """The coordinates at least one client shared, ascending."""
+        return np.flatnonzero(self.counts)
 
 
 # ---- operations ---- #
@@ -177,7 +165,7 @@ def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
     if shared is None:
         shared = topk_shared_indices(z, p)
     msg = extract_shared(z, shared, round, p)
-    client.pending.append(PendingRound(round=round, z_shared=msg, z_full=z.copy()))
+    client.pending.append(PendingRound(round=round, shared=msg.indices, z_full=z.copy()))
     client.last_round = round
     if len(client.pending) > client.max_pending:
         raise ProtocolError(
@@ -196,9 +184,10 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     clients drag a coordinate toward zero. Messages must be passed in
     ascending client-id order; the reduction order is fixed by position.
 
-    d is the model size: every index must lie below it. Each message is
-    scattered into one row of an (n_messages, d) buffer, so the work is
-    linear in d and no index is sorted or searched.
+    d is the model size: every index must lie below it, and the aggregate
+    has one value and one count per coordinate, 0 where nobody shared. Each
+    message is scattered into one row of an (n_messages, d) buffer, so the
+    work is linear in d and no index is sorted or searched.
     """
     if not messages:
         raise ContractViolationError("nothing to aggregate")
@@ -223,30 +212,29 @@ def server_aggregate(messages: list[SparseGradient], d: int,
         slots[i, m.indices] = m.values
         present[i, m.indices] = True
     counts = present.sum(axis=0)
-    union = np.flatnonzero(counts)
-    counts = counts[union]
 
-    # The tree runs over all d columns; each column sums on its own, so the
-    # union's values carry the same bits as a tree over the union alone.
+    # Each column sums on its own, so a shared coordinate carries the same
+    # bits as a tree over the shared coordinates alone.
     if mode == "divide-by-n":
-        values = pairwise_sum(slots)[union] / len(messages)
+        num, den = pairwise_sum(slots), len(messages)
     elif weights is None:
-        values = pairwise_sum(slots)[union] / counts
+        num, den = pairwise_sum(slots), counts
     else:
-        num = pairwise_sum(slots * weights[:, None])[union]
-        den = pairwise_sum(present * weights[:, None])[union]
-        values = num / den
-    return GlobalAggregate(round=round_, indices=union, values=values, counts=counts)
+        num = pairwise_sum(slots * weights[:, None])
+        den = pairwise_sum(present * weights[:, None])
+    values = np.divide(num, den, out=np.zeros(d), where=counts > 0)
+    return GlobalAggregate(round=round_, values=values, counts=counts)
 
 
 def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
                      scope: str = "own-shared") -> float:
     """Fold a delayed aggregate into the client's weights.
 
-    The aggregate must match the oldest pending round. Its values replace
-    the shared part of that round's accumulated gradient (only on the
-    client's own shared set by default, or on the aggregate's full support),
-    and the weights are rebuilt from the round's starting point by
+    The aggregate must match the oldest pending round and have one entry
+    per model coordinate. Its values replace that round's accumulated
+    gradient on the coordinates at least one client shared: within the
+    client's own shared set by default, or anywhere with full-support
+    scope. The weights are then rebuilt from the round's starting point by
     replaying the later pending rounds with the same per-round update
     expression the forward pass used. Returns the largest |global - local|
     substitution made, which is exactly 0.0 when the aggregate agrees with
@@ -260,19 +248,15 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
     if pend.round != agg.round:
         raise ProtocolError(
             f"client {client.id}: aggregate round {agg.round} != pending {pend.round}")
-
     merged = pend.z_full.copy()
-    if scope == "own-shared":
-        own = pend.shared_set
-        mask, vals = agg.lookup(own)
-        touched = own[mask]
-        merged[touched] = vals
-        delta = float(np.max(np.abs(vals - pend.z_shared.values[mask]), initial=0.0))
-    else:
-        if agg.indices.size and agg.indices[-1] >= merged.shape[0]:
-            raise ContractViolationError("aggregate support exceeds model size")
-        delta = float(np.max(np.abs(agg.values - merged[agg.indices]), initial=0.0))
-        merged[agg.indices] = agg.values
+    if not agg.values.shape == agg.counts.shape == merged.shape:
+        raise ContractViolationError("aggregate length differs from the model size")
+
+    coords = pend.shared if scope == "own-shared" else np.arange(merged.shape[0])
+    touched = coords[agg.counts[coords] > 0]
+    vals = agg.values[touched]
+    delta = float(np.max(np.abs(vals - merged[touched]), initial=0.0))
+    merged[touched] = vals
 
     eta = float(eta)
     w = client.anchor - eta * merged

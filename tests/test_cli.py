@@ -200,6 +200,24 @@ class TestRunCommand:
         assert "clock would reach inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sets, reason", [
+        (["run.algorithm=dga", "network.delay=1" + "0" * 400],
+         "more rounds than a float can hold"),
+        (["walk.m=1000000000000"], "walk m must be in"),
+        (["run.algorithm=fedavg", "walk.m=1000000000000"], "walk m must be in"),
+        (["dataset.dim=100000000000000000000", "run.rounds=1"], "DPG1"),
+        (["dataset.classes=100000000000000000000", "run.rounds=1"], "DPG1"),
+    ], ids=["delay", "walk-m", "walk-m-fedavg", "dim", "classes"])
+    def test_oversized_value_exits_2(self, tmp_path, capsys, sets, reason):
+        out = tmp_path / "x.csv"
+        code = main(["run", *(arg for s in sets for arg in ("--set", s)),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_seed_flag_changes_output(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["run", "--config", str(config_file), "--out", str(a)])
@@ -257,6 +275,22 @@ class TestSweepCommand:
                      "--values", " dga , dpga", "--out", str(out)]) == 0
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["dga", "dpga"]
+
+    def test_seed_axis_with_seed_flag_exit_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(config_file), "--seed", "7",
+                     "--set", "run.rounds=3", "--axis", "run.seed",
+                     "--values", "1,2", "--out", str(out)]) == 2
+        assert "run.seed axis" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_axis_runs_each_seed(self, config_file, tmp_path):
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(config_file),
+                     "--set", "run.rounds=3", "--axis", "run.seed",
+                     "--values", "3,4", "--out", str(out)]) == 0
+        assert ((out / "run_seed_3.csv").read_bytes()
+                != (out / "run_seed_4.csv").read_bytes())
 
     def test_bad_axis_exit_2(self, config_file, tmp_path):
         assert main(["sweep", "--config", str(config_file),

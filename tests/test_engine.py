@@ -8,11 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
                          Simulation, comm_time, derive_D, objective,
-                         resolve_delay, run_experiment)
+                         resolve_delay, run_experiment, validate_config)
 from dpga.errors import ConfigurationError
 from dpga.masking import ENTRY_BYTES, HEADER_BYTES
 from dpga.models import evaluate
 from dpga.protocol import pairwise_mean
+from dpga.ratewalk import MAX_STEPS
 
 # Small logistic problem reused across tests: d = 4 * 3 + 3 = 15.
 BASE = dict(n_clients=4, rounds=6, local_epochs=2, eta=0.1,
@@ -161,10 +162,26 @@ class TestConfigValidation:
         dict(seed=-1),
         dict(algorithm="fedavg", latency=1e308, rounds=3),  # clock overflows
         dict(rounds=10 ** 400),                            # so does the count
+        dict(algorithm="dga", delay=10 ** 400),            # delay * t_compute
+        dict(walk_m=MAX_STEPS + 1),
+        dict(algorithm="fedavg", walk_m=10 ** 12),         # even when unused
+        dict(dim=10 ** 20),                                # past the u32 index
+        dict(num_classes=10 ** 20),
     ])
     def test_rejected_configs(self, kw):
         with pytest.raises(ConfigurationError):
             Simulation(_cfg(**{"bandwidth": 1e9, **kw}))
+
+    def test_model_size_stops_at_the_wire_format(self):
+        # Logistic regression has (dim + 1) * classes parameters;
+        # 2**32 - 1 = 3 * 1431655765. Validation allocates nothing.
+        validate_config(_cfg(dim=1431655764, num_classes=3))
+        with pytest.raises(ConfigurationError, match="DPG1"):
+            validate_config(_cfg(dim=2 ** 31 - 1, num_classes=2))
+
+    def test_walk_steps_bound_is_inclusive(self):
+        assert validate_config(_cfg(algorithm="dpga", walk_m=MAX_STEPS,
+                                    delay=1, bandwidth=1e9)) == 1
 
 
 class TestClockModel:
@@ -319,7 +336,8 @@ class TestObjective:
         total = sum(c.n_i for c in sim.clients)
         want = sum((c.n_i / total) * evaluate(wbar, c.shard, sim.spec)[0]
                    for c in sim.clients)
-        assert objective(sim.clients) == pytest.approx(want, rel=1e-15)
+        got = objective(wbar, sim.train.batch(), sim.spec)
+        assert got == pytest.approx(want, rel=1e-15)
 
     def test_matches_concatenated_dataset(self):
         """The size-weighted mean of shard losses equals one flat pass over
@@ -330,4 +348,13 @@ class TestObjective:
         labels = np.concatenate([c.shard.labels for c in sim.clients])
         from dpga.models import Batch
         flat_loss, _ = evaluate(wbar, Batch(feats, labels), sim.spec)
-        assert objective(sim.clients) == pytest.approx(flat_loss, rel=1e-12)
+        got = objective(wbar, sim.train.batch(), sim.spec)
+        assert got == pytest.approx(flat_loss, rel=1e-12)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_train_loss_is_one_pass_over_train(self, algorithm):
+        sim = Simulation(_cfg(algorithm=algorithm, bandwidth=1e6))
+        last = sim.run()[-1]
+        wbar = pairwise_mean(np.stack([c.weights for c in sim.clients]))
+        loss, _ = evaluate(wbar, sim.train.batch(), sim.spec)
+        assert last.train_loss == loss

@@ -16,6 +16,13 @@ from dpga.protocol import (ClientState, GlobalAggregate, apply_correction,
 SPEC = ModelSpec(kind="logistic-regression", input_dim=2, num_classes=2)
 
 
+def _agg(round, indices, values, counts, d=SPEC.dim):
+    """A hand-built aggregate: the listed coordinates, zero elsewhere."""
+    full_values, full_counts = np.zeros(d), np.zeros(d, dtype=np.int64)
+    full_values[indices], full_counts[indices] = values, counts
+    return GlobalAggregate(round=round, values=full_values, counts=full_counts)
+
+
 def _client(cid=0, seed=0, n=3, max_pending=8):
     rng = np.random.default_rng([seed, cid])
     shard = Batch(rng.standard_normal((n, 2)), rng.integers(0, 2, n))
@@ -156,15 +163,15 @@ class TestServerAggregate:
     def test_singleton_coordinate_mean(self):
         agg = server_aggregate([self._msg([3], [7.0])], 4)
         np.testing.assert_array_equal(agg.indices, [3])
-        np.testing.assert_array_equal(agg.values, [7.0])
-        np.testing.assert_array_equal(agg.counts, [1])
+        np.testing.assert_array_equal(agg.values, [0.0, 0.0, 0.0, 7.0])
+        np.testing.assert_array_equal(agg.counts, [0, 0, 0, 1])
 
     def test_two_contributors(self):
         msgs = [self._msg([2], [2.0]), self._msg([2], [4.0])]
         agg = server_aggregate(msgs, 3, "per-component")
-        np.testing.assert_array_equal(agg.values, [3.0])
+        assert agg.values[2] == 3.0
         agg_n = server_aggregate(msgs, 3, "divide-by-n")
-        np.testing.assert_array_equal(agg_n.values, [6.0 / 2])
+        assert agg_n.values[2] == 6.0 / 2
 
     def test_divide_by_n_counts_absentees(self):
         msgs = [self._msg([0], [2.0]), self._msg([1], [4.0]),
@@ -190,8 +197,21 @@ class TestServerAggregate:
 
     def test_unshared_coordinates_absent(self):
         agg = server_aggregate([self._msg([1, 5], [1.0, 2.0])], 6)
-        mask, _ = agg.lookup(np.array([0, 1, 2, 5]))
-        np.testing.assert_array_equal(mask, [False, True, False, True])
+        np.testing.assert_array_equal(agg.indices, [1, 5])
+        np.testing.assert_array_equal(agg.counts, [0, 1, 0, 0, 0, 1])
+
+    @pytest.mark.parametrize("mode, weights", [
+        ("per-component", None), ("per-component", np.array([0.25, 0.75])),
+        ("divide-by-n", None)])
+    def test_off_union_is_exact_zero(self, mode, weights):
+        # Coordinate 1 is shared with the value 0: it still counts as shared.
+        msgs = [self._msg([1, 4], [-0.0, 3.0]), self._msg([4], [5.0])]
+        agg = server_aggregate(msgs, 6, mode, weights)
+        off = [0, 2, 3, 5]
+        assert agg.values.shape == agg.counts.shape == (6,)
+        assert agg.values[off].tobytes() == np.zeros(4).tobytes()
+        assert not agg.counts[off].any()
+        np.testing.assert_array_equal(agg.indices, [1, 4])
 
     def test_weighted_mean(self):
         msgs = [self._msg([0], [1.0]), self._msg([0], [5.0])]
@@ -250,12 +270,15 @@ class TestServerAggregate:
                 want.append(total / (n if kind == "divide-by-n" else len(contrib)))
 
         np.testing.assert_array_equal(agg.indices, np.array(union, dtype=np.int64))
-        np.testing.assert_array_equal(agg.counts, counts)
+        np.testing.assert_array_equal(agg.counts[union], counts)
         # Relative to the largest value: the tree and fsum round differently,
         # which matters only where contributions cancel.
         scale = max((abs(v) for m in msgs for v in m.values), default=0.0)
-        np.testing.assert_allclose(agg.values, want, rtol=1e-12,
+        np.testing.assert_allclose(agg.values[union], want, rtol=1e-12,
                                    atol=1e-12 * scale)
+        off = np.setdiff1d(np.arange(d), union)
+        assert agg.values[off].tobytes() == np.zeros(off.shape[0]).tobytes()
+        assert not agg.counts[off].any()
 
 
 class TestApplyCorrection:
@@ -270,8 +293,7 @@ class TestApplyCorrection:
         np.testing.assert_array_equal(msg.indices, [0])
         client.weights = w_start - 0.1 * z  # what a local round would leave
 
-        agg = GlobalAggregate(round=1, indices=np.array([0]),
-                              values=np.array([1.0]), counts=np.array([2]))
+        agg = _agg(1, [0], [1.0], [2])
         before = client.weights.copy()
         delta = apply_correction(client, agg, eta=0.1)
         assert delta == 1.0  # |1 - 2|
@@ -301,17 +323,23 @@ class TestApplyCorrection:
     def test_round_mismatch_rejected(self):
         client = _client()
         build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
-        agg = GlobalAggregate(round=2, indices=np.array([0]),
-                              values=np.array([1.0]), counts=np.array([1]))
+        agg = _agg(2, [0], [1.0], [1])
         with pytest.raises(ProtocolError):
             apply_correction(client, agg, eta=0.1)
 
     def test_no_pending_rejected(self):
         client = _client()
-        agg = GlobalAggregate(round=1, indices=np.array([0]),
-                              values=np.array([1.0]), counts=np.array([1]))
+        agg = _agg(1, [0], [1.0], [1])
         with pytest.raises(ProtocolError):
             apply_correction(client, agg, eta=0.1)
+
+    @pytest.mark.parametrize("d", [SPEC.dim - 1, SPEC.dim + 1])
+    def test_wrong_length_rejected(self, d):
+        client = _client()
+        build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        with pytest.raises(ContractViolationError):
+            apply_correction(client, _agg(1, [0], [1.0], [1], d=d), eta=0.1)
+        assert len(client.pending) == 1
 
     def test_full_support_scope_touches_aggregate_support(self):
         client = _client()
@@ -320,9 +348,7 @@ class TestApplyCorrection:
         build_upload(client, z, 0.1, round=1)
         w_before = client.weights.copy()
         # Aggregate defines a coordinate this client never shared.
-        agg = GlobalAggregate(round=1, indices=np.array([0, 3]),
-                              values=np.array([2.0, 1.0]),
-                              counts=np.array([1, 1]))
+        agg = _agg(1, [0, 3], [2.0, 1.0], [1, 1])
         apply_correction(client, agg, eta=0.1, scope="full-support")
         np.testing.assert_array_equal(client.weights[3], w_before[3] - 0.1)
 
@@ -332,9 +358,7 @@ class TestApplyCorrection:
         z[0] = 2.0
         build_upload(client, z, 0.1, round=1)
         w_before = client.weights.copy()
-        agg = GlobalAggregate(round=1, indices=np.array([0, 3]),
-                              values=np.array([2.0, 1.0]),
-                              counts=np.array([1, 1]))
+        agg = _agg(1, [0, 3], [2.0, 1.0], [1, 1])
         apply_correction(client, agg, eta=0.1)
         np.testing.assert_array_equal(client.weights[3], w_before[3])
 
@@ -362,27 +386,25 @@ class TestDelayedPipelineTrace:
         agg1 = server_aggregate(msgs1, SPEC.dim)
 
         # round 2: another local step, then the round-1 aggregate lands
-        z2 = []
+        z2, msgs2 = [], []
         for c in clients:
             z2.append(local_round(c, 1, eta, None, np.random.default_rng(0)))
-            build_upload(c, z2[-1], 0.5, round=2)
+            msgs2.append(build_upload(c, z2[-1], 0.5, round=2))
         for c in clients:
             apply_correction(c, agg1, eta)
-        agg2 = server_aggregate([c.pending[0].z_shared for c in clients], SPEC.dim)
+        agg2 = server_aggregate(msgs2, SPEC.dim)
         for c in clients:
             apply_correction(c, agg2, eta)
 
         # independent replay of the same schedule, straight-line
         for i, c in enumerate(clients):
             merged1 = z1[i].copy()
-            mask, vals = agg1.lookup(sets1[i])
-            merged1[sets1[i][mask]] = vals
+            merged1[sets1[i]] = agg1.values[sets1[i]]
             w_r1 = w0 - eta * merged1          # corrected end of round 1
 
             z2_set = topk_shared_indices(z2[i], 0.5)
             merged2 = z2[i].copy()
-            mask2, vals2 = agg2.lookup(z2_set)
-            merged2[z2_set[mask2]] = vals2
+            merged2[z2_set] = agg2.values[z2_set]
             w_final = w_r1 - eta * merged2     # corrected end of round 2
 
             np.testing.assert_array_equal(c.weights, w_final)
@@ -399,10 +421,9 @@ class TestDelayedPipelineTrace:
         zb = local_round(client, 2, eta, None, np.random.default_rng(0))
         build_upload(client, zb, 0.5, round=2)
 
-        own = client.pending[0].shared_set
+        own = client.pending[0].shared
         g = np.full(own.shape[0], 0.25)
-        agg = GlobalAggregate(round=1, indices=own, values=g,
-                              counts=np.ones(own.shape[0], dtype=np.int64))
+        agg = _agg(1, own, g, 1)
         apply_correction(client, agg, eta)
 
         merged = za.copy()

@@ -1,12 +1,14 @@
 """Rate walk: one-step matrix, m-step law vs path enumeration, sampling."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dpga.checks import enumerate_transition
 from dpga.errors import ConfigurationError
-from dpga.ratewalk import (GRID, RateState, m_step_matrix, one_step_matrix,
-                           state_index, transition_distribution)
+from dpga.ratewalk import (GRID, MAX_STEPS, N_STATES, RateState, m_step_matrix,
+                           one_step_matrix, state_index, transition_distribution)
 
 
 class TestOneStepMatrix:
@@ -80,6 +82,28 @@ class TestTransitionDistribution:
     def test_negative_steps_rejected(self):
         with pytest.raises(ConfigurationError):
             m_step_matrix(-1)
+
+    def test_step_count_capped_where_rows_stay_stochastic(self):
+        with pytest.raises(ConfigurationError):
+            m_step_matrix(MAX_STEPS + 1)
+        state = RateState.from_seed(0.5, MAX_STEPS, seed=2)
+        for _ in range(50):
+            assert state.sample() in GRID
+
+    def test_float_power_exact_through_56_steps(self):
+        one = [[Fraction(0)] * N_STATES for _ in range(N_STATES)]
+        for i in range(N_STATES):
+            one[i][max(i - 1, 0)] += Fraction(1, 2)
+            one[i][min(i + 1, N_STATES - 1)] += Fraction(1, 2)
+        exact = [[Fraction(int(i == j)) for j in range(N_STATES)]
+                 for i in range(N_STATES)]
+        for m in range(1, 58):
+            exact = [[sum(exact[i][k] * one[k][j] for k in range(N_STATES))
+                      for j in range(N_STATES)] for i in range(N_STATES)]
+            got = m_step_matrix(m)
+            same = all(Fraction(float(got[i, j])) == exact[i][j]
+                       for i in range(N_STATES) for j in range(N_STATES))
+            assert same == (m <= 56), m
 
 
 class TestSampling:
