@@ -4,20 +4,25 @@ Each suite re-derives expected behavior by an independent route (finite
 differences, brute-force path enumeration, byte roundtrips, sorting
 references, straight-line reference loops) and compares the
 implementation against it. All suites are deterministic.
+
+Each oracle is defined here and nowhere else. The acceptance gate
+(tests/test_acceptance.py) calls the same functions: criteria 1 and 2 are
+the two halves of reduction-identities, run at the same sizes, 3 is
+check_walk, 4 is check_gradients and the codec half of 5 is check_codec.
+The unit tests take their Top-K reference from lexsort_topk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from .engine import SimConfig, Simulation
-from .masking import (SparseGradient, decode, encode, message_bytes,
-                      shared_count, topk_shared_indices)
-from .models import Batch, ModelSpec, finite_diff_check, init_params, \
-    loss_and_gradient
+from .masking import (SparseGradient, decode, encode, shared_count,
+                      topk_shared_indices)
+from .models import Batch, ModelSpec, finite_diff_check, loss_and_gradient
 from .protocol import (AGGREGATION_MODES, pairwise_mean, pairwise_sum,
                        server_aggregate)
 from .ratewalk import GRID, transition_distribution
@@ -106,15 +111,17 @@ def check_codec(cases: int = 1000, seed: int = 77) -> SuiteResult:
         msg = SparseGradient(round=int(rng.integers(0, 2 ** 40)), p=p,
                              indices=idx, values=rng.standard_normal(k))
         blob = encode(msg)
-        if len(blob) != message_bytes(msg):
+        # The DPG1 layout spelled out: a 17-byte header, 4 + 8 bytes per entry.
+        if len(blob) != 17 + 12 * k:
             return SuiteResult("codec-roundtrip", False,
-                               f"case {i}: size formula mismatch")
+                               f"case {i}: {len(blob)} bytes, not 17 + 12k")
         back = decode(blob)
         if back != msg:
             return SuiteResult("codec-roundtrip", False,
                                f"case {i}: decode(encode(msg)) != msg")
     return SuiteResult("codec-roundtrip", True,
-                       f"{cases} random messages round-tripped byte-exactly")
+                       f"{cases} random messages round-tripped byte-exactly "
+                       "at 17 + 12k bytes")
 
 
 # ---- exchange layer vs sorting references ---- #
@@ -200,57 +207,79 @@ def check_exchange(cases: int = 1000, seed: int = 4099) -> SuiteResult:
 
 # ---- protocol reductions ---- #
 
-def _mini_config(**kw) -> SimConfig:
-    base = dict(algorithm="dpga", n_clients=4, rounds=8, local_epochs=2,
-                eta=0.1, batch_size=None, walk_m=0, walk_p0=1.0,
-                bandwidth=1e9, latency=0.0, num_classes=3, dim=5,
-                per_class=30, test_per_class=15, spread=1.0,
-                alpha=1.0, rho=1.0, seed=91)
-    base.update(kw)
-    return SimConfig(**base)
+# Acceptance criteria 1 and 2: full rate, 3 classes in 6 dimensions.
+_SMALL = dict(algorithm="dpga", local_epochs=2, eta=0.1, batch_size=None,
+              walk_m=0, walk_p0=1.0, num_classes=3, dim=6, per_class=40,
+              test_per_class=20, spread=1.0, alpha=1.0, rho=1.0)
+IDENTICAL_SHARDS = SimConfig(n_clients=4, delay=2, bandwidth=1e9, latency=0.0,
+                             eval_every=50, seed=17, **_SMALL)
+SYNCHRONIZED = SimConfig(n_clients=8, delay=0, eval_every=30, seed=23, **_SMALL)
 
 
-def check_reductions() -> SuiteResult:
-    """Two degenerate-case identities the protocol must hit exactly.
-
-    First, clients with identical shards and full batches must see
-    corrections of exactly zero. Second, with p = 1 and zero delay the
-    trajectory must equal straight synchronized gradient averaging bitwise,
-    re-derived here with a plain loop over the model primitives.
-    """
-    sym = Simulation(_mini_config(delay=2))
-    shard = sym.clients[0].shard
-    for c in sym.clients:
-        c.shard = shard  # identical data on every client
-    sym.run()
-    worst = max((d for _, d in sym.correction_log), default=0.0)
-    if worst != 0.0:
-        return SuiteResult("reduction-identities", False,
-                           f"identical clients saw correction {worst:.3e} != 0")
-
-    cfg = _mini_config(delay=0, rounds=6)
-    sim = Simulation(cfg)
-    w = sim.clients[0].weights.copy()
-    shards = [c.shard for c in sim.clients]
-    spec = sim.spec
-    for _ in range(cfg.rounds):
+def averaged_local_sgd(w: np.ndarray, shards: list[Batch], spec: ModelSpec,
+                       epochs: int, eta: float, horizons) -> dict:
+    """Straight-line averaged local SGD, each shard's round telescoped the
+    way a client round is; returns {t: weights after round t} for t in
+    horizons. With one shard this is standalone local SGD."""
+    out = {}
+    for t in range(1, max(horizons) + 1):
         zs = []
         for shard in shards:
             z = np.zeros_like(w)
             cur = w
-            for _ in range(cfg.local_epochs):
+            for _ in range(epochs):
                 _, g = loss_and_gradient(cur, shard, spec)
                 z += g
-                cur = w - cfg.eta * z
+                cur = w - eta * z
             zs.append(z)
-        w = w - cfg.eta * pairwise_mean(np.stack(zs))
-    sim.run()
-    if not all(np.array_equal(c.weights, w) for c in sim.clients):
-        return SuiteResult("reduction-identities", False,
-                           "p=1, delay 0 did not match synchronized averaging bitwise")
-    return SuiteResult("reduction-identities", True,
-                       "zero-correction symmetry exact; p=1/delay-0 matches "
-                       "synchronized averaging bitwise")
+        w = w - eta * pairwise_mean(np.stack(zs))
+        if t in horizons:
+            out[t] = w
+    return out
+
+
+def _collapse(name: str, cfg: SimConfig, horizons, identical: bool) -> SuiteResult:
+    """Run cfg to each horizon; every client must sit bitwise on
+    averaged_local_sgd after one delivery per round. With identical shards
+    every correction must also be exactly 0.0."""
+    sims = [Simulation(replace(cfg, rounds=r)) for r in horizons]
+    shards = [c.shard for c in sims[0].clients]
+    if identical:
+        shard = shards[0]
+        shards = [shard]
+        for c in (c for sim in sims for c in sim.clients):
+            c.shard = shard  # identical data on every client
+    want = averaged_local_sgd(sims[0].clients[0].weights, shards, sims[0].spec,
+                              cfg.local_epochs, cfg.eta, horizons)
+    delivered, bitwise = True, True
+    for sim in sims:
+        sim.run()
+        log = sim.correction_log
+        delivered &= len(log) == sim.cfg.rounds and not (
+            identical and any(delta != 0.0 for _, delta in log))
+        bitwise &= all(np.array_equal(c.weights, want[sim.cfg.rounds])
+                       for c in sim.clients)
+    zero = ", each correcting by exactly 0.0" if identical else ""
+    sgd = "standalone" if identical else "synchronized averaged"
+    return SuiteResult(name, delivered and bitwise,
+                       f"{cfg.n_clients} clients at delay {cfg.delay}: one "
+                       f"delivery per round{zero} ({delivered}), bitwise equal to "
+                       f"{sgd} local SGD at rounds {horizons} ({bitwise})")
+
+
+def check_identical_shards() -> SuiteResult:
+    return _collapse("identical-shards", IDENTICAL_SHARDS, (10, 30, 50), True)
+
+
+def check_synchronized() -> SuiteResult:
+    return _collapse("synchronized-averaging", SYNCHRONIZED, (5, 15, 30), False)
+
+
+def check_reductions() -> SuiteResult:
+    """Acceptance criteria 1 and 2, bit for bit."""
+    parts = [check_identical_shards(), check_synchronized()]
+    return SuiteResult("reduction-identities", all(r.passed for r in parts),
+                       "; ".join(f"{r.name}: {r.detail}" for r in parts))
 
 
 def run_all(suites=None) -> list[SuiteResult]:

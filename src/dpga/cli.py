@@ -35,12 +35,6 @@ PLOT_X_CHOICES = ("sim_time", "up_bytes", "round")
 
 # ---- config schema ---- #
 
-def _int(text: str) -> int:
-    return int(text)
-
-def _float(text: str) -> float:
-    return float(text)
-
 def _str(text: str) -> str:
     return text.strip()
 
@@ -68,32 +62,32 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 # (section, key) -> (SimConfig field, parser)
 SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("run", "algorithm"): ("algorithm", _str),
-    ("run", "rounds"): ("rounds", _int),
-    ("run", "local_epochs"): ("local_epochs", _int),
-    ("run", "eta"): ("eta", _float),
+    ("run", "rounds"): ("rounds", int),
+    ("run", "local_epochs"): ("local_epochs", int),
+    ("run", "eta"): ("eta", float),
     ("run", "batch_size"): ("batch_size", _batch),
-    ("run", "eval_every"): ("eval_every", _int),
-    ("run", "seed"): ("seed", _int),
+    ("run", "eval_every"): ("eval_every", int),
+    ("run", "seed"): ("seed", int),
     ("model", "kind"): ("model_kind", _str),
     ("model", "hidden"): ("hidden_dims", _int_tuple),
     ("model", "activation"): ("activation", _str),
-    ("dataset", "classes"): ("num_classes", _int),
-    ("dataset", "dim"): ("dim", _int),
-    ("dataset", "per_class"): ("per_class", _int),
-    ("dataset", "test_per_class"): ("test_per_class", _int),
-    ("dataset", "spread"): ("spread", _float),
-    ("partition", "alpha"): ("alpha", _float),
-    ("partition", "rho"): ("rho", _float),
-    ("network", "bandwidth"): ("bandwidth", _float),
-    ("network", "latency"): ("latency", _float),
-    ("network", "t_compute"): ("t_compute", _float),
+    ("dataset", "classes"): ("num_classes", int),
+    ("dataset", "dim"): ("dim", int),
+    ("dataset", "per_class"): ("per_class", int),
+    ("dataset", "test_per_class"): ("test_per_class", int),
+    ("dataset", "spread"): ("spread", float),
+    ("partition", "alpha"): ("alpha", float),
+    ("partition", "rho"): ("rho", float),
+    ("network", "bandwidth"): ("bandwidth", float),
+    ("network", "latency"): ("latency", float),
+    ("network", "t_compute"): ("t_compute", float),
     ("network", "delay"): ("delay", _auto_int),
-    ("walk", "m"): ("walk_m", _int),
-    ("walk", "p0"): ("walk_p0", _float),
+    ("walk", "m"): ("walk_m", int),
+    ("walk", "p0"): ("walk_p0", float),
     ("walk", "per_client"): ("per_client_walk", _bool),
     ("aggregation", "mode"): ("aggregation", _str),
     ("aggregation", "correction_scope"): ("correction_scope", _str),
-    ("static", "fraction"): ("static_fraction", _float),
+    ("static", "fraction"): ("static_fraction", float),
 }
 
 

@@ -22,29 +22,6 @@ _MAX_PRESENCE_REDRAWS = 10000
 
 
 @dataclass(frozen=True)
-class Dataset:
-    features: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "features",
-                           np.ascontiguousarray(np.asarray(self.features, dtype=np.float64)))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.n < self.num_classes:
-            raise ConfigurationError("dataset smaller than its class count")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    def batch(self, idx: np.ndarray | None = None) -> Batch:
-        if idx is None:
-            return Batch(self.features, self.labels)
-        return Batch(self.features[idx], self.labels[idx])
-
-
-@dataclass(frozen=True)
 class PartitionConfig:
     alpha: float
     rho: float
@@ -61,12 +38,13 @@ class PartitionConfig:
 
 
 def gen_synthetic(num_classes: int, dim: int, per_class: int, spread: float,
-                  seed) -> Dataset:
+                  seed) -> Batch:
     """Gaussian blobs with well-separated class means.
 
     Means sit on a sphere of radius CLASS_SEPARATION: orthonormal
     directions (QR of a seeded Gaussian matrix) when dim >= num_classes,
-    otherwise random unit directions. Features are mean + spread * noise.
+    otherwise random unit directions. Features are mean + spread * noise;
+    a spread so large that they overflow is a configuration error.
     """
     if num_classes < 2 or dim < 1 or per_class < 1:
         raise ConfigurationError("num_classes >= 2, dim >= 1, per_class >= 1 required")
@@ -81,8 +59,13 @@ def gen_synthetic(num_classes: int, dim: int, per_class: int, spread: float,
         means = raw.T / np.linalg.norm(raw.T, axis=1, keepdims=True) * CLASS_SEPARATION
     labels = np.repeat(np.arange(num_classes), per_class)
     noise = rng.standard_normal((labels.shape[0], dim))
-    features = means[labels] + spread * noise
-    return Dataset(features=features, labels=labels, num_classes=num_classes)
+    with np.errstate(over="raise"):
+        try:
+            features = means[labels] + spread * noise
+        except FloatingPointError:
+            raise ConfigurationError(
+                f"dataset.spread {spread:g} overflows the features to inf") from None
+    return Batch(features, labels)
 
 
 def _largest_remainder(props: np.ndarray, total: int) -> np.ndarray:
@@ -98,20 +81,21 @@ def _largest_remainder(props: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def partition(dataset: Dataset, cfg: PartitionConfig) -> list[np.ndarray]:
-    """Split a dataset into disjoint client shards.
+def partition(labels: np.ndarray, num_classes: int,
+              cfg: PartitionConfig) -> list[np.ndarray]:
+    """Split the examples with these labels into disjoint client shards.
 
     For every class: draw per-client presence ~ Bernoulli(rho), redrawing
     until someone holds the class; then split the class's examples among
     the present clients with Dirichlet(alpha) proportions rounded by
     largest remainder. Returns ascending index arrays, one per client.
 
-    The same (dataset, cfg) always produces the same shards.
+    The same (labels, num_classes, cfg) always produces the same shards.
     """
     rng = np.random.default_rng(cfg.seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(cfg.n_clients)]
-    for c in range(dataset.num_classes):
-        members = np.nonzero(dataset.labels == c)[0]
+    for c in range(num_classes):
+        members = np.nonzero(labels == c)[0]
         for attempt in range(_MAX_PRESENCE_REDRAWS):
             present = np.nonzero(rng.random(cfg.n_clients) < cfg.rho)[0]
             if present.size:
@@ -135,15 +119,16 @@ def partition(dataset: Dataset, cfg: PartitionConfig) -> list[np.ndarray]:
     return shards
 
 
-def partition_stats(shards: list[np.ndarray], dataset: Dataset):
+def partition_stats(shards: list[np.ndarray], labels: np.ndarray,
+                    num_classes: int):
     """Per-client class histogram and shard sizes.
 
     Returns:
         (hist, sizes): hist is (n_clients, num_classes) int counts,
         sizes the per-client totals.
     """
-    hist = np.zeros((len(shards), dataset.num_classes), dtype=np.int64)
+    hist = np.zeros((len(shards), num_classes), dtype=np.int64)
     for i, idx in enumerate(shards):
-        for c, cnt in zip(*np.unique(dataset.labels[idx], return_counts=True)):
+        for c, cnt in zip(*np.unique(labels[idx], return_counts=True)):
             hist[i, c] = cnt
     return hist, hist.sum(axis=1)

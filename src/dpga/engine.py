@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, PartitionConfig, gen_synthetic, partition
+from .data import PartitionConfig, gen_synthetic, partition
 from .errors import ConfigurationError, ProtocolError
 from .masking import U32_MAX, payload_bytes, snap_rate
 from .models import Batch, ModelSpec, evaluate, init_params
@@ -229,7 +229,6 @@ def validate_config(cfg: SimConfig) -> int:
         raise ConfigurationError(
             "the model has more parameters than the DPG1 wire format can "
             f"index; its u32 indices and entry counts stop at {U32_MAX}")
-    comm_time(0, cfg.bandwidth, cfg.latency)
     delay = resolve_delay(cfg)
     # The clock is largest when every exchange is as big as it can be.
     rt = _worst_roundtrip(cfg)
@@ -267,14 +266,11 @@ class Simulation:
         full = gen_synthetic(cfg.num_classes, cfg.dim,
                              cfg.per_class + cfg.test_per_class, cfg.spread,
                              _derived_seed(cfg.seed, _SEED_DATA))
-        rows = np.arange(full.n).reshape(cfg.num_classes, -1)
-        train = Dataset(features=full.features[rows[:, :cfg.per_class].ravel()],
-                        labels=full.labels[rows[:, :cfg.per_class].ravel()],
-                        num_classes=cfg.num_classes)
-        test = Dataset(features=full.features[rows[:, cfg.per_class:].ravel()],
-                       labels=full.labels[rows[:, cfg.per_class:].ravel()],
-                       num_classes=cfg.num_classes)
-        shards = partition(train, PartitionConfig(
+        rows = np.arange(full.size).reshape(cfg.num_classes, -1)
+        train, test = rows[:, :cfg.per_class].ravel(), rows[:, cfg.per_class:].ravel()
+        self.train = Batch(full.features[train], full.labels[train])
+        self.test = Batch(full.features[test], full.labels[test])
+        shards = partition(self.train.labels, cfg.num_classes, PartitionConfig(
             alpha=cfg.alpha, rho=cfg.rho, n_clients=cfg.n_clients,
             seed=_derived_seed(cfg.seed, _SEED_PART)))
         for i, idx in enumerate(shards):
@@ -284,12 +280,11 @@ class Simulation:
                     "or raise alpha/rho")
         w0 = init_params(self.spec, _derived_seed(cfg.seed, _SEED_INIT))
         self.clients = [
-            ClientState(id=i, weights=w0.copy(), shard=train.batch(idx),
+            ClientState(id=i, weights=w0.copy(),
+                        shard=Batch(self.train.features[idx], self.train.labels[idx]),
                         spec=self.spec, max_pending=self.delay + 1)
             for i, idx in enumerate(shards)
         ]
-        self._train_batch, self._test_batch = train.batch(), test.batch()
-        self.train, self.test = train, test
 
         self._weights = None
         if self.scheme.weighted:
@@ -330,7 +325,7 @@ class Simulation:
     def _local_all(self, round_: int) -> list[np.ndarray]:
         cfg = self.cfg
         return [local_round(c, cfg.local_epochs, cfg.eta, cfg.batch_size,
-                            np.random.default_rng([cfg.seed, _SEED_BATCH, round_, c.id]))
+                            [cfg.seed, _SEED_BATCH, round_, c.id])
                 for c in self.clients]
 
     def _deliver(self, agg, down_sizes: list[int]) -> int:
@@ -344,8 +339,8 @@ class Simulation:
 
     def _evaluate(self):
         wbar = pairwise_mean(np.stack([c.weights for c in self.clients]))
-        train_loss = objective(wbar, self._train_batch, self.spec)
-        _, acc = evaluate(wbar, self._test_batch, self.spec)
+        train_loss = objective(wbar, self.train, self.spec)
+        _, acc = evaluate(wbar, self.test, self.spec)
         return train_loss, acc
 
     # ---- main loop ---- #

@@ -139,11 +139,6 @@ def payload_bytes(count: int, indexed: bool = True) -> int:
     return HEADER_BYTES + (ENTRY_BYTES if indexed else VALUE_BYTES) * count
 
 
-def message_bytes(msg: SparseGradient) -> int:
-    """Exact encoded size without materializing the bytes."""
-    return payload_bytes(msg.count)
-
-
 def encode(msg: SparseGradient) -> bytes:
     """Serialize a message to the DPG1 layout."""
     if msg.count > U32_MAX:

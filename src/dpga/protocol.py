@@ -91,8 +91,6 @@ class ClientState:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.anchor is None:
             self.anchor = self.weights.copy()
-        if self.shard.size < 1:
-            raise ContractViolationError(f"client {self.id} has an empty shard")
 
     @property
     def n_i(self) -> int:
@@ -121,12 +119,13 @@ class GlobalAggregate:
 # ---- operations ---- #
 
 def local_round(client: ClientState, epochs: int, eta: float,
-                batch_size: int | None, rng: np.random.Generator) -> np.ndarray:
+                batch_size: int | None, rng) -> np.ndarray:
     """Run K local SGD steps and return the accumulated gradient z.
 
     Weights are updated so that w_after == w_before - eta * z exactly:
     each step recomputes w from the round-start weights and the running
-    gradient sum rather than chaining subtractions.
+    gradient sum rather than chaining subtractions. rng is a Generator or a
+    seed for one, built only when a minibatch is drawn.
     """
     if epochs < 1:
         raise ContractViolationError("epochs must be >= 1")
@@ -138,10 +137,11 @@ def local_round(client: ClientState, epochs: int, eta: float,
     z = np.zeros_like(w0)
     w = w0
     n = client.shard.size
+    sampled = batch_size is not None and batch_size < n
+    rng = np.random.default_rng(rng) if sampled else None
     for _ in range(epochs):
-        if batch_size is None or batch_size >= n:
-            batch = client.shard
-        else:
+        batch = client.shard
+        if sampled:
             take = rng.choice(n, size=batch_size, replace=False)
             batch = Batch(client.shard.features[take], client.shard.labels[take])
         _, g = loss_and_gradient(w, batch, client.spec)

@@ -16,6 +16,9 @@ Every test here prints exactly one `criterion N: PASS/FAIL - detail` line
        orderings against a golden baseline accuracy
     8  the comparative run is byte-reproducible across reruns
     9  the partitioner's cover/coverage/skew contracts hold at fixed seeds
+
+Criteria 1-4 and the codec half of 5 call the oracles in dpga.checks, the
+same ones `dpga check` runs, so each oracle is written once.
 """
 
 import math
@@ -25,14 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from dpga.checks import check_gradients, check_walk
+from dpga.checks import (check_codec, check_gradients, check_identical_shards,
+                         check_synchronized, check_walk)
 from dpga.cli import write_metrics_csv
 from dpga.data import PartitionConfig, gen_synthetic, partition, partition_stats
-from dpga.engine import SimConfig, Simulation, comm_time, run_experiment
-from dpga.masking import (HEADER_BYTES, SparseGradient, decode, encode,
-                          shared_count, topk_shared_indices)
-from dpga.models import loss_and_gradient
-from dpga.protocol import pairwise_mean
+from dpga.engine import SimConfig, comm_time, run_experiment
+from dpga.masking import HEADER_BYTES, shared_count, topk_shared_indices
 from dpga.ratewalk import GRID
 
 GOLDEN_ACC = Path(__file__).parent / "golden" / "fedavg_final_acc.txt"
@@ -67,100 +68,20 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def test_identical_shards_collapse_to_local_sgd():
+def _timed_verdict(num: int, check) -> None:
     t0 = time.perf_counter()
-    base = dict(algorithm="dpga", n_clients=4, local_epochs=2, eta=0.1,
-                batch_size=None, delay=2, bandwidth=1e9, latency=0.0,
-                walk_m=0, walk_p0=1.0, eval_every=50, num_classes=3, dim=6,
-                per_class=40, test_per_class=20, spread=1.0, alpha=1.0,
-                rho=1.0, seed=17)
-    horizons = (10, 30, 50)
-
-    probe = Simulation(SimConfig(rounds=50, **base))
-    shard = probe.clients[0].shard
-    w = probe.clients[0].weights.copy()
-    spec = probe.spec
-
-    # Standalone local SGD on that one shard, telescoped exactly like a
-    # client round: z accumulates, weights rematerialize as w - eta * z.
-    oracle = {}
-    for t in range(1, 51):
-        z = np.zeros_like(w)
-        cur = w
-        for _ in range(base["local_epochs"]):
-            _, g = loss_and_gradient(cur, shard, spec)
-            z += g
-            cur = w - base["eta"] * z
-        w = w - base["eta"] * z
-        if t in horizons:
-            oracle[t] = w.copy()
-
-    deliveries = 0
-    zero_corrections = True
-    bitwise = True
-    for rounds in horizons:
-        sim = Simulation(SimConfig(rounds=rounds, **base))
-        for c in sim.clients:
-            c.shard = shard  # identical data on every client
-        sim.run()
-        deliveries += len(sim.correction_log)
-        zero_corrections &= all(delta == 0.0 for _, delta in sim.correction_log)
-        zero_corrections &= len(sim.correction_log) == rounds
-        bitwise &= all(np.array_equal(c.weights, oracle[rounds])
-                       for c in sim.clients)
+    res = check()
     elapsed = time.perf_counter() - t0
+    _verdict(num, res.passed and elapsed < 5.0,
+             f"{res.detail}, {elapsed:.2f}s (< 5s)")
 
-    ok = zero_corrections and bitwise and elapsed < 5.0
-    _verdict(1, ok,
-             f"{deliveries} deliveries all corrected by exactly 0.0 "
-             f"({'yes' if zero_corrections else 'no'}), trajectories bitwise "
-             f"equal to standalone SGD at rounds {horizons} "
-             f"({'yes' if bitwise else 'no'}), {elapsed:.2f}s (< 5s)")
+
+def test_identical_shards_collapse_to_local_sgd():
+    _timed_verdict(1, check_identical_shards)
 
 
 def test_full_rate_zero_delay_matches_synchronized_averaging():
-    t0 = time.perf_counter()
-    base = dict(algorithm="dpga", n_clients=8, local_epochs=2, eta=0.1,
-                batch_size=None, delay=0, walk_m=0, walk_p0=1.0,
-                eval_every=30, num_classes=3, dim=6, per_class=40,
-                test_per_class=20, spread=1.0, alpha=1.0, rho=1.0, seed=23)
-    horizons = (5, 15, 30)
-
-    probe = Simulation(SimConfig(rounds=30, **base))
-    shards = [c.shard for c in probe.clients]
-    w = probe.clients[0].weights.copy()
-    spec = probe.spec
-
-    # Straight-line synchronized averaging: uniform mean of the clients'
-    # accumulated gradients applied to one shared weight vector.
-    oracle = {}
-    for t in range(1, 31):
-        zs = []
-        for shard in shards:
-            z = np.zeros_like(w)
-            cur = w
-            for _ in range(base["local_epochs"]):
-                _, g = loss_and_gradient(cur, shard, spec)
-                z += g
-                cur = w - base["eta"] * z
-            zs.append(z)
-        w = w - base["eta"] * pairwise_mean(np.stack(zs))
-        if t in horizons:
-            oracle[t] = w.copy()
-
-    bitwise = True
-    for rounds in horizons:
-        sim = Simulation(SimConfig(rounds=rounds, **base))
-        sim.run()
-        bitwise &= all(np.array_equal(c.weights, oracle[rounds])
-                       for c in sim.clients)
-    elapsed = time.perf_counter() - t0
-
-    ok = bitwise and elapsed < 5.0
-    _verdict(2, ok,
-             f"8 clients bitwise equal to directly coded gradient averaging "
-             f"at rounds {horizons} ({'yes' if bitwise else 'no'}), "
-             f"{elapsed:.2f}s (< 5s)")
+    _timed_verdict(2, check_synchronized)
 
 
 def test_walk_transitions_match_path_enumeration():
@@ -190,22 +111,11 @@ def test_mask_properties_and_codec_roundtrips():
             ok = float(np.min(np.abs(z[s]))) >= float(np.max(np.abs(z[comp])))
         mask_bad += not ok
 
-    codec_bad = 0
-    for _ in range(1000):
-        d = int(rng.integers(1, 400))
-        p = float(GRID[rng.integers(0, GRID.shape[0])])
-        k = shared_count(p, d)
-        idx = np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
-        msg = SparseGradient(round=int(rng.integers(0, 2 ** 40)), p=p,
-                             indices=idx, values=rng.standard_normal(k))
-        blob = encode(msg)
-        codec_bad += not (len(blob) == 17 + 12 * k and decode(blob) == msg)
-
-    ok = mask_bad == 0 and codec_bad == 0
+    codec = check_codec()
+    ok = mask_bad == 0 and codec.passed
     _verdict(5, ok,
              f"10000 mask cases: size == ceil(p*d), complement partitions, "
-             f"kept magnitudes dominate ({mask_bad} bad); 1000 codec "
-             f"roundtrips identical at 17 + 12k bytes ({codec_bad} bad)")
+             f"kept magnitudes dominate ({mask_bad} bad); {codec.detail}")
 
 
 def test_clock_model_arithmetic():
@@ -330,32 +240,32 @@ def test_partition_contracts():
         return joined.shape[0] == n and np.array_equal(np.sort(joined),
                                                        np.arange(n))
 
-    ds = gen_synthetic(5, 4, 40, 1.0, seed=0)
+    labels = gen_synthetic(5, 4, 40, 1.0, seed=0).labels
     cover_ok = all(
-        covers(partition(ds, PartitionConfig(alpha=alpha, rho=1.0,
-                                             n_clients=7, seed=seed)), ds.n)
+        covers(partition(labels, 5, PartitionConfig(alpha=alpha, rho=1.0,
+                                                    n_clients=7, seed=seed)), 200)
         for seed in range(5) for alpha in (0.1, 1.0, 100.0))
-    sparse_ds = gen_synthetic(4, 4, 30, 1.0, seed=2)
-    cover_ok &= covers(partition(sparse_ds, PartitionConfig(
-        alpha=1.0, rho=0.4, n_clients=6, seed=5)), sparse_ds.n)
+    labels = gen_synthetic(4, 4, 30, 1.0, seed=2).labels
+    cover_ok &= covers(partition(labels, 4, PartitionConfig(
+        alpha=1.0, rho=0.4, n_clients=6, seed=5)), 120)
 
-    held = gen_synthetic(6, 4, 25, 1.0, seed=1)
+    labels = gen_synthetic(6, 4, 25, 1.0, seed=1).labels
     hist, _ = partition_stats(
-        partition(held, PartitionConfig(alpha=0.5, rho=0.3, n_clients=8,
-                                        seed=3)), held)
+        partition(labels, 6, PartitionConfig(alpha=0.5, rho=0.3, n_clients=8,
+                                             seed=3)), labels, 6)
     coverage_ok = (np.all(hist.sum(axis=0) == 25)
                    and np.all((hist > 0).any(axis=0)))
 
-    wide = gen_synthetic(10, 4, 100, 1.0, seed=7)
+    labels = gen_synthetic(10, 4, 100, 1.0, seed=7).labels
     hist, _ = partition_stats(
-        partition(wide, PartitionConfig(alpha=1e6, rho=1.0, n_clients=10,
-                                        seed=21)), wide)
+        partition(labels, 10, PartitionConfig(alpha=1e6, rho=1.0, n_clients=10,
+                                              seed=21)), labels, 10)
     share = hist / 100.0
     even_ok = bool(np.all(share >= 0.8 / 10) and np.all(share <= 1.2 / 10))
 
     hist, sizes = partition_stats(
-        partition(wide, PartitionConfig(alpha=0.1, rho=1.0, n_clients=10,
-                                        seed=21)), wide)
+        partition(labels, 10, PartitionConfig(alpha=0.1, rho=1.0, n_clients=10,
+                                              seed=21)), labels, 10)
     top = hist.max(axis=1)[sizes > 0] / sizes[sizes > 0]
     skew_ok = float(top.max()) > 0.5
 

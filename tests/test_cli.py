@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from dpga.checks import check_gradients
+from dpga import engine
+from dpga.checks import check_gradients, check_reductions
 from dpga.cli import (CSV_HEADER, load_config, main, read_metrics_csv,
                       write_metrics_csv)
 from dpga.engine import MetricsRecord
 from dpga.errors import ConfigurationError
 from dpga.models import loss_and_gradient
+from dpga.protocol import apply_correction
 
 BASE_INI = """\
 [run]
@@ -207,7 +209,9 @@ class TestRunCommand:
         (["run.algorithm=fedavg", "walk.m=1000000000000"], "walk m must be in"),
         (["dataset.dim=100000000000000000000", "run.rounds=1"], "DPG1"),
         (["dataset.classes=100000000000000000000", "run.rounds=1"], "DPG1"),
-    ], ids=["delay", "walk-m", "walk-m-fedavg", "dim", "classes"])
+        (["dataset.spread=1e308", "run.rounds=2"], "dataset.spread"),
+    ], ids=["delay", "walk-m", "walk-m-fedavg", "dim", "classes", "spread"])
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
     def test_oversized_value_exits_2(self, tmp_path, capsys, sets, reason):
         out = tmp_path / "x.csv"
         code = main(["run", *(arg for s in sets for arg in ("--set", s)),
@@ -303,7 +307,7 @@ class TestCheckCommand:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         for name in ("finite-diff", "walk-enumeration", "codec-roundtrip",
-                     "reduction-identities"):
+                     "exchange", "reduction-identities"):
             assert f"{name}: PASS" in out
 
     def test_injected_gradient_bug_fails(self, capsys):
@@ -316,6 +320,18 @@ class TestCheckCommand:
             lambda: check_gradients(cases=5, grad_fn=broken)])
         assert code == 1
         assert "finite-diff: FAIL" in capsys.readouterr().out
+
+    def test_summed_replay_fails(self, monkeypatch):
+        """A correction that replays the later rounds as one summed step
+        keeps every correction at 0.0 but leaves the bitwise trajectory."""
+        def summed(client, agg, eta, scope="own-shared"):
+            delta = apply_correction(client, agg, eta, scope=scope)
+            later = sum(p.z_full for p in client.pending)
+            client.weights = client.anchor - eta * later
+            return delta
+
+        monkeypatch.setattr(engine, "apply_correction", summed)
+        assert not check_reductions().passed
 
 
 class TestPlotCommand:

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from dpga.data import (CLASS_SEPARATION, Dataset, PartitionConfig,
-                       _largest_remainder, gen_synthetic, partition,
-                       partition_stats)
+from dpga.data import (CLASS_SEPARATION, PartitionConfig, _largest_remainder,
+                       gen_synthetic, partition, partition_stats)
 from dpga.errors import ConfigurationError
 from dpga.models import ModelSpec, evaluate, loss_and_gradient
 
@@ -43,12 +42,11 @@ class TestGenSynthetic:
         """A fitted logistic regression reaches accuracy 1.0 as spread -> 0."""
         ds = gen_synthetic(3, 6, 30, spread=0.01, seed=12)
         spec = ModelSpec(kind="logistic-regression", input_dim=6, num_classes=3)
-        batch = ds.batch()
         w = np.zeros(spec.dim)
         for _ in range(200):
-            _, g = loss_and_gradient(w, batch, spec)
+            _, g = loss_and_gradient(w, ds, spec)
             w = w - 0.5 * g
-        _, acc = evaluate(w, batch, spec)
+        _, acc = evaluate(w, ds, spec)
         assert acc == 1.0
 
     def test_narrow_input_still_works(self):
@@ -94,22 +92,22 @@ class TestPartition:
         ds = gen_synthetic(5, 4, 40, 1.0, seed=0)
         for seed in range(5):
             for alpha in (0.1, 1.0, 100.0):
-                shards = partition(ds, PartitionConfig(alpha=alpha, rho=1.0,
-                                                       n_clients=7, seed=seed))
+                shards = partition(ds.labels, 5, PartitionConfig(
+                    alpha=alpha, rho=1.0, n_clients=7, seed=seed))
                 assert len(shards) == 7
-                self._cover_check(shards, ds.n)
+                self._cover_check(shards, ds.size)
 
     def test_cover_holds_with_partial_presence(self):
         ds = gen_synthetic(4, 4, 30, 1.0, seed=2)
-        shards = partition(ds, PartitionConfig(alpha=1.0, rho=0.4,
-                                               n_clients=6, seed=5))
-        self._cover_check(shards, ds.n)
+        shards = partition(ds.labels, 4, PartitionConfig(alpha=1.0, rho=0.4,
+                                                         n_clients=6, seed=5))
+        self._cover_check(shards, ds.size)
 
     def test_every_class_held_by_someone(self):
         ds = gen_synthetic(6, 4, 25, 1.0, seed=1)
-        shards = partition(ds, PartitionConfig(alpha=0.5, rho=0.3,
-                                               n_clients=8, seed=3))
-        hist, _ = partition_stats(shards, ds)
+        shards = partition(ds.labels, 6, PartitionConfig(alpha=0.5, rho=0.3,
+                                                         n_clients=8, seed=3))
+        hist, _ = partition_stats(shards, ds.labels, 6)
         assert np.all(hist.sum(axis=0) == 25)
         assert np.all((hist > 0).any(axis=0))
 
@@ -117,9 +115,9 @@ class TestPartition:
         """rho=1, alpha=1e6: every client's per-class share within +-20%
         of 1/N on a balanced dataset."""
         ds = gen_synthetic(10, 4, 100, 1.0, seed=7)
-        shards = partition(ds, PartitionConfig(alpha=1e6, rho=1.0,
-                                               n_clients=10, seed=21))
-        hist, _ = partition_stats(shards, ds)
+        shards = partition(ds.labels, 10, PartitionConfig(alpha=1e6, rho=1.0,
+                                                          n_clients=10, seed=21))
+        hist, _ = partition_stats(shards, ds.labels, 10)
         share = hist / 100.0
         assert np.all(share >= 0.8 / 10)
         assert np.all(share <= 1.2 / 10)
@@ -128,23 +126,23 @@ class TestPartition:
         """alpha=0.1 concentrates classes: some client gets more than half
         of its samples from a single class."""
         ds = gen_synthetic(10, 4, 100, 1.0, seed=7)
-        shards = partition(ds, PartitionConfig(alpha=0.1, rho=1.0,
-                                               n_clients=10, seed=21))
-        hist, sizes = partition_stats(shards, ds)
+        shards = partition(ds.labels, 10, PartitionConfig(alpha=0.1, rho=1.0,
+                                                          n_clients=10, seed=21))
+        hist, sizes = partition_stats(shards, ds.labels, 10)
         top_share = hist.max(axis=1)[sizes > 0] / sizes[sizes > 0]
         assert top_share.max() > 0.5
 
     def test_deterministic(self):
         ds = gen_synthetic(4, 3, 20, 1.0, seed=6)
         cfg = PartitionConfig(alpha=0.7, rho=0.8, n_clients=5, seed=13)
-        a = partition(ds, cfg)
-        b = partition(ds, cfg)
+        a = partition(ds.labels, 4, cfg)
+        b = partition(ds.labels, 4, cfg)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_shards_are_sorted_int64(self):
         ds = gen_synthetic(3, 3, 15, 1.0, seed=0)
-        for idx in partition(ds, PartitionConfig(1.0, 1.0, 4, seed=2)):
+        for idx in partition(ds.labels, 3, PartitionConfig(1.0, 1.0, 4, seed=2)):
             assert idx.dtype == np.int64
             assert np.all(idx[:-1] < idx[1:]) if idx.size > 1 else True
 
@@ -160,24 +158,11 @@ class TestPartition:
 class TestPartitionStats:
     def test_counts_are_exact(self):
         ds = gen_synthetic(4, 3, 30, 1.0, seed=5)
-        shards = partition(ds, PartitionConfig(1.0, 1.0, 6, seed=9))
-        hist, sizes = partition_stats(shards, ds)
+        shards = partition(ds.labels, 4, PartitionConfig(1.0, 1.0, 6, seed=9))
+        hist, sizes = partition_stats(shards, ds.labels, 4)
         assert hist.shape == (6, 4)
         np.testing.assert_array_equal(hist.sum(axis=1), sizes)
-        assert sizes.sum() == ds.n
+        assert sizes.sum() == ds.size
         for i, idx in enumerate(shards):
             for c in range(4):
                 assert hist[i, c] == int(np.sum(ds.labels[idx] == c))
-
-
-class TestDataset:
-    def test_batch_slicing(self):
-        ds = gen_synthetic(3, 3, 10, 1.0, seed=0)
-        sub = ds.batch(np.array([0, 5, 29]))
-        assert sub.size == 3
-        np.testing.assert_array_equal(sub.labels, ds.labels[[0, 5, 29]])
-
-    def test_rejects_fewer_samples_than_classes(self):
-        with pytest.raises(ConfigurationError):
-            Dataset(features=np.zeros((2, 3)), labels=np.array([0, 1]),
-                    num_classes=3)

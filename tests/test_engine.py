@@ -336,7 +336,7 @@ class TestObjective:
         total = sum(c.n_i for c in sim.clients)
         want = sum((c.n_i / total) * evaluate(wbar, c.shard, sim.spec)[0]
                    for c in sim.clients)
-        got = objective(wbar, sim.train.batch(), sim.spec)
+        got = objective(wbar, sim.train, sim.spec)
         assert got == pytest.approx(want, rel=1e-15)
 
     def test_matches_concatenated_dataset(self):
@@ -348,7 +348,7 @@ class TestObjective:
         labels = np.concatenate([c.shard.labels for c in sim.clients])
         from dpga.models import Batch
         flat_loss, _ = evaluate(wbar, Batch(feats, labels), sim.spec)
-        got = objective(wbar, sim.train.batch(), sim.spec)
+        got = objective(wbar, sim.train, sim.spec)
         assert got == pytest.approx(flat_loss, rel=1e-12)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -356,5 +356,5 @@ class TestObjective:
         sim = Simulation(_cfg(algorithm=algorithm, bandwidth=1e6))
         last = sim.run()[-1]
         wbar = pairwise_mean(np.stack([c.weights for c in sim.clients]))
-        loss, _ = evaluate(wbar, sim.train.batch(), sim.spec)
+        loss, _ = evaluate(wbar, sim.train, sim.spec)
         assert last.train_loss == loss

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dpga.checks import lexsort_topk
 from dpga.errors import ConfigurationError, ContractViolationError, DecodeError
 from dpga.masking import (ENTRY_BYTES, HEADER_BYTES, SparseGradient, decode,
-                          encode, extract_shared, message_bytes, shared_count,
+                          encode, extract_shared, payload_bytes, shared_count,
                           snap_rate, topk_shared_indices)
 
 
@@ -83,12 +84,6 @@ class TestTopK:
         with pytest.raises(ContractViolationError):
             topk_shared_indices(np.array([1.0, bad, 0.0]), 0.5)
 
-    @staticmethod
-    def _lexsort_topk(z, k):
-        """The defining rule: largest |z| first, ties to the lower index."""
-        order = np.lexsort((np.arange(z.shape[0]), -np.abs(z)))
-        return np.sort(order[:k])
-
     # Integer-valued z makes many ties; signed zeros tie with each other.
     @settings(max_examples=400, deadline=None)
     @given(z=st.lists(st.integers(-3, 3).map(float)
@@ -102,9 +97,8 @@ class TestTopK:
     def test_matches_lexsort_definition(self, z, num):
         z = np.array(z)
         p = num / 10.0
-        got = topk_shared_indices(z, p)
-        np.testing.assert_array_equal(
-            got, self._lexsort_topk(z, shared_count(p, z.shape[0])))
+        np.testing.assert_array_equal(topk_shared_indices(z, p),
+                                      lexsort_topk(z, p))
 
 
 class TestExtractMerge:
@@ -140,13 +134,13 @@ class TestSparseGradient:
 class TestWireFormat:
     def test_empty_message_is_header_only(self):
         msg = SparseGradient(round=0, p=0.1, indices=[], values=[])
-        assert message_bytes(msg) == HEADER_BYTES == 17
+        assert payload_bytes(msg.count) == HEADER_BYTES == 17
         assert len(encode(msg)) == 17
 
     def test_fifty_entries(self):
         msg = SparseGradient(round=3, p=0.5, indices=np.arange(50),
                              values=np.zeros(50))
-        assert message_bytes(msg) == 17 + 50 * ENTRY_BYTES == 617
+        assert payload_bytes(msg.count) == 17 + 50 * ENTRY_BYTES == 617
         assert len(encode(msg)) == 617
 
     def test_roundtrip_preserves_everything(self):
@@ -167,14 +161,13 @@ class TestWireFormat:
         sizes = []
         for num in range(1, 11):
             p = num / 10.0
-            shared = topk_shared_indices(z, p)
-            sizes.append(message_bytes(extract_shared(z, shared, 0, p)))
+            sizes.append(payload_bytes(topk_shared_indices(z, p).size))
         assert sizes == sorted(sizes)
 
     def test_halving_rate_roughly_halves_payload(self):
         z = np.random.default_rng(2).standard_normal(1000)
-        full = message_bytes(extract_shared(z, topk_shared_indices(z, 1.0), 0, 1.0))
-        half = message_bytes(extract_shared(z, topk_shared_indices(z, 0.5), 0, 0.5))
+        full = payload_bytes(topk_shared_indices(z, 1.0).size)
+        half = payload_bytes(topk_shared_indices(z, 0.5).size)
         assert abs(half / full - 0.5) < 0.05
 
     def test_off_grid_rate_not_encodable(self):
@@ -258,7 +251,7 @@ class TestDecodeProperties:
             msg = decode(damaged)
         except DecodeError:
             return
-        assert message_bytes(msg) == len(damaged)
+        assert payload_bytes(msg.count) == len(damaged)
 
 
 class TestSnapRate:

@@ -304,10 +304,9 @@ class TestApplyCorrection:
     def test_identical_clients_see_zero_correction(self):
         """When everyone uploads the same values the aggregate equals each
         client's own share and the correction is exactly zero."""
-        clients = [_client(cid=i, seed=0) for i in range(4)]
-        shard = clients[0].shard
-        for c in clients:
-            c.shard = shard
+        shard = _client().shard
+        clients = [ClientState(id=i, weights=init_params(SPEC, 0), shard=shard,
+                               spec=SPEC, max_pending=8) for i in range(4)]
         msgs = []
         for c in clients:
             z = local_round(c, 2, 0.1, None, np.random.default_rng(1))
