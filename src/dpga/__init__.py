@@ -1,8 +1,8 @@
 """Deterministic simulator for delayed partial gradient averaging."""
 
 from .data import PartitionConfig, gen_synthetic, partition, partition_stats
-from .engine import (MetricsRecord, SimConfig, Simulation, comm_time, derive_D,
-                     objective, run_experiment)
+from .engine import (MetricsRecord, SimConfig, Simulation, comm_time, objective,
+                     run_experiment)
 from .errors import (ConfigurationError, ContractViolationError, DecodeError,
                      ProtocolError)
 from .masking import (SparseGradient, decode, encode, extract_shared,

@@ -25,7 +25,7 @@ from .masking import (SparseGradient, decode, encode, shared_count,
 from .models import Batch, ModelSpec, finite_diff_check, loss_and_gradient
 from .protocol import (AGGREGATION_MODES, pairwise_mean, pairwise_sum,
                        server_aggregate)
-from .ratewalk import GRID, transition_distribution
+from .ratewalk import GRID, state_index, transition_distribution
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def check_gradients(cases: int = 25, seed: int = 20240,
 
 def enumerate_transition(p: float, m: int) -> dict[float, float]:
     """m-step law by summing all 2^m coin paths (clamp at the grid ends)."""
-    start = round(p * 10) - 1
+    start = state_index(p)
     probs = np.zeros(GRID.shape[0])
     if m == 0:
         probs[start] = 1.0

@@ -6,8 +6,9 @@ overridden on the command line with --set section.key=value. The random
 seed resolves with precedence: --seed flag, then the DPGA_SEED environment
 variable, then the config file.
 
-Exit codes: 0 success, 1 failed check suites, 2 bad configuration or
-malformed input, 3 runtime contract violation.
+Exit codes: 0 success, 1 failed check suites, 2 bad configuration,
+malformed input or an output path that cannot be written, 3 runtime
+contract violation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .checks import run_all
-from .engine import SimConfig, run_experiment
+from .engine import SimConfig, run_experiment, validate_config
 from .errors import (ConfigurationError, ContractViolationError, DecodeError,
                      ProtocolError)
 from .plotting import render_plot
@@ -62,6 +63,7 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 # (section, key) -> (SimConfig field, parser)
 SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("run", "algorithm"): ("algorithm", _str),
+    ("run", "n_clients"): ("n_clients", int),
     ("run", "rounds"): ("rounds", int),
     ("run", "local_epochs"): ("local_epochs", int),
     ("run", "eta"): ("eta", float),
@@ -214,12 +216,15 @@ def cmd_sweep(args) -> int:
     if len(set(slugs)) != len(slugs):
         raise ConfigurationError(
             f"sweep values {values} would write the same output file twice")
+    # Every value's config is checked before the first run writes anything.
+    cfgs = [load_config(args.config, list(args.set) + [f"{args.axis}={value}"],
+                        args.seed) for value in values]
+    for cfg in cfgs:
+        validate_config(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = ["value,final_eval_acc,total_up_bytes,total_down_bytes,final_sim_time"]
-    for value, slug in zip(values, slugs):
-        sets = list(args.set) + [f"{args.axis}={value}"]
-        cfg = load_config(args.config, sets, args.seed)
+    for value, slug, cfg in zip(values, slugs, cfgs):
         records = run_experiment(cfg)
         run_path = out_dir / f"{key_slug}_{slug}.csv"
         write_metrics_csv(records, run_path)
@@ -307,6 +312,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ConfigurationError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a failed read is a ConfigurationError, so this is a write
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (ContractViolationError, ProtocolError) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

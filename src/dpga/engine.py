@@ -153,11 +153,6 @@ def _covering_rounds(rt: float, t_compute: float) -> int:
                              "more compute rounds than can be counted")
 
 
-def derive_D(cfg: SimConfig) -> int:
-    """Smallest whole number of compute rounds that covers one round trip."""
-    return _covering_rounds(_worst_roundtrip(cfg), cfg.t_compute)
-
-
 def resolve_delay(cfg: SimConfig) -> int:
     """The delay D a run uses: 0 blocks on every exchange, D > 0 hides it
     behind D rounds of compute and must cover the worst round trip."""
@@ -310,17 +305,19 @@ class Simulation:
     def _payload(self, count: int) -> int:
         return payload_bytes(count, indexed=self.scheme.upload != "dense")
 
-    def _rates(self, round_: int) -> list[float]:
+    def _rates(self, round_: int) -> tuple[list[float], float]:
+        """Each client's update rate this round and the p the round reports."""
         cfg = self.cfg
         if self.scheme.upload == "dense":
-            return [1.0] * cfg.n_clients
+            return [1.0] * cfg.n_clients, 1.0
         if self.scheme.upload == "static":
-            return [snap_rate(cfg.static_fraction)] * cfg.n_clients
-        if round_ == 1:  # the first round runs at the configured p0
-            rates = [w.p for w in self._walks]
-        else:
-            rates = [w.sample() for w in self._walks]
-        return rates if cfg.per_client_walk else rates * cfg.n_clients
+            # The wire carries the snapped grid rate; the record the nominal one.
+            return [snap_rate(cfg.static_fraction)] * cfg.n_clients, cfg.static_fraction
+        # The first round runs at the configured p0.
+        rates = [w.p if round_ == 1 else w.sample() for w in self._walks]
+        if cfg.per_client_walk:
+            return rates, float(np.mean(rates))
+        return rates * cfg.n_clients, rates[0]
 
     def _local_all(self, round_: int) -> list[np.ndarray]:
         cfg = self.cfg
@@ -353,7 +350,7 @@ class Simulation:
         clock = 0.0
 
         for t in range(1, cfg.rounds + 1):
-            rates = self._rates(t)
+            rates, p_used = self._rates(t)
             zs = self._local_all(t)
 
             msgs = [build_upload(client, z, p, t, shared=self._shared)
@@ -383,12 +380,6 @@ class Simulation:
                 train_loss, acc = self._evaluate()
             else:
                 train_loss = acc = float("nan")
-            if self.scheme.upload == "static":
-                p_used = cfg.static_fraction  # nominal; the wire rate is snapped
-            elif cfg.per_client_walk:
-                p_used = float(np.mean(rates))
-            else:
-                p_used = rates[0]
             self.records.append(MetricsRecord(
                 round=t, sim_time=clock, up_bytes=up_total, down_bytes=down_total,
                 p=p_used, train_loss=train_loss, eval_acc=acc))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DecodeError
+from .ratewalk import N_STATES, grid_numerator
 
 MAGIC = b"DPG1"
 _HEADER = struct.Struct("<4sQBI")
@@ -29,8 +30,6 @@ VALUE_BYTES = 8                      # f64 value
 ENTRY_BYTES = 4 + VALUE_BYTES        # u32 index + f64 value
 U32_MAX = 2 ** 32 - 1                # bounds every index and the entry count
 
-RATE_DENOM = 10  # update rates live on the 0.1 grid
-
 
 def shared_count(p: float, d: int) -> int:
     """K = ceil(p * d), computed exactly for grid rates."""
@@ -38,10 +37,10 @@ def shared_count(p: float, d: int) -> int:
         raise ConfigurationError(f"update rate must be in (0, 1], got {p}")
     if d < 1:
         raise ConfigurationError("vector length must be >= 1")
-    num = round(p * RATE_DENOM)
-    if abs(p * RATE_DENOM - num) < 1e-9 and num >= 1:
+    num = grid_numerator(p)
+    if num is not None:
         # Grid rate: integer ceil of (num * d) / 10 avoids float edge cases.
-        return -((-num * d) // RATE_DENOM)
+        return -((-num * d) // N_STATES)
     return math.ceil(p * d)
 
 
@@ -114,20 +113,12 @@ def extract_shared(z: np.ndarray, shared: np.ndarray, round: int, p: float) -> S
     return SparseGradient(round=round, p=p, indices=shared.copy(), values=z[shared])
 
 
-def _rate_numerator(p: float) -> int:
-    num = round(p * RATE_DENOM)
-    if not 1 <= num <= RATE_DENOM or abs(p * RATE_DENOM - num) > 1e-9:
-        raise ContractViolationError(
-            f"wire format carries rates on the 0.1 grid only, got {p}")
-    return num
-
-
 def snap_rate(fraction: float) -> float:
     """Nearest grid rate for a free-form fraction (for the wire p field)."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-    num = min(max(round(fraction * RATE_DENOM), 1), RATE_DENOM)
-    return num / RATE_DENOM
+    num = min(max(round(fraction * N_STATES), 1), N_STATES)
+    return num / N_STATES
 
 
 def payload_bytes(count: int, indexed: bool = True) -> int:
@@ -147,7 +138,11 @@ def encode(msg: SparseGradient) -> bytes:
         raise ContractViolationError("index exceeds u32")
     if msg.round >= 2 ** 64:
         raise ContractViolationError("round exceeds u64")
-    head = _HEADER.pack(MAGIC, msg.round, _rate_numerator(msg.p), msg.count)
+    num = grid_numerator(msg.p)
+    if num is None:
+        raise ContractViolationError(
+            f"wire format carries rates on the 0.1 grid only, got {msg.p}")
+    head = _HEADER.pack(MAGIC, msg.round, num, msg.count)
     return (head
             + msg.indices.astype("<u4").tobytes()
             + msg.values.astype("<f8").tobytes())
@@ -160,8 +155,8 @@ def decode(data: bytes) -> SparseGradient:
     magic, round_, num, count = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise DecodeError(f"bad magic {magic!r}", 0)
-    if not 1 <= num <= RATE_DENOM:
-        raise DecodeError(f"rate numerator {num} outside 1..{RATE_DENOM}", 12)
+    if grid_numerator(num / N_STATES) != num:
+        raise DecodeError(f"rate numerator {num} outside 1..{N_STATES}", 12)
     expected = payload_bytes(count)
     if len(data) != expected:
         raise DecodeError(
@@ -175,6 +170,6 @@ def decode(data: bytes) -> SparseGradient:
         if bad.size:
             raise DecodeError("indices not strictly ascending",
                               HEADER_BYTES + 4 * (int(bad[0]) + 1))
-    return SparseGradient(round=round_, p=num / RATE_DENOM,
+    return SparseGradient(round=round_, p=num / N_STATES,
                           indices=indices.astype(np.int64),
                           values=values.astype(np.float64))

@@ -123,36 +123,32 @@ def init_params(spec: ModelSpec, seed) -> np.ndarray:
     The same (spec, seed) pair always yields the identical vector.
     """
     rng = np.random.default_rng(seed)
-    dims = spec.layer_dims
-    parts = []
-    for a, b in zip(dims[:-1], dims[1:]):
-        lim = np.sqrt(6.0 / (a + b))
-        parts.append(rng.uniform(-lim, lim, size=a * b))
-        parts.append(np.zeros(b))
-    return np.concatenate(parts)
+    params = np.zeros(spec.dim)
+    for w, _ in _layer_views(params, spec):
+        lim = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-lim, lim, size=w.shape)
+    return params
 
 
 def _forward(params: np.ndarray, batch: Batch, spec: ModelSpec):
-    """Run the network; returns (logits, per-layer caches for backprop)."""
+    """Run the network on a batch.
+
+    Returns (layers, acts, logits, logp, loss): the (W, b) views of params,
+    the input to each layer, the logits, their log-softmax and the mean
+    cross-entropy.
+    """
     layers = _layer_views(params, spec)
     acts = [batch.features]
-    pres = []
-    a = batch.features
-    for li, (w, bias) in enumerate(layers):
-        z = a @ w + bias
-        if li < len(layers) - 1:
-            pres.append(z)
-            a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
-            acts.append(a)
-        else:
-            logits = z
-    return logits, acts, pres
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    for w, bias in layers[:-1]:
+        z = acts[-1] @ w + bias
+        acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z))
+    w, bias = layers[-1]
+    logits = acts[-1] @ w + bias
     # Max-subtracted log-sum-exp keeps this finite for any logit scale.
     shift = logits - logits.max(axis=1, keepdims=True)
-    return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(batch.size), batch.labels].mean())
+    return layers, acts, logits, logp, loss
 
 
 def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
@@ -162,32 +158,24 @@ def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
         (loss, grad): scalar float and a float64 vector of length spec.dim.
     """
     params = _check_args(params, batch, spec)
-    logits, acts, pres = _forward(params, batch, spec)
+    layers, acts, _, logp, loss = _forward(params, batch, spec)
     n = batch.size
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), batch.labels].mean())
-
     delta = np.exp(logp)
     delta[np.arange(n), batch.labels] -= 1.0
     delta /= n
 
-    layers = _layer_views(params, spec)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        grads[li] = (acts[li].T @ delta, delta.sum(axis=0))
+    # Backpropagate, writing each layer's gradient into its views of grad.
+    grad = np.empty(spec.dim)
+    for li, (gw, gb) in reversed(list(enumerate(_layer_views(grad, spec)))):
+        gw[...] = acts[li].T @ delta
+        gb[...] = delta.sum(axis=0)
         if li > 0:
-            delta = delta @ w.T
-            if spec.activation == "relu":
-                delta = delta * (pres[li - 1] > 0.0)
-            else:
-                t = np.tanh(pres[li - 1])
-                delta = delta * (1.0 - t * t)
-
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    if not np.isfinite(loss) or not np.all(np.isfinite(flat)):
+            delta = delta @ layers[li][0].T
+            a = acts[li]  # f(z) of the hidden layer below; f'(z) follows from it
+            delta = delta * ((a > 0.0) if spec.activation == "relu" else (1.0 - a * a))
+    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise ContractViolationError("loss/gradient overflowed to non-finite values")
-    return loss, flat
+    return loss, grad
 
 
 def finite_diff_check(params: np.ndarray, batch: Batch, spec: ModelSpec,
@@ -221,9 +209,6 @@ def evaluate(params: np.ndarray, batch: Batch, spec: ModelSpec):
     class index.
     """
     params = _check_args(params, batch, spec)
-    logits, _, _ = _forward(params, batch, spec)
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(batch.size), batch.labels].mean())
-    pred = np.argmax(logits, axis=1)
-    acc = float(np.mean(pred == batch.labels))
+    _, _, logits, _, loss = _forward(params, batch, spec)
+    acc = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
     return loss, acc

@@ -17,17 +17,28 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-GRID = np.arange(1, 11) / 10.0
-N_STATES = GRID.shape[0]
+# Rates are n / N_STATES for n = 1..N_STATES, so N_STATES is also the
+# grid's denominator.
+N_STATES = 10
+GRID = np.arange(1, N_STATES + 1) / N_STATES
 # At this many steps the row-sum drift is about 6e-10, well inside the
 # 1.5e-8 that Generator.choice tolerates; from about 2.4e10 it rejects rows.
 MAX_STEPS = 10 ** 9
 
 
+def grid_numerator(p: float) -> int | None:
+    """The n in 1..N_STATES with p * N_STATES within 1e-9 of n, or None when
+    p is off the grid. Every rate on the grid is parsed here."""
+    num = round(p * N_STATES)
+    if 1 <= num <= N_STATES and abs(p * N_STATES - num) <= 1e-9:
+        return num
+    return None
+
+
 def state_index(p: float) -> int:
     """Grid index for a rate; rejects off-grid values."""
-    num = round(p * 10)
-    if not 1 <= num <= N_STATES or abs(p * 10 - num) > 1e-9:
+    num = grid_numerator(p)
+    if num is None:
         raise ConfigurationError(f"rate {p} is not on the 0.1 grid")
     return num - 1
 

@@ -1,7 +1,10 @@
 """CLI surface: config loading, run/sweep/check/plot, exit codes, CSV io."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from test_acceptance import comparative_config
 
 from dpga import engine
 from dpga.checks import check_gradients, check_reductions
@@ -11,6 +14,8 @@ from dpga.engine import MetricsRecord
 from dpga.errors import ConfigurationError
 from dpga.models import loss_and_gradient
 from dpga.protocol import apply_correction
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_INI = """\
 [run]
@@ -88,6 +93,13 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(str(tmp_path / "nope.ini"), [], None)
+
+    def test_readme_sample_is_the_comparative_config(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DPGA_SEED", raising=False)
+        sample = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "sample.ini"
+        path.write_text(sample)
+        assert load_config(str(path), [], None) == comparative_config("dpga")
 
     def test_malformed_override(self, config_file):
         with pytest.raises(ConfigurationError):
@@ -222,6 +234,13 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_out_is_directory_exits_2(self, config_file, tmp_path, capsys):
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path}" in err
+        assert "Traceback" not in err
+
     def test_seed_flag_changes_output(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["run", "--config", str(config_file), "--out", str(a)])
@@ -295,6 +314,27 @@ class TestSweepCommand:
                      "--values", "3,4", "--out", str(out)]) == 0
         assert ((out / "run_seed_3.csv").read_bytes()
                 != (out / "run_seed_4.csv").read_bytes())
+
+    def test_invalid_value_exits_2_before_any_run(self, config_file, tmp_path,
+                                                  capsys):
+        # fedavg is synchronous and rejects delay 4; dpga, first, accepts it.
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(config_file),
+                     "--axis", "run.algorithm", "--values", "dpga,fedavg",
+                     "--set", "network.delay=4", "--set", "run.rounds=3",
+                     "--out", str(out)]) == 2
+        assert "fedavg is synchronous" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_is_file_exits_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["sweep", "--config", str(config_file),
+                     "--axis", "run.algorithm", "--values", "dga",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}" in err
+        assert "Traceback" not in err
 
     def test_bad_axis_exit_2(self, config_file, tmp_path):
         assert main(["sweep", "--config", str(config_file),
@@ -377,6 +417,15 @@ class TestPlotCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot read metrics CSV" in err
+        assert "Traceback" not in err
+
+    def test_out_is_directory_exits_2(self, config_file, tmp_path, capsys):
+        csv_path = tmp_path / "m.csv"
+        main(["run", "--config", str(config_file), "--out", str(csv_path)])
+        code = main(["plot", str(csv_path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path}" in err
         assert "Traceback" not in err
 
     def test_no_evaluated_rows_exits_2(self, tmp_path, capsys):

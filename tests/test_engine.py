@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
-                         Simulation, comm_time, derive_D, objective,
+                         Simulation, comm_time, objective,
                          resolve_delay, run_experiment, validate_config)
 from dpga.errors import ConfigurationError
 from dpga.masking import ENTRY_BYTES, HEADER_BYTES
@@ -56,10 +56,12 @@ class TestDeriveDelay:
         # give comm_time 1.5 of t_compute 1.0, so D = ceil(1.5) = 2.
         cfg = _cfg(algorithm="dga", delay=None, latency=1.0,
                    bandwidth=float(2 * DENSE), t_compute=1.0)
-        assert derive_D(cfg) == 2
+        assert resolve_delay(cfg) == 2
 
     def test_degenerate_zero_time(self):
-        assert math.ceil(comm_time(0, 1e6, 0.0) / 1.0) == 0
+        # A free link takes no time, so no round of compute has to hide it.
+        cfg = _cfg(algorithm="dga", delay=None, bandwidth=math.inf, latency=0.0)
+        assert resolve_delay(cfg) == 0
 
     def test_synchronous_algorithms_force_zero(self):
         assert resolve_delay(_cfg(algorithm="fedavg")) == 0
@@ -126,7 +128,6 @@ class TestResolveTiming:
         cfg = _cfg(algorithm="dga", bandwidth=math.inf, latency=latency,
                    t_compute=t_compute)
         got = resolve_delay(cfg)
-        assert got == derive_D(cfg)
         assert latency <= got * t_compute
         assert (got - 1) * t_compute < latency
 
@@ -209,15 +210,6 @@ class TestClockModel:
         par = run_experiment(_cfg(algorithm="dga", delay=1, latency=0.5,
                                   bandwidth=1024.0))
         assert par[-1].sim_time < seq[-1].sim_time
-
-    def test_equality_only_without_communication(self):
-        # The two clock formulas coincide exactly when comm_time is zero.
-        t, rounds = 1.0, 6
-        c = comm_time(0, 1024.0, 0.0)
-        assert c == 0.0
-        assert rounds * t + c == sum(t + c for _ in range(rounds))
-        c = comm_time(2 * DENSE, 1024.0, 0.5)
-        assert rounds * t + c < sum(t + c for _ in range(rounds))
 
     def test_monotone_time_and_bytes(self):
         records = run_experiment(_cfg(algorithm="dpga", delay=1,
@@ -315,6 +307,19 @@ class TestScheduling:
         for r in records:
             assert 0.1 <= r.p <= 1.0
         assert records[0].p == 0.5
+
+
+class TestAggregationMode:
+    def test_divide_by_n_equals_per_component_only_at_full_support(self):
+        # dga shares every coordinate from every client, so each count is n
+        # and the two modes divide by the same number.
+        dense = dict(algorithm="dga", delay=1, bandwidth=1e6)
+        assert (run_experiment(_cfg(**dense, aggregation="divide-by-n"))
+                == run_experiment(_cfg(**dense, aggregation="per-component")))
+        # Below full rate a coordinate few clients shared is pulled to zero.
+        partial = dict(algorithm="dpga", delay=1, bandwidth=1e6, walk_p0=0.3)
+        assert (run_experiment(_cfg(**partial, aggregation="divide-by-n"))
+                != run_experiment(_cfg(**partial, aggregation="per-component")))
 
 
 class TestDeterminism:
