@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import errno
 import logging
 import os
 import sys
 from pathlib import Path
 
 from .checks import run_all
-from .engine import SimConfig, run_experiment, validate_config
+from .engine import SimConfig, Simulation
 from .errors import (ConfigurationError, ContractViolationError, DecodeError,
                      ProtocolError)
 from .plotting import render_plot
@@ -87,7 +88,6 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("walk", "m"): ("walk_m", int),
     ("walk", "p0"): ("walk_p0", float),
     ("walk", "per_client"): ("per_client_walk", _bool),
-    ("aggregation", "mode"): ("aggregation", _str),
     ("aggregation", "correction_scope"): ("correction_scope", _str),
     ("static", "fraction"): ("static_fraction", float),
 }
@@ -189,13 +189,17 @@ def read_metrics_csv(path: Path) -> dict[str, list[float]]:
 # ---- subcommands ---- #
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config, args.set, args.seed)
-    records = run_experiment(cfg)
+    sim = Simulation(load_config(args.config, args.set, args.seed))
     out = Path(args.out)
+    # A path that cannot take the CSV fails before the first round.
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    records = sim.run()
     write_metrics_csv(records, out)
     last = records[-1]
     log.info("%s: %d rounds, sim_time %.6g, up %d B, down %d B, final acc %.4f",
-             cfg.algorithm, last.round, last.sim_time, last.up_bytes,
+             sim.cfg.algorithm, last.round, last.sim_time, last.up_bytes,
              last.down_bytes, last.eval_acc)
     print(out)
     return 0
@@ -216,16 +220,16 @@ def cmd_sweep(args) -> int:
     if len(set(slugs)) != len(slugs):
         raise ConfigurationError(
             f"sweep values {values} would write the same output file twice")
-    # Every value's config is checked before the first run writes anything.
-    cfgs = [load_config(args.config, list(args.set) + [f"{args.axis}={value}"],
-                        args.seed) for value in values]
-    for cfg in cfgs:
-        validate_config(cfg)
+    # Every value's simulation is built, and so checked, before the first
+    # run writes anything.
+    sims = [Simulation(load_config(args.config,
+                                   list(args.set) + [f"{args.axis}={value}"],
+                                   args.seed)) for value in values]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = ["value,final_eval_acc,total_up_bytes,total_down_bytes,final_sim_time"]
-    for value, slug, cfg in zip(values, slugs, cfgs):
-        records = run_experiment(cfg)
+    for value, slug, sim in zip(values, slugs, sims):
+        records = sim.run()
         run_path = out_dir / f"{key_slug}_{slug}.csv"
         write_metrics_csv(records, run_path)
         last = records[-1]
@@ -247,8 +251,6 @@ def cmd_check(args, suites=None) -> int:
 
 
 def cmd_plot(args) -> int:
-    if args.x not in PLOT_X_CHOICES:
-        raise ConfigurationError(f"plot x must be one of {PLOT_X_CHOICES}")
     series = []
     for f in args.csv:
         path = Path(f)

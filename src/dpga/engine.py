@@ -29,9 +29,9 @@ from .data import PartitionConfig, gen_synthetic, partition
 from .errors import ConfigurationError, ProtocolError
 from .masking import U32_MAX, payload_bytes, snap_rate
 from .models import Batch, ModelSpec, evaluate, init_params
-from .protocol import (AGGREGATION_MODES, CORRECTION_SCOPES, ClientState,
-                       apply_correction, build_upload, local_round,
-                       pairwise_mean, server_aggregate, static_partial_mask)
+from .protocol import (CORRECTION_SCOPES, ClientState, apply_correction,
+                       build_upload, local_round, pairwise_mean,
+                       server_aggregate, static_partial_mask)
 from .ratewalk import MAX_STEPS, RateState, state_index
 
 
@@ -86,7 +86,6 @@ class SimConfig:
     walk_m: int = 2
     walk_p0: float = 0.5
     per_client_walk: bool = False
-    aggregation: str = "per-component"
     correction_scope: str = "own-shared"
     static_fraction: float = 0.5
     eval_every: int = 1
@@ -211,15 +210,10 @@ def validate_config(cfg: SimConfig) -> int:
     if not 0 <= cfg.walk_m <= MAX_STEPS:
         raise ConfigurationError(f"walk m must be in 0..{MAX_STEPS}")
     state_index(cfg.walk_p0)
-    if cfg.aggregation not in AGGREGATION_MODES:
-        raise ConfigurationError(f"unknown aggregation mode {cfg.aggregation!r}")
     if cfg.correction_scope not in CORRECTION_SCOPES:
         raise ConfigurationError(f"unknown correction scope {cfg.correction_scope!r}")
     if not 0.0 < cfg.static_fraction <= 1.0:
         raise ConfigurationError("static_fraction must be in (0, 1]")
-    if SCHEMES[cfg.algorithm].weighted and cfg.aggregation != "per-component":
-        raise ConfigurationError(
-            f"{cfg.algorithm} uses size-weighted per-component averaging")
     if cfg.model_spec().dim > U32_MAX:  # building the spec validates it
         raise ConfigurationError(
             "the model has more parameters than the DPG1 wire format can "
@@ -358,7 +352,7 @@ class Simulation:
             up_sizes = [self._payload(m.count) for m in msgs]
             up_total += sum(up_sizes)
 
-            agg = server_aggregate(msgs, self.spec.dim, cfg.aggregation, self._weights)
+            agg = server_aggregate(msgs, self.spec.dim, self._weights)
             if cfg.correction_scope == "own-shared":
                 down_sizes = [self._payload(m.count) for m in msgs]
             else:

@@ -28,7 +28,6 @@ from .errors import ContractViolationError, ProtocolError
 from .masking import SparseGradient, extract_shared, shared_count, topk_shared_indices
 from .models import Batch, ModelSpec, loss_and_gradient
 
-AGGREGATION_MODES = ("per-component", "divide-by-n")
 CORRECTION_SCOPES = ("own-shared", "full-support")
 
 
@@ -174,14 +173,11 @@ def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
 
 
 def server_aggregate(messages: list[SparseGradient], d: int,
-                     mode: str = "per-component",
                      weights: np.ndarray | None = None) -> GlobalAggregate:
     """Combine one round's uploads into a global aggregate.
 
-    per-component: each coordinate is the mean over the clients that
-    shared it (weighted mean if per-client weights are given). divide-by-n:
-    the sum of contributions divided by the full client count, so missing
-    clients drag a coordinate toward zero. Messages must be passed in
+    Each coordinate is the mean over the clients that shared it (weighted
+    mean if per-client weights are given). Messages must be passed in
     ascending client-id order; the reduction order is fixed by position.
 
     d is the model size: every index must lie below it, and the aggregate
@@ -191,8 +187,6 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     """
     if not messages:
         raise ContractViolationError("nothing to aggregate")
-    if mode not in AGGREGATION_MODES:
-        raise ContractViolationError(f"unknown aggregation mode {mode!r}")
     round_ = messages[0].round
     if any(m.round != round_ for m in messages):
         raise ContractViolationError("aggregating messages from different rounds")
@@ -200,8 +194,6 @@ def server_aggregate(messages: list[SparseGradient], d: int,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(messages),):
             raise ContractViolationError("need one weight per message")
-        if mode != "per-component":
-            raise ContractViolationError("weights only apply to per-component mode")
 
     slots = np.zeros((len(messages), d))
     present = np.zeros((len(messages), d), dtype=bool)
@@ -215,9 +207,7 @@ def server_aggregate(messages: list[SparseGradient], d: int,
 
     # Each column sums on its own, so a shared coordinate carries the same
     # bits as a tree over the shared coordinates alone.
-    if mode == "divide-by-n":
-        num, den = pairwise_sum(slots), len(messages)
-    elif weights is None:
+    if weights is None:
         num, den = pairwise_sum(slots), counts
     else:
         num = pairwise_sum(slots * weights[:, None])

@@ -1,19 +1,23 @@
 """CLI surface: config loading, run/sweep/check/plot, exit codes, CSV io."""
 
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_acceptance import comparative_config
 
 from dpga import engine
 from dpga.checks import check_gradients, check_reductions
-from dpga.cli import (CSV_HEADER, load_config, main, read_metrics_csv,
+from dpga.cli import (CSV_HEADER, SCHEMA, load_config, main, read_metrics_csv,
                       write_metrics_csv)
-from dpga.engine import MetricsRecord
+from dpga.engine import ALGORITHMS, MetricsRecord
 from dpga.errors import ConfigurationError
 from dpga.models import loss_and_gradient
-from dpga.protocol import apply_correction
+from dpga.protocol import CORRECTION_SCOPES, apply_correction
+from dpga.ratewalk import GRID, MAX_STEPS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,6 +39,15 @@ test_per_class = 6
 bandwidth = 1e6
 delay = 1
 """
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if any simulation runs."""
+    def run(sim):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(engine.Simulation, "run", run)
 
 
 @pytest.fixture
@@ -234,11 +247,22 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_out_is_directory_exits_2(self, config_file, tmp_path, capsys):
+    def test_out_is_directory_exits_2(self, config_file, tmp_path, capsys, no_run):
+        # --out is checked before round 1, so no round is computed.
         code = main(["run", "--config", str(config_file), "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"cannot write {tmp_path}" in err
+        assert "Traceback" not in err
+
+    def test_out_under_a_file_exits_2(self, config_file, tmp_path, capsys, no_run):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["run", "--config", str(config_file),
+                     "--out", str(blocker / "m.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {blocker}" in err
         assert "Traceback" not in err
 
     def test_seed_flag_changes_output(self, config_file, tmp_path):
@@ -326,6 +350,22 @@ class TestSweepCommand:
         assert "fedavg is synchronous" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis, values", [
+        ("partition.alpha", "100,0.001"),
+        ("partition.alpha", "100,-1"),
+        ("partition.rho", "1,0"),
+        ("dataset.spread", "1,-1"),
+    ], ids=["empty-client", "alpha", "rho", "spread"])
+    def test_value_the_simulation_rejects_exits_2_before_any_run(
+            self, tmp_path, capsys, no_run, axis, values):
+        # Only building the Simulation finds these; the first value is valid.
+        out = tmp_path / "sw"
+        assert main(["sweep", "--axis", axis, "--values", values,
+                     "--set", "run.n_clients=4", "--set", "run.rounds=2",
+                     "--set", "dataset.per_class=10", "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_is_file_exits_2(self, config_file, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")
@@ -340,6 +380,88 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config_file),
                      "--axis", "algorithm", "--values", "dga",
                      "--out", str(tmp_path / "s")]) == 2
+
+
+def _ints(lo: int, hi: int):
+    """(valid, out of range) for an integer key whose range starts at lo."""
+    return st.integers(lo, hi), st.integers(lo - 2, lo - 1)
+
+
+def _names(valid, bad: str):
+    return st.sampled_from(valid), st.just(bad)
+
+
+# Every config key as (valid draw, out-of-range draw), at sizes that keep
+# each run to a few milliseconds. An out-of-range real is any float at all:
+# negative, huge, subnormal, infinite or nan.
+SURFACE = {
+    ("run", "algorithm"): _names(ALGORITHMS, "gossip"),
+    ("run", "n_clients"): _ints(1, 6),
+    ("run", "rounds"): _ints(1, 3),
+    ("run", "local_epochs"): _ints(1, 3),
+    ("run", "eta"): (st.floats(0.01, 1.0), st.floats()),
+    ("run", "batch_size"): (st.just("full") | st.integers(1, 8), st.integers(-1, 0)),
+    ("run", "eval_every"): _ints(1, 3),
+    ("run", "seed"): (st.integers(0, 2 ** 64), st.integers(-2 ** 64, -1)),
+    ("model", "kind"): _names(["logistic-regression", "mlp"], "cnn"),
+    ("model", "hidden"): (st.lists(st.integers(1, 4), min_size=1, max_size=2),
+                          st.lists(st.integers(-1, 0), min_size=1, max_size=2)),
+    ("model", "activation"): _names(["relu", "tanh"], "gelu"),
+    ("dataset", "classes"): _ints(2, 4),
+    ("dataset", "dim"): _ints(1, 6),
+    ("dataset", "per_class"): _ints(1, 20),
+    ("dataset", "test_per_class"): _ints(1, 20),
+    ("dataset", "spread"): (st.floats(0.0, 5.0), st.floats()),
+    ("partition", "alpha"): (st.floats(0.05, 10.0), st.floats()),
+    ("partition", "rho"): (st.floats(0.05, 1.0), st.floats()),
+    ("network", "bandwidth"): (st.floats(1.0, 1e9) | st.just(math.inf), st.floats()),
+    ("network", "latency"): (st.floats(0.0, 10.0), st.floats()),
+    ("network", "t_compute"): (st.floats(0.1, 10.0), st.floats()),
+    ("network", "delay"): (st.just("auto") | st.integers(0, 20),
+                           st.integers(-2, -1) | st.just(10 ** 400)),
+    ("walk", "m"): (st.integers(0, 4) | st.just(MAX_STEPS),
+                    st.sampled_from([-1, MAX_STEPS + 1])),
+    ("walk", "p0"): (st.sampled_from([float(p) for p in GRID]), st.floats()),
+    ("walk", "per_client"): _names(["true", "false"], "maybe"),
+    ("aggregation", "correction_scope"): _names(CORRECTION_SCOPES, "everything"),
+    ("static", "fraction"): (st.floats(0.01, 1.0), st.floats()),
+}
+
+
+def _text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+@st.composite
+def overrides(draw) -> list[str]:
+    """--set arguments for every key; up to two keys (or their text) broken."""
+    broken = draw(st.sets(st.sampled_from(sorted(SURFACE)), max_size=2))
+    raw = {k: draw(st.one_of(bad.map(_text), st.just("?"))) if k in broken
+           else _text(draw(good)) for k, (good, bad) in SURFACE.items()}
+    # A valid hidden list is one that fits the model kind.
+    if ("model", "hidden") not in broken and raw[("model", "kind")] != "mlp":
+        raw[("model", "hidden")] = ""
+    return [arg for (section, key), value in raw.items()
+            for arg in ("--set", f"{section}.{key}={value}")]
+
+
+class TestConfigSurface:
+    def test_surface_covers_the_schema(self):
+        assert SURFACE.keys() == SCHEMA.keys()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sets=overrides())
+    def test_any_config_ends_in_a_documented_exit(self, sets):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "m.csv"
+            code = main(["run", *sets, "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code == 0:
+                cols = read_metrics_csv(out)
+                for name in ("sim_time", "up_bytes", "down_bytes"):
+                    assert all(math.isfinite(v) for v in cols[name])
 
 
 class TestCheckCommand:

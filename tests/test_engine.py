@@ -145,10 +145,10 @@ class TestConfigValidation:
         dict(eval_every=0),
         dict(walk_m=-1),
         dict(walk_p0=0.55),
-        dict(aggregation="median"),
+        dict(alpha=0.0),
         dict(correction_scope="everything"),
         dict(static_fraction=0.0),
-        dict(algorithm="fedavg", aggregation="divide-by-n"),
+        dict(spread=-1.0),
         dict(latency=math.nan),
         dict(latency=math.inf),
         dict(t_compute=math.inf),
@@ -307,19 +307,6 @@ class TestScheduling:
         for r in records:
             assert 0.1 <= r.p <= 1.0
         assert records[0].p == 0.5
-
-
-class TestAggregationMode:
-    def test_divide_by_n_equals_per_component_only_at_full_support(self):
-        # dga shares every coordinate from every client, so each count is n
-        # and the two modes divide by the same number.
-        dense = dict(algorithm="dga", delay=1, bandwidth=1e6)
-        assert (run_experiment(_cfg(**dense, aggregation="divide-by-n"))
-                == run_experiment(_cfg(**dense, aggregation="per-component")))
-        # Below full rate a coordinate few clients shared is pulled to zero.
-        partial = dict(algorithm="dpga", delay=1, bandwidth=1e6, walk_p0=0.3)
-        assert (run_experiment(_cfg(**partial, aggregation="divide-by-n"))
-                != run_experiment(_cfg(**partial, aggregation="per-component")))
 
 
 class TestDeterminism:

@@ -168,45 +168,20 @@ class TestServerAggregate:
 
     def test_two_contributors(self):
         msgs = [self._msg([2], [2.0]), self._msg([2], [4.0])]
-        agg = server_aggregate(msgs, 3, "per-component")
+        agg = server_aggregate(msgs, 3)
         assert agg.values[2] == 3.0
-        agg_n = server_aggregate(msgs, 3, "divide-by-n")
-        assert agg_n.values[2] == 6.0 / 2
-
-    def test_divide_by_n_counts_absentees(self):
-        msgs = [self._msg([0], [2.0]), self._msg([1], [4.0]),
-                self._msg([0, 1], [2.0, 4.0])]
-        per = server_aggregate(msgs, 2, "per-component")
-        div = server_aggregate(msgs, 2, "divide-by-n")
-        np.testing.assert_array_equal(per.values, [2.0, 4.0])
-        np.testing.assert_allclose(div.values, [4.0 / 3, 8.0 / 3])
-
-    def test_mode_relation(self):
-        """divide-by-n value = per-component value * contributors / N."""
-        rng = np.random.default_rng(31)
-        msgs = []
-        for _ in range(5):
-            idx = np.sort(rng.choice(30, size=8, replace=False))
-            msgs.append(self._msg(idx, rng.standard_normal(8)))
-        per = server_aggregate(msgs, 30, "per-component")
-        div = server_aggregate(msgs, 30, "divide-by-n")
-        np.testing.assert_array_equal(per.indices, div.indices)
-        np.testing.assert_allclose(div.values,
-                                   per.values * per.counts / len(msgs),
-                                   rtol=1e-12)
 
     def test_unshared_coordinates_absent(self):
         agg = server_aggregate([self._msg([1, 5], [1.0, 2.0])], 6)
         np.testing.assert_array_equal(agg.indices, [1, 5])
         np.testing.assert_array_equal(agg.counts, [0, 1, 0, 0, 0, 1])
 
-    @pytest.mark.parametrize("mode, weights", [
-        ("per-component", None), ("per-component", np.array([0.25, 0.75])),
-        ("divide-by-n", None)])
-    def test_off_union_is_exact_zero(self, mode, weights):
+    @pytest.mark.parametrize("weights", [None, np.array([0.25, 0.75])],
+                             ids=["per-component-None", "per-component-weights1"])
+    def test_off_union_is_exact_zero(self, weights):
         # Coordinate 1 is shared with the value 0: it still counts as shared.
         msgs = [self._msg([1, 4], [-0.0, 3.0]), self._msg([4], [5.0])]
-        agg = server_aggregate(msgs, 6, mode, weights)
+        agg = server_aggregate(msgs, 6, weights)
         off = [0, 2, 3, 5]
         assert agg.values.shape == agg.counts.shape == (6,)
         assert agg.values[off].tobytes() == np.zeros(4).tobytes()
@@ -215,14 +190,13 @@ class TestServerAggregate:
 
     def test_weighted_mean(self):
         msgs = [self._msg([0], [1.0]), self._msg([0], [5.0])]
-        agg = server_aggregate(msgs, 1, "per-component",
-                               weights=np.array([0.75, 0.25]))
+        agg = server_aggregate(msgs, 1, weights=np.array([0.75, 0.25]))
         np.testing.assert_allclose(agg.values, [0.75 * 1.0 + 0.25 * 5.0])
 
-    def test_weights_rejected_outside_per_component(self):
-        msgs = [self._msg([0], [1.0])]
+    def test_one_weight_per_message(self):
+        msgs = [self._msg([0], [1.0]), self._msg([0], [5.0])]
         with pytest.raises(ContractViolationError):
-            server_aggregate(msgs, 1, "divide-by-n", weights=np.array([1.0]))
+            server_aggregate(msgs, 1, weights=np.array([1.0]))
 
     def test_mixed_rounds_rejected(self):
         msgs = [self._msg([0], [1.0], round=1), self._msg([0], [1.0], round=2)]
@@ -245,16 +219,15 @@ class TestServerAggregate:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8), d=st.integers(1, 40),
-           kind=st.sampled_from(["per-component", "weighted", "divide-by-n"]),
+           weighted=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_plain_loop_reference(self, data, n, d, kind, seed):
+    def test_matches_plain_loop_reference(self, data, n, d, weighted, seed):
         rng = np.random.default_rng(seed)
         subsets = [sorted(data.draw(st.sets(st.integers(0, d - 1), max_size=d)))
                    for _ in range(n)]
         msgs = [self._msg(idx, rng.standard_normal(len(idx))) for idx in subsets]
-        weights = rng.uniform(0.5, 1.5, n) if kind == "weighted" else None
-        mode = "divide-by-n" if kind == "divide-by-n" else "per-component"
-        agg = server_aggregate(msgs, d, mode, weights)
+        weights = rng.uniform(0.5, 1.5, n) if weighted else None
+        agg = server_aggregate(msgs, d, weights)
 
         union = sorted(set().union(*subsets))
         want, counts = [], []
@@ -262,12 +235,11 @@ class TestServerAggregate:
             contrib = [(i, float(m.values[subsets[i].index(j)]))
                        for i, m in enumerate(msgs) if j in subsets[i]]
             counts.append(len(contrib))
-            if kind == "weighted":
+            if weighted:
                 want.append(math.fsum(weights[i] * v for i, v in contrib)
                             / math.fsum(weights[i] for i, _ in contrib))
             else:
-                total = math.fsum(v for _, v in contrib)
-                want.append(total / (n if kind == "divide-by-n" else len(contrib)))
+                want.append(math.fsum(v for _, v in contrib) / len(contrib))
 
         np.testing.assert_array_equal(agg.indices, np.array(union, dtype=np.int64))
         np.testing.assert_array_equal(agg.counts[union], counts)
