@@ -208,8 +208,11 @@ def check_exchange(cases: int = 1000, seed: int = 4099) -> SuiteResult:
 _SMALL = dict(algorithm="dpga", local_epochs=2, eta=0.1, batch_size=None,
               walk_m=0, walk_p0=1.0, num_classes=3, dim=6, per_class=40,
               test_per_class=20, spread=1.0, alpha=1.0, rho=1.0)
+# Spread 0 makes every example its class mean, and a huge alpha splits
+# every class evenly, so the config itself gives every client the same shard.
 IDENTICAL_SHARDS = SimConfig(n_clients=4, delay=2, bandwidth=1e9, latency=0.0,
-                             eval_every=50, seed=17, **_SMALL)
+                             eval_every=50, seed=17,
+                             **dict(_SMALL, spread=0.0, alpha=1e6))
 SYNCHRONIZED = SimConfig(n_clients=8, delay=0, eval_every=30, seed=23, **_SMALL)
 
 
@@ -242,10 +245,13 @@ def _collapse(name: str, cfg: SimConfig, horizons, identical: bool) -> SuiteResu
     sims = [Simulation(replace(cfg, rounds=r)) for r in horizons]
     shards = [c.shard for c in sims[0].clients]
     if identical:
-        shard = shards[0]
-        shards = [shard]
-        for c in (c for sim in sims for c in sim.clients):
-            c.shard = shard  # identical data on every client
+        differ = [i for i, s in enumerate(shards) if not (
+            _same_bits(s.features, shards[0].features)
+            and _same_bits(s.labels, shards[0].labels))]
+        if differ:
+            return SuiteResult(name, False, f"the shards of clients {differ} "
+                               "are not bitwise equal to client 0's")
+        shards = shards[:1]
     want = averaged_local_sgd(sims[0].clients[0].weights, shards, sims[0].spec,
                               cfg.local_epochs, cfg.eta, horizons)
     delivered, bitwise = True, True

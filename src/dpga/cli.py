@@ -21,9 +21,10 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 from .checks import run_all
-from .engine import SimConfig, Simulation
+from .engine import MetricsRecord, SimConfig, Simulation
 from .errors import (ConfigurationError, ContractViolationError, DecodeError,
                      ProtocolError)
 from .plotting import render_plot
@@ -31,7 +32,9 @@ from .plotting import render_plot
 log = logging.getLogger("dpga")
 
 ENV_SEED = "DPGA_SEED"
-CSV_HEADER = "round,sim_time,up_bytes,down_bytes,p,train_loss,eval_acc"
+# One CSV column per MetricsRecord field, in order: name -> int or float.
+_COLUMNS = get_type_hints(MetricsRecord)
+CSV_HEADER = ",".join(_COLUMNS)
 PLOT_X_CHOICES = ("sim_time", "up_bytes", "round")
 
 
@@ -48,11 +51,9 @@ def _bool(text: str) -> bool:
         return False
     raise ValueError(f"not a boolean: {text!r}")
 
-def _batch(text: str):
-    return None if text.strip().lower() == "full" else int(text)
-
-def _auto_int(text: str):
-    return None if text.strip().lower() == "auto" else int(text)
+def _int_or_none(word: str):
+    """An int parser that reads `word` as None."""
+    return lambda text: None if text.strip().lower() == word else int(text)
 
 def _int_tuple(text: str) -> tuple[int, ...]:
     t = text.strip()
@@ -68,7 +69,7 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("run", "rounds"): ("rounds", int),
     ("run", "local_epochs"): ("local_epochs", int),
     ("run", "eta"): ("eta", float),
-    ("run", "batch_size"): ("batch_size", _batch),
+    ("run", "batch_size"): ("batch_size", _int_or_none("full")),
     ("run", "eval_every"): ("eval_every", int),
     ("run", "seed"): ("seed", int),
     ("model", "kind"): ("model_kind", _str),
@@ -84,7 +85,7 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("network", "bandwidth"): ("bandwidth", float),
     ("network", "latency"): ("latency", float),
     ("network", "t_compute"): ("t_compute", float),
-    ("network", "delay"): ("delay", _auto_int),
+    ("network", "delay"): ("delay", _int_or_none("auto")),
     ("walk", "m"): ("walk_m", int),
     ("walk", "p0"): ("walk_p0", float),
     ("walk", "per_client"): ("per_client_walk", _bool),
@@ -156,21 +157,22 @@ def _real(x: float) -> str:
 def write_metrics_csv(records, path: Path) -> None:
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(f"{r.round},{_real(r.sim_time)},{r.up_bytes},{r.down_bytes},"
-                     f"{_real(r.p)},{_real(r.train_loss)},{_real(r.eval_acc)}")
+        lines.append(",".join(_real(getattr(r, name)) if kind is float
+                              else str(getattr(r, name))
+                              for name, kind in _COLUMNS.items()))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
 def read_metrics_csv(path: Path) -> dict[str, list[float]]:
     """Parse a metrics CSV; raises ConfigurationError naming the bad row."""
-    cols: dict[str, list[float]] = {name: [] for name in CSV_HEADER.split(",")}
+    cols: dict[str, list[float]] = {name: [] for name in _COLUMNS}
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigurationError(f"cannot read metrics CSV {path}: {exc}") from None
-    if rows[:1] != [CSV_HEADER.split(",")]:
+    if rows[:1] != [list(_COLUMNS)]:
         raise ConfigurationError(f"{path}: row 1: expected header {CSV_HEADER!r}")
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(cols):

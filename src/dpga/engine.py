@@ -242,7 +242,7 @@ def objective(wbar: np.ndarray, train: Batch, spec: ModelSpec) -> float:
 
 
 class Simulation:
-    """A fully built experiment; run() yields one MetricsRecord per round."""
+    """A fully built experiment; run() returns one MetricsRecord per round."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -279,19 +279,23 @@ class Simulation:
         if self.scheme.weighted:
             sizes = np.array([c.n_i for c in self.clients], dtype=np.float64)
             self._weights = sizes / sizes.sum()
+        # A fixed upload has one (wire rate, reported p); Top-K walks.
         self._walks: list[RateState] = []
         if self.scheme.upload == "dense":
             self._shared = np.arange(self.spec.dim, dtype=np.int64)
+            self._fixed_rate = (1.0, 1.0)
         elif self.scheme.upload == "static":
             self._shared = static_partial_mask(self.spec, cfg.static_fraction)
+            # The wire carries the snapped grid rate; the record the nominal one.
+            self._fixed_rate = (snap_rate(cfg.static_fraction), cfg.static_fraction)
         else:
+            self._fixed_rate = None
             self._shared = None  # build_upload picks Top-K by |z|
             seeds = ([[cfg.seed, _SEED_WALK, i] for i in range(cfg.n_clients)]
                      if cfg.per_client_walk else [[cfg.seed, _SEED_WALK]])
             self._walks = [RateState.from_seed(cfg.walk_p0, cfg.walk_m, seed)
                            for seed in seeds]
 
-        self.records: list[MetricsRecord] = []
         self.correction_log: list[tuple[int, float]] = []  # (round, max |g - z|)
 
     # ---- helpers ---- #
@@ -301,32 +305,15 @@ class Simulation:
 
     def _rates(self, round_: int) -> tuple[list[float], float]:
         """Each client's update rate this round and the p the round reports."""
-        cfg = self.cfg
-        if self.scheme.upload == "dense":
-            return [1.0] * cfg.n_clients, 1.0
-        if self.scheme.upload == "static":
-            # The wire carries the snapped grid rate; the record the nominal one.
-            return [snap_rate(cfg.static_fraction)] * cfg.n_clients, cfg.static_fraction
+        n = self.cfg.n_clients
+        if self._fixed_rate is not None:
+            rate, p = self._fixed_rate
+            return [rate] * n, p
         # The first round runs at the configured p0.
         rates = [w.p if round_ == 1 else w.sample() for w in self._walks]
-        if cfg.per_client_walk:
+        if self.cfg.per_client_walk:
             return rates, float(np.mean(rates))
-        return rates * cfg.n_clients, rates[0]
-
-    def _local_all(self, round_: int) -> list[np.ndarray]:
-        cfg = self.cfg
-        return [local_round(c, cfg.local_epochs, cfg.eta, cfg.batch_size,
-                            [cfg.seed, _SEED_BATCH, round_, c.id])
-                for c in self.clients]
-
-    def _deliver(self, agg, down_sizes: list[int]) -> int:
-        worst = 0.0
-        for client in self.clients:
-            delta = apply_correction(client, agg, self.cfg.eta,
-                                     scope=self.cfg.correction_scope)
-            worst = max(worst, delta)
-        self.correction_log.append((agg.round, worst))
-        return sum(down_sizes)
+        return rates * n, rates[0]
 
     def _evaluate(self):
         wbar = pairwise_mean(np.stack([c.weights for c in self.clients]))
@@ -338,14 +325,15 @@ class Simulation:
 
     def run(self) -> list[MetricsRecord]:
         cfg = self.cfg
-        inflight: deque = deque()
-        up_total = 0
-        down_total = 0
+        records: list[MetricsRecord] = []
+        inflight: deque = deque()  # (aggregate, its downlink bytes)
+        up_total = down_total = 0
         clock = 0.0
 
         for t in range(1, cfg.rounds + 1):
             rates, p_used = self._rates(t)
-            zs = self._local_all(t)
+            zs = [local_round(c, cfg.local_epochs, cfg.eta, cfg.batch_size,
+                              [cfg.seed, _SEED_BATCH, t, c.id]) for c in self.clients]
 
             msgs = [build_upload(client, z, p, t, shared=self._shared)
                     for client, z, p in zip(self.clients, zs, rates)]
@@ -354,16 +342,21 @@ class Simulation:
 
             agg = server_aggregate(msgs, self.spec.dim, self._weights)
             if cfg.correction_scope == "own-shared":
-                down_sizes = [self._payload(m.count) for m in msgs]
+                down_sizes = up_sizes  # each client gets back what it sent
             else:
                 down_sizes = [self._payload(int(agg.indices.shape[0]))] * len(msgs)
-            inflight.append((t + self.delay, agg, down_sizes))
+            inflight.append((agg, sum(down_sizes)))
             exchange = max(u + dn for u, dn in zip(up_sizes, down_sizes))
 
-            # The last round drains everything still in flight.
-            while inflight and (inflight[0][0] <= t or t == cfg.rounds):
-                _, due, sizes = inflight.popleft()
-                down_total += self._deliver(due, sizes)
+            # An aggregate lands D rounds after its upload; the last round
+            # drains everything still in flight.
+            while inflight and (inflight[0][0].round + self.delay <= t
+                                or t == cfg.rounds):
+                due, down = inflight.popleft()
+                self.correction_log.append((due.round, max(0.0, *(
+                    apply_correction(c, due, cfg.eta, scope=cfg.correction_scope)
+                    for c in self.clients))))
+                down_total += down
 
             clock += cfg.t_compute
             # A delayed run only waits once, for the final exchange to drain.
@@ -374,15 +367,10 @@ class Simulation:
                 train_loss, acc = self._evaluate()
             else:
                 train_loss = acc = float("nan")
-            self.records.append(MetricsRecord(
+            records.append(MetricsRecord(
                 round=t, sim_time=clock, up_bytes=up_total, down_bytes=down_total,
                 p=p_used, train_loss=train_loss, eval_acc=acc))
 
         if any(c.pending for c in self.clients):
             raise ProtocolError("run ended with undelivered aggregates")
-        return self.records
-
-
-def run_experiment(cfg: SimConfig) -> list[MetricsRecord]:
-    """Build and run a simulation; returns one MetricsRecord per round."""
-    return Simulation(cfg).run()
+        return records

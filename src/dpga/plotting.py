@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ConfigurationError
+
 WIDTH, HEIGHT = 800.0, 500.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 160.0, 30.0, 50.0
 
@@ -21,22 +23,26 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
+def _frame(lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """The drawn range of finite data from lo to hi: widened by pad of its
+    span on each side, and a flat range by its magnitude (at least 1)."""
+    top = lo + max(1.0, abs(lo)) if hi == lo else hi
+    margin = pad * (top - lo)
+    start, stop = lo - margin, top + margin
+    if not (math.isfinite(stop - start) and stop > start):
+        raise ConfigurationError(f"cannot plot values from {_fmt(lo)} to "
+                                 f"{_fmt(hi)}: the axis span overflows")
+    return start, stop
+
+
 def render_plot(series: list[tuple[str, list[float], list[float]]],
                 x_label: str, y_label: str = "eval_acc") -> str:
     """Render one polyline per (label, xs, ys) series into an SVG string."""
-    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)]
-    if not pts:
-        raise ValueError("nothing to plot")
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.03 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    xs_all, ys_all = zip(*(p for _, xs, ys in series for p in zip(xs, ys)))
+    if not all(map(math.isfinite, xs_all + ys_all)):
+        raise ConfigurationError(f"cannot plot a non-finite {x_label} or {y_label}")
+    x_lo, x_hi = _frame(min(xs_all), max(xs_all), 0.0)
+    y_lo, y_hi = _frame(min(ys_all), max(ys_all), 0.03)
 
     inner_w = WIDTH - MARGIN_L - MARGIN_R
     inner_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -73,9 +79,7 @@ def render_plot(series: list[tuple[str, list[float], list[float]]],
 
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}"
-                          for x, y in zip(xs, ys)
-                          if not (math.isnan(x) or math.isnan(y)))
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.8"/>')
         ly = MARGIN_T + 16 + 18 * i

@@ -32,7 +32,7 @@ from dpga.checks import (check_codec, check_gradients, check_identical_shards,
                          check_synchronized, check_walk)
 from dpga.cli import write_metrics_csv
 from dpga.data import PartitionConfig, gen_synthetic, partition, partition_stats
-from dpga.engine import SimConfig, comm_time, run_experiment
+from dpga.engine import SimConfig, Simulation, comm_time
 from dpga.masking import HEADER_BYTES, shared_count, topk_shared_indices
 from dpga.ratewalk import GRID
 
@@ -131,14 +131,14 @@ def test_clock_model_arithmetic():
     # Delay D > 0 with a constant exchange: pre-final rounds pay compute
     # only, the final round drains one exchange.
     T = 12
-    par = run_experiment(SimConfig(algorithm="dga", rounds=T, delay=3,
-                                   **net, **small))
+    par = Simulation(SimConfig(algorithm="dga", rounds=T, delay=3,
+                               **net, **small)).run()
     a_ok = (all(par[t - 1].sim_time == float(t) for t in range(1, T))
             and par[-1].sim_time == T * 1.0 + rt)
 
     # Delay 0 with the same exchange blocks every round.
-    seq = run_experiment(SimConfig(algorithm="dga", rounds=T, delay=0,
-                                   **net, **small))
+    seq = Simulation(SimConfig(algorithm="dga", rounds=T, delay=0,
+                               **net, **small)).run()
     b_ok = all(seq[t - 1].sim_time == t * (1.0 + rt) for t in range(1, T + 1))
 
     gap_ok = (par[-1].sim_time < seq[-1].sim_time
@@ -147,8 +147,8 @@ def test_clock_model_arithmetic():
     # Varying exchanges (the rate walk changes payload sizes round to
     # round): rebuild both closed forms from the recorded byte deltas.
     walk = dict(walk_p0=0.5, walk_m=2)
-    recs = run_experiment(SimConfig(algorithm="dpga", rounds=10, delay=0,
-                                    **walk, **net, **small))
+    recs = Simulation(SimConfig(algorithm="dpga", rounds=10, delay=0,
+                                **walk, **net, **small)).run()
     expected = 0.0
     prev_up = 0
     c_ok = True
@@ -159,8 +159,8 @@ def test_clock_model_arithmetic():
         expected += comm_time(2 * per_client, net["bandwidth"], net["latency"])
         c_ok &= r.sim_time == expected
 
-    recs = run_experiment(SimConfig(algorithm="dpga", rounds=10, delay=2,
-                                    **walk, **net, **small))
+    recs = Simulation(SimConfig(algorithm="dpga", rounds=10, delay=2,
+                                **walk, **net, **small)).run()
     last = (recs[-1].up_bytes - recs[-2].up_bytes) // small["n_clients"]
     d_ok = (all(recs[t - 1].sim_time == float(t) for t in range(1, 10))
             and recs[-1].sim_time == 10 * 1.0 + comm_time(
@@ -168,10 +168,10 @@ def test_clock_model_arithmetic():
 
     # Zero communication cost is the only way delay 0 and delay D agree.
     zero = dict(bandwidth=math.inf, latency=0.0, t_compute=1.0)
-    zp = run_experiment(SimConfig(algorithm="dga", rounds=8, delay=2,
-                                  **zero, **small))
-    zs = run_experiment(SimConfig(algorithm="dga", rounds=8, delay=0,
-                                  **zero, **small))
+    zp = Simulation(SimConfig(algorithm="dga", rounds=8, delay=2,
+                              **zero, **small)).run()
+    zs = Simulation(SimConfig(algorithm="dga", rounds=8, delay=0,
+                              **zero, **small)).run()
     e_ok = zp[-1].sim_time == zs[-1].sim_time == 8.0
 
     ok = a_ok and b_ok and gap_ok and c_ok and d_ok and e_ok
@@ -184,7 +184,7 @@ def test_clock_model_arithmetic():
 
 def test_comparative_experiment_orderings():
     t0 = time.perf_counter()
-    runs = {alg: run_experiment(comparative_config(alg))
+    runs = {alg: Simulation(comparative_config(alg)).run()
             for alg in COMPARATIVE_ALGS}
     elapsed = time.perf_counter() - t0
 
@@ -226,7 +226,7 @@ def test_comparative_run_reproducibility(tmp_path):
     files = {}
     for name in ("first", "second"):
         path = tmp_path / f"{name}.csv"
-        write_metrics_csv(run_experiment(cfg), path)
+        write_metrics_csv(Simulation(cfg).run(), path)
         files[name] = path.read_bytes()
     ok = files["first"] == files["second"]
     _verdict(8, ok,

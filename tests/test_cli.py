@@ -2,19 +2,20 @@
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_acceptance import comparative_config
 
-from dpga import engine
+from dpga import checks, engine
 from dpga.checks import check_gradients, check_reductions
-from dpga.cli import (CSV_HEADER, SCHEMA, load_config, main, read_metrics_csv,
-                      write_metrics_csv)
+from dpga.cli import (CSV_HEADER, PLOT_X_CHOICES, SCHEMA, load_config, main,
+                      read_metrics_csv, write_metrics_csv)
 from dpga.engine import ALGORITHMS, MetricsRecord
-from dpga.errors import ConfigurationError
+from dpga.errors import ConfigurationError, ContractViolationError, ProtocolError
 from dpga.models import loss_and_gradient
 from dpga.protocol import CORRECTION_SCOPES, apply_correction
 from dpga.ratewalk import GRID, MAX_STEPS
@@ -265,6 +266,20 @@ class TestRunCommand:
         assert f"cannot write {blocker}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("error", [ContractViolationError, ProtocolError])
+    def test_contract_break_exits_3(self, config_file, tmp_path, capsys,
+                                    monkeypatch, error):
+        def run(sim):
+            raise error("injected")
+
+        monkeypatch.setattr(engine.Simulation, "run", run)
+        out = tmp_path / "m.csv"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "contract violation: injected" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_seed_flag_changes_output(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["run", "--config", str(config_file), "--out", str(a)])
@@ -464,6 +479,85 @@ class TestConfigSurface:
                     assert all(math.isfinite(v) for v in cols[name])
 
 
+# Keys every sweep property run starts from: a few milliseconds per value.
+SWEEP_BASE = ["--set", "run.n_clients=2", "--set", "run.rounds=2",
+              "--set", "dataset.per_class=6", "--set", "dataset.test_per_class=2",
+              "--set", "dataset.dim=3"]
+
+
+@st.composite
+def sweeps(draw) -> tuple[str, list[str]]:
+    """An axis (a config key or junk) and 1-3 values for it: valid, out of
+    range, unparsable or colliding."""
+    key = draw(st.sampled_from(sorted(SURFACE)))
+    good, bad = SURFACE[key]
+    axis = draw(st.just(".".join(key))
+                | st.sampled_from(["run.nope", "rounds", "run.", ".rounds"]))
+    value = st.one_of(good.map(_text), bad.map(_text),
+                      st.sampled_from(["?", "a/b", "a-b", " "]))
+    values = draw(st.lists(value, min_size=1, max_size=3))
+    if len(values) > 1 and draw(st.booleans()):
+        values[-1] = values[0]
+    return axis, values
+
+
+_CELLS = st.one_of(st.floats(0.0, 1.0).map(str),       # an accuracy
+                   st.integers(0, 10 ** 6).map(str),   # a round, time or count
+                   st.floats().map(str),               # nan and inf included
+                   st.sampled_from(["", "x", "1e999", "-inf", "nan"]))
+_WIDTH = len(CSV_HEADER.split(","))
+
+
+@st.composite
+def metrics_csvs(draw) -> bytes:
+    """CSV bytes: a good or bad header, full or short rows of numbers,
+    junk and non-finite cells, and now and then a byte that is not UTF-8."""
+    header = draw(st.sampled_from([CSV_HEADER, CSV_HEADER.replace(",p,", ",q,"),
+                                   CSV_HEADER + ",extra"]))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=_WIDTH, max_size=_WIDTH)
+                         | st.lists(_CELLS, max_size=_WIDTH + 1),
+                         min_size=1, max_size=4))
+    blob = "\n".join([header] + [",".join(r) for r in rows]).encode() + b"\n"
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + b"\xff" + blob[at:]
+    return blob
+
+
+class TestSweepAndPlotSurface:
+    @settings(max_examples=40, deadline=None)
+    @given(sweep=sweeps())
+    def test_any_sweep_ends_in_a_documented_exit(self, sweep):
+        axis, values = sweep
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "sw"
+            code = main(["sweep", *SWEEP_BASE, f"--axis={axis}",
+                         f"--values={','.join(values)}", "--out", str(out)])
+            assert code in (0, 2)
+            written = sorted(p.name for p in out.glob("*.csv"))
+            if code == 2:
+                assert written == []
+            else:
+                assert "summary.csv" in written
+
+    @settings(max_examples=80, deadline=None)
+    @given(blob=metrics_csvs(), x=st.sampled_from(PLOT_X_CHOICES))
+    # One evaluated row: both axes are flat.
+    @example(blob=f"{CSV_HEADER}\n3,2.5,100,100,1,0.5,0.75\n".encode(), x="sim_time")
+    @example(blob=f"{CSV_HEADER}\n1,1e17,9,9,1,1,1\n".encode(), x="sim_time")
+    def test_any_csv_ends_in_a_documented_exit(self, blob, x):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, svg = Path(tmp) / "m.csv", Path(tmp) / "p.svg"
+            path.write_bytes(blob)
+            code = main(["plot", str(path), f"--x={x}", "--out", str(svg)])
+            assert code in (0, 2)
+            if code == 0:
+                text = svg.read_text()
+                assert "nan" not in text and "inf" not in text
+            else:
+                assert not svg.exists()
+
+
 class TestCheckCommand:
     def test_clean_build_passes(self, capsys):
         assert main(["check"]) == 0
@@ -494,6 +588,15 @@ class TestCheckCommand:
 
         monkeypatch.setattr(engine, "apply_correction", summed)
         assert not check_reductions().passed
+
+    def test_shards_that_differ_fail(self, monkeypatch):
+        """The identical-shards oracle checks its own premise: at spread 1
+        its config deals every client different examples."""
+        monkeypatch.setattr(checks, "IDENTICAL_SHARDS",
+                            replace(checks.IDENTICAL_SHARDS, spread=1.0))
+        result = check_reductions()
+        assert not result.passed
+        assert "shards of clients [1, 2, 3]" in result.detail
 
 
 class TestPlotCommand:

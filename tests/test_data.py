@@ -153,6 +153,10 @@ class TestPartition:
             PartitionConfig(alpha=1.0, rho=0.0, n_clients=3, seed=0)
         with pytest.raises(ConfigurationError):
             PartitionConfig(alpha=1.0, rho=1.0, n_clients=0, seed=0)
+        # One client present with probability 1e-9 never holds the class.
+        labels = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="presence set for class 0"):
+            partition(labels, 1, PartitionConfig(1.0, 1e-9, 1, seed=0))
 
 
 class TestPartitionStats:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
-                         Simulation, comm_time, objective,
-                         resolve_delay, run_experiment, validate_config)
+                         Simulation, comm_time, objective, resolve_delay,
+                         validate_config)
 from dpga.errors import ConfigurationError
 from dpga.masking import ENTRY_BYTES, HEADER_BYTES
 from dpga.models import evaluate
@@ -168,6 +168,7 @@ class TestConfigValidation:
         dict(algorithm="fedavg", walk_m=10 ** 12),         # even when unused
         dict(dim=10 ** 20),                                # past the u32 index
         dict(num_classes=10 ** 20),
+        dict(per_class=0),
     ])
     def test_rejected_configs(self, kw):
         with pytest.raises(ConfigurationError):
@@ -190,7 +191,7 @@ class TestClockModel:
         """fedavg: every round pays compute plus the full exchange."""
         cfg = _cfg(algorithm="fedavg", latency=0.5, bandwidth=1024.0,
                    t_compute=1.0)
-        records = run_experiment(cfg)
+        records = Simulation(cfg).run()
         per_round = 1.0 + (0.5 + 2 * DENSE / 1024.0)
         for r in records:
             assert r.sim_time == r.round * per_round
@@ -199,21 +200,21 @@ class TestClockModel:
         """dga: rounds cost compute only; one exchange drains at the end."""
         cfg = _cfg(algorithm="dga", delay=1, latency=0.5, bandwidth=1024.0,
                    t_compute=1.0)
-        records = run_experiment(cfg)
+        records = Simulation(cfg).run()
         for r in records[:-1]:
             assert r.sim_time == float(r.round)
         assert records[-1].sim_time == cfg.rounds * 1.0 + (0.5 + 2 * DENSE / 1024.0)
 
     def test_parallel_beats_sequential(self):
-        seq = run_experiment(_cfg(algorithm="fedavg", latency=0.5,
-                                  bandwidth=1024.0))
-        par = run_experiment(_cfg(algorithm="dga", delay=1, latency=0.5,
-                                  bandwidth=1024.0))
+        seq = Simulation(_cfg(algorithm="fedavg", latency=0.5,
+                              bandwidth=1024.0)).run()
+        par = Simulation(_cfg(algorithm="dga", delay=1, latency=0.5,
+                              bandwidth=1024.0)).run()
         assert par[-1].sim_time < seq[-1].sim_time
 
     def test_monotone_time_and_bytes(self):
-        records = run_experiment(_cfg(algorithm="dpga", delay=1,
-                                      bandwidth=1e6, walk_m=2, walk_p0=0.5))
+        records = Simulation(_cfg(algorithm="dpga", delay=1,
+                                  bandwidth=1e6, walk_m=2, walk_p0=0.5)).run()
         for a, b in zip(records, records[1:]):
             assert b.sim_time > a.sim_time
             assert b.up_bytes >= a.up_bytes
@@ -223,7 +224,7 @@ class TestClockModel:
 class TestByteAccounting:
     def test_dense_uplink_per_round(self):
         cfg = _cfg(algorithm="fedavg", bandwidth=1e6)
-        records = run_experiment(cfg)
+        records = Simulation(cfg).run()
         for r in records:
             assert r.up_bytes == r.round * cfg.n_clients * DENSE
             assert r.down_bytes == r.round * cfg.n_clients * DENSE
@@ -244,16 +245,16 @@ class TestByteAccounting:
             np.testing.assert_array_equal(ca.weights, cb.weights)
 
     def test_partial_rate_shrinks_uplink(self):
-        full = run_experiment(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
-                                   walk_m=0, walk_p0=1.0))
-        low = run_experiment(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
-                                  walk_m=0, walk_p0=0.2))
+        full = Simulation(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
+                               walk_m=0, walk_p0=1.0)).run()
+        low = Simulation(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
+                              walk_m=0, walk_p0=0.2)).run()
         assert low[-1].up_bytes < full[-1].up_bytes
 
     def test_static_mask_size_fixed(self):
         cfg = _cfg(algorithm="static-partial", static_fraction=0.4,
                    bandwidth=1e6)
-        records = run_experiment(cfg)
+        records = Simulation(cfg).run()
         k = math.ceil(0.4 * D_MODEL)
         payload = HEADER_BYTES + ENTRY_BYTES * k
         for r in records:
@@ -261,27 +262,27 @@ class TestByteAccounting:
             assert r.p == 0.4
 
     def test_full_support_downlink_at_least_own_shared(self):
-        own = run_experiment(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
-                                  walk_m=2, walk_p0=0.3,
-                                  correction_scope="own-shared"))
-        full = run_experiment(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
-                                   walk_m=2, walk_p0=0.3,
-                                   correction_scope="full-support"))
+        own = Simulation(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
+                              walk_m=2, walk_p0=0.3,
+                              correction_scope="own-shared")).run()
+        full = Simulation(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
+                               walk_m=2, walk_p0=0.3,
+                               correction_scope="full-support")).run()
         assert full[-1].down_bytes >= own[-1].down_bytes
         assert full[-1].up_bytes == own[-1].up_bytes
 
 
 class TestScheduling:
     def test_one_record_per_round(self):
-        records = run_experiment(_cfg(algorithm="dpga", delay=2, bandwidth=1e6))
+        records = Simulation(_cfg(algorithm="dpga", delay=2, bandwidth=1e6)).run()
         assert [r.round for r in records] == list(range(1, 7))
 
     def test_first_round_runs_at_p0(self):
-        records = run_experiment(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
-                                      walk_m=2, walk_p0=0.3))
+        records = Simulation(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
+                                  walk_m=2, walk_p0=0.3)).run()
         assert records[0].p == 0.3
 
-    def test_every_aggregate_is_delivered(self):
+    def test_every_aggregate_lands_once(self):
         sim = Simulation(_cfg(algorithm="dpga", delay=3, bandwidth=1e6))
         sim.run()
         assert len(sim.correction_log) == sim.cfg.rounds
@@ -295,15 +296,15 @@ class TestScheduling:
         assert len(sim.correction_log) == len(records)
 
     def test_eval_cadence(self):
-        records = run_experiment(_cfg(algorithm="fedavg", bandwidth=1e6,
-                                      rounds=7, eval_every=3))
+        records = Simulation(_cfg(algorithm="fedavg", bandwidth=1e6,
+                                  rounds=7, eval_every=3)).run()
         evaluated = [r.round for r in records if r.eval_acc == r.eval_acc]
         assert evaluated == [3, 6, 7]  # cadence plus the final round
 
     def test_per_client_walk_reports_mean_rate(self):
-        records = run_experiment(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
-                                      per_client_walk=True, walk_m=2,
-                                      walk_p0=0.5))
+        records = Simulation(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
+                                  per_client_walk=True, walk_m=2,
+                                  walk_p0=0.5)).run()
         for r in records:
             assert 0.1 <= r.p <= 1.0
         assert records[0].p == 0.5
@@ -312,12 +313,12 @@ class TestScheduling:
 class TestDeterminism:
     def test_same_config_same_records(self):
         cfg = _cfg(algorithm="dpga", delay=2, bandwidth=1e6, batch_size=4)
-        assert run_experiment(cfg) == run_experiment(cfg)
+        assert Simulation(cfg).run() == Simulation(cfg).run()
 
     def test_seed_changes_output(self):
-        a = run_experiment(_cfg(algorithm="dpga", delay=1, bandwidth=1e6))
-        b = run_experiment(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
-                                seed=8))
+        a = Simulation(_cfg(algorithm="dpga", delay=1, bandwidth=1e6)).run()
+        b = Simulation(_cfg(algorithm="dpga", delay=1, bandwidth=1e6,
+                            seed=8)).run()
         assert a != b
 
 

@@ -109,6 +109,11 @@ class TestExtractMerge:
         np.testing.assert_array_equal(msg.indices, [0, 1])
         np.testing.assert_array_equal(msg.values, [3.0, -5.0])
 
+    @pytest.mark.parametrize("shared", [[1, 4], [-1, 2]])
+    def test_rejects_indices_outside_z(self, shared):
+        with pytest.raises(ContractViolationError, match="out of range"):
+            extract_shared(np.zeros(4), np.array(shared), round=0, p=0.5)
+
 
 class TestSparseGradient:
     def test_rejects_unsorted_indices(self):
@@ -122,6 +127,10 @@ class TestSparseGradient:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ContractViolationError):
             SparseGradient(round=0, p=0.5, indices=[1], values=[1.0, 2.0])
+
+    def test_rejects_negative_round(self):
+        with pytest.raises(ContractViolationError, match="round"):
+            SparseGradient(round=-1, p=0.5, indices=[1], values=[1.0])
 
     def test_equality(self):
         a = SparseGradient(round=1, p=0.5, indices=[0, 2], values=[1.0, 2.0])
@@ -173,6 +182,15 @@ class TestWireFormat:
     def test_off_grid_rate_not_encodable(self):
         msg = SparseGradient(round=0, p=0.55, indices=[0], values=[1.0])
         with pytest.raises(ContractViolationError):
+            encode(msg)
+
+    @pytest.mark.parametrize("round_, index, reason", [
+        (0, 2 ** 32, "index exceeds u32"),
+        (2 ** 64, 0, "round exceeds u64"),
+    ])
+    def test_field_past_its_width_not_encodable(self, round_, index, reason):
+        msg = SparseGradient(round=round_, p=0.5, indices=[index], values=[1.0])
+        with pytest.raises(ContractViolationError, match=reason):
             encode(msg)
 
 

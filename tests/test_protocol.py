@@ -304,6 +304,14 @@ class TestApplyCorrection:
         with pytest.raises(ProtocolError):
             apply_correction(client, agg, eta=0.1)
 
+    def test_unknown_scope_rejected(self):
+        client = _client()
+        build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        with pytest.raises(ContractViolationError, match="scope"):
+            apply_correction(client, _agg(1, [0], [1.0], [1]), eta=0.1,
+                             scope="everything")
+        assert len(client.pending) == 1
+
     @pytest.mark.parametrize("d", [SPEC.dim - 1, SPEC.dim + 1])
     def test_wrong_length_rejected(self, d):
         client = _client()
