@@ -19,14 +19,14 @@ import csv
 import errno
 import logging
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import get_type_hints
 
 from .checks import run_all
 from .engine import MetricsRecord, SimConfig, Simulation
-from .errors import (ConfigurationError, ContractViolationError, DecodeError,
-                     ProtocolError)
+from .errors import ConfigurationError, ContractViolationError, DecodeError
 from .plotting import render_plot
 
 log = logging.getLogger("dpga")
@@ -40,16 +40,11 @@ PLOT_X_CHOICES = ("sim_time", "up_bytes", "round")
 
 # ---- config schema ---- #
 
-def _str(text: str) -> str:
-    return text.strip()
-
 def _bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 def _int_or_none(word: str):
     """An int parser that reads `word` as None."""
@@ -64,7 +59,7 @@ def _int_tuple(text: str) -> tuple[int, ...]:
 
 # (section, key) -> (SimConfig field, parser)
 SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
-    ("run", "algorithm"): ("algorithm", _str),
+    ("run", "algorithm"): ("algorithm", str.strip),
     ("run", "n_clients"): ("n_clients", int),
     ("run", "rounds"): ("rounds", int),
     ("run", "local_epochs"): ("local_epochs", int),
@@ -72,9 +67,9 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("run", "batch_size"): ("batch_size", _int_or_none("full")),
     ("run", "eval_every"): ("eval_every", int),
     ("run", "seed"): ("seed", int),
-    ("model", "kind"): ("model_kind", _str),
+    ("model", "kind"): ("model_kind", str.strip),
     ("model", "hidden"): ("hidden_dims", _int_tuple),
-    ("model", "activation"): ("activation", _str),
+    ("model", "activation"): ("activation", str.strip),
     ("dataset", "classes"): ("num_classes", int),
     ("dataset", "dim"): ("dim", int),
     ("dataset", "per_class"): ("per_class", int),
@@ -89,7 +84,7 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("walk", "m"): ("walk_m", int),
     ("walk", "p0"): ("walk_p0", float),
     ("walk", "per_client"): ("per_client_walk", _bool),
-    ("aggregation", "correction_scope"): ("correction_scope", _str),
+    ("aggregation", "correction_scope"): ("correction_scope", str.strip),
     ("static", "fraction"): ("static_fraction", float),
 }
 
@@ -190,13 +185,21 @@ def read_metrics_csv(path: Path) -> dict[str, list[float]]:
 
 # ---- subcommands ---- #
 
+def _check_out(path: Path) -> Path:
+    """Make path's directory and refuse a path that cannot take a file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:  # only a missing file is free to write
+        return path
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return path
+
+
 def cmd_run(args) -> int:
     sim = Simulation(load_config(args.config, args.set, args.seed))
-    out = Path(args.out)
-    # A path that cannot take the CSV fails before the first round.
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if out.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    out = _check_out(Path(args.out))  # a bad path fails before round 1
     records = sim.run()
     write_metrics_csv(records, out)
     last = records[-1]
@@ -222,24 +225,24 @@ def cmd_sweep(args) -> int:
     if len(set(slugs)) != len(slugs):
         raise ConfigurationError(
             f"sweep values {values} would write the same output file twice")
-    # Every value's simulation is built, and so checked, before the first
-    # run writes anything.
+    # Every value's simulation and every output path are checked before
+    # the first run writes anything.
     sims = [Simulation(load_config(args.config,
                                    list(args.set) + [f"{args.axis}={value}"],
                                    args.seed)) for value in values]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run_paths = [_check_out(out_dir / f"{key_slug}_{slug}.csv") for slug in slugs]
+    summary_path = _check_out(out_dir / "summary.csv")
     summary = ["value,final_eval_acc,total_up_bytes,total_down_bytes,final_sim_time"]
-    for value, slug, sim in zip(values, slugs, sims):
+    for value, run_path, sim in zip(values, run_paths, sims):
         records = sim.run()
-        run_path = out_dir / f"{key_slug}_{slug}.csv"
         write_metrics_csv(records, run_path)
         last = records[-1]
         summary.append(f"{value},{_real(last.eval_acc)},{last.up_bytes},"
                        f"{last.down_bytes},{_real(last.sim_time)}")
         log.info("sweep %s=%s -> %s", args.axis, value, run_path)
-    (out_dir / "summary.csv").write_text("\n".join(summary) + "\n")
-    print(out_dir / "summary.csv")
+    summary_path.write_text("\n".join(summary) + "\n")
+    print(summary_path)
     return 0
 
 
@@ -320,7 +323,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # a failed read is a ConfigurationError, so this is a write
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    except (ContractViolationError, ProtocolError) as exc:
+    except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 3
 

@@ -118,17 +118,3 @@ def partition(labels: np.ndarray, num_classes: int,
             shards.append(np.empty(0, dtype=np.int64))
     return shards
 
-
-def partition_stats(shards: list[np.ndarray], labels: np.ndarray,
-                    num_classes: int):
-    """Per-client class histogram and shard sizes.
-
-    Returns:
-        (hist, sizes): hist is (n_clients, num_classes) int counts,
-        sizes the per-client totals.
-    """
-    hist = np.zeros((len(shards), num_classes), dtype=np.int64)
-    for i, idx in enumerate(shards):
-        for c, cnt in zip(*np.unique(labels[idx], return_counts=True)):
-            hist[i, c] = cnt
-    return hist, hist.sum(axis=1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import PartitionConfig, gen_synthetic, partition
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError, ContractViolationError
 from .masking import U32_MAX, payload_bytes, snap_rate
 from .models import Batch, ModelSpec, evaluate, init_params
 from .protocol import (CORRECTION_SCOPES, ClientState, apply_correction,
@@ -277,7 +277,7 @@ class Simulation:
 
         self._weights = None
         if self.scheme.weighted:
-            sizes = np.array([c.n_i for c in self.clients], dtype=np.float64)
+            sizes = np.array([c.shard.size for c in self.clients], dtype=np.float64)
             self._weights = sizes / sizes.sum()
         # A fixed upload has one (wire rate, reported p); Top-K walks.
         self._walks: list[RateState] = []
@@ -293,7 +293,8 @@ class Simulation:
             self._shared = None  # build_upload picks Top-K by |z|
             seeds = ([[cfg.seed, _SEED_WALK, i] for i in range(cfg.n_clients)]
                      if cfg.per_client_walk else [[cfg.seed, _SEED_WALK]])
-            self._walks = [RateState.from_seed(cfg.walk_p0, cfg.walk_m, seed)
+            self._walks = [RateState(cfg.walk_p0, cfg.walk_m,
+                                     np.random.default_rng(seed))
                            for seed in seeds]
 
         self.correction_log: list[tuple[int, float]] = []  # (round, max |g - z|)
@@ -372,5 +373,5 @@ class Simulation:
                 p=p_used, train_loss=train_loss, eval_acc=acc))
 
         if any(c.pending for c in self.clients):
-            raise ProtocolError("run ended with undelivered aggregates")
+            raise ContractViolationError("run ended with undelivered aggregates")
         return records

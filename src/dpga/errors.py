@@ -1,7 +1,7 @@
-"""Exception types shared across the simulator.
+"""Exception types shared across the simulator, each with one CLI exit code.
 
-The CLI maps these onto exit codes: configuration problems exit with 2,
-runtime contract violations with 3.
+ConfigurationError and DecodeError exit with 2 (bad configuration or
+input); ContractViolationError exits with 3 (a broken runtime contract).
 """
 
 from __future__ import annotations
@@ -12,11 +12,8 @@ class ConfigurationError(ValueError):
 
 
 class ContractViolationError(ValueError):
-    """An operation was called with arguments that break its contract."""
-
-
-class ProtocolError(RuntimeError):
-    """Client/server bookkeeping got out of sync (queue overflow, round mismatch)."""
+    """Arguments that break an operation's contract, or client/server
+    bookkeeping out of sync (queue overflow, round mismatch)."""
 
 
 class DecodeError(ValueError):

@@ -93,8 +93,6 @@ def topk_shared_indices(z: np.ndarray, p: float) -> np.ndarray:
         raise ContractViolationError("z must be finite")
     d = z.shape[0]
     k = shared_count(p, d)
-    if k == d:
-        return np.arange(d)
     mag = np.abs(z)
     t = np.partition(mag, d - k)[d - k]
     keep = mag >= t

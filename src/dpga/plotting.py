@@ -14,8 +14,6 @@ PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd",
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, ProtocolError
+from .errors import ContractViolationError
 from .masking import SparseGradient, extract_shared, shared_count, topk_shared_indices
 from .models import Batch, ModelSpec, loss_and_gradient
 
@@ -91,10 +91,6 @@ class ClientState:
         if self.anchor is None:
             self.anchor = self.weights.copy()
 
-    @property
-    def n_i(self) -> int:
-        return self.shard.size
-
 
 @dataclass(eq=False)
 class GlobalAggregate:
@@ -159,7 +155,7 @@ def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
     client, and the pending queue may not outgrow the configured delay.
     """
     if round <= client.last_round:
-        raise ProtocolError(
+        raise ContractViolationError(
             f"client {client.id}: round {round} not after {client.last_round}")
     if shared is None:
         shared = topk_shared_indices(z, p)
@@ -167,7 +163,7 @@ def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
     client.pending.append(PendingRound(round=round, shared=msg.indices, z_full=z.copy()))
     client.last_round = round
     if len(client.pending) > client.max_pending:
-        raise ProtocolError(
+        raise ContractViolationError(
             f"client {client.id}: pending queue exceeded {client.max_pending}")
     return msg
 
@@ -233,10 +229,10 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
     if scope not in CORRECTION_SCOPES:
         raise ContractViolationError(f"unknown correction scope {scope!r}")
     if not client.pending:
-        raise ProtocolError(f"client {client.id}: no pending round for correction")
+        raise ContractViolationError(f"client {client.id}: no pending round for correction")
     pend = client.pending[0]
     if pend.round != agg.round:
-        raise ProtocolError(
+        raise ContractViolationError(
             f"client {client.id}: aggregate round {agg.round} != pending {pend.round}")
     merged = pend.z_full.copy()
     if not agg.values.shape == agg.counts.shape == merged.shape:

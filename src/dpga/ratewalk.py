@@ -77,10 +77,6 @@ class RateState:
         state_index(self.p)
         self._rows = m_step_matrix(self.m)
 
-    @classmethod
-    def from_seed(cls, p0: float, m: int, seed) -> "RateState":
-        return cls(p=p0, m=m, rng=np.random.default_rng(seed))
-
     def sample(self) -> float:
         """Advance the walk by one m-step draw and return the new rate."""
         if self.m == 0:

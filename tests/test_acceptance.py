@@ -31,7 +31,7 @@ import numpy as np
 from dpga.checks import (check_codec, check_gradients, check_identical_shards,
                          check_synchronized, check_walk)
 from dpga.cli import write_metrics_csv
-from dpga.data import PartitionConfig, gen_synthetic, partition, partition_stats
+from dpga.data import PartitionConfig, gen_synthetic, partition
 from dpga.engine import SimConfig, Simulation, comm_time
 from dpga.masking import HEADER_BYTES, shared_count, topk_shared_indices
 from dpga.ratewalk import GRID
@@ -250,22 +250,20 @@ def test_partition_contracts():
         alpha=1.0, rho=0.4, n_clients=6, seed=5)), 120)
 
     labels = gen_synthetic(6, 4, 25, 1.0, seed=1).labels
-    hist, _ = partition_stats(
-        partition(labels, 6, PartitionConfig(alpha=0.5, rho=0.3, n_clients=8,
-                                             seed=3)), labels, 6)
+    hist = np.array([np.bincount(labels[s], minlength=6) for s in partition(
+        labels, 6, PartitionConfig(alpha=0.5, rho=0.3, n_clients=8, seed=3))])
     coverage_ok = (np.all(hist.sum(axis=0) == 25)
                    and np.all((hist > 0).any(axis=0)))
 
     labels = gen_synthetic(10, 4, 100, 1.0, seed=7).labels
-    hist, _ = partition_stats(
-        partition(labels, 10, PartitionConfig(alpha=1e6, rho=1.0, n_clients=10,
-                                              seed=21)), labels, 10)
+    hist = np.array([np.bincount(labels[s], minlength=10) for s in partition(
+        labels, 10, PartitionConfig(alpha=1e6, rho=1.0, n_clients=10, seed=21))])
     share = hist / 100.0
     even_ok = bool(np.all(share >= 0.8 / 10) and np.all(share <= 1.2 / 10))
 
-    hist, sizes = partition_stats(
-        partition(labels, 10, PartitionConfig(alpha=0.1, rho=1.0, n_clients=10,
-                                              seed=21)), labels, 10)
+    hist = np.array([np.bincount(labels[s], minlength=10) for s in partition(
+        labels, 10, PartitionConfig(alpha=0.1, rho=1.0, n_clients=10, seed=21))])
+    sizes = hist.sum(axis=1)
     top = hist.max(axis=1)[sizes > 0] / sizes[sizes > 0]
     skew_ok = float(top.max()) > 0.5
 

@@ -1,6 +1,8 @@
 """CLI surface: config loading, run/sweep/check/plot, exit codes, CSV io."""
 
+import glob
 import math
+import shlex
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -15,10 +17,12 @@ from dpga.checks import check_gradients, check_reductions
 from dpga.cli import (CSV_HEADER, PLOT_X_CHOICES, SCHEMA, load_config, main,
                       read_metrics_csv, write_metrics_csv)
 from dpga.engine import ALGORITHMS, MetricsRecord
-from dpga.errors import ConfigurationError, ContractViolationError, ProtocolError
+from dpga.errors import ConfigurationError, ContractViolationError
+from dpga.masking import decode, encode, topk_shared_indices
 from dpga.models import loss_and_gradient
-from dpga.protocol import CORRECTION_SCOPES, apply_correction
-from dpga.ratewalk import GRID, MAX_STEPS
+from dpga.protocol import (CORRECTION_SCOPES, GlobalAggregate, apply_correction,
+                           server_aggregate)
+from dpga.ratewalk import GRID, MAX_STEPS, one_step_matrix, state_index
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -266,7 +270,23 @@ class TestRunCommand:
         assert f"cannot write {blocker}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("error", [ContractViolationError, ProtocolError])
+    @pytest.mark.parametrize("ini, sets, reason", [
+        ("[run\nrounds = 3\n", [], "cannot parse config"),
+        (BASE_INI, ["walk.per_client=maybe"], "not a boolean: 'maybe'"),
+    ], ids=["unparsable-ini", "not-a-boolean"])
+    def test_bad_config_text_exits_2(self, tmp_path, capsys, ini, sets, reason):
+        path, out = tmp_path / "exp.ini", tmp_path / "x.csv"
+        path.write_text(ini)
+        code = main(["run", "--config", str(path),
+                     *(arg for s in sets for arg in ("--set", s)),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [ContractViolationError])
     def test_contract_break_exits_3(self, config_file, tmp_path, capsys,
                                     monkeypatch, error):
         def run(sim):
@@ -390,6 +410,19 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert f"cannot write {out}" in err
         assert "Traceback" not in err
+
+    def test_unwritable_name_exits_2_before_any_run(self, tmp_path, capsys,
+                                                    no_run):
+        # The second value's file name is longer than file systems allow.
+        out, long = tmp_path / "sw", "0" * 300 + "2"
+        code = main(["sweep", "--set", "run.n_clients=2", "--set", "run.rounds=2",
+                     "--set", "dataset.per_class=6", "--axis", "run.seed",
+                     "--values", f"1,{long}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out / f'run_seed_{long}.csv'}: " in err
+        assert "Traceback" not in err
+        assert list(out.glob("*.csv")) == []
 
     def test_bad_axis_exit_2(self, config_file, tmp_path):
         assert main(["sweep", "--config", str(config_file),
@@ -558,6 +591,38 @@ class TestSweepAndPlotSurface:
                 assert not svg.exists()
 
 
+# Faults that an oracle suite must catch, each patched over its name in
+# dpga.checks, with the failure detail the suite reports.
+def _encode_extra_byte(msg):
+    return encode(msg) + b"\0"
+
+
+def _decode_flipped_bit(blob):
+    msg = decode(blob)
+    msg.values.view(np.int64)[0] ^= 1
+    return msg
+
+
+def _topk_ties_high(z, p):
+    """Top-K with magnitude ties resolved toward the higher index."""
+    return (z.shape[0] - 1 - topk_shared_indices(z[::-1], p))[::-1]
+
+
+def _aggregate_over_messages(messages, d, weights=None):
+    """Each coordinate's sum divided by the message count, not its own."""
+    agg = server_aggregate(messages, d, weights)
+    return GlobalAggregate(agg.round, agg.values * agg.counts / len(messages),
+                           agg.counts)
+
+
+def _walk_without_hold(p, m):
+    """The m-step law with the boundary's held half-step dropped."""
+    one = one_step_matrix()
+    np.fill_diagonal(one, 0.0)
+    row = np.linalg.matrix_power(one, m)[state_index(p)]
+    return dict(zip(GRID.tolist(), row.tolist()))
+
+
 class TestCheckCommand:
     def test_clean_build_passes(self, capsys):
         assert main(["check"]) == 0
@@ -576,6 +641,23 @@ class TestCheckCommand:
             lambda: check_gradients(cases=5, grad_fn=broken)])
         assert code == 1
         assert "finite-diff: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, fault, suite, detail", [
+        ("encode", _encode_extra_byte, checks.check_codec, "not 17 + 12k"),
+        ("decode", _decode_flipped_bit, checks.check_codec, "!= msg"),
+        ("topk_shared_indices", _topk_ties_high, checks.check_exchange,
+         "Top-K differs"),
+        ("server_aggregate", _aggregate_over_messages, checks.check_exchange,
+         "aggregate differs"),
+        ("transition_distribution", _walk_without_hold, checks.check_walk,
+         "max_abs_err"),
+    ], ids=["encode-extra-byte", "decode-flipped-bit", "topk-ties-high",
+            "aggregate-over-messages", "walk-without-hold"])
+    def test_injected_fault_fails(self, monkeypatch, name, fault, suite, detail):
+        monkeypatch.setattr(checks, name, fault)
+        result = suite()
+        assert not result.passed
+        assert detail in result.detail
 
     def test_summed_replay_fails(self, monkeypatch):
         """A correction that replays the later rounds as one summed step
@@ -644,6 +726,19 @@ class TestPlotCommand:
         assert "cannot read metrics CSV" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("row, reason", [
+        ("1,1,10,10,1,0.5,inf", "non-finite"),
+        ("1,1e308,10,10,1,0.5,0.5", "axis span overflows"),
+    ], ids=["non-finite", "span-overflows"])
+    def test_unplottable_values_exit_2(self, tmp_path, capsys, row, reason):
+        path, svg = tmp_path / "m.csv", tmp_path / "p.svg"
+        path.write_text(f"{CSV_HEADER}\n{row}\n")
+        assert main(["plot", str(path), "--out", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "Traceback" not in err
+        assert not svg.exists()
+
     def test_out_is_directory_exits_2(self, config_file, tmp_path, capsys):
         csv_path = tmp_path / "m.csv"
         main(["run", "--config", str(config_file), "--out", str(csv_path)])
@@ -660,3 +755,21 @@ class TestPlotCommand:
         assert code == 2
         assert "no evaluated rows" in capsys.readouterr().err
         assert not (tmp_path / "p.svg").exists()
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    """Each dpga command of the README quick start but `check` (which
+    TestCheckCommand runs) exits 0 and writes the file it names."""
+    block = (README.read_text().split("## Quick start", 1)[1]
+             .split("```sh\n", 1)[1].split("```", 1)[0])
+    commands = [shlex.split(line) for line in
+                block.replace("\\\n", " ").splitlines() if line.startswith("dpga ")]
+    assert [argv[1] for argv in commands] == ["run", "sweep", "plot", "check"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DPGA_SEED", raising=False)
+    for argv in commands[:-1]:
+        argv = [found for arg in argv[1:]
+                for found in (sorted(glob.glob(arg)) if "*" in arg else [arg])]
+        assert main(argv) == 0
+        out = Path(argv[argv.index("--out") + 1])
+        assert (out / "summary.csv" if argv[0] == "sweep" else out).is_file()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpga.data import (CLASS_SEPARATION, PartitionConfig, _largest_remainder,
-                       gen_synthetic, partition, partition_stats)
+                       gen_synthetic, partition)
 from dpga.errors import ConfigurationError
 from dpga.models import ModelSpec, evaluate, loss_and_gradient
 
@@ -107,7 +107,7 @@ class TestPartition:
         ds = gen_synthetic(6, 4, 25, 1.0, seed=1)
         shards = partition(ds.labels, 6, PartitionConfig(alpha=0.5, rho=0.3,
                                                          n_clients=8, seed=3))
-        hist, _ = partition_stats(shards, ds.labels, 6)
+        hist = np.array([np.bincount(ds.labels[s], minlength=6) for s in shards])
         assert np.all(hist.sum(axis=0) == 25)
         assert np.all((hist > 0).any(axis=0))
 
@@ -117,7 +117,7 @@ class TestPartition:
         ds = gen_synthetic(10, 4, 100, 1.0, seed=7)
         shards = partition(ds.labels, 10, PartitionConfig(alpha=1e6, rho=1.0,
                                                           n_clients=10, seed=21))
-        hist, _ = partition_stats(shards, ds.labels, 10)
+        hist = np.array([np.bincount(ds.labels[s], minlength=10) for s in shards])
         share = hist / 100.0
         assert np.all(share >= 0.8 / 10)
         assert np.all(share <= 1.2 / 10)
@@ -128,7 +128,8 @@ class TestPartition:
         ds = gen_synthetic(10, 4, 100, 1.0, seed=7)
         shards = partition(ds.labels, 10, PartitionConfig(alpha=0.1, rho=1.0,
                                                           n_clients=10, seed=21))
-        hist, sizes = partition_stats(shards, ds.labels, 10)
+        hist = np.array([np.bincount(ds.labels[s], minlength=10) for s in shards])
+        sizes = hist.sum(axis=1)
         top_share = hist.max(axis=1)[sizes > 0] / sizes[sizes > 0]
         assert top_share.max() > 0.5
 
@@ -163,7 +164,8 @@ class TestPartitionStats:
     def test_counts_are_exact(self):
         ds = gen_synthetic(4, 3, 30, 1.0, seed=5)
         shards = partition(ds.labels, 4, PartitionConfig(1.0, 1.0, 6, seed=9))
-        hist, sizes = partition_stats(shards, ds.labels, 4)
+        hist = np.array([np.bincount(ds.labels[s], minlength=4) for s in shards])
+        sizes = hist.sum(axis=1)
         assert hist.shape == (6, 4)
         np.testing.assert_array_equal(hist.sum(axis=1), sizes)
         assert sizes.sum() == ds.size

@@ -326,8 +326,8 @@ class TestObjective:
     def test_matches_manual_weighted_mean(self):
         sim = Simulation(_cfg(algorithm="fedavg", bandwidth=1e6))
         wbar = pairwise_mean(np.stack([c.weights for c in sim.clients]))
-        total = sum(c.n_i for c in sim.clients)
-        want = sum((c.n_i / total) * evaluate(wbar, c.shard, sim.spec)[0]
+        total = sum(c.shard.size for c in sim.clients)
+        want = sum((c.shard.size / total) * evaluate(wbar, c.shard, sim.spec)[0]
                    for c in sim.clients)
         got = objective(wbar, sim.train, sim.spec)
         assert got == pytest.approx(want, rel=1e-15)

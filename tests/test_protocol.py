@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpga.errors import ContractViolationError, ProtocolError
+from dpga.errors import ContractViolationError
 from dpga.masking import SparseGradient, topk_shared_indices
 from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
 from dpga.protocol import (ClientState, GlobalAggregate, apply_correction,
@@ -144,7 +144,7 @@ class TestBuildUpload:
         client = _client()
         z = np.ones(SPEC.dim)
         build_upload(client, z, 1.0, round=1)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ContractViolationError):
             build_upload(client, z, 1.0, round=1)
 
     def test_queue_overflow(self):
@@ -152,7 +152,7 @@ class TestBuildUpload:
         z = np.ones(SPEC.dim)
         build_upload(client, z, 1.0, round=1)
         build_upload(client, z, 1.0, round=2)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ContractViolationError):
             build_upload(client, z, 1.0, round=3)
 
 
@@ -295,13 +295,13 @@ class TestApplyCorrection:
         client = _client()
         build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
         agg = _agg(2, [0], [1.0], [1])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ContractViolationError):
             apply_correction(client, agg, eta=0.1)
 
     def test_no_pending_rejected(self):
         client = _client()
         agg = _agg(1, [0], [1.0], [1])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ContractViolationError):
             apply_correction(client, agg, eta=0.1)
 
     def test_unknown_scope_rejected(self):

@@ -86,7 +86,7 @@ class TestTransitionDistribution:
     def test_step_count_capped_where_rows_stay_stochastic(self):
         with pytest.raises(ConfigurationError):
             m_step_matrix(MAX_STEPS + 1)
-        state = RateState.from_seed(0.5, MAX_STEPS, seed=2)
+        state = RateState(0.5, MAX_STEPS, np.random.default_rng(2))
         for _ in range(50):
             assert state.sample() in GRID
 
@@ -108,19 +108,19 @@ class TestTransitionDistribution:
 
 class TestSampling:
     def test_zero_steps_keeps_rate_and_rng(self):
-        state = RateState.from_seed(0.6, 0, seed=5)
+        state = RateState(0.6, 0, np.random.default_rng(5))
         before = state.rng.bit_generator.state
         assert state.sample() == 0.6
         assert state.sample() == 0.6
         assert state.rng.bit_generator.state == before
 
     def test_same_seed_same_sequence(self):
-        a = RateState.from_seed(0.5, 2, seed=11)
-        b = RateState.from_seed(0.5, 2, seed=11)
+        a = RateState(0.5, 2, np.random.default_rng(11))
+        b = RateState(0.5, 2, np.random.default_rng(11))
         assert [a.sample() for _ in range(50)] == [b.sample() for _ in range(50)]
 
     def test_stays_on_grid(self):
-        state = RateState.from_seed(0.5, 3, seed=1)
+        state = RateState(0.5, 3, np.random.default_rng(1))
         for _ in range(200):
             p = state.sample()
             assert round(p * 10) == pytest.approx(p * 10, abs=1e-12)
@@ -130,7 +130,7 @@ class TestSampling:
         """10^5 draws from (p=0.5, m=2) against {0.25, 0.5, 0.25} within
         three binomial standard deviations."""
         n = 100_000
-        state = RateState.from_seed(0.5, 2, seed=1234)
+        state = RateState(0.5, 2, np.random.default_rng(1234))
         counts = {0.3: 0, 0.5: 0, 0.7: 0}
         for _ in range(n):
             state.p = 0.5  # resample from the same start every time
