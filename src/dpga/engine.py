@@ -257,8 +257,8 @@ class Simulation:
                              _derived_seed(cfg.seed, _SEED_DATA))
         rows = np.arange(full.size).reshape(cfg.num_classes, -1)
         train, test = rows[:, :cfg.per_class].ravel(), rows[:, cfg.per_class:].ravel()
-        self.train = Batch(full.features[train], full.labels[train])
-        self.test = Batch(full.features[test], full.labels[test])
+        self.train = full.rows(train)
+        self.test = full.rows(test)
         shards = partition(self.train.labels, cfg.num_classes, PartitionConfig(
             alpha=cfg.alpha, rho=cfg.rho, n_clients=cfg.n_clients,
             seed=_derived_seed(cfg.seed, _SEED_PART)))
@@ -270,7 +270,7 @@ class Simulation:
         w0 = init_params(self.spec, _derived_seed(cfg.seed, _SEED_INIT))
         self.clients = [
             ClientState(id=i, weights=w0.copy(),
-                        shard=Batch(self.train.features[idx], self.train.labels[idx]),
+                        shard=self.train.rows(idx),
                         spec=self.spec, max_pending=self.delay + 1)
             for i, idx in enumerate(shards)
         ]

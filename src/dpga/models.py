@@ -5,11 +5,17 @@ masking, and averaging layers can treat parameters and gradients as plain
 coordinate vectors. Two architectures are supported: multinomial logistic
 regression and a fully connected MLP (relu or tanh hidden units). Losses
 are mean softmax cross-entropy; gradients are exact, not autodiff.
+
+A `Batch` is checked once, at construction, and is read-only after that,
+so each call only checks what depends on the spec: the parameter length,
+the feature dim and the batch's recorded label bound. `Batch.rows` is the
+trusted subset: rows of a checked batch need no second check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,16 +60,38 @@ class ModelSpec:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, self.num_classes)
 
-    @property
+    @cached_property
+    def layout(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """(weight start, bias start, bias end, fan_in, fan_out) per layer."""
+        dims = self.layer_dims
+        off, out = 0, []
+        for a, b in zip(dims[:-1], dims[1:]):
+            out.append((off, off + a * b, off + a * b + b, a, b))
+            off += a * b + b
+        return tuple(out)
+
+    @cached_property
     def dim(self) -> int:
         """Total number of parameters."""
-        dims = self.layer_dims
-        return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+        return self.layout[-1][2]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
 class Batch:
-    """A block of examples: float64 features, integer class labels."""
+    """A block of examples: float64 features, integer class labels.
+
+    The examples are checked once, here: a 2-d finite feature block and
+    one non-negative label per row. The stored arrays are read-only views,
+    so no write through the batch can invalidate that check. `rows` is the
+    trusted subset: it takes rows of this batch without checking them
+    again.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -71,8 +99,8 @@ class Batch:
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
         labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "features", _frozen(feats))
+        object.__setattr__(self, "labels", _frozen(labels))
         if feats.ndim != 2:
             raise ContractViolationError("features must be a 2-d array")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
@@ -88,19 +116,31 @@ class Batch:
     def size(self) -> int:
         return self.features.shape[0]
 
+    @cached_property
+    def label_bound(self) -> int:
+        """One more than the largest label: the fewest classes a spec needs."""
+        return int(np.maximum.reduce(self.labels)) + 1
+
+    def rows(self, take: np.ndarray) -> Batch:
+        """The examples at `take`, without a second check.
+
+        Rows of a checked batch are valid, so the sub-batch only takes
+        copies of them and keeps this batch's label bound; it must still
+        hold at least one example.
+        """
+        sub = object.__new__(Batch)
+        object.__setattr__(sub, "features", _frozen(self.features[take]))
+        object.__setattr__(sub, "labels", _frozen(self.labels[take]))
+        if sub.size < 1:
+            raise ContractViolationError("batch must contain at least one example")
+        sub.__dict__["label_bound"] = self.label_bound
+        return sub
+
 
 def _layer_views(params: np.ndarray, spec: ModelSpec):
-    """Yield (W, b) views into the flat vector, layer by layer."""
-    dims = spec.layer_dims
-    off = 0
-    out = []
-    for a, b in zip(dims[:-1], dims[1:]):
-        w = params[off:off + a * b].reshape(a, b)
-        off += a * b
-        bias = params[off:off + b]
-        off += b
-        out.append((w, bias))
-    return out
+    """(W, b) views into the flat vector, layer by layer."""
+    return [(params[w0:b0].reshape(a, b), params[b0:b1])
+            for w0, b0, b1, a, b in spec.layout]
 
 
 def _check_args(params: np.ndarray, batch: Batch, spec: ModelSpec) -> np.ndarray:
@@ -111,7 +151,7 @@ def _check_args(params: np.ndarray, batch: Batch, spec: ModelSpec) -> np.ndarray
     if batch.features.shape[1] != spec.input_dim:
         raise ContractViolationError(
             f"batch feature dim {batch.features.shape[1]} != spec input_dim {spec.input_dim}")
-    if np.any(batch.labels >= spec.num_classes):
+    if batch.label_bound > spec.num_classes:
         raise ContractViolationError("label out of range for spec.num_classes")
     return params
 
@@ -138,16 +178,21 @@ def _forward(params: np.ndarray, batch: Batch, spec: ModelSpec):
     cross-entropy.
     """
     layers = _layer_views(params, spec)
+    relu = spec.activation == "relu"
     acts = [batch.features]
     for w, bias in layers[:-1]:
-        z = acts[-1] @ w + bias
-        acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z))
+        z = np.matmul(acts[-1], w)
+        z += bias
+        acts.append(np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z))
     w, bias = layers[-1]
-    logits = acts[-1] @ w + bias
+    logits = np.matmul(acts[-1], w)
+    logits += bias
     # Max-subtracted log-sum-exp keeps this finite for any logit scale.
-    shift = logits - logits.max(axis=1, keepdims=True)
-    logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    loss = float(-logp[np.arange(batch.size), batch.labels].mean())
+    logp = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    norm = np.add.reduce(np.exp(logp), axis=1, keepdims=True)
+    logp -= np.log(norm, out=norm)
+    n = batch.size
+    loss = float(-(np.add.reduce(logp[np.arange(n), batch.labels]) / n))
     return layers, acts, logits, logp, loss
 
 
@@ -167,13 +212,17 @@ def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
     # Backpropagate, writing each layer's gradient into its views of grad.
     grad = np.empty(spec.dim)
     for li, (gw, gb) in reversed(list(enumerate(_layer_views(grad, spec)))):
-        gw[...] = acts[li].T @ delta
-        gb[...] = delta.sum(axis=0)
+        np.matmul(acts[li].T, delta, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
         if li > 0:
-            delta = delta @ layers[li][0].T
+            delta = np.matmul(delta, layers[li][0].T)
             a = acts[li]  # f(z) of the hidden layer below; f'(z) follows from it
-            delta = delta * ((a > 0.0) if spec.activation == "relu" else (1.0 - a * a))
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+            if spec.activation == "relu":
+                delta *= a > 0.0
+            else:
+                da = np.multiply(a, a)
+                delta *= np.subtract(1.0, da, out=da)
+    if not np.isfinite(loss) or not np.isfinite(grad).all():
         raise ContractViolationError("loss/gradient overflowed to non-finite values")
     return loss, grad
 

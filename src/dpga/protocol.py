@@ -138,7 +138,7 @@ def local_round(client: ClientState, epochs: int, eta: float,
         batch = client.shard
         if sampled:
             take = rng.choice(n, size=batch_size, replace=False)
-            batch = Batch(client.shard.features[take], client.shard.labels[take])
+            batch = client.shard.rows(take)
         _, g = loss_and_gradient(w, batch, client.spec)
         z += g
         w = w0 - eta * z

@@ -1,0 +1,95 @@
+"""Pinned CSV bytes: 20-round copies of the 7 benchmark simulations at
+seed 11 must write exactly the bytes whose sha256 is in
+golden/csv_sha256.json.
+
+The configs are written out here rather than imported from bench/, so the
+pin holds whatever the benchmark does. A change that moves any CSV byte on
+purpose rewrites the pin with
+
+    PYTHONPATH=src python tests/test_csv_bytes.py
+
+and says so in CHANGES.md. The pins hold for the numpy and BLAS build they
+were written with: a BLAS whose matmul kernel rounds differently would
+need its own pin.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from dpga.cli import write_metrics_csv
+from dpga.engine import SimConfig, Simulation
+
+GOLDEN = Path(__file__).parent / "golden" / "csv_sha256.json"
+ROUNDS = 20
+SEED = 11
+
+
+def comparative(algorithm: str) -> SimConfig:
+    return SimConfig(
+        algorithm=algorithm,
+        n_clients=20, rounds=ROUNDS, local_epochs=1, eta=0.3, batch_size=None,
+        delay=(4 if algorithm in ("dga", "dpga") else 0),
+        bandwidth=5000.0, latency=3.0, t_compute=1.5,
+        walk_p0=0.1, walk_m=1, static_fraction=0.25,
+        eval_every=1, seed=SEED,
+        num_classes=10, dim=20, per_class=200, test_per_class=50,
+        spread=1.0, alpha=1.0, rho=1.0,
+    )
+
+
+def exchange_heavy(algorithm: str) -> SimConfig:
+    return SimConfig(
+        algorithm=algorithm,
+        n_clients=32, rounds=ROUNDS, local_epochs=1, eta=0.2, batch_size=None,
+        delay=8, bandwidth=50000.0, latency=1.0, t_compute=1.5,
+        walk_p0=0.3, walk_m=2, per_client_walk=True,
+        correction_scope="full-support",
+        eval_every=50, seed=SEED,
+        model_kind="mlp", hidden_dims=(64, 64), activation="relu",
+        num_classes=10, dim=20, per_class=40, test_per_class=100,
+        spread=1.0, alpha=3.0, rho=1.0,
+    )
+
+
+def minibatch(algorithm: str) -> SimConfig:
+    return SimConfig(
+        algorithm=algorithm,
+        n_clients=10, rounds=ROUNDS, local_epochs=5, eta=0.1, batch_size=32,
+        delay=(2 if algorithm == "dga" else 0),
+        bandwidth=100000.0, latency=0.5, t_compute=1.0,
+        eval_every=25, seed=SEED,
+        model_kind="mlp", hidden_dims=(32,), activation="tanh",
+        num_classes=10, dim=20, per_class=400, test_per_class=50,
+        spread=1.0, alpha=1.0, rho=1.0,
+    )
+
+
+CASES = {
+    **{f"comparative/{a}": (comparative, a)
+       for a in ("fedavg", "dga", "dpga", "static-partial")},
+    "exchange-heavy/dpga": (exchange_heavy, "dpga"),
+    **{f"minibatch/{a}": (minibatch, a) for a in ("fedavg", "dga")},
+}
+
+
+def csv_sha256(name: str, tmp_dir: Path) -> str:
+    make, algorithm = CASES[name]
+    path = tmp_dir / "run.csv"
+    write_metrics_csv(Simulation(make(algorithm)).run(), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_csv_bytes_are_pinned(name, tmp_path):
+    assert csv_sha256(name, tmp_path) == json.loads(GOLDEN.read_text())[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = {name: csv_sha256(name, Path(tmp)) for name in CASES}
+    GOLDEN.write_text(json.dumps(pins, indent=1) + "\n")

@@ -1,7 +1,10 @@
 """Synthetic data generation and the (alpha, rho) shard partitioner."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dpga.data import (CLASS_SEPARATION, PartitionConfig, _largest_remainder,
                        gen_synthetic, partition)
@@ -165,10 +168,24 @@ class TestPartitionStats:
         ds = gen_synthetic(4, 3, 30, 1.0, seed=5)
         shards = partition(ds.labels, 4, PartitionConfig(1.0, 1.0, 6, seed=9))
         hist = np.array([np.bincount(ds.labels[s], minlength=4) for s in shards])
-        sizes = hist.sum(axis=1)
-        assert hist.shape == (6, 4)
-        np.testing.assert_array_equal(hist.sum(axis=1), sizes)
-        assert sizes.sum() == ds.size
-        for i, idx in enumerate(shards):
-            for c in range(4):
-                assert hist[i, c] == int(np.sum(ds.labels[idx] == c))
+        assert hist.sum() == ds.size
+        # Replay the partitioner's draws: at rho = 1 every client is
+        # present, so each class takes one random(6) and one dirichlet.
+        # Round them by an independent largest-remainder rule.
+        rng = np.random.default_rng(9)
+        for c in range(4):
+            rng.random(6)
+            exact = [float(p) * 30 for p in rng.dirichlet(np.ones(6))]
+            counts = [math.floor(e) for e in exact]
+            by_remainder = sorted(range(6), key=lambda k: (-(exact[k] - counts[k]), k))
+            for k in by_remainder[:30 - sum(counts)]:
+                counts[k] += 1
+            assert hist[:, c].tolist() == counts
+
+    @given(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=40),
+           st.integers(0, 10_000), st.integers(0, 2**32 - 1))
+    def test_largest_remainder_sums_and_stays_within_one(self, alpha, total, seed):
+        props = np.random.default_rng(seed).dirichlet(alpha)
+        counts = _largest_remainder(props, total)
+        assert counts.sum() == total
+        assert np.all(np.abs(counts - props * total) < 1.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dpga.errors import ConfigurationError, ContractViolationError
 from dpga.models import (Batch, ModelSpec, evaluate, finite_diff_check,
@@ -47,6 +48,38 @@ class TestBatch:
         assert b.features.dtype == np.float64
         assert b.labels.dtype == np.int64
         assert b.size == 1
+
+    def test_arrays_are_read_only(self):
+        feats, labels = np.zeros((3, 2)), np.zeros(3, dtype=np.int64)
+        b = Batch(feats, labels)
+        with pytest.raises(ValueError):
+            b.labels[0] = 5
+        with pytest.raises(ValueError):
+            b.features[0, 0] = np.inf
+        # The caller's own arrays stay writable.
+        labels[0] = 1
+        feats[0, 0] = 2.0
+
+    def test_rows_equal_a_fresh_batch(self):
+        rng = np.random.default_rng(4)
+        shard = Batch(rng.standard_normal((40, 5)), rng.integers(0, 7, 40))
+        take = rng.choice(40, size=9, replace=False)
+        sub = shard.rows(take)
+        fresh = Batch(shard.features[take], shard.labels[take])
+        for name in ("features", "labels"):
+            got, want = getattr(sub, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.c_contiguous and not got.flags.writeable
+        with pytest.raises(ValueError):
+            sub.labels[0] = 99
+        # The sub-batch keeps the parent's bound, never a smaller one.
+        assert sub.label_bound == shard.label_bound >= fresh.label_bound
+
+    def test_rows_need_an_example(self):
+        shard = Batch(np.zeros((3, 2)), [0, 1, 0])
+        with pytest.raises(ContractViolationError):
+            shard.rows(np.array([], dtype=np.int64))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ContractViolationError):
@@ -130,10 +163,128 @@ class TestLossAndGradient:
         with pytest.raises(ContractViolationError):
             loss_and_gradient(np.zeros(spec.dim), Batch([[1.0, 0.0]], [2]), spec)
 
+    def test_label_out_of_range_rejected_through_rows(self):
+        spec = _logistic(2, 2)
+        shard = Batch([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 2, 1])
+        for take in ([1], [0, 1, 2]):
+            with pytest.raises(ContractViolationError):
+                loss_and_gradient(np.zeros(spec.dim), shard.rows(np.array(take)), spec)
+            with pytest.raises(ContractViolationError):
+                evaluate(np.zeros(spec.dim), shard.rows(np.array(take)), spec)
+
+    def test_overflowing_gradient_rejected(self):
+        # Class 1 dominates, so delta is (-1, +1); back through hidden
+        # weights of -/+1e308 it sums to inf while the loss stays finite.
+        spec = ModelSpec(kind="mlp", input_dim=2, num_classes=2, hidden_dims=(2,),
+                         activation="tanh")
+        params = np.zeros(spec.dim)
+        w2 = params[6:10].reshape(2, 2)
+        w2[:, 0], w2[:, 1] = -1e308, 1e308
+        params[10:12] = [0.0, 1000.0]
+        batch = Batch([[1.0, 1.0]], [0])
+        assert np.isfinite(evaluate(params, batch, spec)[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolationError, match="non-finite"):
+                loss_and_gradient(params, batch, spec)
+
     def test_feature_dim_mismatch_rejected(self):
         spec = _logistic(2, 2)
         with pytest.raises(ContractViolationError):
             loss_and_gradient(np.zeros(spec.dim), Batch([[1.0, 0.0, 2.0]], [0]), spec)
+
+    def test_checks_hold_for_sub_batches(self):
+        spec = _logistic(2, 2)
+        shard = Batch(np.ones((4, 2)), [0, 1, 1, 0])
+        sub = shard.rows(np.array([2, 0]))
+        with pytest.raises(ContractViolationError):
+            loss_and_gradient(np.zeros(spec.dim + 1), sub, spec)
+        with pytest.raises(ContractViolationError):
+            loss_and_gradient(np.zeros(_logistic(3, 2).dim), sub, _logistic(3, 2))
+
+
+# ---- reference kernel ---- #
+# A straight-line copy of the forward pass, loss_and_gradient and evaluate
+# as written before the layer layout was cached and the temporaries were
+# reused. The lean kernel must match it bit for bit.
+
+def _ref_forward(params, feats, labels, spec):
+    dims = spec.layer_dims
+    off, layers = 0, []
+    for a, b in zip(dims[:-1], dims[1:]):
+        w = params[off:off + a * b].reshape(a, b)
+        off += a * b
+        layers.append((w, params[off:off + b]))
+        off += b
+    acts = [feats]
+    for w, bias in layers[:-1]:
+        z = acts[-1] @ w + bias
+        acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z))
+    w, bias = layers[-1]
+    logits = acts[-1] @ w + bias
+    shift = logits - logits.max(axis=1, keepdims=True)
+    logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(feats.shape[0]), labels].mean())
+    return layers, acts, logits, logp, loss
+
+
+def _ref_loss_and_gradient(params, feats, labels, spec):
+    layers, acts, _, logp, loss = _ref_forward(params, feats, labels, spec)
+    n = feats.shape[0]
+    delta = np.exp(logp)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grad = np.empty(spec.dim)
+    dims = spec.layer_dims
+    off, views = 0, []
+    for a, b in zip(dims[:-1], dims[1:]):
+        views.append((grad[off:off + a * b].reshape(a, b), grad[off + a * b:off + a * b + b]))
+        off += a * b + b
+    for li, (gw, gb) in reversed(list(enumerate(views))):
+        gw[...] = acts[li].T @ delta
+        gb[...] = delta.sum(axis=0)
+        if li > 0:
+            delta = delta @ layers[li][0].T
+            a = acts[li]
+            delta = delta * ((a > 0.0) if spec.activation == "relu" else (1.0 - a * a))
+    return loss, grad
+
+
+def _ref_evaluate(params, feats, labels, spec):
+    _, _, logits, _, loss = _ref_forward(params, feats, labels, spec)
+    return loss, float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+@st.composite
+def _kernel_cases(draw):
+    kind = draw(st.sampled_from(["logistic-regression", "mlp"]))
+    hidden = (tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+              if kind == "mlp" else ())
+    spec = ModelSpec(kind=kind, input_dim=draw(st.integers(1, 12)),
+                     num_classes=draw(st.integers(2, 8)), hidden_dims=hidden,
+                     activation=draw(st.sampled_from(["relu", "tanh"])))
+    n = draw(st.integers(1, 64))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0, 100.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feats = scale * rng.standard_normal((n, spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, n)
+    return spec, rng.standard_normal(spec.dim), feats, labels
+
+
+class TestLeanKernel:
+    @given(_kernel_cases())
+    def test_matches_reference_bitwise(self, case):
+        spec, params, feats, labels = case
+        batch = Batch(feats, labels)
+        loss, grad = loss_and_gradient(params, batch, spec)
+        ref_loss, ref_grad = _ref_loss_and_gradient(params, feats, labels, spec)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+        assert evaluate(params, batch, spec) == _ref_evaluate(params, feats, labels, spec)
+        # A trusted sub-batch computes the same as a fresh batch of its rows.
+        take = np.arange(feats.shape[0])[::-1]
+        sub_loss, sub_grad = loss_and_gradient(params, batch.rows(take), spec)
+        fresh_loss, fresh_grad = loss_and_gradient(params, Batch(feats[take], labels[take]), spec)
+        assert sub_loss == fresh_loss and np.array_equal(sub_grad, fresh_grad)
 
 
 class TestFiniteDifference:
