@@ -30,7 +30,7 @@ from .errors import ConfigurationError, ContractViolationError
 from .masking import U32_MAX, payload_bytes, snap_rate
 from .models import Batch, ModelSpec, evaluate, init_params
 from .protocol import (CORRECTION_SCOPES, ClientState, apply_correction,
-                       build_upload, local_round, pairwise_mean,
+                       build_upload, grouped_local_round, pairwise_mean,
                        server_aggregate, static_partial_mask)
 from .ratewalk import MAX_STEPS, RateState, state_index
 
@@ -333,8 +333,9 @@ class Simulation:
 
         for t in range(1, cfg.rounds + 1):
             rates, p_used = self._rates(t)
-            zs = [local_round(c, cfg.local_epochs, cfg.eta, cfg.batch_size,
-                              [cfg.seed, _SEED_BATCH, t, c.id]) for c in self.clients]
+            zs = grouped_local_round(
+                self.clients, cfg.local_epochs, cfg.eta, cfg.batch_size,
+                [[cfg.seed, _SEED_BATCH, t, c.id] for c in self.clients])
 
             msgs = [build_upload(client, z, p, t, shared=self._shared)
                     for client, z, p in zip(self.clients, zs, rates)]

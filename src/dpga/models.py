@@ -7,13 +7,22 @@ regression and a fully connected MLP (relu or tanh hidden units). Losses
 are mean softmax cross-entropy; gradients are exact, not autodiff.
 
 A `Batch` is checked once, at construction, and is read-only after that,
-so each call only checks what depends on the spec: the parameter length,
-the feature dim and the batch's recorded label bound. `Batch.rows` is the
-trusted subset: rows of a checked batch need no second check.
+so each call only checks what depends on the spec: the parameter shape,
+the feature dim and the batch's recorded label bound. `Batch.rows` and
+`Batch.concatenate` take examples of checked batches without a second
+check.
+
+Batches of equal size can be stacked on a leading axis. With features
+(n, rows, f) and labels (n, rows), the params are (n, d): the n batches
+run through one forward and backward pass, and the call returns n losses
+and an (n, d) gradient. Every matmul, reduction and elementwise step acts
+on each batch alone, with the same expressions in the same order as a
+single call, so the stacked result equals n separate calls bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,15 +91,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
     """A block of examples: float64 features, integer class labels.
 
-    The examples are checked once, here: a 2-d finite feature block and
-    one non-negative label per row. The stored arrays are read-only views,
-    so no write through the batch can invalidate that check. `rows` is the
-    trusted subset: it takes rows of this batch without checking them
-    again.
+    The examples are checked once, here: finite features of shape
+    (rows, f), or (n, rows, f) for n stacked batches of equal size, and one
+    non-negative label per row. The stored arrays are read-only views, so
+    no write through the batch can invalidate that check. `rows` and
+    `concatenate` take examples of checked batches without checking them
+    again. Two batches are equal only when they are the same object.
     """
 
     features: np.ndarray
@@ -101,59 +111,84 @@ class Batch:
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "features", _frozen(feats))
         object.__setattr__(self, "labels", _frozen(labels))
-        if feats.ndim != 2:
-            raise ContractViolationError("features must be a 2-d array")
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
-            raise ContractViolationError("labels must be 1-d and match features")
-        if feats.shape[0] < 1:
+        if feats.ndim not in (2, 3):
+            raise ContractViolationError("features must be a 2-d array, or "
+                                         "3-d for stacked batches")
+        if labels.shape != feats.shape[:-1]:
+            raise ContractViolationError("labels must have one entry per feature row")
+        if self.size < 1:
             raise ContractViolationError("batch must contain at least one example")
         if not np.all(np.isfinite(feats)):
             raise ContractViolationError("features must be finite")
         if np.any(labels < 0):
             raise ContractViolationError("labels must be non-negative")
 
+    @classmethod
+    def _trusted(cls, features: np.ndarray, labels: np.ndarray,
+                 label_bound: int) -> Batch:
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "features", _frozen(features))
+        object.__setattr__(batch, "labels", _frozen(labels))
+        if batch.size < 1:
+            raise ContractViolationError("batch must contain at least one example")
+        batch.__dict__["label_bound"] = label_bound
+        return batch
+
     @property
     def size(self) -> int:
-        return self.features.shape[0]
+        """The number of examples, over all stacked batches."""
+        return self.labels.size
 
     @cached_property
     def label_bound(self) -> int:
         """One more than the largest label: the fewest classes a spec needs."""
-        return int(np.maximum.reduce(self.labels)) + 1
+        return int(np.maximum.reduce(self.labels, axis=None)) + 1
 
     def rows(self, take: np.ndarray) -> Batch:
         """The examples at `take`, without a second check.
 
         Rows of a checked batch are valid, so the sub-batch only takes
         copies of them and keeps this batch's label bound; it must still
-        hold at least one example.
+        hold at least one example. An (n, rows) take gives n stacked
+        batches.
         """
-        sub = object.__new__(Batch)
-        object.__setattr__(sub, "features", _frozen(self.features[take]))
-        object.__setattr__(sub, "labels", _frozen(self.labels[take]))
-        if sub.size < 1:
-            raise ContractViolationError("batch must contain at least one example")
-        sub.__dict__["label_bound"] = self.label_bound
-        return sub
+        return Batch._trusted(self.features[take], self.labels[take], self.label_bound)
+
+    @staticmethod
+    def concatenate(batches: list[Batch]) -> Batch:
+        """The examples of checked unstacked batches of one feature dim,
+        one after another, without a second check."""
+        return Batch._trusted(np.concatenate([b.features for b in batches]),
+                              np.concatenate([b.labels for b in batches]),
+                              max(b.label_bound for b in batches))
 
 
 def _layer_views(params: np.ndarray, spec: ModelSpec):
-    """(W, b) views into the flat vector, layer by layer."""
-    return [(params[w0:b0].reshape(a, b), params[b0:b1])
+    """(W, b) views into the flat vector, layer by layer: W is
+    (fan_in, fan_out) and b is one (1, fan_out) row, so it broadcasts over
+    a batch's rows. A leading axis of params carries through to both."""
+    lead = params.shape[:-1]
+    return [(params[..., w0:b0].reshape(lead + (a, b)), params[..., None, b0:b1])
             for w0, b0, b1, a, b in spec.layout]
 
 
 def _check_args(params: np.ndarray, batch: Batch, spec: ModelSpec) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.shape[0] != spec.dim:
+    want = batch.labels.shape[:-1] + (spec.dim,)
+    if params.shape != want:
         raise ContractViolationError(
-            f"parameter vector has length {params.shape}, spec needs {spec.dim}")
-    if batch.features.shape[1] != spec.input_dim:
+            f"parameters have shape {params.shape}; the batch and spec need {want}")
+    if batch.features.shape[-1] != spec.input_dim:
         raise ContractViolationError(
-            f"batch feature dim {batch.features.shape[1]} != spec input_dim {spec.input_dim}")
+            f"batch feature dim {batch.features.shape[-1]} != spec input_dim {spec.input_dim}")
     if batch.label_bound > spec.num_classes:
         raise ContractViolationError("label out of range for spec.num_classes")
     return params
+
+
+def _per_batch(x):
+    """A Python float for an unstacked batch, one entry per batch otherwise."""
+    return float(x) if x.ndim == 0 else x
 
 
 def init_params(spec: ModelSpec, seed) -> np.ndarray:
@@ -173,9 +208,9 @@ def init_params(spec: ModelSpec, seed) -> np.ndarray:
 def _forward(params: np.ndarray, batch: Batch, spec: ModelSpec):
     """Run the network on a batch.
 
-    Returns (layers, acts, logits, logp, loss): the (W, b) views of params,
-    the input to each layer, the logits, their log-softmax and the mean
-    cross-entropy.
+    Returns (layers, acts, logits, logp, picks, loss): the (W, b) views of
+    params, the input to each layer, the logits, their log-softmax, the
+    flat positions of the labels in logp and the mean cross-entropy.
     """
     layers = _layer_views(params, spec)
     relu = spec.activation == "relu"
@@ -188,41 +223,47 @@ def _forward(params: np.ndarray, batch: Batch, spec: ModelSpec):
     logits = np.matmul(acts[-1], w)
     logits += bias
     # Max-subtracted log-sum-exp keeps this finite for any logit scale.
-    logp = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    norm = np.add.reduce(np.exp(logp), axis=1, keepdims=True)
+    logp = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    norm = np.add.reduce(np.exp(logp), axis=-1, keepdims=True)
     logp -= np.log(norm, out=norm)
-    n = batch.size
-    loss = float(-(np.add.reduce(logp[np.arange(n), batch.labels]) / n))
-    return layers, acts, logits, logp, loss
+    labels = batch.labels
+    picks = np.arange(0, labels.size * spec.num_classes,
+                      spec.num_classes).reshape(labels.shape)
+    picks += labels
+    loss = -(np.add.reduce(logp.reshape(-1)[picks], axis=-1) / labels.shape[-1])
+    return layers, acts, logits, logp, picks, loss
 
 
 def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
     """Mean cross-entropy loss and its exact gradient.
 
     Returns:
-        (loss, grad): scalar float and a float64 vector of length spec.dim.
+        (loss, grad): a float and a float64 vector of length spec.dim; for
+        n stacked batches, n losses and an (n, spec.dim) array.
     """
     params = _check_args(params, batch, spec)
-    layers, acts, _, logp, loss = _forward(params, batch, spec)
-    n = batch.size
+    layers, acts, _, logp, picks, loss = _forward(params, batch, spec)
     delta = np.exp(logp)
-    delta[np.arange(n), batch.labels] -= 1.0
-    delta /= n
+    delta.reshape(-1)[picks] -= 1.0
+    delta /= batch.labels.shape[-1]
 
     # Backpropagate, writing each layer's gradient into its views of grad.
-    grad = np.empty(spec.dim)
+    grad = np.empty(params.shape)
     for li, (gw, gb) in reversed(list(enumerate(_layer_views(grad, spec)))):
-        np.matmul(acts[li].T, delta, out=gw)
-        np.add.reduce(delta, axis=0, out=gb)
+        np.matmul(acts[li].swapaxes(-1, -2), delta, out=gw)
+        np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
         if li > 0:
-            delta = np.matmul(delta, layers[li][0].T)
+            delta = np.matmul(delta, layers[li][0].swapaxes(-1, -2))
             a = acts[li]  # f(z) of the hidden layer below; f'(z) follows from it
             if spec.activation == "relu":
                 delta *= a > 0.0
             else:
                 da = np.multiply(a, a)
                 delta *= np.subtract(1.0, da, out=da)
-    if not np.isfinite(loss) or not np.isfinite(grad).all():
+    loss = _per_batch(loss)
+    # One float takes math.isfinite: np.isfinite(x).all() costs microseconds.
+    finite = math.isfinite(loss) if isinstance(loss, float) else np.isfinite(loss).all()
+    if not (finite and np.isfinite(grad).all()):
         raise ContractViolationError("loss/gradient overflowed to non-finite values")
     return loss, grad
 
@@ -234,9 +275,11 @@ def finite_diff_check(params: np.ndarray, batch: Batch, spec: ModelSpec,
 
     Error per coordinate is |analytic - numeric| / max(1, |analytic|); the
     maximum over all coordinates is returned. grad_fn lets a test inject a
-    broken gradient to prove the check has teeth.
+    broken gradient to prove the check has teeth. The batch is unstacked.
     """
     params = _check_args(params, batch, spec)
+    if params.ndim != 1:
+        raise ContractViolationError("finite_diff_check takes one unstacked batch")
     _, grad = grad_fn(params, batch, spec)
     worst = 0.0
     for j in range(params.shape[0]):
@@ -255,9 +298,9 @@ def evaluate(params: np.ndarray, batch: Batch, spec: ModelSpec):
     """Mean loss and accuracy on a batch.
 
     Predictions take the argmax over logits; ties resolve to the lowest
-    class index.
+    class index. Stacked batches give one loss and one accuracy each.
     """
     params = _check_args(params, batch, spec)
-    _, _, logits, _, loss = _forward(params, batch, spec)
-    acc = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
-    return loss, acc
+    _, _, logits, _, _, loss = _forward(params, batch, spec)
+    acc = np.mean(np.argmax(logits, axis=-1) == batch.labels, axis=-1)
+    return _per_batch(loss), _per_batch(acc)

@@ -14,7 +14,8 @@ PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd",
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    # The fraction first: (hi - lo) * i can overflow where the span cannot.
+    return [lo + (hi - lo) * (i / (n - 1)) for i in range(n)]
 
 
 def _fmt(x: float) -> str:

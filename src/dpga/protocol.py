@@ -14,7 +14,9 @@ w_after == w_before - eta * z holds bitwise. The replay after a correction
 reuses exactly this per-round expression, which makes the two documented
 degenerate cases exact: identical clients see corrections of exactly zero
 and stay on the plain SGD trajectory, and p=1 with zero delay reproduces
-synchronized gradient averaging bit for bit.
+synchronized gradient averaging bit for bit. Clients that draw minibatches
+take their steps together (grouped_local_round) with the same arithmetic
+per client, so grouping changes no bit either.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ class PendingRound:
     z_full: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class ClientState:
-    """One simulated client."""
+    """One simulated client. Two clients are equal only when they are the
+    same object."""
 
     id: int
     weights: np.ndarray
@@ -113,6 +116,15 @@ class GlobalAggregate:
 
 # ---- operations ---- #
 
+def _check_round_args(epochs: int, eta: float, batch_size: int | None):
+    if epochs < 1:
+        raise ContractViolationError("epochs must be >= 1")
+    if not eta > 0.0:
+        raise ContractViolationError("eta must be positive")
+    if batch_size is not None and batch_size < 1:
+        raise ContractViolationError("batch_size must be >= 1 or None")
+
+
 def local_round(client: ClientState, epochs: int, eta: float,
                 batch_size: int | None, rng) -> np.ndarray:
     """Run K local SGD steps and return the accumulated gradient z.
@@ -122,12 +134,7 @@ def local_round(client: ClientState, epochs: int, eta: float,
     gradient sum rather than chaining subtractions. rng is a Generator or a
     seed for one, built only when a minibatch is drawn.
     """
-    if epochs < 1:
-        raise ContractViolationError("epochs must be >= 1")
-    if not eta > 0.0:
-        raise ContractViolationError("eta must be positive")
-    if batch_size is not None and batch_size < 1:
-        raise ContractViolationError("batch_size must be >= 1 or None")
+    _check_round_args(epochs, eta, batch_size)
     w0 = client.weights
     z = np.zeros_like(w0)
     w = w0
@@ -144,6 +151,61 @@ def local_round(client: ClientState, epochs: int, eta: float,
         w = w0 - eta * z
     client.weights = w
     return z
+
+
+def grouped_local_round(clients: list[ClientState], epochs: int, eta: float,
+                        batch_size: int | None, rngs: list) -> list[np.ndarray]:
+    """local_round for each client, with rngs[i] for clients[i]; returns
+    the z of each client in order.
+
+    A client whose shard holds more than batch_size examples draws exactly
+    batch_size rows per step, so those clients step in lockstep with no
+    padding: one gradient call per step over stacked params (n, d) and
+    batches (n, batch_size, f), and the updates run on (n, d) stacks. Each
+    draws from its own Generator in local_round's order, and every stacked
+    operation acts on each client alone, so weights and z equal
+    local_round's bit for bit. The other clients run local_round itself.
+    """
+    _check_round_args(epochs, eta, batch_size)
+    if len(rngs) != len(clients):
+        raise ContractViolationError("need one rng per client")
+    zs, group = [], []
+    for i, (client, rng) in enumerate(zip(clients, rngs)):
+        if batch_size is not None and batch_size < client.shard.size:
+            zs.append(None)
+            group.append(i)
+        else:
+            zs.append(local_round(client, epochs, eta, batch_size, rng))
+    if not group:
+        return zs
+
+    members = [clients[i] for i in group]
+    spec = members[0].spec
+    for client in members:
+        if (client.spec != spec or client.weights.shape != (spec.dim,)
+                or client.shard.features.shape[1:] != (spec.input_dim,)):
+            raise ContractViolationError(
+                f"client {client.id} does not fit the group's model {spec}: "
+                f"weights {client.weights.shape}, features "
+                f"{client.shard.features.shape}")
+    sizes = [client.shard.size for client in members]
+    pool = Batch.concatenate([client.shard for client in members])
+    starts = np.cumsum([0] + sizes[:-1])[:, None]
+    gens = [np.random.default_rng(rngs[i]) for i in group]
+    w0 = np.stack([client.weights for client in members])
+    z = np.zeros_like(w0)
+    w = w0
+    for _ in range(epochs):
+        take = np.stack([gen.choice(n, size=batch_size, replace=False)
+                         for gen, n in zip(gens, sizes)])
+        take += starts
+        _, g = loss_and_gradient(w, pool.rows(take), spec)
+        z += g
+        w = w0 - eta * z
+    for i, client, wi, zi in zip(group, members, w, z):
+        client.weights = wi
+        zs[i] = zi
+    return zs
 
 
 def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,

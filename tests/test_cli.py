@@ -578,6 +578,9 @@ class TestSweepAndPlotSurface:
     # One evaluated row: both axes are flat.
     @example(blob=f"{CSV_HEADER}\n3,2.5,100,100,1,0.5,0.75\n".encode(), x="sim_time")
     @example(blob=f"{CSV_HEADER}\n1,1e17,9,9,1,1,1\n".encode(), x="sim_time")
+    # A finite span whose top tick overflowed when scaled before dividing.
+    @example(blob=f"{CSV_HEADER}\n0,0,0,0,0,0,0\n1,0,0,0,0,0,4.3e307\n".encode(),
+             x="sim_time")
     def test_any_csv_ends_in_a_documented_exit(self, blob, x):
         with tempfile.TemporaryDirectory() as tmp:
             path, svg = Path(tmp) / "m.csv", Path(tmp) / "p.svg"

@@ -1,6 +1,6 @@
 """Pinned CSV bytes: 20-round copies of the 7 benchmark simulations at
-seed 11 must write exactly the bytes whose sha256 is in
-golden/csv_sha256.json.
+seed 11, and three minibatch edge cases, must write exactly the bytes
+whose sha256 is in golden/csv_sha256.json.
 
 The configs are written out here rather than imported from bench/, so the
 pin holds whatever the benchmark does. A change that moves any CSV byte on
@@ -67,11 +67,35 @@ def minibatch(algorithm: str) -> SimConfig:
     )
 
 
+def mixed_shards(algorithm: str) -> SimConfig:
+    # Shard sizes 41, 10, 5, 11, 18, 5, 27, 6, 22 and 5: some clients draw
+    # minibatches of 16 and the rest step on their whole shard.
+    return SimConfig(
+        algorithm=algorithm,
+        n_clients=10, rounds=ROUNDS, local_epochs=3, batch_size=16, delay=2,
+        seed=SEED, model_kind="mlp", hidden_dims=(16, 8), activation="relu",
+        num_classes=5, dim=8, per_class=30, alpha=0.5,
+    )
+
+
+def small_batches(algorithm: str) -> SimConfig:
+    # Logistic regression on batches of 8, and single-example steps.
+    return SimConfig(
+        algorithm=algorithm,
+        n_clients=6, rounds=ROUNDS, local_epochs=4,
+        batch_size=(8 if algorithm == "fedavg" else 1),
+        delay=(None if algorithm == "fedavg" else 2), seed=SEED,
+    )
+
+
 CASES = {
     **{f"comparative/{a}": (comparative, a)
        for a in ("fedavg", "dga", "dpga", "static-partial")},
     "exchange-heavy/dpga": (exchange_heavy, "dpga"),
     **{f"minibatch/{a}": (minibatch, a) for a in ("fedavg", "dga")},
+    "mixed-shards/dga": (mixed_shards, "dga"),
+    "batch-8/fedavg": (small_batches, "fedavg"),
+    "batch-1/dpga": (small_batches, "dpga"),
 }
 
 

@@ -81,6 +81,27 @@ class TestBatch:
         with pytest.raises(ContractViolationError):
             shard.rows(np.array([], dtype=np.int64))
 
+    def test_equality_is_identity(self):
+        a = Batch(np.zeros((2, 2)), [0, 1])
+        b = Batch(np.zeros((2, 2)), [0, 1])
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+    def test_stacked_batches(self):
+        b = Batch(np.zeros((3, 4, 2)), np.arange(12).reshape(3, 4))
+        assert b.size == 12 and b.label_bound == 12
+        shard = Batch(np.arange(10.0).reshape(5, 2), [0, 1, 2, 3, 4])
+        sub = shard.rows(np.array([[4, 0], [1, 2]]))
+        assert sub.features.shape == (2, 2, 2) and sub.labels.tolist() == [[4, 0], [1, 2]]
+        pool = Batch.concatenate([shard, Batch([[9.0, 9.0]], [7])])
+        assert pool.size == 6 and pool.label_bound == 8
+        with pytest.raises(ContractViolationError):
+            Batch(np.zeros((3, 4, 2)), np.zeros((3, 3), dtype=int))
+        with pytest.raises(ContractViolationError):
+            Batch(np.zeros((0, 4, 2)), np.zeros((0, 4), dtype=int))
+        with pytest.raises(ContractViolationError):
+            Batch(np.zeros((1, 3, 4, 2)), np.zeros((1, 3, 4), dtype=int))
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ContractViolationError):
             Batch(np.zeros(3), np.zeros(3, dtype=int))
@@ -285,6 +306,73 @@ class TestLeanKernel:
         sub_loss, sub_grad = loss_and_gradient(params, batch.rows(take), spec)
         fresh_loss, fresh_grad = loss_and_gradient(params, Batch(feats[take], labels[take]), spec)
         assert sub_loss == fresh_loss and np.array_equal(sub_grad, fresh_grad)
+
+
+@st.composite
+def _stacked_cases(draw, min_n=1):
+    kind = draw(st.sampled_from(["logistic-regression", "mlp"]))
+    hidden = (tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+              if kind == "mlp" else ())
+    spec = ModelSpec(kind=kind, input_dim=draw(st.integers(1, 12)),
+                     num_classes=draw(st.integers(2, 8)), hidden_dims=hidden,
+                     activation=draw(st.sampled_from(["relu", "tanh"])))
+    n, rows = draw(st.integers(min_n, 8)), draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feats = rng.standard_normal((n, rows, spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, (n, rows))
+    return spec, rng.standard_normal((n, spec.dim)), feats, labels
+
+
+def _pooled_bias(params, batch, spec):
+    """A broken stacked kernel: each bias gradient is also summed over the
+    client axis, as a reduction over axes (0, 1) instead of the rows alone
+    would do."""
+    losses, grads = loss_and_gradient(params, batch, spec)
+    if grads.ndim == 2:
+        for _, b0, b1, _, _ in spec.layout:
+            grads[:, b0:b1] = np.add.reduce(grads[:, b0:b1], axis=0)
+    return losses, grads
+
+
+def _check_stacked(case, kernel=loss_and_gradient):
+    spec, params, feats, labels = case
+    stacked = Batch(feats, labels)
+    losses, grads = kernel(params, stacked, spec)
+    accs = evaluate(params, stacked, spec)[1]
+    assert losses.shape == accs.shape == (feats.shape[0],)
+    for i in range(feats.shape[0]):
+        one = Batch(feats[i], labels[i])
+        loss, grad = loss_and_gradient(params[i], one, spec)
+        assert losses[i] == loss and np.array_equal(grads[i], grad)
+        assert accs[i] == evaluate(params[i], one, spec)[1]
+
+
+class TestStackedKernel:
+    """A stacked call equals one 2-d call per batch, bit for bit."""
+
+    @given(_stacked_cases())
+    def test_equals_separate_calls(self, case):
+        _check_stacked(case)
+
+    def test_pooled_bias_gradient_fails(self):
+        with pytest.raises(AssertionError):
+            given(_stacked_cases(min_n=2))(
+                lambda case: _check_stacked(case, _pooled_bias))()
+
+    def test_checks_hold(self):
+        spec = _logistic(2, 3)
+        stacked = Batch(np.ones((2, 3, 2)), [[0, 1, 2], [2, 1, 0]])
+        loss_and_gradient(np.zeros((2, spec.dim)), stacked, spec)
+        for params in (np.zeros((2, spec.dim + 1)), np.zeros((3, spec.dim)),
+                       np.zeros(spec.dim)):
+            with pytest.raises(ContractViolationError):
+                loss_and_gradient(params, stacked, spec)
+        with pytest.raises(ContractViolationError):
+            loss_and_gradient(np.zeros((2, spec.dim)), stacked, _logistic(2, 2))
+        with pytest.raises(ContractViolationError):
+            loss_and_gradient(np.zeros((2, spec.dim)), stacked, _logistic(3, 3))
+        with pytest.raises(ContractViolationError):
+            finite_diff_check(np.zeros((2, spec.dim)), stacked, spec)
 
 
 class TestFiniteDifference:

@@ -1,17 +1,22 @@
 """Client/server protocol: local rounds, aggregation, delayed corrections."""
 
+import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpga import protocol
 from dpga.errors import ContractViolationError
 from dpga.masking import SparseGradient, topk_shared_indices
 from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
 from dpga.protocol import (ClientState, GlobalAggregate, apply_correction,
-                           build_upload, local_round, pairwise_mean,
-                           pairwise_sum, server_aggregate, static_partial_mask)
+                           build_upload, grouped_local_round, local_round,
+                           pairwise_mean, pairwise_sum, server_aggregate,
+                           static_partial_mask)
+from test_models import _pooled_bias
 
 SPEC = ModelSpec(kind="logistic-regression", input_dim=2, num_classes=2)
 
@@ -90,6 +95,11 @@ class TestLocalRound:
         np.testing.assert_array_equal(z, acc)
         np.testing.assert_array_equal(client.weights, w)
 
+    def test_client_equality_is_identity(self):
+        a, b = _client(), _client()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
     def test_minibatch_draws_are_seeded(self):
         a = _client(seed=2, n=10)
         b = _client(seed=2, n=10)
@@ -112,6 +122,89 @@ class TestLocalRound:
         # holds at least one example.
         with pytest.raises(ContractViolationError):
             Batch(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+@st.composite
+def _groups(draw):
+    """Clients with one spec and shards on both sides of batch_size."""
+    kind = draw(st.sampled_from(["logistic-regression", "mlp"]))
+    hidden = (tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+              if kind == "mlp" else ())
+    spec = ModelSpec(kind=kind, input_dim=draw(st.integers(1, 6)),
+                     num_classes=draw(st.integers(2, 5)), hidden_dims=hidden,
+                     activation=draw(st.sampled_from(["relu", "tanh"])))
+    batch_size = draw(st.none() | st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clients = []
+    for i, n in enumerate(draw(st.lists(st.integers(1, 24), min_size=1, max_size=8))):
+        shard = Batch(rng.standard_normal((n, spec.input_dim)),
+                      rng.integers(0, spec.num_classes, n))
+        clients.append(ClientState(id=i, weights=rng.standard_normal(spec.dim),
+                                   shard=shard, spec=spec, max_pending=1))
+    return (clients, draw(st.integers(1, 4)), draw(st.sampled_from([0.01, 0.1, 0.5])),
+            batch_size, draw(st.integers(0, 1000)))
+
+
+def _check_grouped(case):
+    clients, epochs, eta, batch_size, seed = case
+    alone = copy.deepcopy(clients)
+    seeds = [[seed, c.id] for c in clients]
+    zs = grouped_local_round(clients, epochs, eta, batch_size, seeds)
+    for c, a, z, s in zip(clients, alone, zs, seeds):
+        assert np.array_equal(z, local_round(a, epochs, eta, batch_size, s))
+        assert np.array_equal(c.weights, a.weights)
+
+
+class TestGroupedLocalRound:
+    """Stepping the sampled clients together changes no bit of any
+    client's weights or z."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_groups())
+    def test_equals_local_round_per_client(self, case):
+        _check_grouped(case)
+
+    def test_pooled_bias_gradient_fails(self):
+        with mock.patch.object(protocol, "loss_and_gradient", _pooled_bias):
+            with pytest.raises(AssertionError):
+                settings(max_examples=150, deadline=None)(
+                    given(_groups())(_check_grouped))()
+
+    def _group(self, n=3, rows=6, classes=2):
+        rng = np.random.default_rng(7)
+        return [ClientState(id=i, weights=init_params(SPEC, i),
+                            shard=Batch(rng.standard_normal((rows, 2)),
+                                        rng.integers(0, classes, rows)),
+                            spec=SPEC, max_pending=1) for i in range(n)]
+
+    def test_checks_hold(self):
+        def run(clients, epochs=2, eta=0.1, batch_size=2):
+            return grouped_local_round(clients, epochs, eta, batch_size,
+                                       [[0, c.id] for c in clients])
+
+        for args in (dict(epochs=0), dict(eta=0.0), dict(eta=float("nan")),
+                     dict(batch_size=0)):
+            with pytest.raises(ContractViolationError):
+                run(self._group(), **args)
+        with pytest.raises(ContractViolationError):
+            grouped_local_round(self._group(), 1, 0.1, 2, [[0, 0]])
+        for bad in (0, 2):  # every client, or the last one, with a wrong length
+            clients = self._group()
+            for c in clients[bad:]:
+                c.weights = np.zeros(SPEC.dim + 1)
+            with pytest.raises(ContractViolationError):
+                run(clients)
+        clients = self._group()
+        clients[1].shard = Batch(np.ones((6, 3)), np.zeros(6, dtype=int))
+        with pytest.raises(ContractViolationError):
+            run(clients)
+        with pytest.raises(ContractViolationError):
+            run(self._group(classes=3))  # a label outside SPEC's 2 classes
+        clients = self._group()
+        clients[2].weights = np.full(SPEC.dim, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolationError, match="non-finite"):
+                run(clients)
 
 
 class TestBuildUpload:
