@@ -1,20 +1,22 @@
 """Self-contained oracle suites behind the `check` subcommand.
 
-Each suite re-derives expected behavior by an independent route (finite
-differences, brute-force path enumeration, byte roundtrips, sorting
-references, straight-line reference loops) and compares the
-implementation against it. All suites are deterministic.
+Each suite re-derives expected behavior by an independent route (central
+finite differences, brute-force path enumeration, byte roundtrips, sorting
+references, straight-line reference loops) and compares the arrays the
+run path uses against it. Every suite is deterministic and has one size.
+A suite whose subject raises fails, naming the exception.
 
 Each oracle is defined here and nowhere else. The acceptance gate
 (tests/test_acceptance.py) calls the same functions: criteria 1 and 2 are
-the two halves of reduction-identities, run at the same sizes, 3 is
-check_walk, 4 is check_gradients and the codec half of 5 is check_codec.
-The unit tests take their Top-K reference from lexsort_topk.
+the two halves of reduction-identities, 3 is check_walk, 4 is
+check_gradients and the codec half of 5 is check_codec. The unit tests
+take their Top-K reference from lexsort_topk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import wraps
 from itertools import product
 
 import numpy as np
@@ -22,9 +24,9 @@ import numpy as np
 from .engine import SimConfig, Simulation
 from .masking import (SparseGradient, decode, encode, shared_count,
                       topk_shared_indices)
-from .models import Batch, ModelSpec, finite_diff_check, loss_and_gradient
+from .models import ACTIVATIONS, KINDS, Batch, ModelSpec, loss_and_gradient
 from .protocol import pairwise_mean, pairwise_sum, server_aggregate
-from .ratewalk import GRID, state_index, transition_distribution
+from .ratewalk import GRID, N_STATES, m_step_matrix
 
 
 @dataclass(frozen=True)
@@ -34,93 +36,129 @@ class SuiteResult:
     detail: str
 
 
+def _suite(name: str):
+    """Make a body that returns (passed, detail) the suite `name`. An
+    exception from the body fails the suite, and the detail names it."""
+    def wrap(body):
+        @wraps(body)
+        def suite() -> SuiteResult:
+            try:
+                return SuiteResult(name, *body())
+            except Exception as exc:
+                return SuiteResult(name, False, f"raised {type(exc).__name__}: {exc}")
+        return suite
+    return wrap
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_vector(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Gaussian, or small integers with signed zeros so magnitudes tie."""
+    if rng.integers(0, 2):
+        return rng.standard_normal(d)
+    z = rng.integers(-3, 4, size=d).astype(np.float64)
+    z[z == 0.0] *= rng.choice([-1.0, 1.0], size=np.count_nonzero(z == 0.0))
+    return z
+
+
 # ---- gradients vs central differences ---- #
 
-def check_gradients(cases: int = 25, seed: int = 20240,
-                    grad_fn=loss_and_gradient) -> SuiteResult:
-    """Randomized finite-difference validation of the analytic gradients.
+def _finite_diff_error(params, batch: Batch, spec: ModelSpec) -> float:
+    """Max over coordinates of |analytic - numeric| / max(1, |analytic|),
+    the numeric derivative being the central difference of the loss."""
+    _, grad = loss_and_gradient(params, batch, spec)
+    worst, h = 0.0, 1e-5
+    for j in range(params.shape[0]):
+        bump = params.copy()
+        bump[j] += h
+        hi, _ = loss_and_gradient(bump, batch, spec)
+        bump[j] = params[j] - h
+        lo, _ = loss_and_gradient(bump, batch, spec)
+        numeric = (hi - lo) / (2.0 * h)
+        worst = max(worst, abs(grad[j] - numeric) / max(1.0, abs(grad[j])))
+    return worst
 
-    grad_fn exists so a deliberately broken gradient can be injected to
-    prove the check has teeth.
-    """
-    rng = np.random.default_rng(seed)
-    worst = {"logistic-regression": 0.0, "mlp": 0.0}
+
+@_suite("finite-diff")
+def check_gradients():
+    """Acceptance criterion 4: the analytic gradient of random logistic
+    regressions and MLPs (1-2 hidden layers, half relu and half tanh)
+    against central differences of the loss."""
+    rng = np.random.default_rng(20240)
+    worst = dict.fromkeys(KINDS, 0.0)
     limits = {"logistic-regression": 1e-5, "mlp": 1e-4}
-    for kind in ("logistic-regression", "mlp"):
-        for _ in range(cases):
+    for kind in KINDS:
+        for i in range(100):
             classes = int(rng.integers(2, 5))
             dim = int(rng.integers(2, 6))
-            hidden = (int(rng.integers(2, 6)),) if kind == "mlp" else ()
+            hidden = (tuple(rng.integers(2, 6, size=rng.integers(1, 3)).tolist())
+                      if kind == "mlp" else ())
             spec = ModelSpec(kind=kind, input_dim=dim, num_classes=classes,
-                             hidden_dims=hidden, activation="tanh")
+                             hidden_dims=hidden, activation=ACTIVATIONS[i % 2])
             n = int(rng.integers(1, 6))
             batch = Batch(rng.standard_normal((n, dim)),
                           rng.integers(0, classes, size=n))
-            params = rng.standard_normal(spec.dim)
-            err = finite_diff_check(params, batch, spec, grad_fn=grad_fn)
+            err = _finite_diff_error(rng.standard_normal(spec.dim), batch, spec)
             worst[kind] = max(worst[kind], err)
-    passed = all(worst[k] < limits[k] for k in worst)
-    detail = ", ".join(f"{k} max_rel_err={worst[k]:.3e} (limit {limits[k]:g})"
-                       for k in worst)
-    return SuiteResult("finite-diff", passed, detail)
+    return (all(worst[k] < limits[k] for k in KINDS),
+            "100 cases per kind, the MLPs half relu and half tanh: " + ", ".join(
+                f"{k} max_rel_err={worst[k]:.3e} (limit {limits[k]:g})" for k in KINDS))
 
 
 # ---- rate walk vs brute-force enumeration ---- #
 
-def enumerate_transition(p: float, m: int) -> dict[float, float]:
-    """m-step law by summing all 2^m coin paths (clamp at the grid ends)."""
-    start = state_index(p)
-    probs = np.zeros(GRID.shape[0])
-    if m == 0:
-        probs[start] = 1.0
-    else:
-        for path in product((-1, 1), repeat=m):
-            s = start
-            for step in path:
-                s = min(max(s + step, 0), GRID.shape[0] - 1)
-            probs[s] += 0.5 ** m
-    return {float(GRID[j]): float(probs[j]) for j in range(GRID.shape[0])
-            if probs[j] > 0.0}
+def enumerate_transition(start: int, m: int) -> np.ndarray:
+    """The m-step law from grid index start, summed over all 2^m coin
+    paths; a step past either end of the grid stays put."""
+    probs = np.zeros(N_STATES)
+    for path in product((-1, 1), repeat=m):
+        s = start
+        for step in path:
+            s = min(max(s + step, 0), N_STATES - 1)
+        probs[s] += 0.5 ** m
+    return probs
 
 
-def check_walk(max_steps: int = 8, tol: float = 1e-12) -> SuiteResult:
-    worst = 0.0
-    for m in range(1, max_steps + 1):
-        for p in GRID:
-            got = transition_distribution(float(p), m)
-            want = enumerate_transition(float(p), m)
-            keys = set(got) | set(want)
-            for k in keys:
-                worst = max(worst, abs(got.get(k, 0.0) - want.get(k, 0.0)))
-            worst = max(worst, abs(sum(got.values()) - 1.0))
-    return SuiteResult("walk-enumeration", worst <= tol,
-                       f"max_abs_err={worst:.3e} over m=1..{max_steps}, "
-                       f"all {GRID.shape[0]} start states (tol {tol:g})")
+@_suite("walk-enumeration")
+def check_walk():
+    """Acceptance criterion 3: every row of m_step_matrix, the law that
+    RateState.sample draws from, equals path enumeration bit for bit."""
+    for m in range(9):
+        rows = m_step_matrix(m)
+        for start in range(N_STATES):
+            if not _same_bits(rows[start], enumerate_transition(start, m)):
+                return False, (f"m={m}: the row from p={GRID[start]:g} differs "
+                               "from path enumeration")
+    return True, (f"m=0..8, all {N_STATES} start states: every "
+                  "m_step_matrix row equals path enumeration bit for bit")
 
 
 # ---- codec fuzz ---- #
 
-def check_codec(cases: int = 1000, seed: int = 77) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    for i in range(cases):
+@_suite("codec-roundtrip")
+def check_codec():
+    """Random messages, with signed zeros and ties in about half of them,
+    encode to 17 + 12k bytes and decode to bit-equal fields."""
+    rng = np.random.default_rng(77)
+    for i in range(1000):
         d = int(rng.integers(1, 400))
         p = float(GRID[rng.integers(0, GRID.shape[0])])
         k = shared_count(p, d)
-        idx = np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
-        msg = SparseGradient(round=int(rng.integers(0, 2 ** 40)), p=p,
-                             indices=idx, values=rng.standard_normal(k))
+        idx = np.sort(rng.choice(d, size=k, replace=False))
+        msg = SparseGradient(round=int(rng.integers(0, 2 ** 64, dtype=np.uint64)),
+                             p=p, indices=idx, values=_random_vector(rng, k))
         blob = encode(msg)
         # The DPG1 layout spelled out: a 17-byte header, 4 + 8 bytes per entry.
         if len(blob) != 17 + 12 * k:
-            return SuiteResult("codec-roundtrip", False,
-                               f"case {i}: {len(blob)} bytes, not 17 + 12k")
+            return False, f"case {i}: {len(blob)} bytes, not 17 + 12k"
         back = decode(blob)
-        if back != msg:
-            return SuiteResult("codec-roundtrip", False,
-                               f"case {i}: decode(encode(msg)) != msg")
-    return SuiteResult("codec-roundtrip", True,
-                       f"{cases} random messages round-tripped byte-exactly "
-                       "at 17 + 12k bytes")
+        for field in fields(SparseGradient):
+            sent, got = (np.asarray(getattr(m, field.name)) for m in (msg, back))
+            if not _same_bits(got, sent):
+                return False, f"case {i}: the decoded {field.name} field differs"
+    return True, "1000 random messages round-tripped bit for bit at 17 + 12k bytes"
 
 
 # ---- exchange layer vs sorting references ---- #
@@ -153,20 +191,8 @@ def union_aggregate(messages: list[SparseGradient], d: int,
     return full_values, full_counts
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _exchange_vector(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Gaussian, or small integers with signed zeros so magnitudes tie."""
-    if rng.integers(0, 2):
-        return rng.standard_normal(d)
-    z = rng.integers(-3, 4, size=d).astype(np.float64)
-    z[z == 0.0] *= rng.choice([-1.0, 1.0], size=np.count_nonzero(z == 0.0))
-    return z
-
-
-def check_exchange(cases: int = 1000, seed: int = 4099) -> SuiteResult:
+@_suite("exchange")
+def check_exchange():
     """Top-K selection and server aggregation against sorting references.
 
     Each case draws d, then checks Top-K of one vector against the lexsort
@@ -174,17 +200,16 @@ def check_exchange(cases: int = 1000, seed: int = 4099) -> SuiteResult:
     searchsorted route, bit for bit over all d, size-weighted in about
     half the cases.
     """
-    rng = np.random.default_rng(seed)
-    for i in range(cases):
+    rng = np.random.default_rng(4099)
+    for i in range(1000):
         d = int(rng.integers(1, 300))
-        z = _exchange_vector(rng, d)
+        z = _random_vector(rng, d)
         p = float(GRID[rng.integers(0, GRID.shape[0])])
         if not _same_bits(topk_shared_indices(z, p), lexsort_topk(z, p)):
-            return SuiteResult("exchange", False,
-                               f"case {i}: Top-K differs from the lexsort rule")
+            return False, f"case {i}: Top-K differs from the lexsort rule"
         msgs = []
         for _ in range(int(rng.integers(1, 9))):
-            z = _exchange_vector(rng, d)
+            z = _random_vector(rng, d)
             p = float(GRID[rng.integers(0, GRID.shape[0])])
             idx = topk_shared_indices(z, p)
             msgs.append(SparseGradient(round=i, p=p, indices=idx, values=z[idx]))
@@ -195,11 +220,9 @@ def check_exchange(cases: int = 1000, seed: int = 4099) -> SuiteResult:
         got = server_aggregate(msgs, d, weights)
         values, counts = union_aggregate(msgs, d, weights)
         if not (_same_bits(got.values, values) and _same_bits(got.counts, counts)):
-            return SuiteResult("exchange", False,
-                               f"case {i}: aggregate differs from the union route")
-    return SuiteResult("exchange", True,
-                       f"{cases} cases: Top-K equals the lexsort rule and the "
-                       "aggregate equals the union route bit for bit")
+            return False, f"case {i}: aggregate differs from the union route"
+    return True, ("1000 cases: Top-K equals the lexsort rule and the "
+                  "aggregate equals the union route bit for bit")
 
 
 # ---- protocol reductions ---- #
@@ -238,7 +261,7 @@ def averaged_local_sgd(w: np.ndarray, shards: list[Batch], spec: ModelSpec,
     return out
 
 
-def _collapse(name: str, cfg: SimConfig, horizons, identical: bool) -> SuiteResult:
+def _collapse(cfg: SimConfig, horizons, identical: bool):
     """Run cfg to each horizon; every client must sit bitwise on
     averaged_local_sgd after one delivery per round. With identical shards
     every correction must also be exactly 0.0."""
@@ -249,8 +272,8 @@ def _collapse(name: str, cfg: SimConfig, horizons, identical: bool) -> SuiteResu
             _same_bits(s.features, shards[0].features)
             and _same_bits(s.labels, shards[0].labels))]
         if differ:
-            return SuiteResult(name, False, f"the shards of clients {differ} "
-                               "are not bitwise equal to client 0's")
+            return False, (f"the shards of clients {differ} are not bitwise "
+                           "equal to client 0's")
         shards = shards[:1]
     want = averaged_local_sgd(sims[0].clients[0].weights, shards, sims[0].spec,
                               cfg.local_epochs, cfg.eta, horizons)
@@ -264,29 +287,30 @@ def _collapse(name: str, cfg: SimConfig, horizons, identical: bool) -> SuiteResu
                        for c in sim.clients)
     zero = ", each correcting by exactly 0.0" if identical else ""
     sgd = "standalone" if identical else "synchronized averaged"
-    return SuiteResult(name, delivered and bitwise,
-                       f"{cfg.n_clients} clients at delay {cfg.delay}: one "
-                       f"delivery per round{zero} ({delivered}), bitwise equal to "
-                       f"{sgd} local SGD at rounds {horizons} ({bitwise})")
+    return delivered and bitwise, (
+        f"{cfg.n_clients} clients at delay {cfg.delay}: one delivery per "
+        f"round{zero} ({delivered}), bitwise equal to {sgd} local SGD at "
+        f"rounds {horizons} ({bitwise})")
 
 
-def check_identical_shards() -> SuiteResult:
-    return _collapse("identical-shards", IDENTICAL_SHARDS, (10, 30, 50), True)
+@_suite("identical-shards")
+def check_identical_shards():
+    return _collapse(IDENTICAL_SHARDS, (10, 30, 50), True)
 
 
-def check_synchronized() -> SuiteResult:
-    return _collapse("synchronized-averaging", SYNCHRONIZED, (5, 15, 30), False)
+@_suite("synchronized-averaging")
+def check_synchronized():
+    return _collapse(SYNCHRONIZED, (5, 15, 30), False)
 
 
-def check_reductions() -> SuiteResult:
+@_suite("reduction-identities")
+def check_reductions():
     """Acceptance criteria 1 and 2, bit for bit."""
     parts = [check_identical_shards(), check_synchronized()]
-    return SuiteResult("reduction-identities", all(r.passed for r in parts),
-                       "; ".join(f"{r.name}: {r.detail}" for r in parts))
+    return (all(r.passed for r in parts),
+            "; ".join(f"{r.name}: {r.detail}" for r in parts))
 
 
-def run_all(suites=None) -> list[SuiteResult]:
-    if suites is None:
-        suites = [check_gradients, check_walk, check_codec, check_exchange,
-                  check_reductions]
-    return [fn() for fn in suites]
+def run_all() -> list[SuiteResult]:
+    return [check_gradients(), check_walk(), check_codec(), check_exchange(),
+            check_reductions()]

@@ -27,7 +27,7 @@ from typing import get_type_hints
 from .checks import run_all
 from .engine import MetricsRecord, SimConfig, Simulation
 from .errors import ConfigurationError, ContractViolationError, DecodeError
-from .plotting import render_plot
+from .plotting import Y_LABEL, render_plot
 
 log = logging.getLogger("dpga")
 
@@ -246,8 +246,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_check(args, suites=None) -> int:
-    results = run_all(suites)
+def cmd_check(args) -> int:
+    results = run_all()
     ok = True
     for r in results:
         print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} - {r.detail}")
@@ -261,7 +261,7 @@ def cmd_plot(args) -> int:
         path = Path(f)
         cols = read_metrics_csv(path)
         xs, ys = [], []
-        for x, y in zip(cols[args.x], cols["eval_acc"]):
+        for x, y in zip(cols[args.x], cols[Y_LABEL]):
             if y == y:  # skip rounds without an evaluation
                 xs.append(x)
                 ys.append(y)

@@ -46,7 +46,8 @@ def shared_count(p: float, d: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SparseGradient:
-    """Shared part of a gradient: ascending indices and their values."""
+    """Shared part of a gradient: ascending indices and their values. Two
+    messages are equal only when they are the same object."""
 
     round: int
     p: float
@@ -68,13 +69,6 @@ class SparseGradient:
     @property
     def count(self) -> int:
         return int(self.indices.shape[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseGradient):
-            return NotImplemented
-        return (self.round == other.round and self.p == other.p
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.values, other.values))
 
 
 def topk_shared_indices(z: np.ndarray, p: float) -> np.ndarray:

@@ -268,32 +268,6 @@ def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
     return loss, grad
 
 
-def finite_diff_check(params: np.ndarray, batch: Batch, spec: ModelSpec,
-                      h: float = 1e-5, grad_fn=loss_and_gradient) -> float:
-    """Max relative error of grad_fn's gradient vs central differences of
-    the loss.
-
-    Error per coordinate is |analytic - numeric| / max(1, |analytic|); the
-    maximum over all coordinates is returned. grad_fn lets a test inject a
-    broken gradient to prove the check has teeth. The batch is unstacked.
-    """
-    params = _check_args(params, batch, spec)
-    if params.ndim != 1:
-        raise ContractViolationError("finite_diff_check takes one unstacked batch")
-    _, grad = grad_fn(params, batch, spec)
-    worst = 0.0
-    for j in range(params.shape[0]):
-        bump = params.copy()
-        bump[j] += h
-        hi, _ = loss_and_gradient(bump, batch, spec)
-        bump[j] = params[j] - h
-        lo, _ = loss_and_gradient(bump, batch, spec)
-        numeric = (hi - lo) / (2.0 * h)
-        err = abs(grad[j] - numeric) / max(1.0, abs(grad[j]))
-        worst = max(worst, err)
-    return worst
-
-
 def evaluate(params: np.ndarray, batch: Batch, spec: ModelSpec):
     """Mean loss and accuracy on a batch.
 

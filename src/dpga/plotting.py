@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 from .errors import ConfigurationError
 
@@ -11,11 +12,22 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 160.0, 30.0, 50.0
 
 PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
+N_TICKS = 5
+Y_LABEL = "eval_acc"
+# Characters XML 1.0 does not allow in a document, escaped or not.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _xml_text(text: str) -> str:
+    """text as XML character data: markup escaped, U+FFFD for the rest.
+    (xml.sax.saxutils.escape would import urllib.request, about 6 MB.)"""
+    text = _NOT_XML.sub("\ufffd", text)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _ticks(lo: float, hi: float) -> list[float]:
     # The fraction first: (hi - lo) * i can overflow where the span cannot.
-    return [lo + (hi - lo) * (i / (n - 1)) for i in range(n)]
+    return [lo + (hi - lo) * (i / (N_TICKS - 1)) for i in range(N_TICKS)]
 
 
 def _fmt(x: float) -> str:
@@ -35,11 +47,12 @@ def _frame(lo: float, hi: float, pad: float) -> tuple[float, float]:
 
 
 def render_plot(series: list[tuple[str, list[float], list[float]]],
-                x_label: str, y_label: str = "eval_acc") -> str:
-    """Render one polyline per (label, xs, ys) series into an SVG string."""
+                x_label: str) -> str:
+    """Render one polyline per (label, xs, ys) series of Y_LABEL into an
+    SVG string; each label is written as XML text."""
     xs_all, ys_all = zip(*(p for _, xs, ys in series for p in zip(xs, ys)))
     if not all(map(math.isfinite, xs_all + ys_all)):
-        raise ConfigurationError(f"cannot plot a non-finite {x_label} or {y_label}")
+        raise ConfigurationError(f"cannot plot a non-finite {x_label} or {Y_LABEL}")
     x_lo, x_hi = _frame(min(xs_all), max(xs_all), 0.0)
     y_lo, y_hi = _frame(min(ys_all), max(ys_all), 0.03)
 
@@ -74,7 +87,7 @@ def render_plot(series: list[tuple[str, list[float], list[float]]],
                f'font-size="13" text-anchor="middle">{x_label}</text>')
     out.append(f'<text x="18" y="{MARGIN_T + inner_h / 2:g}" font-size="13" '
                f'text-anchor="middle" transform="rotate(-90 18 '
-               f'{MARGIN_T + inner_h / 2:g})">{y_label}</text>')
+               f'{MARGIN_T + inner_h / 2:g})">{Y_LABEL}</text>')
 
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -85,6 +98,6 @@ def render_plot(series: list[tuple[str, list[float], list[float]]],
         lx = MARGIN_L + inner_w + 12
         out.append(f'<line x1="{lx:g}" y1="{ly - 4:g}" x2="{lx + 22:g}" '
                    f'y2="{ly - 4:g}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 28:g}" y="{ly:g}" font-size="12">{label}</text>')
+        out.append(f'<text x="{lx + 28:g}" y="{ly:g}" font-size="12">{_xml_text(label)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -58,12 +58,6 @@ def m_step_matrix(m: int) -> np.ndarray:
     return np.linalg.matrix_power(one_step_matrix(), m)
 
 
-def transition_distribution(p: float, m: int) -> dict[float, float]:
-    """Distribution of the rate after m steps from p; zero entries dropped."""
-    row = m_step_matrix(m)[state_index(p)]
-    return {float(GRID[j]): float(row[j]) for j in range(N_STATES) if row[j] > 0.0}
-
-
 @dataclass(eq=False)
 class RateState:
     """Walk position plus its private random stream."""

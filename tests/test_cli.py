@@ -4,6 +4,7 @@ import glob
 import math
 import shlex
 import tempfile
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,16 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 from test_acceptance import comparative_config
 
 from dpga import checks, engine
-from dpga.checks import check_gradients, check_reductions
+from dpga.checks import check_reductions
 from dpga.cli import (CSV_HEADER, PLOT_X_CHOICES, SCHEMA, load_config, main,
                       read_metrics_csv, write_metrics_csv)
 from dpga.engine import ALGORITHMS, MetricsRecord
-from dpga.errors import ConfigurationError, ContractViolationError
-from dpga.masking import decode, encode, topk_shared_indices
+from dpga.errors import ConfigurationError, ContractViolationError, DecodeError
+from dpga.masking import SparseGradient, decode, encode, topk_shared_indices
 from dpga.models import loss_and_gradient
 from dpga.protocol import (CORRECTION_SCOPES, GlobalAggregate, apply_correction,
                            server_aggregate)
-from dpga.ratewalk import GRID, MAX_STEPS, one_step_matrix, state_index
+from dpga.ratewalk import GRID, MAX_STEPS, one_step_matrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -589,6 +590,7 @@ class TestSweepAndPlotSurface:
             assert code in (0, 2)
             if code == 0:
                 text = svg.read_text()
+                ET.fromstring(text)  # well-formed XML
                 assert "nan" not in text and "inf" not in text
             else:
                 assert not svg.exists()
@@ -606,6 +608,12 @@ def _decode_flipped_bit(blob):
     return msg
 
 
+def _decode_unsigned_zero(blob):
+    """Decoding that turns -0.0 into 0.0, which compares equal to it."""
+    msg = decode(blob)
+    return SparseGradient(msg.round, msg.p, msg.indices, msg.values + 0.0)
+
+
 def _topk_ties_high(z, p):
     """Top-K with magnitude ties resolved toward the higher index."""
     return (z.shape[0] - 1 - topk_shared_indices(z[::-1], p))[::-1]
@@ -618,12 +626,29 @@ def _aggregate_over_messages(messages, d, weights=None):
                            agg.counts)
 
 
-def _walk_without_hold(p, m):
-    """The m-step law with the boundary's held half-step dropped."""
+def _walk_without_hold(m):
+    """The m-step matrix with the boundary's held half-step dropped."""
     one = one_step_matrix()
     np.fill_diagonal(one, 0.0)
-    row = np.linalg.matrix_power(one, m)[state_index(p)]
-    return dict(zip(GRID.tolist(), row.tolist()))
+    return np.linalg.matrix_power(one, m)
+
+
+def _gradient_scaled(params, batch, spec):
+    loss, grad = loss_and_gradient(params, batch, spec)
+    return loss, grad * 1.01
+
+
+def _relu_mlp_gradient_scaled(params, batch, spec):
+    """A gradient that is wrong for relu MLPs only."""
+    loss, grad = loss_and_gradient(params, batch, spec)
+    relu_mlp = spec.kind == "mlp" and spec.activation == "relu"
+    return loss, grad * 1.01 if relu_mlp else grad
+
+
+def _raise(exc):
+    def fault(*args):
+        raise exc
+    return fault
 
 
 class TestCheckCommand:
@@ -634,28 +659,42 @@ class TestCheckCommand:
                      "exchange", "reduction-identities"):
             assert f"{name}: PASS" in out
 
-    def test_injected_gradient_bug_fails(self, capsys):
-        def broken(params, batch, spec):
-            loss, grad = loss_and_gradient(params, batch, spec)
-            return loss, grad * 1.01
-
-        from dpga.cli import cmd_check
-        code = cmd_check(None, suites=[
-            lambda: check_gradients(cases=5, grad_fn=broken)])
-        assert code == 1
+    def test_injected_gradient_bug_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(checks, "loss_and_gradient", _gradient_scaled)
+        assert main(["check"]) == 1
         assert "finite-diff: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, exc, line", [
+        ("decode", DecodeError("boom", 0),
+         "codec-roundtrip: FAIL - raised DecodeError: boom (at byte 0)"),
+        ("topk_shared_indices", ContractViolationError("boom"),
+         "exchange: FAIL - raised ContractViolationError: boom"),
+    ], ids=["decode-error", "contract-violation"])
+    def test_raising_suite_fails_and_the_rest_run(self, monkeypatch, capsys,
+                                                  name, exc, line):
+        monkeypatch.setattr(checks, name, _raise(exc))
+        assert main(["check"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert line in out
+        assert len(out) == 5 and sum("PASS" in o for o in out) == 4
 
     @pytest.mark.parametrize("name, fault, suite, detail", [
         ("encode", _encode_extra_byte, checks.check_codec, "not 17 + 12k"),
-        ("decode", _decode_flipped_bit, checks.check_codec, "!= msg"),
+        ("decode", _decode_flipped_bit, checks.check_codec,
+         "decoded values field differs"),
+        ("decode", _decode_unsigned_zero, checks.check_codec,
+         "decoded values field differs"),
         ("topk_shared_indices", _topk_ties_high, checks.check_exchange,
          "Top-K differs"),
         ("server_aggregate", _aggregate_over_messages, checks.check_exchange,
          "aggregate differs"),
-        ("transition_distribution", _walk_without_hold, checks.check_walk,
-         "max_abs_err"),
-    ], ids=["encode-extra-byte", "decode-flipped-bit", "topk-ties-high",
-            "aggregate-over-messages", "walk-without-hold"])
+        ("m_step_matrix", _walk_without_hold, checks.check_walk,
+         "m=1: the row from p=0.1 differs"),
+        ("loss_and_gradient", _relu_mlp_gradient_scaled, checks.check_gradients,
+         "mlp max_rel_err"),
+    ], ids=["encode-extra-byte", "decode-flipped-bit", "decode-unsigned-zero",
+            "topk-ties-high", "aggregate-over-messages", "walk-without-hold",
+            "relu-mlp-gradient"])
     def test_injected_fault_fails(self, monkeypatch, name, fault, suite, detail):
         monkeypatch.setattr(checks, name, fault)
         result = suite()
@@ -709,6 +748,18 @@ class TestPlotCommand:
         svg = svg_path.read_text()
         assert svg.count("<polyline") == 2
         assert ">one<" in svg and ">two<" in svg
+
+    @pytest.mark.parametrize("stem, legend", [
+        ("a&b<c", "a&b<c"), ("tab\tbell\x07", "tab\tbell\ufffd"),
+        ("byte\udcff", "byte\ufffd"),  # the file name byte 0xff, not UTF-8
+    ], ids=["markup", "control-character", "not-utf8"])
+    def test_any_csv_name_gives_well_formed_svg(self, config_file, tmp_path,
+                                                stem, legend):
+        csv_path, svg_path = tmp_path / f"{stem}.csv", tmp_path / "p.svg"
+        main(["run", "--config", str(config_file), "--out", str(csv_path)])
+        assert main(["plot", str(csv_path), "--out", str(svg_path)]) == 0
+        texts = ET.parse(svg_path).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts][-1] == legend
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

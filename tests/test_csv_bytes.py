@@ -1,20 +1,27 @@
 """Pinned CSV bytes: 20-round copies of the 7 benchmark simulations at
-seed 11, and three minibatch edge cases, must write exactly the bytes
-whose sha256 is in golden/csv_sha256.json.
+seed 11, three minibatch edge cases and a derived delay must write exactly
+the bytes whose sha256 is in golden/csv_sha256.json.
 
 The configs are written out here rather than imported from bench/, so the
-pin holds whatever the benchmark does. A change that moves any CSV byte on
-purpose rewrites the pin with
+pin holds whatever the benchmark does. The bytes also depend on the matmul
+kernels of the BLAS build (numpy 2.4.6 with its OpenBLAS 0.3.31), and on
+x86-64 its two kernel families round differently: "avx512" (SkylakeX,
+Cooperlake, SapphireRapids) and "avx2" (Haswell, Zen). Each case holds a
+pin per family, and a CSV passes when it matches one of them. A change
+that moves any CSV byte on purpose rewrites the pins under both families,
 
     PYTHONPATH=src python tests/test_csv_bytes.py
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_csv_bytes.py
 
-and says so in CHANGES.md. The pins hold for the numpy and BLAS build they
-were written with: a BLAS whose matmul kernel rounds differently would
-need its own pin.
+and says so in CHANGES.md. Each run records the family it runs under and
+keeps the other family's pins.
 """
 
 import hashlib
 import json
+import os
+import platform
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -88,6 +95,12 @@ def small_batches(algorithm: str) -> SimConfig:
     )
 
 
+def derived_delay(algorithm: str) -> SimConfig:
+    # The comparative config with the delay derived: D = 3 rounds of compute
+    # cover its worst round trip (the comparative cases set D = 4).
+    return replace(comparative(algorithm), delay=None)
+
+
 CASES = {
     **{f"comparative/{a}": (comparative, a)
        for a in ("fedavg", "dga", "dpga", "static-partial")},
@@ -96,7 +109,22 @@ CASES = {
     "mixed-shards/dga": (mixed_shards, "dga"),
     "batch-8/fedavg": (small_batches, "fedavg"),
     "batch-1/dpga": (small_batches, "dpga"),
+    "derived-delay/dpga": (derived_delay, "dpga"),
 }
+# OPENBLAS_CORETYPE names -> the kernel family they select.
+FAMILIES = {"skylakex": "avx512", "cooperlake": "avx512",
+            "sapphirerapids": "avx512", "haswell": "avx2", "zen": "avx2"}
+
+
+def kernel_family() -> str:
+    """The family of the OpenBLAS kernels this process runs: the one
+    OPENBLAS_CORETYPE names, or else the widest the CPU supports."""
+    core = os.environ.get("OPENBLAS_CORETYPE", "").lower()
+    if core:
+        return FAMILIES.get(core, core)
+    from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    return ("avx512" if cpu.get("AVX512F") else "avx2" if cpu.get("AVX2")
+            else platform.machine())
 
 
 def csv_sha256(name: str, tmp_dir: Path) -> str:
@@ -108,12 +136,17 @@ def csv_sha256(name: str, tmp_dir: Path) -> str:
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_csv_bytes_are_pinned(name, tmp_path):
-    assert csv_sha256(name, tmp_path) == json.loads(GOLDEN.read_text())[name]
+    pins = json.loads(GOLDEN.read_text())[name]
+    assert csv_sha256(name, tmp_path) in pins.values(), pins
 
 
 if __name__ == "__main__":
     import tempfile
 
+    family = kernel_family()
+    old = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        pins = {name: csv_sha256(name, Path(tmp)) for name in CASES}
-    GOLDEN.write_text(json.dumps(pins, indent=1) + "\n")
+        pins = {name: {**old.get(name, {}), family: csv_sha256(name, Path(tmp))}
+                for name in CASES}
+    GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"wrote the {family} pins of {len(pins)} cases to {GOLDEN}")

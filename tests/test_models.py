@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpga.errors import ConfigurationError, ContractViolationError
-from dpga.models import (Batch, ModelSpec, evaluate, finite_diff_check,
-                         init_params, loss_and_gradient)
+from dpga.models import Batch, ModelSpec, evaluate, init_params, loss_and_gradient
 
 
 def _logistic(dim=3, classes=2):
@@ -371,36 +370,6 @@ class TestStackedKernel:
             loss_and_gradient(np.zeros((2, spec.dim)), stacked, _logistic(2, 2))
         with pytest.raises(ContractViolationError):
             loss_and_gradient(np.zeros((2, spec.dim)), stacked, _logistic(3, 3))
-        with pytest.raises(ContractViolationError):
-            finite_diff_check(np.zeros((2, spec.dim)), stacked, spec)
-
-
-class TestFiniteDifference:
-    @pytest.mark.parametrize("kind,limit", [
-        ("logistic-regression", 1e-5),
-        ("mlp", 1e-4),
-    ])
-    def test_random_cases(self, kind, limit):
-        rng = np.random.default_rng(303)
-        for _ in range(20):
-            classes = int(rng.integers(2, 5))
-            dim = int(rng.integers(2, 5))
-            hidden = (int(rng.integers(2, 5)),) if kind == "mlp" else ()
-            spec = ModelSpec(kind=kind, input_dim=dim, num_classes=classes,
-                             hidden_dims=hidden, activation="tanh")
-            batch = Batch(rng.standard_normal((3, dim)),
-                          rng.integers(0, classes, 3))
-            err = finite_diff_check(rng.standard_normal(spec.dim), batch, spec)
-            assert err < limit
-
-    def test_relu_mlp(self):
-        rng = np.random.default_rng(7)
-        spec = ModelSpec(kind="mlp", input_dim=3, num_classes=2,
-                         hidden_dims=(5,), activation="relu")
-        batch = Batch(rng.standard_normal((4, 3)), rng.integers(0, 2, 4))
-        # Offset params so no pre-activation sits on the relu kink.
-        params = rng.standard_normal(spec.dim) + 0.05
-        assert finite_diff_check(params, batch, spec) < 1e-4
 
 
 class TestInitParams:

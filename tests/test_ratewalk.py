@@ -1,25 +1,38 @@
-"""Rate walk: one-step matrix, m-step law vs path enumeration, sampling."""
+"""Rate walk: one-step matrix, m-step law, sampling. The law against path
+enumeration is the walk-enumeration suite in dpga.checks."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dpga.checks import enumerate_transition
 from dpga.errors import ConfigurationError
 from dpga.ratewalk import (GRID, MAX_STEPS, N_STATES, RateState, m_step_matrix,
-                           one_step_matrix, state_index, transition_distribution)
+                           one_step_matrix, state_index)
+
+
+def _row(p: float, m: int) -> np.ndarray:
+    """The m-step law from rate p: its row of m_step_matrix."""
+    return m_step_matrix(m)[state_index(p)]
+
+
+def _law(probs: dict[float, float]) -> np.ndarray:
+    """A law over the grid from {rate: probability}."""
+    row = np.zeros(N_STATES)
+    for p, prob in probs.items():
+        row[state_index(p)] = prob
+    return row
 
 
 class TestOneStepMatrix:
     def test_interior_row(self):
-        assert transition_distribution(0.5, 1) == {0.4: 0.5, 0.6: 0.5}
+        np.testing.assert_array_equal(_row(0.5, 1), _law({0.4: 0.5, 0.6: 0.5}))
 
     def test_lower_boundary_holds(self):
-        assert transition_distribution(0.1, 1) == {0.1: 0.5, 0.2: 0.5}
+        np.testing.assert_array_equal(_row(0.1, 1), _law({0.1: 0.5, 0.2: 0.5}))
 
     def test_upper_boundary_holds(self):
-        assert transition_distribution(1.0, 1) == {0.9: 0.5, 1.0: 0.5}
+        np.testing.assert_array_equal(_row(1.0, 1), _law({0.9: 0.5, 1.0: 0.5}))
 
     def test_rows_sum_to_one(self):
         np.testing.assert_allclose(one_step_matrix().sum(axis=1), np.ones(10),
@@ -28,43 +41,32 @@ class TestOneStepMatrix:
 
 class TestTransitionDistribution:
     def test_two_steps_from_center(self):
-        assert transition_distribution(0.5, 2) == {0.3: 0.25, 0.5: 0.5, 0.7: 0.25}
+        np.testing.assert_array_equal(_row(0.5, 2),
+                                      _law({0.3: 0.25, 0.5: 0.5, 0.7: 0.25}))
 
     def test_two_steps_from_boundary(self):
-        assert transition_distribution(0.1, 2) == {0.1: 0.5, 0.2: 0.25, 0.3: 0.25}
+        np.testing.assert_array_equal(_row(0.1, 2),
+                                      _law({0.1: 0.5, 0.2: 0.25, 0.3: 0.25}))
 
     def test_zero_steps_is_identity(self):
-        assert transition_distribution(0.7, 0) == {0.7: 1.0}
-
-    def test_matches_path_enumeration(self):
-        """Brute-force all 2^m coin paths and compare coordinate-wise."""
-        for m in range(0, 9):
-            for p in GRID:
-                got = transition_distribution(float(p), m)
-                want = enumerate_transition(float(p), m)
-                assert set(got) == set(want)
-                for k in want:
-                    assert abs(got[k] - want[k]) <= 1e-12
-                assert abs(sum(got.values()) - 1.0) <= 1e-12
+        np.testing.assert_array_equal(_row(0.7, 0), _law({0.7: 1.0}))
 
     def test_interior_symmetry_and_mean(self):
         # With the full step range inside the grid the law is symmetric
         # about the start, so its mean is the start itself.
         for p, m in [(0.5, 2), (0.5, 4), (0.4, 3), (0.6, 3)]:
-            dist = transition_distribution(p, m)
-            mean = sum(k * v for k, v in dist.items())
-            assert mean == pytest.approx(p, abs=1e-12)
-            for k, v in dist.items():
-                mirror = round(2 * p - k, 10)
-                assert dist[mirror] == pytest.approx(v, abs=1e-12)
+            row, i = _row(p, m), state_index(p)
+            assert row @ GRID == pytest.approx(p, abs=1e-12)
+            window = row[i - m:i + m + 1]
+            assert window.sum() == 1.0
+            np.testing.assert_allclose(window, window[::-1], rtol=0, atol=1e-12)
 
     def test_monotone_gap_decay(self):
         # Interior: probability never grows with the distance from the start.
+        i = state_index(0.5)
         for m in (2, 3, 4):
-            dist = transition_distribution(0.5, m)
-            gaps = sorted(round(abs(k - 0.5), 10) for k in dist)
-            probs = [max(dist.get(round(0.5 + g, 10), 0.0),
-                         dist.get(round(0.5 - g, 10), 0.0)) for g in gaps]
+            row = _row(0.5, m)
+            probs = [max(row[i + g], row[i - g]) for g in range(m % 2, m + 1, 2)]
             assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_rows_of_m_step_matrix_are_stochastic(self):
@@ -75,7 +77,7 @@ class TestTransitionDistribution:
 
     def test_off_grid_rate_rejected(self):
         with pytest.raises(ConfigurationError):
-            transition_distribution(0.55, 2)
+            RateState(0.55, 2, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             state_index(0.0)
 
