@@ -101,17 +101,22 @@ class GlobalAggregate:
 
     values and counts have one entry per model coordinate: counts[j] is how
     many clients shared coordinate j and values[j] is their aggregate.
-    Where nobody shared, both are 0.
+    Where nobody shared, both are 0. The support is derived once, at
+    construction: mask is counts > 0 and indices the coordinates at least
+    one client shared, ascending. One aggregate goes to every client, so
+    it is read-only once server_aggregate returns it: nothing may write to
+    its arrays, or the derived support would no longer match counts.
     """
 
     round: int
     values: np.ndarray
     counts: np.ndarray
+    mask: np.ndarray = field(init=False)
+    indices: np.ndarray = field(init=False)
 
-    @property
-    def indices(self) -> np.ndarray:
-        """The coordinates at least one client shared, ascending."""
-        return np.flatnonzero(self.counts)
+    def __post_init__(self):
+        self.mask = self.counts > 0
+        self.indices = np.flatnonzero(self.mask)
 
 
 # ---- operations ---- #
@@ -240,8 +245,12 @@ def server_aggregate(messages: list[SparseGradient], d: int,
 
     d is the model size: every index must lie below it, and the aggregate
     has one value and one count per coordinate, 0 where nobody shared. Each
-    message is scattered into one row of an (n_messages, d) buffer, so the
-    work is linear in d and no index is sorted or searched.
+    message is scattered into one row of an (n_messages, d) float buffer
+    that a fixed tree sums column by column; the counts are one bincount
+    over all the messages' indices. With weights, a second (n_messages, d)
+    buffer holds each message's weight at its indices and sums to the
+    denominator the same way. The work is linear in d and no index is
+    sorted or searched.
     """
     if not messages:
         raise ContractViolationError("nothing to aggregate")
@@ -254,14 +263,14 @@ def server_aggregate(messages: list[SparseGradient], d: int,
             raise ContractViolationError("need one weight per message")
 
     slots = np.zeros((len(messages), d))
-    present = np.zeros((len(messages), d), dtype=bool)
     for i, m in enumerate(messages):
         if m.count and m.indices[-1] >= d:
             raise ContractViolationError(
                 f"index {m.indices[-1]} outside a model of size {d}")
         slots[i, m.indices] = m.values
-        present[i, m.indices] = True
-    counts = present.sum(axis=0)
+    # Indices are distinct within a message, so this counts contributors.
+    counts = np.bincount(np.concatenate([m.indices for m in messages]),
+                         minlength=d)
 
     # Each column sums on its own, so a shared coordinate carries the same
     # bits as a tree over the shared coordinates alone.
@@ -269,9 +278,13 @@ def server_aggregate(messages: list[SparseGradient], d: int,
         num, den = pairwise_sum(slots), counts
     else:
         num = pairwise_sum(slots * weights[:, None])
-        den = pairwise_sum(present * weights[:, None])
-    values = np.divide(num, den, out=np.zeros(d), where=counts > 0)
-    return GlobalAggregate(round=round_, values=values, counts=counts)
+        shares = np.zeros((len(messages), d))
+        for i, m in enumerate(messages):
+            shares[i, m.indices] = weights[i]
+        den = pairwise_sum(shares)
+    agg = GlobalAggregate(round=round_, values=np.zeros(d), counts=counts)
+    np.divide(num, den, out=agg.values, where=agg.mask)
+    return agg
 
 
 def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
@@ -284,9 +297,13 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
     client's own shared set by default, or anywhere with full-support
     scope. The weights are then rebuilt from the round's starting point by
     replaying the later pending rounds with the same per-round update
-    expression the forward pass used. Returns the largest |global - local|
-    substitution made, which is exactly 0.0 when the aggregate agrees with
-    the client's own shared values.
+    expression the forward pass used. The replay runs in place on one copy
+    of the new anchor, with one scratch buffer for eta * z: each round
+    still rounds twice, once for the product and once for the difference,
+    exactly as w - eta * z does. Neither the aggregate nor any pending
+    round is written to. Returns the largest |global - local| substitution
+    made, which is exactly 0.0 when the aggregate agrees with the client's
+    own shared values.
     """
     if scope not in CORRECTION_SCOPES:
         raise ContractViolationError(f"unknown correction scope {scope!r}")
@@ -296,22 +313,33 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
     if pend.round != agg.round:
         raise ContractViolationError(
             f"client {client.id}: aggregate round {agg.round} != pending {pend.round}")
-    merged = pend.z_full.copy()
-    if not agg.values.shape == agg.counts.shape == merged.shape:
+    z = pend.z_full
+    if not agg.values.shape == agg.counts.shape == z.shape:
         raise ContractViolationError("aggregate length differs from the model size")
 
-    coords = pend.shared if scope == "own-shared" else np.arange(merged.shape[0])
-    touched = coords[agg.counts[coords] > 0]
-    vals = agg.values[touched]
-    delta = float(np.max(np.abs(vals - merged[touched]), initial=0.0))
-    merged[touched] = vals
-
     eta = float(eta)
-    w = client.anchor - eta * merged
-    client.anchor = w
+    if scope == "own-shared":
+        touched = pend.shared[agg.mask[pend.shared]]
+        vals = agg.values[touched]
+        diff = vals - z[touched]
+        merged = z.copy()
+        merged[touched] = vals
+    else:
+        # Where nobody shared, merged equals z, so |merged - z| adds
+        # exactly 0.0, the max's initial value.
+        merged = np.where(agg.mask, agg.values, z)
+        diff = merged - z
+    delta = float(np.max(np.abs(diff, out=diff), initial=0.0))
+    # The buffer that holds eta * merged is the replay's scratch afterwards.
+    step = np.multiply(merged, eta, out=merged)
+    anchor = np.subtract(client.anchor, step)
+    client.anchor = anchor
     client.pending.popleft()
-    for later in client.pending:
-        w = w - eta * later.z_full
+    w = anchor
+    if client.pending:
+        w = anchor.copy()
+        for later in client.pending:
+            np.subtract(w, np.multiply(later.z_full, eta, out=step), out=w)
     client.weights = w
     return delta
 

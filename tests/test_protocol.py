@@ -6,16 +6,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpga import protocol
 from dpga.errors import ContractViolationError
 from dpga.masking import SparseGradient, topk_shared_indices
 from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
-from dpga.protocol import (ClientState, GlobalAggregate, apply_correction,
-                           build_upload, grouped_local_round, local_round,
-                           pairwise_mean, pairwise_sum, server_aggregate,
-                           static_partial_mask)
+from dpga.protocol import (CORRECTION_SCOPES, ClientState, GlobalAggregate,
+                           PendingRound, apply_correction, build_upload,
+                           grouped_local_round, local_round, pairwise_mean,
+                           pairwise_sum, server_aggregate, static_partial_mask)
 from test_models import _pooled_bias
 
 SPEC = ModelSpec(kind="logistic-regression", input_dim=2, num_classes=2)
@@ -346,7 +347,125 @@ class TestServerAggregate:
         assert not agg.counts[off].any()
 
 
+# Signed zeros on purpose: a merge or replay that loses a sign shows in
+# the bytes.
+_ENTRIES = st.one_of(st.just(0.0), st.just(-0.0),
+                     st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def _corrections(draw):
+    """A client with 1-5 pending rounds and an aggregate for the oldest.
+
+    Coordinates may be uncovered (count 0, value 0) even inside the
+    client's own shared set, and covered values may be signed zeros.
+    """
+    input_dim, classes = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    spec = ModelSpec(kind="logistic-regression", input_dim=input_dim,
+                     num_classes=classes)
+    d = spec.dim
+    vector = arrays(np.float64, d, elements=_ENTRIES)
+    client = ClientState(id=0, weights=draw(vector),
+                         shard=Batch(np.zeros((1, input_dim)), [0]),
+                         spec=spec, max_pending=5)
+    client.anchor = draw(vector)
+    for r in range(1, draw(st.integers(0, 4)) + 2):
+        shared = sorted(draw(st.sets(st.integers(0, d - 1), max_size=d)))
+        client.pending.append(PendingRound(
+            round=r, shared=np.array(shared, dtype=np.int64), z_full=draw(vector)))
+    counts = draw(arrays(np.int64, d, elements=st.integers(0, 3)))
+    values = np.where(counts > 0, draw(vector), 0.0)
+    agg = GlobalAggregate(round=1, values=values, counts=counts)
+    return (client, agg, draw(st.sampled_from([0.1, 0.3, 1.0])),
+            draw(st.sampled_from(CORRECTION_SCOPES)))
+
+
+def _straight_line_correction(client, agg, eta, scope):
+    """(weights, anchor, delta) by the plain expressions: copy, gather and
+    scatter on the covered coordinates, then w = w - eta * z per later
+    round."""
+    pend = client.pending[0]
+    merged = pend.z_full.copy()
+    coords = pend.shared if scope == "own-shared" else np.arange(merged.shape[0])
+    touched = coords[agg.counts[coords] > 0]
+    vals = agg.values[touched]
+    delta = float(np.max(np.abs(vals - merged[touched]), initial=0.0))
+    merged[touched] = vals
+    anchor = w = client.anchor - eta * merged
+    for later in list(client.pending)[1:]:
+        w = w - eta * later.z_full
+    return w, anchor, delta
+
+
+def _check_correction(case, correct=apply_correction):
+    client, agg, eta, scope = case
+    want_w, want_anchor, want_delta = _straight_line_correction(
+        copy.deepcopy(client), agg, eta, scope)
+    later = [p.round for p in client.pending][1:]
+    delta = correct(client, agg, eta, scope=scope)
+    assert client.weights.tobytes() == want_w.tobytes()
+    assert client.anchor.tobytes() == want_anchor.tobytes()
+    assert np.float64(delta).tobytes() == np.float64(want_delta).tobytes()
+    assert [p.round for p in client.pending] == later
+
+
+def _merge_ignoring_counts(client, agg, eta, scope="own-shared"):
+    """Substitutes on every candidate coordinate, writing the aggregate's 0
+    where nobody shared."""
+    everywhere = GlobalAggregate(round=agg.round, values=agg.values,
+                                 counts=np.ones_like(agg.counts))
+    return apply_correction(client, everywhere, eta, scope=scope)
+
+
+def _replay_skipping_newest(client, agg, eta, scope="own-shared"):
+    """Rebuilds the weights without the newest pending round."""
+    newest = client.pending.pop() if len(client.pending) > 1 else None
+    delta = apply_correction(client, agg, eta, scope=scope)
+    if newest is not None:
+        client.pending.append(newest)
+    return delta
+
+
 class TestApplyCorrection:
+    @settings(max_examples=150, deadline=None)
+    @given(_corrections())
+    def test_equals_straight_line_correction(self, case):
+        _check_correction(case)
+
+    @pytest.mark.parametrize("fault", [_merge_ignoring_counts,
+                                       _replay_skipping_newest],
+                             ids=["merge-ignoring-counts", "replay-skipping-newest"])
+    def test_fault_fails(self, fault):
+        # Finding a failure is the point; shrinking it would only cost time.
+        with pytest.raises(AssertionError):
+            settings(max_examples=150, deadline=None, report_multiple_bugs=False,
+                     phases=(Phase.explicit, Phase.reuse, Phase.generate))(
+                given(_corrections())(lambda case: _check_correction(case, fault)))()
+
+    @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
+    def test_shared_aggregate_and_later_rounds_keep_their_bytes(self, scope):
+        """One aggregate goes to every client; neither it nor any round
+        still pending may be written to, and no client's new state may
+        share memory with them."""
+        clients = [_client(cid=i, seed=i) for i in range(3)]
+        msgs = []
+        for r in (1, 2, 3):
+            msgs = [build_upload(c, local_round(c, 1, 0.1, None, 0), 0.5, round=r)
+                    for c in clients]
+            if r == 1:
+                agg = server_aggregate(msgs, SPEC.dim)
+        fields = (agg.values, agg.counts, agg.mask, agg.indices)
+        before = [a.tobytes() for a in fields]
+        later = [p.z_full.tobytes() for c in clients for p in list(c.pending)[1:]]
+        for c in clients:
+            apply_correction(c, agg, eta=0.1, scope=scope)
+        assert [a.tobytes() for a in fields] == before
+        assert [p.z_full.tobytes() for c in clients for p in c.pending] == later
+        for c in clients:
+            for a in fields + tuple(p.z_full for p in c.pending):
+                assert not np.shares_memory(c.weights, a)
+                assert not np.shares_memory(c.anchor, a)
+
     def test_substitution_example(self):
         """shared={0}, global 1, own value 2, eta=0.1: coordinate 0 gains
         exactly 0.1 and everything else stays put."""
