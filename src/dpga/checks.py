@@ -22,8 +22,8 @@ from itertools import product
 import numpy as np
 
 from .engine import SimConfig, Simulation
-from .masking import (SparseGradient, decode, encode, shared_count,
-                      topk_shared_indices)
+from .masking import (SharedSet, SparseGradient, decode, encode,
+                      extract_shared, shared_count, topk_shared_indices)
 from .models import ACTIVATIONS, KINDS, Batch, ModelSpec, loss_and_gradient
 from .protocol import pairwise_mean, pairwise_sum, server_aggregate
 from .ratewalk import GRID, N_STATES, m_step_matrix
@@ -198,7 +198,9 @@ def check_exchange():
     Each case draws d, then checks Top-K of one vector against the lexsort
     definition and the aggregate of 1-8 uploads against the union and
     searchsorted route, bit for bit over all d, size-weighted in about
-    half the cases.
+    half the cases. In about half the cases the uploads are Top-K; in the
+    rest they all carry one fixed set, every coordinate or a tail, as a
+    run with a dense or static upload sends them.
     """
     rng = np.random.default_rng(4099)
     for i in range(1000):
@@ -207,12 +209,17 @@ def check_exchange():
         p = float(GRID[rng.integers(0, GRID.shape[0])])
         if not _same_bits(topk_shared_indices(z, p), lexsort_topk(z, p)):
             return False, f"case {i}: Top-K differs from the lexsort rule"
+        upload = ("top-k", "dense", "tail")[rng.choice(3, p=[0.5, 0.25, 0.25])]
+        if upload == "dense":
+            fixed = SharedSet(np.arange(d), d)
+        elif upload == "tail":
+            fixed = SharedSet(np.arange(d - shared_count(p, d), d), d)
         msgs = []
         for _ in range(int(rng.integers(1, 9))):
             z = _random_vector(rng, d)
             p = float(GRID[rng.integers(0, GRID.shape[0])])
-            idx = topk_shared_indices(z, p)
-            msgs.append(SparseGradient(round=i, p=p, indices=idx, values=z[idx]))
+            shared = topk_shared_indices(z, p) if upload == "top-k" else fixed
+            msgs.append(extract_shared(z, shared, i, p))
         weights = None
         if rng.integers(0, 2):
             sizes = rng.integers(1, 50, size=len(msgs)).astype(np.float64)
@@ -220,9 +227,11 @@ def check_exchange():
         got = server_aggregate(msgs, d, weights)
         values, counts = union_aggregate(msgs, d, weights)
         if not (_same_bits(got.values, values) and _same_bits(got.counts, counts)):
-            return False, f"case {i}: aggregate differs from the union route"
+            return False, (f"case {i}: aggregate differs from the union "
+                           f"route ({upload} uploads)")
     return True, ("1000 cases: Top-K equals the lexsort rule and the "
-                  "aggregate equals the union route bit for bit")
+                  "aggregate of Top-K, dense and tail uploads equals the "
+                  "union route bit for bit")
 
 
 # ---- protocol reductions ---- #

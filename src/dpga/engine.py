@@ -27,11 +27,12 @@ import numpy as np
 
 from .data import PartitionConfig, gen_synthetic, partition
 from .errors import ConfigurationError, ContractViolationError
-from .masking import U32_MAX, payload_bytes, snap_rate
+from .masking import U32_MAX, SharedSet, payload_bytes, snap_rate
 from .models import Batch, ModelSpec, evaluate, init_params
-from .protocol import (CORRECTION_SCOPES, ClientState, apply_correction,
-                       build_upload, grouped_local_round, pairwise_mean,
-                       server_aggregate, static_partial_mask)
+from .protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
+                       apply_correction, build_upload, grouped_local_round,
+                       pairwise_mean, seed_words, server_aggregate,
+                       static_partial_mask)
 from .ratewalk import MAX_STEPS, RateState, state_index
 
 
@@ -268,12 +269,20 @@ class Simulation:
                     f"partition left client {i} without data; grow the dataset "
                     "or raise alpha/rho")
         w0 = init_params(self.spec, _derived_seed(cfg.seed, _SEED_INIT))
+        # One gather deals every shard, client by client; each shard is a
+        # view of its rows, so the sampling group pools them without a copy.
+        dealt = self.train.rows(np.concatenate(shards))
+        ends = np.cumsum([idx.size for idx in shards])
         self.clients = [
             ClientState(id=i, weights=w0.copy(),
-                        shard=self.train.rows(idx),
+                        shard=dealt.rows(slice(end - idx.size, end)),
                         spec=self.spec, max_pending=self.delay + 1)
-            for i, idx in enumerate(shards)
+            for i, (idx, end) in enumerate(zip(shards, ends))
         ]
+        # Who samples, the pool they sample from and the minibatch seed
+        # words [seed, _SEED_BATCH] depend on the config alone.
+        self._group = ClientGroup(self.clients, cfg.batch_size)
+        self._batch_words = seed_words(cfg.seed, _SEED_BATCH)
 
         self._weights = None
         if self.scheme.weighted:
@@ -281,11 +290,13 @@ class Simulation:
             self._weights = sizes / sizes.sum()
         # A fixed upload has one (wire rate, reported p); Top-K walks.
         self._walks: list[RateState] = []
+        # A fixed set is checked once and every upload carries it.
         if self.scheme.upload == "dense":
-            self._shared = np.arange(self.spec.dim, dtype=np.int64)
+            self._shared = SharedSet(np.arange(self.spec.dim), self.spec.dim)
             self._fixed_rate = (1.0, 1.0)
         elif self.scheme.upload == "static":
-            self._shared = static_partial_mask(self.spec, cfg.static_fraction)
+            self._shared = SharedSet(
+                static_partial_mask(self.spec, cfg.static_fraction), self.spec.dim)
             # The wire carries the snapped grid rate; the record the nominal one.
             self._fixed_rate = (snap_rate(cfg.static_fraction), cfg.static_fraction)
         else:
@@ -333,9 +344,10 @@ class Simulation:
 
         for t in range(1, cfg.rounds + 1):
             rates, p_used = self._rates(t)
+            # Client i samples from default_rng([seed, _SEED_BATCH, t, i]).
             zs = grouped_local_round(
-                self.clients, cfg.local_epochs, cfg.eta, cfg.batch_size,
-                [[cfg.seed, _SEED_BATCH, t, c.id] for c in self.clients])
+                self._group, cfg.local_epochs, cfg.eta,
+                np.concatenate((self._batch_words, seed_words(t))))
 
             msgs = [build_upload(client, z, p, t, shared=self._shared)
                     for client, z, p in zip(self.clients, zs, rates)]

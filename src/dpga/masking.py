@@ -44,10 +44,46 @@ def shared_count(p: float, d: int) -> int:
     return math.ceil(p * d)
 
 
+def _checked_indices(indices, d: int) -> np.ndarray:
+    """indices as int64, checked to be 1-d, strictly ascending and in 0..d-1."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ContractViolationError("shared indices must be 1-d")
+    if idx.size and np.any(idx[:-1] >= idx[1:]):
+        raise ContractViolationError("shared indices must be strictly ascending")
+    if idx.size and (idx[0] < 0 or idx[-1] >= d):
+        raise ContractViolationError("shared indices out of range")
+    return idx
+
+
+@dataclass(frozen=True, eq=False)
+class SharedSet:
+    """The coordinates of a length-d vector that go up, checked once.
+
+    The indices are copied, checked to be strictly ascending and below d,
+    and stored read-only. A fixed shared set (every coordinate, or a
+    static tail) is built once per run, and every message extract_shared
+    builds from it carries this same array, with no copy and no second
+    check. Two sets are equal only when they are the same object.
+    """
+
+    indices: np.ndarray
+    d: int
+
+    def __post_init__(self):
+        idx = _checked_indices(self.indices, self.d).copy()
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseGradient:
     """Shared part of a gradient: ascending indices and their values. Two
-    messages are equal only when they are the same object."""
+    messages are equal only when they are the same object.
+
+    indices may be given as a SharedSet: the message then carries the
+    set's checked read-only array as is and does not scan it again.
+    """
 
     round: int
     p: float
@@ -55,13 +91,15 @@ class SparseGradient:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        checked = isinstance(self.indices, SharedSet)
+        idx = (self.indices.indices if checked
+               else np.asarray(self.indices, dtype=np.int64))
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
         if idx.ndim != 1 or vals.ndim != 1 or idx.shape != vals.shape:
             raise ContractViolationError("indices and values must be 1-d and matched")
-        if idx.size and (np.any(idx[:-1] >= idx[1:]) or idx[0] < 0):
+        if not checked and idx.size and (np.any(idx[:-1] >= idx[1:]) or idx[0] < 0):
             raise ContractViolationError("indices must be strictly ascending and >= 0")
         if self.round < 0:
             raise ContractViolationError("round must be >= 0")
@@ -96,13 +134,20 @@ def topk_shared_indices(z: np.ndarray, p: float) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def extract_shared(z: np.ndarray, shared: np.ndarray, round: int, p: float) -> SparseGradient:
-    """Pull the shared coordinates of z into a message."""
+def extract_shared(z: np.ndarray, shared: SharedSet | np.ndarray, round: int,
+                   p: float) -> SparseGradient:
+    """Pull the shared coordinates of z into a message.
+
+    shared is a SharedSet for z's length, whose array the message carries
+    as is, or an index array, which is checked and copied into one first.
+    """
     z = np.asarray(z, dtype=np.float64)
-    shared = np.asarray(shared, dtype=np.int64)
-    if shared.size and (shared[0] < 0 or shared[-1] >= z.shape[0]):
-        raise ContractViolationError("shared indices out of range")
-    return SparseGradient(round=round, p=p, indices=shared.copy(), values=z[shared])
+    if not isinstance(shared, SharedSet):
+        shared = SharedSet(shared, z.shape[0])
+    elif z.shape != (shared.d,):
+        raise ContractViolationError(
+            f"z has shape {z.shape}; the shared set is for length {shared.d}")
+    return SparseGradient(round=round, p=p, indices=shared, values=z[shared.indices])
 
 
 def snap_rate(fraction: float) -> float:

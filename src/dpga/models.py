@@ -129,6 +129,9 @@ class Batch:
         batch = object.__new__(cls)
         object.__setattr__(batch, "features", _frozen(features))
         object.__setattr__(batch, "labels", _frozen(labels))
+        if features.ndim < 2:
+            raise ContractViolationError("a batch needs a row axis; an integer "
+                                         "take picks one batch of a stack")
         if batch.size < 1:
             raise ContractViolationError("batch must contain at least one example")
         batch.__dict__["label_bound"] = label_bound
@@ -144,20 +147,34 @@ class Batch:
         """One more than the largest label: the fewest classes a spec needs."""
         return int(np.maximum.reduce(self.labels, axis=None)) + 1
 
-    def rows(self, take: np.ndarray) -> Batch:
+    def rows(self, take: np.ndarray | slice | int) -> Batch:
         """The examples at `take`, without a second check.
 
         Rows of a checked batch are valid, so the sub-batch only takes
         copies of them and keeps this batch's label bound; it must still
         hold at least one example. An (n, rows) take gives n stacked
-        batches.
+        batches, and a take with more axes stacks deeper. An integer or a
+        slice takes a view instead of a copy, and a sub-batch sliced with
+        step 1 remembers where it lies, so `concatenate` can join
+        neighbours back into one view.
         """
-        return Batch._trusted(self.features[take], self.labels[take], self.label_bound)
+        sub = Batch._trusted(self.features[take], self.labels[take], self.label_bound)
+        if isinstance(take, slice):
+            start, stop, step = take.indices(self.labels.shape[0])
+            if step == 1:
+                sub.__dict__["_rows_of"] = (self, start, stop)
+        return sub
 
     @staticmethod
     def concatenate(batches: list[Batch]) -> Batch:
         """The examples of checked unstacked batches of one feature dim,
-        one after another, without a second check."""
+        one after another, without a second check. Batches sliced one
+        after another from one batch give the view of their rows there,
+        with that batch's label bound, and nothing is copied."""
+        spans = [b.__dict__.get("_rows_of") for b in batches]
+        if (spans and all(spans) and all(span[0] is spans[0][0] for span in spans)
+                and all(a[2] == b[1] for a, b in zip(spans, spans[1:]))):
+            return spans[0][0].rows(slice(spans[0][1], spans[-1][2]))
         return Batch._trusted(np.concatenate([b.features for b in batches]),
                               np.concatenate([b.labels for b in batches]),
                               max(b.label_bound for b in batches))

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError
-from .masking import SparseGradient, extract_shared, shared_count, topk_shared_indices
+from .masking import (SharedSet, SparseGradient, extract_shared, shared_count,
+                      topk_shared_indices)
 from .models import Batch, ModelSpec, loss_and_gradient
 
 CORRECTION_SCOPES = ("own-shared", "full-support")
@@ -103,7 +104,9 @@ class GlobalAggregate:
     many clients shared coordinate j and values[j] is their aggregate.
     Where nobody shared, both are 0. The support is derived once, at
     construction: mask is counts > 0 and indices the coordinates at least
-    one client shared, ascending. One aggregate goes to every client, so
+    one client shared, ascending. When every upload carried one fixed
+    set, server_aggregate sets indices to that set's own read-only array,
+    which holds the same coordinates. One aggregate goes to every client, so
     it is read-only once server_aggregate returns it: nothing may write to
     its arrays, or the derived support would no longer match counts.
     """
@@ -158,68 +161,128 @@ def local_round(client: ClientState, epochs: int, eta: float,
     return z
 
 
-def grouped_local_round(clients: list[ClientState], epochs: int, eta: float,
-                        batch_size: int | None, rngs: list) -> list[np.ndarray]:
-    """local_round for each client, with rngs[i] for clients[i]; returns
-    the z of each client in order.
+def seed_words(*values: int) -> np.ndarray:
+    """The uint32 words np.random.SeedSequence takes from the list
+    `values`: each non-negative int as its little-endian 32-bit words, and
+    0 as one word. So default_rng(seed_words(*a, *b)), like
+    default_rng(concatenate((seed_words(*a), seed_words(*b)))), draws
+    exactly what default_rng([*a, *b]) draws, without converting a list
+    of Python ints each time."""
+    words = []
+    for v in values:
+        v = int(v)
+        if v < 0:
+            raise ContractViolationError(f"seed values must be >= 0, got {v}")
+        words.append(v & 0xFFFFFFFF)
+        while v >> 32:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
 
-    A client whose shard holds more than batch_size examples draws exactly
-    batch_size rows per step, so those clients step in lockstep with no
-    padding: one gradient call per step over stacked params (n, d) and
-    batches (n, batch_size, f), and the updates run on (n, d) stacks. Each
-    draws from its own Generator in local_round's order, and every stacked
-    operation acts on each client alone, so weights and z equal
-    local_round's bit for bit. The other clients run local_round itself.
+
+class ClientGroup:
+    """A run's clients, split once by how their local rounds draw.
+
+    A client whose shard holds more than batch_size examples samples a
+    minibatch of exactly batch_size rows per step; the rest step on their
+    whole shard. The samplers are checked once, here: one spec, weights of
+    length spec.dim and features of spec.input_dim. Their shards are
+    pooled once, with each shard's row offset: shards sliced one after
+    another from one batch, as Simulation deals them, pool as a view of
+    those rows, and any others are copied into one. Each sampler's id is
+    kept as seed words. A group trusts that no client's spec or shard
+    changes after that, and that every weights vector keeps its length.
     """
+
+    def __init__(self, clients: list[ClientState], batch_size: int | None):
+        if batch_size is not None and batch_size < 1:
+            raise ContractViolationError("batch_size must be >= 1 or None")
+        self.clients = list(clients)
+        self.batch_size = batch_size
+        self.samplers = [i for i, c in enumerate(self.clients)
+                         if batch_size is not None and batch_size < c.shard.size]
+        self.members = members = [self.clients[i] for i in self.samplers]
+        if not members:
+            return
+        self.spec = spec = members[0].spec
+        for client in members:
+            if (client.spec != spec or client.weights.shape != (spec.dim,)
+                    or client.shard.features.shape[1:] != (spec.input_dim,)):
+                raise ContractViolationError(
+                    f"client {client.id} does not fit the group's model {spec}: "
+                    f"weights {client.weights.shape}, features "
+                    f"{client.shard.features.shape}")
+        self.sizes = [client.shard.size for client in members]
+        self.pool = Batch.concatenate([client.shard for client in members])
+        self.starts = np.cumsum([0] + self.sizes[:-1])[:, None]
+        self.id_words = [seed_words(client.id) for client in members]
+
+
+def grouped_local_round(group: ClientGroup, epochs: int, eta: float,
+                        seed: np.ndarray) -> list[np.ndarray]:
+    """local_round for each client of the group; returns the z of each
+    client in order.
+
+    seed is the round's uint32 seed words: a sampler draws from
+    default_rng(seed followed by seed_words(its id)), which is
+    local_round's stream for the seed list [*seed, id], and only samplers
+    build a generator. Each sampler makes all its rng.choice draws for the
+    round up front, in local_round's order, and one gather takes every
+    step's rows from the group's pool. The samplers then step in lockstep
+    with no padding: one gradient call per step over stacked params
+    (n, d) and batches (n, batch_size, f), and the updates run on (n, d)
+    stacks. Every stacked operation acts on each client alone, so weights
+    and z equal local_round's bit for bit. The other clients run
+    local_round itself.
+
+    The group's spec and shapes were checked when it was built; this
+    checks the round's arguments and the seed, and each gradient call
+    checks its batch against the spec.
+    """
+    batch_size = group.batch_size
     _check_round_args(epochs, eta, batch_size)
-    if len(rngs) != len(clients):
-        raise ContractViolationError("need one rng per client")
-    zs, group = [], []
-    for i, (client, rng) in enumerate(zip(clients, rngs)):
-        if batch_size is not None and batch_size < client.shard.size:
-            zs.append(None)
-            group.append(i)
-        else:
-            zs.append(local_round(client, epochs, eta, batch_size, rng))
-    if not group:
+    seed = np.asarray(seed)
+    if seed.dtype != np.uint32 or seed.ndim != 1:
+        raise ContractViolationError("seed must be a 1-d array of uint32 words")
+    samplers = set(group.samplers)
+    zs = [None if i in samplers else local_round(client, epochs, eta, batch_size, None)
+          for i, client in enumerate(group.clients)]
+    if not samplers:
         return zs
 
-    members = [clients[i] for i in group]
-    spec = members[0].spec
-    for client in members:
-        if (client.spec != spec or client.weights.shape != (spec.dim,)
-                or client.shard.features.shape[1:] != (spec.input_dim,)):
-            raise ContractViolationError(
-                f"client {client.id} does not fit the group's model {spec}: "
-                f"weights {client.weights.shape}, features "
-                f"{client.shard.features.shape}")
-    sizes = [client.shard.size for client in members]
-    pool = Batch.concatenate([client.shard for client in members])
-    starts = np.cumsum([0] + sizes[:-1])[:, None]
-    gens = [np.random.default_rng(rngs[i]) for i in group]
+    members = group.members
+    take = np.empty((epochs, len(members), batch_size), dtype=np.int64)
+    for j, (n, words) in enumerate(zip(group.sizes, group.id_words)):
+        gen = np.random.default_rng(np.concatenate((seed, words)))
+        for step in take[:, j]:
+            step[...] = gen.choice(n, size=batch_size, replace=False)
+    take += group.starts
+    batches = group.pool.rows(take)
     w0 = np.stack([client.weights for client in members])
     z = np.zeros_like(w0)
     w = w0
-    for _ in range(epochs):
-        take = np.stack([gen.choice(n, size=batch_size, replace=False)
-                         for gen, n in zip(gens, sizes)])
-        take += starts
-        _, g = loss_and_gradient(w, pool.rows(take), spec)
+    for step in range(epochs):
+        _, g = loss_and_gradient(w, batches.rows(step), group.spec)
         z += g
         w = w0 - eta * z
-    for i, client, wi, zi in zip(group, members, w, z):
+    for i, client, wi, zi in zip(group.samplers, members, w, z):
         client.weights = wi
         zs[i] = zi
     return zs
 
 
 def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
-                 shared: np.ndarray | None = None) -> SparseGradient:
+                 shared: SharedSet | np.ndarray | None = None) -> SparseGradient:
     """Select the shared part of z, queue it, and return the message.
 
-    The shared set defaults to Top-K by |z|; a fixed mask (static partial
-    sharing) can be passed instead. Rounds must strictly increase per
-    client, and the pending queue may not outgrow the configured delay.
+    The shared set defaults to Top-K by |z|; a fixed set (every
+    coordinate, or static partial sharing) can be passed instead. A
+    SharedSet was checked when it was built and is trusted: the message
+    and the pending round carry its read-only array as is. An index array
+    is checked and copied each call, and one that is not strictly
+    ascending or not inside z is rejected. Rounds must strictly increase
+    per client, and the pending queue may not outgrow the configured
+    delay.
     """
     if round <= client.last_round:
         raise ContractViolationError(
@@ -244,12 +307,22 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     ascending client-id order; the reduction order is fixed by position.
 
     d is the model size: every index must lie below it, and the aggregate
-    has one value and one count per coordinate, 0 where nobody shared. Each
-    message is scattered into one row of an (n_messages, d) float buffer
-    that a fixed tree sums column by column; the counts are one bincount
-    over all the messages' indices. With weights, a second (n_messages, d)
+    has one value and one count per coordinate, 0 where nobody shared. A
+    fixed tree sums each coordinate's values over the messages, column by
+    column, so a shared coordinate carries the same bits whichever other
+    coordinates are shared.
+
+    When every message carries the same index array (one fixed shared
+    set, from one SharedSet), the tree runs on the stacked (n, K) values,
+    every count on the set is n, and the weighted denominator is one tree
+    over the weights. Otherwise each message is scattered into one row of
+    an (n_messages, d) float buffer; the counts are one bincount over all
+    the messages' indices, and with weights a second (n_messages, d)
     buffer holds each message's weight at its indices and sums to the
-    denominator the same way. The work is linear in d and no index is
+    denominator the same way. Both routes give the same bits. This trusts
+    each message's indices to be strictly ascending, which a
+    SparseGradient checks, and checks the rounds, the weights and that
+    every index lies below d. The work is linear in d and no index is
     sorted or searched.
     """
     if not messages:
@@ -261,19 +334,34 @@ def server_aggregate(messages: list[SparseGradient], d: int,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(messages),):
             raise ContractViolationError("need one weight per message")
-
-    slots = np.zeros((len(messages), d))
-    for i, m in enumerate(messages):
+    shared = messages[0].indices
+    one_set = all(m.indices is shared for m in messages)
+    for m in messages[:1] if one_set else messages:
         if m.count and m.indices[-1] >= d:
             raise ContractViolationError(
                 f"index {m.indices[-1]} outside a model of size {d}")
+
+    if one_set:
+        vals = np.stack([m.values for m in messages])
+        counts = np.zeros(d, dtype=np.int64)
+        counts[shared] = len(messages)
+        if weights is None:
+            num, den = pairwise_sum(vals), len(messages)
+        else:
+            num, den = pairwise_sum(vals * weights[:, None]), pairwise_sum(weights[:, None])
+        agg = GlobalAggregate(round=round_, values=np.zeros(d), counts=counts)
+        agg.values[shared] = num / den
+        # The support is the set itself; the messages' array says so by
+        # identity to every client that sent it.
+        agg.indices = shared
+        return agg
+
+    slots = np.zeros((len(messages), d))
+    for i, m in enumerate(messages):
         slots[i, m.indices] = m.values
     # Indices are distinct within a message, so this counts contributors.
     counts = np.bincount(np.concatenate([m.indices for m in messages]),
                          minlength=d)
-
-    # Each column sums on its own, so a shared coordinate carries the same
-    # bits as a tree over the shared coordinates alone.
     if weights is None:
         num, den = pairwise_sum(slots), counts
     else:
@@ -304,6 +392,13 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
     round is written to. Returns the largest |global - local| substitution
     made, which is exactly 0.0 when the aggregate agrees with the client's
     own shared values.
+
+    This checks the scope, the round and the lengths, and trusts the
+    aggregate's support (mask, indices) to match its counts, which
+    GlobalAggregate derives itself. When the support is exactly the
+    client's own shared set, every own coordinate is touched and none is
+    gathered through the mask; when the touched coordinates are all of
+    them, the merge is a copy of the aggregate's values.
     """
     if scope not in CORRECTION_SCOPES:
         raise ContractViolationError(f"unknown correction scope {scope!r}")
@@ -319,7 +414,16 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
 
     eta = float(eta)
     if scope == "own-shared":
-        touched = pend.shared[agg.mask[pend.shared]]
+        own, support = pend.shared, agg.indices
+        same = own is support or (own.shape == support.shape
+                                  and np.array_equal(own, support))
+        touched = own if same else own[agg.mask[own]]
+    else:
+        touched = agg.indices
+    if touched.shape == z.shape:  # every coordinate
+        merged = agg.values.copy()
+        diff = merged - z
+    elif scope == "own-shared":
         vals = agg.values[touched]
         diff = vals - z[touched]
         merged = z.copy()
@@ -329,7 +433,7 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
         # exactly 0.0, the max's initial value.
         merged = np.where(agg.mask, agg.values, z)
         diff = merged - z
-    delta = float(np.max(np.abs(diff, out=diff), initial=0.0))
+    delta = float(np.maximum.reduce(np.abs(diff, out=diff), initial=0.0))
     # The buffer that holds eta * merged is the replay's scratch afterwards.
     step = np.multiply(merged, eta, out=merged)
     anchor = np.subtract(client.anchor, step)

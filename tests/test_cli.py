@@ -626,6 +626,14 @@ def _aggregate_over_messages(messages, d, weights=None):
                            agg.counts)
 
 
+def _one_set_ignoring_weights(messages, d, weights=None):
+    """The plain mean whenever every message carries one fixed set, even
+    when weights are given."""
+    if all(m.indices is messages[0].indices for m in messages):
+        weights = None
+    return server_aggregate(messages, d, weights)
+
+
 def _walk_without_hold(m):
     """The m-step matrix with the boundary's held half-step dropped."""
     one = one_step_matrix()
@@ -688,12 +696,15 @@ class TestCheckCommand:
          "Top-K differs"),
         ("server_aggregate", _aggregate_over_messages, checks.check_exchange,
          "aggregate differs"),
+        ("server_aggregate", _one_set_ignoring_weights, checks.check_exchange,
+         "aggregate differs from the union route (dense uploads)"),
         ("m_step_matrix", _walk_without_hold, checks.check_walk,
          "m=1: the row from p=0.1 differs"),
         ("loss_and_gradient", _relu_mlp_gradient_scaled, checks.check_gradients,
          "mlp max_rel_err"),
     ], ids=["encode-extra-byte", "decode-flipped-bit", "decode-unsigned-zero",
-            "topk-ties-high", "aggregate-over-messages", "walk-without-hold",
+            "topk-ties-high", "aggregate-over-messages",
+            "one-set-ignoring-weights", "walk-without-hold",
             "relu-mlp-gradient"])
     def test_injected_fault_fails(self, monkeypatch, name, fault, suite, detail):
         monkeypatch.setattr(checks, name, fault)

@@ -1,6 +1,7 @@
 """Pinned CSV bytes: 20-round copies of the 7 benchmark simulations at
-seed 11, three minibatch edge cases and a derived delay must write exactly
-the bytes whose sha256 is in golden/csv_sha256.json.
+seed 11, three minibatch edge cases, a derived delay, a seed past 2**32
+and a full-support dense correction must write exactly the bytes whose
+sha256 is in golden/csv_sha256.json.
 
 The configs are written out here rather than imported from bench/, so the
 pin holds whatever the benchmark does. The bytes also depend on the matmul
@@ -101,6 +102,17 @@ def derived_delay(algorithm: str) -> SimConfig:
     return replace(comparative(algorithm), delay=None)
 
 
+def wide_seed(algorithm: str) -> SimConfig:
+    # A seed past 2**32 is two uint32 words in every derived stream,
+    # the minibatch streams included.
+    return replace(small_batches(algorithm), seed=2 ** 32 + SEED)
+
+
+def minibatch_full_support(algorithm: str) -> SimConfig:
+    # A dense upload merged over the whole aggregate support.
+    return replace(minibatch(algorithm), correction_scope="full-support")
+
+
 CASES = {
     **{f"comparative/{a}": (comparative, a)
        for a in ("fedavg", "dga", "dpga", "static-partial")},
@@ -110,6 +122,8 @@ CASES = {
     "batch-8/fedavg": (small_batches, "fedavg"),
     "batch-1/dpga": (small_batches, "dpga"),
     "derived-delay/dpga": (derived_delay, "dpga"),
+    "batch-8-wide-seed/fedavg": (wide_seed, "fedavg"),
+    "minibatch-full-support/dga": (minibatch_full_support, "dga"),
 }
 # OPENBLAS_CORETYPE names -> the kernel family they select.
 FAMILIES = {"skylakex": "avx512", "cooperlake": "avx512",

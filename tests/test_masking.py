@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from dpga.checks import lexsort_topk
 from dpga.errors import ConfigurationError, ContractViolationError, DecodeError
-from dpga.masking import (ENTRY_BYTES, HEADER_BYTES, SparseGradient, decode,
-                          encode, extract_shared, payload_bytes, shared_count,
-                          snap_rate, topk_shared_indices)
+from dpga.masking import (ENTRY_BYTES, HEADER_BYTES, SharedSet, SparseGradient,
+                          decode, encode, extract_shared, payload_bytes,
+                          shared_count, snap_rate, topk_shared_indices)
 
 
 class TestSharedCount:
@@ -113,6 +113,30 @@ class TestExtractMerge:
     def test_rejects_indices_outside_z(self, shared):
         with pytest.raises(ContractViolationError, match="out of range"):
             extract_shared(np.zeros(4), np.array(shared), round=0, p=0.5)
+
+
+class TestSharedSet:
+    @pytest.mark.parametrize("indices", [[2, 1], [1, 1], [0, 4], [-1, 0], [[0, 1]]],
+                             ids=["unsorted", "duplicated", "past-the-end",
+                                  "negative", "2-d"])
+    def test_rejects_bad_sets(self, indices):
+        with pytest.raises(ContractViolationError):
+            SharedSet(np.array(indices), 4)
+
+    def test_checked_copy_is_read_only(self):
+        given = np.array([1, 3])
+        fixed = SharedSet(given, 4)
+        given[0] = 2
+        np.testing.assert_array_equal(fixed.indices, [1, 3])
+        assert fixed.indices.dtype == np.int64 and not fixed.indices.flags.writeable
+
+    def test_messages_carry_the_set(self):
+        fixed = SharedSet(np.array([0, 2]), 4)
+        msg = extract_shared(np.array([3.0, -5.0, 1.0, 0.0]), fixed, round=1, p=0.5)
+        assert msg.indices is fixed.indices
+        np.testing.assert_array_equal(msg.values, [3.0, 1.0])
+        with pytest.raises(ContractViolationError, match="length 4"):
+            extract_shared(np.zeros(5), fixed, round=1, p=0.5)
 
 
 class TestSparseGradient:

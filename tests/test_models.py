@@ -79,6 +79,8 @@ class TestBatch:
         shard = Batch(np.zeros((3, 2)), [0, 1, 0])
         with pytest.raises(ContractViolationError):
             shard.rows(np.array([], dtype=np.int64))
+        with pytest.raises(ContractViolationError, match="row axis"):
+            shard.rows(0)  # one example without its row axis
 
     def test_equality_is_identity(self):
         a = Batch(np.zeros((2, 2)), [0, 1])
@@ -100,6 +102,26 @@ class TestBatch:
             Batch(np.zeros((0, 4, 2)), np.zeros((0, 4), dtype=int))
         with pytest.raises(ContractViolationError):
             Batch(np.zeros((1, 3, 4, 2)), np.zeros((1, 3, 4), dtype=int))
+
+    def test_concatenated_neighbours_are_a_view(self):
+        """Slices dealt one after another from one batch join back into a
+        view of it; anything else is copied. Either way the examples are
+        those of the parts, in order."""
+        dealt = Batch(np.arange(20.0).reshape(10, 2), np.arange(10))
+        parts = [dealt.rows(slice(0, 3)), dealt.rows(slice(3, 4)), dealt.rows(slice(4, 9))]
+        other = Batch(np.arange(20.0).reshape(10, 2), np.arange(10))
+        cases = {True: [parts, parts[1:]],
+                 False: [parts[::-1], [parts[0], parts[2]], [parts[0], other.rows(slice(3, 5))],
+                         [parts[0], dealt.rows(np.arange(3, 5))], [dealt.rows(slice(0, 4, 2))]]}
+        for view, groups in cases.items():
+            for group in groups:
+                joined = Batch.concatenate(group)
+                want_f = np.concatenate([b.features for b in group])
+                np.testing.assert_array_equal(joined.features, want_f)
+                np.testing.assert_array_equal(joined.labels,
+                                              np.concatenate([b.labels for b in group]))
+                assert np.shares_memory(joined.features, dealt.features) == view
+                assert not joined.features.flags.writeable
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ContractViolationError):

@@ -6,17 +6,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpga import protocol
 from dpga.errors import ContractViolationError
-from dpga.masking import SparseGradient, topk_shared_indices
+from dpga.masking import SharedSet, SparseGradient, topk_shared_indices
 from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
-from dpga.protocol import (CORRECTION_SCOPES, ClientState, GlobalAggregate,
-                           PendingRound, apply_correction, build_upload,
-                           grouped_local_round, local_round, pairwise_mean,
-                           pairwise_sum, server_aggregate, static_partial_mask)
+from dpga.protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
+                           GlobalAggregate, PendingRound, apply_correction,
+                           build_upload, grouped_local_round, local_round,
+                           pairwise_mean, pairwise_sum, seed_words,
+                           server_aggregate, static_partial_mask)
 from test_models import _pooled_bias
 
 SPEC = ModelSpec(kind="logistic-regression", input_dim=2, num_classes=2)
@@ -63,6 +64,33 @@ class TestPairwiseReductions:
     def test_rejects_empty(self):
         with pytest.raises(ContractViolationError):
             pairwise_sum(np.empty((0, 3)))
+
+
+class TestSeedWords:
+    """Generators built from precomputed seed words draw what the seed
+    list draws."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 80), t=st.integers(1, 2 ** 32),
+           cid=st.integers(0, 2 ** 33))
+    @example(seed=0, t=1, cid=0)
+    @example(seed=2 ** 32 - 1, t=2 ** 32 - 1, cid=9)
+    @example(seed=2 ** 32, t=2 ** 32, cid=2 ** 32)
+    def test_equals_seed_list(self, seed, t, cid):
+        words = np.concatenate((seed_words(seed, 5), seed_words(t), seed_words(cid)))
+        assert words.dtype == np.uint32
+        got = np.random.default_rng(words)
+        want = np.random.default_rng([seed, 5, t, cid])
+        assert got.bit_generator.state == want.bit_generator.state
+        for n in (40, 400):
+            np.testing.assert_array_equal(got.choice(n, size=32, replace=False),
+                                          want.choice(n, size=32, replace=False))
+
+    def test_words(self):
+        np.testing.assert_array_equal(seed_words(0, 5, 2 ** 32 + 3, 2 ** 64),
+                                      [0, 5, 3, 1, 0, 0, 1])
+        with pytest.raises(ContractViolationError):
+            seed_words(-1)
 
 
 class TestLocalRound:
@@ -150,7 +178,8 @@ def _check_grouped(case):
     clients, epochs, eta, batch_size, seed = case
     alone = copy.deepcopy(clients)
     seeds = [[seed, c.id] for c in clients]
-    zs = grouped_local_round(clients, epochs, eta, batch_size, seeds)
+    zs = grouped_local_round(ClientGroup(clients, batch_size), epochs, eta,
+                             seed_words(seed))
     for c, a, z, s in zip(clients, alone, zs, seeds):
         assert np.array_equal(z, local_round(a, epochs, eta, batch_size, s))
         assert np.array_equal(c.weights, a.weights)
@@ -180,15 +209,15 @@ class TestGroupedLocalRound:
 
     def test_checks_hold(self):
         def run(clients, epochs=2, eta=0.1, batch_size=2):
-            return grouped_local_round(clients, epochs, eta, batch_size,
-                                       [[0, c.id] for c in clients])
+            return grouped_local_round(ClientGroup(clients, batch_size), epochs,
+                                       eta, seed_words(0))
 
         for args in (dict(epochs=0), dict(eta=0.0), dict(eta=float("nan")),
                      dict(batch_size=0)):
             with pytest.raises(ContractViolationError):
                 run(self._group(), **args)
-        with pytest.raises(ContractViolationError):
-            grouped_local_round(self._group(), 1, 0.1, 2, [[0, 0]])
+        with pytest.raises(ContractViolationError):  # seed words are uint32
+            grouped_local_round(ClientGroup(self._group(), 2), 1, 0.1, [[0, 0]])
         for bad in (0, 2):  # every client, or the last one, with a wrong length
             clients = self._group()
             for c in clients[bad:]:
@@ -209,6 +238,31 @@ class TestGroupedLocalRound:
 
 
 class TestBuildUpload:
+    @pytest.mark.parametrize("shared", [[2, 1], [1, 1], [0, SPEC.dim],
+                                        [-1, 0], [0, 100, 3]],
+                             ids=["unsorted", "duplicated", "past-the-end",
+                                  "negative", "unsorted-past-the-end"])
+    def test_bad_fixed_set_rejected(self, shared):
+        client = _client()
+        with pytest.raises(ContractViolationError):
+            build_upload(client, np.ones(SPEC.dim), 0.5, round=1,
+                         shared=np.array(shared))
+        assert not client.pending and client.last_round == -1
+
+    def test_shared_set_travels_as_is(self):
+        """Every upload from one SharedSet, and its pending round, carry
+        the set's own read-only array."""
+        fixed = SharedSet(np.array([1, 4]), SPEC.dim)
+        clients = [_client(cid=i) for i in range(2)]
+        msgs = [build_upload(c, np.arange(SPEC.dim) + 0.5, 0.3, round=1,
+                             shared=fixed) for c in clients]
+        for c, m in zip(clients, msgs):
+            assert m.indices is fixed.indices and c.pending[0].shared is fixed.indices
+            np.testing.assert_array_equal(m.values, [1.5, 4.5])
+        assert not fixed.indices.flags.writeable
+        with pytest.raises(ContractViolationError):
+            build_upload(_client(), np.ones(SPEC.dim + 1), 0.3, round=1, shared=fixed)
+
     def test_topk_example(self):
         client = _client()
         z = np.array([3.0, -5.0, 1.0, 0.0, 0.0, 0.0])
@@ -311,6 +365,24 @@ class TestServerAggregate:
         with pytest.raises(ContractViolationError):
             server_aggregate([self._msg([3], [1.0])], 3)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("fixed", [np.arange(6), np.arange(3, 6)],
+                             ids=["dense", "tail"])
+    def test_one_fixed_set_equals_scatter_route(self, fixed, weighted):
+        """Messages that share one set's array take the stacked route; the
+        same messages with their own arrays take the scatter route."""
+        rng = np.random.default_rng(3)
+        fixed = SharedSet(fixed, 6)
+        zs = rng.standard_normal((5, 6))
+        weights = rng.uniform(0.5, 1.5, 5) if weighted else None
+        one = server_aggregate([self._msg(fixed, z[fixed.indices]) for z in zs], 6, weights)
+        own = server_aggregate([self._msg(fixed.indices.copy(), z[fixed.indices])
+                                for z in zs], 6, weights)
+        assert one.indices is fixed.indices
+        assert one.values.tobytes() == own.values.tobytes()
+        assert one.counts.tobytes() == own.counts.tobytes()
+        np.testing.assert_array_equal(one.mask, own.mask)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8), d=st.integers(1, 40),
            weighted=st.booleans(),
@@ -397,8 +469,35 @@ def _straight_line_correction(client, agg, eta, scope):
     return w, anchor, delta
 
 
+def _correction_example(own, support, scope="own-shared"):
+    """A client whose oldest of two pending rounds shared `own`, and an
+    aggregate for that round over `support`."""
+    rng = np.random.default_rng(len(own) + 10 * len(support))
+    client = ClientState(id=0, weights=rng.standard_normal(SPEC.dim),
+                         shard=Batch(np.zeros((1, 2)), [0]), spec=SPEC, max_pending=5)
+    client.anchor = rng.standard_normal(SPEC.dim)
+    for r in (1, 2):
+        client.pending.append(PendingRound(round=r, shared=np.array(own, dtype=np.int64),
+                                           z_full=rng.standard_normal(SPEC.dim)))
+    counts = np.zeros(SPEC.dim, dtype=np.int64)
+    counts[support] = 2
+    values = np.where(counts > 0, rng.standard_normal(SPEC.dim), 0.0)
+    return client, GlobalAggregate(round=1, values=values, counts=counts), 0.1, scope
+
+
+def _correction_examples(test):
+    """Supports as large as the client's own set but not equal to it, one
+    of them disjoint from it, and full sets under both scopes."""
+    everything = list(range(SPEC.dim))
+    for case in ([0, 2, 4], [0, 2, 5]), ([0, 1, 2], [3, 4, 5]), \
+            (everything, everything), (everything, everything, "full-support"):
+        test = example(_correction_example(*case))(test)
+    return test
+
+
 def _check_correction(case, correct=apply_correction):
-    client, agg, eta, scope = case
+    # Explicit examples are built once, so work on a copy.
+    client, agg, eta, scope = copy.deepcopy(case)
     want_w, want_anchor, want_delta = _straight_line_correction(
         copy.deepcopy(client), agg, eta, scope)
     later = [p.round for p in client.pending][1:]
@@ -426,21 +525,43 @@ def _replay_skipping_newest(client, agg, eta, scope="own-shared"):
     return delta
 
 
+def _support_keyed_on_size(client, agg, eta, scope="own-shared"):
+    """Takes the client's own set for the aggregate's support whenever the
+    two have the same size."""
+    own = client.pending[0].shared
+    if own.shape == agg.indices.shape:
+        agg = copy.copy(agg)
+        agg.indices = own
+    return apply_correction(client, agg, eta, scope=scope)
+
+
 class TestApplyCorrection:
     @settings(max_examples=150, deadline=None)
+    @_correction_examples
     @given(_corrections())
     def test_equals_straight_line_correction(self, case):
         _check_correction(case)
 
     @pytest.mark.parametrize("fault", [_merge_ignoring_counts,
-                                       _replay_skipping_newest],
-                             ids=["merge-ignoring-counts", "replay-skipping-newest"])
+                                       _replay_skipping_newest,
+                                       _support_keyed_on_size],
+                             ids=["merge-ignoring-counts", "replay-skipping-newest",
+                                  "support-keyed-on-size"])
     def test_fault_fails(self, fault):
         # Finding a failure is the point; shrinking it would only cost time.
         with pytest.raises(AssertionError):
             settings(max_examples=150, deadline=None, report_multiple_bugs=False,
                      phases=(Phase.explicit, Phase.reuse, Phase.generate))(
-                given(_corrections())(lambda case: _check_correction(case, fault)))()
+                _correction_examples(given(_corrections())(
+                    lambda case: _check_correction(case, fault))))()
+
+    def test_support_keyed_on_size_fails_the_examples(self):
+        """The explicit examples alone catch a support shortcut keyed on
+        size, which the benchmark's dense and static runs cannot."""
+        with pytest.raises(AssertionError):
+            settings(deadline=None, phases=(Phase.explicit,))(
+                _correction_examples(given(_corrections())(
+                    lambda case: _check_correction(case, _support_keyed_on_size))))()
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_shared_aggregate_and_later_rounds_keep_their_bytes(self, scope):
@@ -465,6 +586,23 @@ class TestApplyCorrection:
             for a in fields + tuple(p.z_full for p in c.pending):
                 assert not np.shares_memory(c.weights, a)
                 assert not np.shares_memory(c.anchor, a)
+
+    @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
+    @pytest.mark.parametrize("fixed", [np.arange(6), np.arange(3, 6)],
+                             ids=["dense", "tail"])
+    def test_fixed_set_equals_straight_line_correction(self, fixed, scope):
+        """An aggregate of one fixed set's uploads carries that set's
+        array, so every client finds its own set as the support."""
+        fixed = SharedSet(fixed, SPEC.dim)
+        clients = [_client(cid=i, seed=i) for i in range(3)]
+        for r in (1, 2):
+            msgs = [build_upload(c, local_round(c, 1, 0.1, None, 0), 0.5, round=r,
+                                 shared=fixed) for c in clients]
+            if r == 1:
+                agg = server_aggregate(msgs, SPEC.dim)
+        for c in clients:
+            assert c.pending[0].shared is agg.indices
+            _check_correction((c, agg, 0.1, scope))
 
     def test_substitution_example(self):
         """shared={0}, global 1, own value 2, eta=0.1: coordinate 0 gains
