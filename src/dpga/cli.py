@@ -106,11 +106,12 @@ def load_config(path: str | None, sets: list[str], seed_flag: int | None) -> Sim
     kwargs = {}
     seen = set()
     if path is not None:
-        parser = configparser.ConfigParser()
+        # No interpolation: a % in a value is literal text.
+        parser = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigurationError(f"cannot parse config {path}: {exc}") from None

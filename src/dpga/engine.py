@@ -335,6 +335,8 @@ class Simulation:
 
     # ---- main loop ---- #
 
+    # A diverging run ends at the models' finiteness checks, not in warnings.
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> list[MetricsRecord]:
         cfg = self.cfg
         records: list[MetricsRecord] = []

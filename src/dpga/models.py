@@ -277,21 +277,27 @@ def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
             else:
                 da = np.multiply(a, a)
                 delta *= np.subtract(1.0, da, out=da)
+    return _finite_loss(loss, grad), grad
+
+
+def _finite_loss(loss, grad=None):
+    """The loss per batch, refused when it (or grad) is not finite."""
     loss = _per_batch(loss)
     # One float takes math.isfinite: np.isfinite(x).all() costs microseconds.
     finite = math.isfinite(loss) if isinstance(loss, float) else np.isfinite(loss).all()
-    if not (finite and np.isfinite(grad).all()):
+    if not (finite and (grad is None or np.isfinite(grad).all())):
         raise ContractViolationError("loss/gradient overflowed to non-finite values")
-    return loss, grad
+    return loss
 
 
 def evaluate(params: np.ndarray, batch: Batch, spec: ModelSpec):
     """Mean loss and accuracy on a batch.
 
     Predictions take the argmax over logits; ties resolve to the lowest
-    class index. Stacked batches give one loss and one accuracy each.
+    class index. Stacked batches give one loss and one accuracy each. A
+    loss that is not finite breaks the contract, as in loss_and_gradient.
     """
     params = _check_args(params, batch, spec)
     _, _, logits, _, _, loss = _forward(params, batch, spec)
     acc = np.mean(np.argmax(logits, axis=-1) == batch.labels, axis=-1)
-    return _per_batch(loss), _per_batch(acc)
+    return _finite_loss(loss), _per_batch(acc)

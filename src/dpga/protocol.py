@@ -103,12 +103,11 @@ class GlobalAggregate:
     values and counts have one entry per model coordinate: counts[j] is how
     many clients shared coordinate j and values[j] is their aggregate.
     Where nobody shared, both are 0. The support is derived once, at
-    construction: mask is counts > 0 and indices the coordinates at least
-    one client shared, ascending. When every upload carried one fixed
-    set, server_aggregate sets indices to that set's own read-only array,
-    which holds the same coordinates. One aggregate goes to every client, so
-    it is read-only once server_aggregate returns it: nothing may write to
-    its arrays, or the derived support would no longer match counts.
+    construction, and from counts alone: mask is counts > 0 and indices
+    the coordinates at least one client shared, ascending. One aggregate
+    goes to every client, so it is read-only once server_aggregate returns
+    it: nothing may write to its arrays, or the derived support would no
+    longer match counts.
     """
 
     round: int
@@ -312,18 +311,18 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     column, so a shared coordinate carries the same bits whichever other
     coordinates are shared.
 
-    When every message carries the same index array (one fixed shared
-    set, from one SharedSet), the tree runs on the stacked (n, K) values,
-    every count on the set is n, and the weighted denominator is one tree
-    over the weights. Otherwise each message is scattered into one row of
-    an (n_messages, d) float buffer; the counts are one bincount over all
-    the messages' indices, and with weights a second (n_messages, d)
-    buffer holds each message's weight at its indices and sums to the
-    denominator the same way. Both routes give the same bits. This trusts
-    each message's indices to be strictly ascending, which a
-    SparseGradient checks, and checks the rounds, the weights and that
-    every index lies below d. The work is linear in d and no index is
-    sorted or searched.
+    Two routes give the same bits. When every message carries the same
+    index array (one fixed shared set, from one SharedSet), the tree runs
+    on the stacked (n, K) values, every count on the set is n, and the
+    weighted denominator is one tree over the weights. Otherwise each
+    message is scattered into one row of an (n_messages, d) float buffer;
+    the counts are one bincount over all the messages' indices, and with
+    weights a second (n_messages, d) buffer holds each message's weight at
+    its indices and sums to the denominator the same way. Either way the
+    aggregate derives its support from the counts. This trusts each
+    message's indices to be strictly ascending, which a SparseGradient
+    checks, and checks the rounds, the weights and that every index lies
+    below d. The work is linear in d and no index is sorted or searched.
     """
     if not messages:
         raise ContractViolationError("nothing to aggregate")
@@ -341,6 +340,7 @@ def server_aggregate(messages: list[SparseGradient], d: int,
             raise ContractViolationError(
                 f"index {m.indices[-1]} outside a model of size {d}")
 
+    values = np.zeros(d)
     if one_set:
         vals = np.stack([m.values for m in messages])
         counts = np.zeros(d, dtype=np.int64)
@@ -349,30 +349,24 @@ def server_aggregate(messages: list[SparseGradient], d: int,
             num, den = pairwise_sum(vals), len(messages)
         else:
             num, den = pairwise_sum(vals * weights[:, None]), pairwise_sum(weights[:, None])
-        agg = GlobalAggregate(round=round_, values=np.zeros(d), counts=counts)
-        agg.values[shared] = num / den
-        # The support is the set itself; the messages' array says so by
-        # identity to every client that sent it.
-        agg.indices = shared
-        return agg
-
-    slots = np.zeros((len(messages), d))
-    for i, m in enumerate(messages):
-        slots[i, m.indices] = m.values
-    # Indices are distinct within a message, so this counts contributors.
-    counts = np.bincount(np.concatenate([m.indices for m in messages]),
-                         minlength=d)
-    if weights is None:
-        num, den = pairwise_sum(slots), counts
+        values[shared] = num / den
     else:
-        num = pairwise_sum(slots * weights[:, None])
-        shares = np.zeros((len(messages), d))
+        slots = np.zeros((len(messages), d))
         for i, m in enumerate(messages):
-            shares[i, m.indices] = weights[i]
-        den = pairwise_sum(shares)
-    agg = GlobalAggregate(round=round_, values=np.zeros(d), counts=counts)
-    np.divide(num, den, out=agg.values, where=agg.mask)
-    return agg
+            slots[i, m.indices] = m.values
+        # Indices are distinct within a message, so this counts contributors.
+        counts = np.bincount(np.concatenate([m.indices for m in messages]),
+                             minlength=d)
+        if weights is None:
+            num, den = pairwise_sum(slots), counts
+        else:
+            num = pairwise_sum(slots * weights[:, None])
+            shares = np.zeros((len(messages), d))
+            for i, m in enumerate(messages):
+                shares[i, m.indices] = weights[i]
+            den = pairwise_sum(shares)
+        np.divide(num, den, out=values, where=counts > 0)
+    return GlobalAggregate(round=round_, values=values, counts=counts)
 
 
 def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
@@ -380,25 +374,25 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
     """Fold a delayed aggregate into the client's weights.
 
     The aggregate must match the oldest pending round and have one entry
-    per model coordinate. Its values replace that round's accumulated
-    gradient on the coordinates at least one client shared: within the
-    client's own shared set by default, or anywhere with full-support
-    scope. The weights are then rebuilt from the round's starting point by
-    replaying the later pending rounds with the same per-round update
-    expression the forward pass used. The replay runs in place on one copy
-    of the new anchor, with one scratch buffer for eta * z: each round
-    still rounds twice, once for the product and once for the difference,
-    exactly as w - eta * z does. Neither the aggregate nor any pending
-    round is written to. Returns the largest |global - local| substitution
-    made, which is exactly 0.0 when the aggregate agrees with the client's
-    own shared values.
+    per model coordinate. One rule merges it: the touched coordinates are
+    those at least one client shared (the aggregate's mask), within the
+    client's own shared set by default or anywhere with full-support
+    scope, and the round's accumulated gradient z becomes
+    where(touched, values, z). When every coordinate is touched (a support
+    of d entries and, under own-shared, an own set of d entries; both
+    index arrays are strictly ascending, so their sizes tell) the merge is
+    a copy of the values. The weights are then rebuilt from the round's
+    starting point by replaying the later pending rounds with the forward
+    pass's per-round expression, in place on one copy of the new anchor
+    with one scratch buffer for eta * z: each round still rounds twice,
+    once for the product and once for the difference, exactly as
+    w - eta * z does. Neither the aggregate nor any pending round is
+    written to. Returns the largest |global - local| substitution, exactly
+    0.0 when the aggregate agrees with the client's own shared values.
 
     This checks the scope, the round and the lengths, and trusts the
     aggregate's support (mask, indices) to match its counts, which
-    GlobalAggregate derives itself. When the support is exactly the
-    client's own shared set, every own coordinate is touched and none is
-    gathered through the mask; when the touched coordinates are all of
-    them, the merge is a copy of the aggregate's values.
+    GlobalAggregate derives itself.
     """
     if scope not in CORRECTION_SCOPES:
         raise ContractViolationError(f"unknown correction scope {scope!r}")
@@ -413,26 +407,20 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
         raise ContractViolationError("aggregate length differs from the model size")
 
     eta = float(eta)
-    if scope == "own-shared":
-        own, support = pend.shared, agg.indices
-        same = own is support or (own.shape == support.shape
-                                  and np.array_equal(own, support))
-        touched = own if same else own[agg.mask[own]]
-    else:
-        touched = agg.indices
-    if touched.shape == z.shape:  # every coordinate
+    d = z.shape[0]
+    own_shared = scope == "own-shared"
+    if agg.indices.shape[0] == d and (not own_shared or pend.shared.shape[0] == d):
         merged = agg.values.copy()
-        diff = merged - z
-    elif scope == "own-shared":
-        vals = agg.values[touched]
-        diff = vals - z[touched]
-        merged = z.copy()
-        merged[touched] = vals
     else:
-        # Where nobody shared, merged equals z, so |merged - z| adds
-        # exactly 0.0, the max's initial value.
-        merged = np.where(agg.mask, agg.values, z)
-        diff = merged - z
+        touched = agg.mask
+        if own_shared:
+            touched = np.zeros(d, dtype=bool)
+            touched[pend.shared] = True
+            touched &= agg.mask
+        merged = np.where(touched, agg.values, z)
+    # On an untouched coordinate merged equals z, so |merged - z| adds
+    # exactly 0.0, the max's initial value.
+    diff = merged - z
     delta = float(np.maximum.reduce(np.abs(diff, out=diff), initial=0.0))
     # The buffer that holds eta * merged is the replay's scratch afterwards.
     step = np.multiply(merged, eta, out=merged)

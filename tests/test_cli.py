@@ -47,6 +47,23 @@ delay = 1
 """
 
 
+def _sets(*items: str) -> list[str]:
+    return [arg for item in items for arg in ("--set", item)]
+
+
+# Two runs that diverge: features so large that the training loss sums to
+# inf, and a step so large that the weights overflow and the loss is nan.
+DIVERGING_SPREAD = _sets("dataset.spread=1e154", "run.rounds=3")
+DIVERGING_STEP = _sets(
+    "run.algorithm=dpga", "run.n_clients=1", "run.rounds=2", "run.local_epochs=2",
+    "run.eta=1.3234973166941617e+38", "run.batch_size=full", "run.eval_every=1",
+    "run.seed=1", "model.kind=mlp", "model.hidden=1", "model.activation=relu",
+    "dataset.classes=2", "dataset.dim=1", "dataset.per_class=2",
+    "dataset.test_per_class=1", "dataset.spread=2.0", "network.bandwidth=1.0",
+    "network.delay=auto", "walk.m=1000000000", "walk.p0=0.1", "walk.per_client=true",
+    "static.fraction=1.0")
+
+
 @pytest.fixture
 def no_run(monkeypatch):
     """Fail the test if any simulation runs."""
@@ -272,18 +289,31 @@ class TestRunCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("ini, sets, reason", [
-        ("[run\nrounds = 3\n", [], "cannot parse config"),
-        (BASE_INI, ["walk.per_client=maybe"], "not a boolean: 'maybe'"),
-    ], ids=["unparsable-ini", "not-a-boolean"])
+        (b"[run\nrounds = 3\n", [], "cannot parse config"),
+        (BASE_INI.encode(), ["walk.per_client=maybe"], "not a boolean: 'maybe'"),
+        # A % is literal text: configs have no interpolation.
+        (b"[run]\nalgorithm = dp%ga\n", [], "unknown algorithm 'dp%ga'"),
+        (b"\xff\xfe[run]\nrounds = 3\n", [], "cannot read config"),
+    ], ids=["unparsable-ini", "not-a-boolean", "percent-sign", "not-utf-8"])
     def test_bad_config_text_exits_2(self, tmp_path, capsys, ini, sets, reason):
         path, out = tmp_path / "exp.ini", tmp_path / "x.csv"
-        path.write_text(ini)
-        code = main(["run", "--config", str(path),
-                     *(arg for s in sets for arg in ("--set", s)),
-                     "--out", str(out)])
+        path.write_bytes(ini)
+        code = main(["run", "--config", str(path), *_sets(*sets), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert reason in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sets", [DIVERGING_SPREAD, DIVERGING_STEP],
+                             ids=["inf-loss", "nan-loss"])
+    def test_diverging_run_exits_3(self, tmp_path, capsys, sets):
+        # RuntimeWarning is an error here, so a numpy warning would escape.
+        out = tmp_path / "x.csv"
+        assert main(["run", *sets, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "contract violation: loss/gradient overflowed" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -502,6 +532,7 @@ class TestConfigSurface:
 
     @settings(max_examples=100, deadline=None)
     @given(sets=overrides())
+    @example(sets=DIVERGING_STEP)
     def test_any_config_ends_in_a_documented_exit(self, sets):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "m.csv"
@@ -511,6 +542,9 @@ class TestConfigSurface:
                 cols = read_metrics_csv(out)
                 for name in ("sim_time", "up_bytes", "down_bytes"):
                     assert all(math.isfinite(v) for v in cols[name])
+                # An evaluated row is one with an accuracy.
+                assert all(math.isfinite(loss) for loss, acc in
+                           zip(cols["train_loss"], cols["eval_acc"]) if acc == acc)
 
 
 # Keys every sweep property run starts from: a few milliseconds per value.

@@ -4,18 +4,23 @@ and a full-support dense correction must write exactly the bytes whose
 sha256 is in golden/csv_sha256.json.
 
 The configs are written out here rather than imported from bench/, so the
-pin holds whatever the benchmark does. The bytes also depend on the matmul
-kernels of the BLAS build (numpy 2.4.6 with its OpenBLAS 0.3.31), and on
-x86-64 its two kernel families round differently: "avx512" (SkylakeX,
-Cooperlake, SapphireRapids) and "avx2" (Haswell, Zen). Each case holds a
-pin per family, and a CSV passes when it matches one of them. A change
-that moves any CSV byte on purpose rewrites the pins under both families,
+pin holds whatever the benchmark does. The bytes also depend on the
+kernels of the build (numpy 2.4.6 with its OpenBLAS 0.3.31): on x86-64
+the matmul kernels of OpenBLAS and numpy's own SIMD loops (exp, log, tanh)
+each round differently with and without AVX-512. A machine runs both at
+one level, so a kernel family names the pair: "avx512" (SkylakeX,
+Cooperlake, SapphireRapids) or "avx2" (Haswell, Zen). Each case holds a
+pin per family, and a CSV must match its family's pin; a mixed pair, such
+as Haswell BLAS under numpy's AVX-512 loops, has no pins. A change that
+moves any CSV byte on purpose rewrites the pins under both families,
 
     PYTHONPATH=src python tests/test_csv_bytes.py
-    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_csv_bytes.py
 
-and says so in CHANGES.md. Each run records the family it runs under and
-keeps the other family's pins.
+once as it is and once with OPENBLAS_CORETYPE=Haswell and
+NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR set, which on an
+AVX-512 host runs what an AVX2-only CPU runs, and says so in CHANGES.md.
+Each run records the family it runs under and keeps the other family's
+pins.
 """
 
 import hashlib
@@ -131,14 +136,18 @@ FAMILIES = {"skylakex": "avx512", "cooperlake": "avx512",
 
 
 def kernel_family() -> str:
-    """The family of the OpenBLAS kernels this process runs: the one
-    OPENBLAS_CORETYPE names, or else the widest the CPU supports."""
-    core = os.environ.get("OPENBLAS_CORETYPE", "").lower()
-    if core:
-        return FAMILIES.get(core, core)
+    """The kernels this process runs. The OpenBLAS family is the one
+    OPENBLAS_CORETYPE names, or else the widest the CPU supports; numpy's
+    level is "avx512" when its X86_V4 loops are on (NPY_DISABLE_CPU_FEATURES
+    turns them off). When the two agree that is the family; a mixed pair
+    is named for both parts."""
     from numpy._core._multiarray_umath import __cpu_features__ as cpu
-    return ("avx512" if cpu.get("AVX512F") else "avx2" if cpu.get("AVX2")
+    core = os.environ.get("OPENBLAS_CORETYPE", "").lower()
+    blas = (FAMILIES.get(core, core) if core else "avx512" if cpu.get("AVX512F")
+            else "avx2" if cpu.get("AVX2") else platform.machine())
+    simd = ("avx512" if cpu.get("X86_V4") else "avx2" if cpu.get("X86_V3")
             else platform.machine())
+    return blas if blas == simd else f"openblas-{blas}+numpy-{simd}"
 
 
 def csv_sha256(name: str, tmp_dir: Path) -> str:
@@ -150,14 +159,17 @@ def csv_sha256(name: str, tmp_dir: Path) -> str:
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_csv_bytes_are_pinned(name, tmp_path):
-    pins = json.loads(GOLDEN.read_text())[name]
-    assert csv_sha256(name, tmp_path) in pins.values(), pins
+    family, pins = kernel_family(), json.loads(GOLDEN.read_text())[name]
+    assert family in pins, f"no {family} pin; pinned families: {sorted(pins)}"
+    assert csv_sha256(name, tmp_path) == pins[family], pins
 
 
 if __name__ == "__main__":
     import tempfile
 
     family = kernel_family()
+    if "+" in family:
+        raise SystemExit(f"{family} is a mix no machine runs; set both or neither")
     old = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         pins = {name: {**old.get(name, {}), family: csv_sha256(name, Path(tmp))}

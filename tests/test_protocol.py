@@ -378,10 +378,26 @@ class TestServerAggregate:
         one = server_aggregate([self._msg(fixed, z[fixed.indices]) for z in zs], 6, weights)
         own = server_aggregate([self._msg(fixed.indices.copy(), z[fixed.indices])
                                 for z in zs], 6, weights)
-        assert one.indices is fixed.indices
         assert one.values.tobytes() == own.values.tobytes()
         assert one.counts.tobytes() == own.counts.tobytes()
         np.testing.assert_array_equal(one.mask, own.mask)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("upload", ["top-k", "dense", "tail"])
+    def test_support_is_derived_from_counts(self, upload, weighted):
+        """Whatever route the server takes, the support is the
+        coordinates with a nonzero count, in a fresh array."""
+        rng = np.random.default_rng(5)
+        shared = {"top-k": None, "dense": SharedSet(np.arange(6), SPEC.dim),
+                  "tail": SharedSet(np.arange(3, 6), SPEC.dim)}[upload]
+        clients = [_client(cid=i, seed=i) for i in range(4)]
+        msgs = [build_upload(c, rng.standard_normal(SPEC.dim), 0.3, round=1,
+                             shared=shared) for c in clients]
+        agg = server_aggregate(msgs, SPEC.dim, rng.uniform(0.5, 1.5, 4) if weighted else None)
+        assert agg.indices.tobytes() == np.flatnonzero(agg.counts).tobytes()
+        np.testing.assert_array_equal(agg.mask, agg.counts > 0)
+        for m in msgs:
+            assert not np.shares_memory(agg.indices, m.indices)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 8), d=st.integers(1, 40),
@@ -487,9 +503,11 @@ def _correction_example(own, support, scope="own-shared"):
 
 def _correction_examples(test):
     """Supports as large as the client's own set but not equal to it, one
-    of them disjoint from it, and full sets under both scopes."""
+    of them disjoint from it, an own set of every coordinate under a
+    smaller support, and full sets under both scopes."""
     everything = list(range(SPEC.dim))
     for case in ([0, 2, 4], [0, 2, 5]), ([0, 1, 2], [3, 4, 5]), \
+            (everything, [0, 2, 5]), \
             (everything, everything), (everything, everything, "full-support"):
         test = example(_correction_example(*case))(test)
     return test
@@ -525,13 +543,11 @@ def _replay_skipping_newest(client, agg, eta, scope="own-shared"):
     return delta
 
 
-def _support_keyed_on_size(client, agg, eta, scope="own-shared"):
-    """Takes the client's own set for the aggregate's support whenever the
-    two have the same size."""
-    own = client.pending[0].shared
-    if own.shape == agg.indices.shape:
-        agg = copy.copy(agg)
-        agg.indices = own
+def _copy_on_full_own_set(client, agg, eta, scope="own-shared"):
+    """Merges by a copy of the aggregate's values whenever the client's own
+    set is every coordinate, whatever the support."""
+    if client.pending[0].shared.shape == agg.values.shape:
+        return _merge_ignoring_counts(client, agg, eta, scope=scope)
     return apply_correction(client, agg, eta, scope=scope)
 
 
@@ -544,9 +560,9 @@ class TestApplyCorrection:
 
     @pytest.mark.parametrize("fault", [_merge_ignoring_counts,
                                        _replay_skipping_newest,
-                                       _support_keyed_on_size],
+                                       _copy_on_full_own_set],
                              ids=["merge-ignoring-counts", "replay-skipping-newest",
-                                  "support-keyed-on-size"])
+                                  "copy-on-full-own-set"])
     def test_fault_fails(self, fault):
         # Finding a failure is the point; shrinking it would only cost time.
         with pytest.raises(AssertionError):
@@ -554,14 +570,6 @@ class TestApplyCorrection:
                      phases=(Phase.explicit, Phase.reuse, Phase.generate))(
                 _correction_examples(given(_corrections())(
                     lambda case: _check_correction(case, fault))))()
-
-    def test_support_keyed_on_size_fails_the_examples(self):
-        """The explicit examples alone catch a support shortcut keyed on
-        size, which the benchmark's dense and static runs cannot."""
-        with pytest.raises(AssertionError):
-            settings(deadline=None, phases=(Phase.explicit,))(
-                _correction_examples(given(_corrections())(
-                    lambda case: _check_correction(case, _support_keyed_on_size))))()
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_shared_aggregate_and_later_rounds_keep_their_bytes(self, scope):
@@ -591,8 +599,8 @@ class TestApplyCorrection:
     @pytest.mark.parametrize("fixed", [np.arange(6), np.arange(3, 6)],
                              ids=["dense", "tail"])
     def test_fixed_set_equals_straight_line_correction(self, fixed, scope):
-        """An aggregate of one fixed set's uploads carries that set's
-        array, so every client finds its own set as the support."""
+        """An aggregate of one fixed set's uploads, whose support is that
+        set, merges by the straight-line rule."""
         fixed = SharedSet(fixed, SPEC.dim)
         clients = [_client(cid=i, seed=i) for i in range(3)]
         for r in (1, 2):
@@ -601,7 +609,6 @@ class TestApplyCorrection:
             if r == 1:
                 agg = server_aggregate(msgs, SPEC.dim)
         for c in clients:
-            assert c.pending[0].shared is agg.indices
             _check_correction((c, agg, 0.1, scope))
 
     def test_substitution_example(self):
