@@ -207,7 +207,7 @@ def check_exchange():
         d = int(rng.integers(1, 300))
         z = _random_vector(rng, d)
         p = float(GRID[rng.integers(0, GRID.shape[0])])
-        if not _same_bits(topk_shared_indices(z, p), lexsort_topk(z, p)):
+        if not _same_bits(topk_shared_indices(z, p).indices, lexsort_topk(z, p)):
             return False, f"case {i}: Top-K differs from the lexsort rule"
         upload = ("top-k", "dense", "tail")[rng.choice(3, p=[0.5, 0.25, 0.25])]
         if upload == "dense":

@@ -31,8 +31,8 @@ from .masking import U32_MAX, SharedSet, payload_bytes, snap_rate
 from .models import Batch, ModelSpec, evaluate, init_params
 from .protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
                        apply_correction, build_upload, grouped_local_round,
-                       pairwise_mean, seed_words, server_aggregate,
-                       static_partial_mask)
+                       measure_correction, pairwise_mean, seed_words,
+                       server_aggregate, static_partial_mask)
 from .ratewalk import MAX_STEPS, RateState, state_index
 
 
@@ -340,7 +340,7 @@ class Simulation:
     def run(self) -> list[MetricsRecord]:
         cfg = self.cfg
         records: list[MetricsRecord] = []
-        inflight: deque = deque()  # (aggregate, its downlink bytes)
+        inflight: deque = deque()  # (aggregate, downlink bytes, correction size)
         up_total = down_total = 0
         clock = 0.0
 
@@ -357,21 +357,25 @@ class Simulation:
             up_total += sum(up_sizes)
 
             agg = server_aggregate(msgs, self.spec.dim, self._weights)
+            # Sized while this round's z is raw; clients keep eta * z after.
+            delta = max(0.0, *(measure_correction(c, agg, cfg.eta, cfg.correction_scope)
+                               for c in self.clients))
             if cfg.correction_scope == "own-shared":
                 down_sizes = up_sizes  # each client gets back what it sent
             else:
                 down_sizes = [self._payload(int(agg.indices.shape[0]))] * len(msgs)
-            inflight.append((agg, sum(down_sizes)))
+            inflight.append((agg, sum(down_sizes), delta))
             exchange = max(u + dn for u, dn in zip(up_sizes, down_sizes))
 
             # An aggregate lands D rounds after its upload; the last round
             # drains everything still in flight.
             while inflight and (inflight[0][0].round + self.delay <= t
                                 or t == cfg.rounds):
-                due, down = inflight.popleft()
-                self.correction_log.append((due.round, max(0.0, *(
-                    apply_correction(c, due, cfg.eta, scope=cfg.correction_scope)
-                    for c in self.clients))))
+                due, down, delta = inflight.popleft()
+                scaled = due.values * cfg.eta
+                for c in self.clients:
+                    apply_correction(c, due, scaled, cfg.correction_scope)
+                self.correction_log.append((due.round, delta))
                 down_total += down
 
             clock += cfg.t_compute

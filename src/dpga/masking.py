@@ -75,6 +75,15 @@ class SharedSet:
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
+    @classmethod
+    def _trusted(cls, indices: np.ndarray, d: int) -> SharedSet:
+        """Int64 indices its maker built strictly ascending and below d."""
+        indices.setflags(write=False)
+        shared = object.__new__(cls)
+        object.__setattr__(shared, "indices", indices)
+        object.__setattr__(shared, "d", d)
+        return shared
+
 
 @dataclass(frozen=True, eq=False)
 class SparseGradient:
@@ -109,8 +118,9 @@ class SparseGradient:
         return int(self.indices.shape[0])
 
 
-def topk_shared_indices(z: np.ndarray, p: float) -> np.ndarray:
-    """Indices of the K = ceil(p * d) largest |z| entries, sorted ascending.
+def topk_shared_indices(z: np.ndarray, p: float) -> SharedSet:
+    """The K = ceil(p * d) largest |z| entries as a SharedSet, built
+    without a second check: its indices ascend and lie below d by design.
 
     Runs in O(d) without a sort: t = the K-th largest |z| (np.partition),
     every |z| > t is kept, and the remaining slots go to the lowest-indexed
@@ -131,7 +141,7 @@ def topk_shared_indices(z: np.ndarray, p: float) -> np.ndarray:
     excess = np.count_nonzero(keep) - k
     if excess:  # more than K tie at t: the highest-indexed ties stay private
         keep[np.flatnonzero(mag == t)[-excess:]] = False
-    return np.flatnonzero(keep)
+    return SharedSet._trusted(np.flatnonzero(keep), d)
 
 
 def extract_shared(z: np.ndarray, shared: SharedSet | np.ndarray, round: int,

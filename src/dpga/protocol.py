@@ -10,19 +10,22 @@ left, replaying the local updates it made in the meantime.
 
 Float discipline: within a round, weights are always materialized as
 w_round_start - eta * z_partial (left-to-right accumulation), so
-w_after == w_before - eta * z holds bitwise. The replay after a correction
-reuses exactly this per-round expression, which makes the two documented
-degenerate cases exact: identical clients see corrections of exactly zero
-and stay on the plain SGD trajectory, and p=1 with zero delay reproduces
-synchronized gradient averaging bit for bit. Clients that draw minibatches
-take their steps together (grouped_local_round) with the same arithmetic
-per client, so grouping changes no bit either.
+w_after == w_before - eta * z holds bitwise. A pending round's z is
+scaled to eta * z in place once its correction is sized; scaling commutes
+with the merge's select, and the replay subtracts each stored step, so it
+rounds the same product and difference as w - eta * z. That makes the two
+documented degenerate cases exact: identical clients see corrections of
+exactly zero and stay on the plain SGD trajectory, and p=1 with zero delay
+reproduces synchronized gradient averaging bit for bit. Clients that draw
+minibatches take their steps together (grouped_local_round) with the same
+arithmetic per client, so grouping changes no bit either.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -46,12 +49,15 @@ def pairwise_sum(rows: np.ndarray) -> np.ndarray:
     a = np.asarray(rows, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1:
         raise ContractViolationError("pairwise_sum needs a non-empty 2-d array")
-    while a.shape[0] > 1:
-        even = (a.shape[0] // 2) * 2
-        paired = a[0:even:2] + a[1:even:2]
-        if a.shape[0] % 2:
-            paired = np.vstack([paired, a[even:]])
-        a = paired
+    n, d = a.shape
+    # Levels alternate between two buffers; level j holds ceil(n / 2**j) rows.
+    out, spare = np.empty(((n + 1) // 2, d)), np.empty(((n + 3) // 4, d))
+    while n > 1:
+        half = n // 2
+        np.add(a[0:2 * half:2], a[1:2 * half:2], out=out[:half])
+        if n % 2:
+            out[half] = a[n - 1]
+        a, n, out, spare = out, half + n % 2, spare, out
     return a[0].copy()
 
 
@@ -66,14 +72,15 @@ def pairwise_mean(rows: np.ndarray) -> np.ndarray:
 class PendingRound:
     """An upload still waiting for its aggregate.
 
-    Keeps the coordinates the client shared and the full accumulated
-    gradient of that round; the latter is needed to rebuild weights when
-    the aggregate lands.
+    Keeps the coordinates the client shared and the round's accumulated
+    gradient z, which rebuilds the weights when the aggregate lands. Once
+    measure_correction has sized the correction, z_full holds eta * z.
     """
 
     round: int
     shared: np.ndarray
     z_full: np.ndarray
+    scaled: bool = False
 
 
 @dataclass(eq=False)
@@ -369,71 +376,84 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     return GlobalAggregate(round=round_, values=values, counts=counts)
 
 
-def apply_correction(client: ClientState, agg: GlobalAggregate, eta: float,
-                     scope: str = "own-shared") -> float:
-    """Fold a delayed aggregate into the client's weights.
-
-    The aggregate must match the oldest pending round and have one entry
-    per model coordinate. One rule merges it: the touched coordinates are
-    those at least one client shared (the aggregate's mask), within the
-    client's own shared set by default or anywhere with full-support
-    scope, and the round's accumulated gradient z becomes
-    where(touched, values, z). When every coordinate is touched (a support
-    of d entries and, under own-shared, an own set of d entries; both
-    index arrays are strictly ascending, so their sizes tell) the merge is
-    a copy of the values. The weights are then rebuilt from the round's
-    starting point by replaying the later pending rounds with the forward
-    pass's per-round expression, in place on one copy of the new anchor
-    with one scratch buffer for eta * z: each round still rounds twice,
-    once for the product and once for the difference, exactly as
-    w - eta * z does. Neither the aggregate nor any pending round is
-    written to. Returns the largest |global - local| substitution, exactly
-    0.0 when the aggregate agrees with the client's own shared values.
-
-    This checks the scope, the round and the lengths, and trusts the
-    aggregate's support (mask, indices) to match its counts, which
-    GlobalAggregate derives itself.
-    """
-    if scope not in CORRECTION_SCOPES:
-        raise ContractViolationError(f"unknown correction scope {scope!r}")
+def _pending_round(client: ClientState, agg: GlobalAggregate, at: int) -> PendingRound:
+    """client.pending[at], checked to be agg's round and of agg's length."""
     if not client.pending:
         raise ContractViolationError(f"client {client.id}: no pending round for correction")
-    pend = client.pending[0]
+    pend = client.pending[at]
     if pend.round != agg.round:
         raise ContractViolationError(
             f"client {client.id}: aggregate round {agg.round} != pending {pend.round}")
-    z = pend.z_full
-    if not agg.values.shape == agg.counts.shape == z.shape:
+    if not agg.values.shape == agg.counts.shape == pend.z_full.shape:
         raise ContractViolationError("aggregate length differs from the model size")
+    return pend
 
-    eta = float(eta)
-    d = z.shape[0]
-    own_shared = scope == "own-shared"
+
+def _touched(pend: PendingRound, agg: GlobalAggregate, scope: str) -> np.ndarray | None:
+    """Where agg substitutes in pend: agg.mask, within pend's own set under
+    own-shared scope; None for everywhere, which the index arrays' sizes tell."""
+    if scope not in CORRECTION_SCOPES:
+        raise ContractViolationError(f"unknown correction scope {scope!r}")
+    d, own_shared = agg.counts.shape[0], scope == "own-shared"
     if agg.indices.shape[0] == d and (not own_shared or pend.shared.shape[0] == d):
-        merged = agg.values.copy()
-    else:
-        touched = agg.mask
-        if own_shared:
-            touched = np.zeros(d, dtype=bool)
-            touched[pend.shared] = True
-            touched &= agg.mask
-        merged = np.where(touched, agg.values, z)
-    # On an untouched coordinate merged equals z, so |merged - z| adds
+        return None
+    if not own_shared:
+        return agg.mask
+    touched = np.zeros(d, dtype=bool)
+    touched[pend.shared] = True
+    return np.logical_and(touched, agg.mask, out=touched)
+
+
+def measure_correction(client: ClientState, agg: GlobalAggregate, eta: float,
+                       scope: str = "own-shared") -> float:
+    """Size the correction agg makes to the client's newest pending round,
+    in the round agg forms, then scale that round's z to eta * z in place.
+
+    Returns the largest |where(touched, values, z) - z|, exactly 0.0 when
+    agg agrees with the client's own shared values. agg is not written to.
+    """
+    pend = _pending_round(client, agg, -1)
+    if pend.scaled:
+        raise ContractViolationError(f"client {client.id}: round {pend.round} already measured")
+    z, touched = pend.z_full, _touched(pend, agg, scope)
+    # On an untouched coordinate the merge equals z, so |merged - z| adds
     # exactly 0.0, the max's initial value.
-    diff = merged - z
+    diff = agg.values - z if touched is None else np.where(touched, agg.values, z) - z
     delta = float(np.maximum.reduce(np.abs(diff, out=diff), initial=0.0))
-    # The buffer that holds eta * merged is the replay's scratch afterwards.
-    step = np.multiply(merged, eta, out=merged)
-    anchor = np.subtract(client.anchor, step)
-    client.anchor = anchor
-    client.pending.popleft()
-    w = anchor
-    if client.pending:
-        w = anchor.copy()
-        for later in client.pending:
-            np.subtract(w, np.multiply(later.z_full, eta, out=step), out=w)
-    client.weights = w
+    np.multiply(z, float(eta), out=z)
+    pend.scaled = True
     return delta
+
+
+def apply_correction(client: ClientState, agg: GlobalAggregate, scaled: np.ndarray,
+                     scope: str = "own-shared") -> None:
+    """Fold a delayed aggregate into the client's weights.
+
+    scaled is eta * agg.values, computed once per aggregate. agg matches the
+    oldest pending round, and every pending round was measured, so each
+    holds its step eta * z. The oldest step becomes where(touched, scaled,
+    step), or scaled when every coordinate is touched, and comes off the
+    anchor; each later step then comes off the new weights in place. Neither
+    agg, scaled nor a pending round is written to. agg's support is trusted
+    to match its counts.
+    """
+    pend = _pending_round(client, agg, 0)
+    if scaled.shape != agg.values.shape or not all(p.scaled for p in client.pending):
+        raise ContractViolationError(
+            f"client {client.id}: needs eta * values and every pending round measured")
+    touched = _touched(pend, agg, scope)
+    if touched is None:
+        anchor = np.subtract(client.anchor, scaled)
+    else:
+        anchor = np.where(touched, scaled, pend.z_full)
+        np.subtract(client.anchor, anchor, out=anchor)
+    client.anchor = w = anchor
+    client.pending.popleft()
+    if client.pending:
+        w = anchor - client.pending[0].z_full
+        for later in islice(client.pending, 1, None):
+            w -= later.z_full
+    client.weights = w
 
 
 def static_partial_mask(spec: ModelSpec, fraction: float) -> np.ndarray:

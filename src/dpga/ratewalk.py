@@ -11,6 +11,8 @@ sum drifts from 1 by about 6e-19 * m.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +23,8 @@ from .errors import ConfigurationError
 # grid's denominator.
 N_STATES = 10
 GRID = np.arange(1, N_STATES + 1) / N_STATES
-# At this many steps the row-sum drift is about 6e-10, well inside the
-# 1.5e-8 that Generator.choice tolerates; from about 2.4e10 it rejects rows.
+# At this many steps the row-sum drift is about 6e-10; a draw divides it
+# out, as Generator.choice does, so it only bounds the law's error.
 MAX_STEPS = 10 ** 9
 
 
@@ -58,6 +60,14 @@ def m_step_matrix(m: int) -> np.ndarray:
     return np.linalg.matrix_power(one_step_matrix(), m)
 
 
+@functools.lru_cache(maxsize=16)
+def _cdf_rows(m: int) -> tuple[tuple[float, ...], ...]:
+    """The rows of m_step_matrix(m) as Generator.choice(p=row) sums them:
+    cumulative, then divided by the last entry."""
+    cdf = m_step_matrix(m).cumsum(axis=1)
+    return tuple(map(tuple, (cdf / cdf[:, -1:]).tolist()))
+
+
 @dataclass(eq=False)
 class RateState:
     """Walk position plus its private random stream."""
@@ -65,17 +75,17 @@ class RateState:
     p: float
     m: int
     rng: np.random.Generator
-    _rows: np.ndarray = field(init=False, repr=False)
+    _cdf: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         state_index(self.p)
-        self._rows = m_step_matrix(self.m)
+        self._cdf = _cdf_rows(self.m)
 
     def sample(self) -> float:
-        """Advance the walk by one m-step draw and return the new rate."""
+        """Advance the walk by one m-step draw and return the new rate:
+        the state Generator.choice(N_STATES, p=row) would draw."""
         if self.m == 0:
             return self.p
-        row = self._rows[state_index(self.p)]
-        j = int(self.rng.choice(N_STATES, p=row))
+        j = bisect_right(self._cdf[state_index(self.p)], self.rng.random())
         self.p = float(GRID[j])
         return self.p

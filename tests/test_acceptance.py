@@ -102,7 +102,7 @@ def test_mask_properties_and_codec_roundtrips():
         d = int(rng.integers(1, 300))
         p = float(GRID[rng.integers(0, GRID.shape[0])])
         z = rng.standard_normal(d)
-        s = topk_shared_indices(z, p)
+        s = topk_shared_indices(z, p).indices
         comp = np.setdiff1d(np.arange(d), s, assume_unique=True)
         want = math.ceil(Fraction(round(p * 10), 10) * d)
         ok = (s.shape[0] == shared_count(p, d) == want

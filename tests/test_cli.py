@@ -19,7 +19,7 @@ from dpga.cli import (CSV_HEADER, PLOT_X_CHOICES, SCHEMA, load_config, main,
                       read_metrics_csv, write_metrics_csv)
 from dpga.engine import ALGORITHMS, MetricsRecord
 from dpga.errors import ConfigurationError, ContractViolationError, DecodeError
-from dpga.masking import SparseGradient, decode, encode, topk_shared_indices
+from dpga.masking import SharedSet, SparseGradient, decode, encode, topk_shared_indices
 from dpga.models import loss_and_gradient
 from dpga.protocol import (CORRECTION_SCOPES, GlobalAggregate, apply_correction,
                            server_aggregate)
@@ -650,7 +650,8 @@ def _decode_unsigned_zero(blob):
 
 def _topk_ties_high(z, p):
     """Top-K with magnitude ties resolved toward the higher index."""
-    return (z.shape[0] - 1 - topk_shared_indices(z[::-1], p))[::-1]
+    d = z.shape[0]
+    return SharedSet((d - 1 - topk_shared_indices(z[::-1], p).indices)[::-1], d)
 
 
 def _aggregate_over_messages(messages, d, weights=None):
@@ -749,11 +750,10 @@ class TestCheckCommand:
     def test_summed_replay_fails(self, monkeypatch):
         """A correction that replays the later rounds as one summed step
         keeps every correction at 0.0 but leaves the bitwise trajectory."""
-        def summed(client, agg, eta, scope="own-shared"):
-            delta = apply_correction(client, agg, eta, scope=scope)
-            later = sum(p.z_full for p in client.pending)
-            client.weights = client.anchor - eta * later
-            return delta
+        def summed(client, agg, scaled, scope="own-shared"):
+            apply_correction(client, agg, scaled, scope=scope)
+            # Each pending round holds its step eta * z.
+            client.weights = client.anchor - sum(p.z_full for p in client.pending)
 
         monkeypatch.setattr(engine, "apply_correction", summed)
         assert not check_reductions().passed

@@ -3,6 +3,11 @@ seed 11, three minibatch edge cases, a derived delay, a seed past 2**32
 and a full-support dense correction must write exactly the bytes whose
 sha256 is in golden/csv_sha256.json.
 
+The CSV shows neither a correction's size nor the state a run ends in, so
+each case also pins, in golden/state_sha256.json, the sha256 of its
+correction_log (rounds as int64, sizes as float64 bits) and of every
+client's final weights and anchor, client by client.
+
 The configs are written out here rather than imported from bench/, so the
 pin holds whatever the benchmark does. The bytes also depend on the
 kernels of the build (numpy 2.4.6 with its OpenBLAS 0.3.31): on x86-64
@@ -12,7 +17,7 @@ one level, so a kernel family names the pair: "avx512" (SkylakeX,
 Cooperlake, SapphireRapids) or "avx2" (Haswell, Zen). Each case holds a
 pin per family, and a CSV must match its family's pin; a mixed pair, such
 as Haswell BLAS under numpy's AVX-512 loops, has no pins. A change that
-moves any CSV byte on purpose rewrites the pins under both families,
+moves any of these bytes on purpose rewrites the pins under both families,
 
     PYTHONPATH=src python tests/test_csv_bytes.py
 
@@ -23,19 +28,23 @@ Each run records the family it runs under and keeps the other family's
 pins.
 """
 
+import functools
 import hashlib
 import json
 import os
 import platform
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpga.cli import write_metrics_csv
 from dpga.engine import SimConfig, Simulation
 
 GOLDEN = Path(__file__).parent / "golden" / "csv_sha256.json"
+STATE_GOLDEN = Path(__file__).parent / "golden" / "state_sha256.json"
 ROUNDS = 20
 SEED = 11
 
@@ -150,29 +159,56 @@ def kernel_family() -> str:
     return blas if blas == simd else f"openblas-{blas}+numpy-{simd}"
 
 
-def csv_sha256(name: str, tmp_dir: Path) -> str:
+def _sha256(*arrays: np.ndarray) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+@functools.cache
+def run_hashes(name: str) -> tuple[str, dict[str, str]]:
+    """One run of the case: the sha256 of its CSV, and of its
+    correction_log and its clients' final weights and anchors."""
     make, algorithm = CASES[name]
-    path = tmp_dir / "run.csv"
-    write_metrics_csv(Simulation(make(algorithm)).run(), path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    sim = Simulation(make(algorithm))
+    records = sim.run()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        write_metrics_csv(records, path)
+        csv = hashlib.sha256(path.read_bytes()).hexdigest()
+    log = sim.correction_log
+    state = {
+        "correction_log": _sha256(np.array([r for r, _ in log], dtype="<i8"),
+                                  np.array([d for _, d in log], dtype="<f8")),
+        "clients": _sha256(*(a.astype("<f8") for c in sim.clients
+                             for a in (c.weights, c.anchor))),
+    }
+    return csv, state
+
+
+def _pins(golden: Path, name: str) -> tuple[str, object]:
+    family, pins = kernel_family(), json.loads(golden.read_text())[name]
+    assert family in pins, f"no {family} pin; pinned families: {sorted(pins)}"
+    return family, pins
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_csv_bytes_are_pinned(name, tmp_path):
-    family, pins = kernel_family(), json.loads(GOLDEN.read_text())[name]
-    assert family in pins, f"no {family} pin; pinned families: {sorted(pins)}"
-    assert csv_sha256(name, tmp_path) == pins[family], pins
+def test_csv_bytes_are_pinned(name):
+    family, pins = _pins(GOLDEN, name)
+    assert run_hashes(name)[0] == pins[family], pins
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_final_state_is_pinned(name):
+    family, pins = _pins(STATE_GOLDEN, name)
+    assert run_hashes(name)[1] == pins[family], pins
 
 
 if __name__ == "__main__":
-    import tempfile
-
     family = kernel_family()
     if "+" in family:
         raise SystemExit(f"{family} is a mix no machine runs; set both or neither")
-    old = json.loads(GOLDEN.read_text())
-    with tempfile.TemporaryDirectory() as tmp:
-        pins = {name: {**old.get(name, {}), family: csv_sha256(name, Path(tmp))}
+    for i, golden in enumerate((GOLDEN, STATE_GOLDEN)):
+        old = json.loads(golden.read_text()) if golden.exists() else {}
+        pins = {name: {**old.get(name, {}), family: run_hashes(name)[i]}
                 for name in CASES}
-    GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"wrote the {family} pins of {len(pins)} cases to {GOLDEN}")
+        golden.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        print(f"wrote the {family} pins of {len(pins)} cases to {golden}")

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,15 +43,15 @@ class TestSharedCount:
 class TestTopK:
     def test_example(self):
         np.testing.assert_array_equal(
-            topk_shared_indices(np.array([3.0, -5.0, 1.0, 0.0]), 0.5), [0, 1])
+            topk_shared_indices(np.array([3.0, -5.0, 1.0, 0.0]), 0.5).indices, [0, 1])
 
     def test_magnitude_tie_takes_lower_index(self):
         np.testing.assert_array_equal(
-            topk_shared_indices(np.array([2.0, -2.0, 1.0]), 1 / 3), [0])
+            topk_shared_indices(np.array([2.0, -2.0, 1.0]), 1 / 3).indices, [0])
 
     def test_full_rate_is_identity_mask(self):
         z = np.array([0.0, -1.0, 2.0])
-        np.testing.assert_array_equal(topk_shared_indices(z, 1.0), [0, 1, 2])
+        np.testing.assert_array_equal(topk_shared_indices(z, 1.0).indices, [0, 1, 2])
 
     def test_properties_randomized(self):
         """Size, complementarity, and dominance over random (z, p) draws."""
@@ -59,7 +60,7 @@ class TestTopK:
             d = int(rng.integers(1, 120))
             p = float((int(rng.integers(1, 11))) / 10.0)
             z = rng.standard_normal(d)
-            shared = topk_shared_indices(z, p)
+            shared = topk_shared_indices(z, p).indices
             k = shared_count(p, d)
             assert shared.shape[0] == k
             assert np.all(shared[:-1] < shared[1:]) if k > 1 else True
@@ -70,9 +71,21 @@ class TestTopK:
 
     def test_deterministic_under_ties(self):
         z = np.zeros(10)
-        np.testing.assert_array_equal(topk_shared_indices(z, 0.3),
-                                      topk_shared_indices(z.copy(), 0.3))
-        np.testing.assert_array_equal(topk_shared_indices(z, 0.3), [0, 1, 2])
+        np.testing.assert_array_equal(topk_shared_indices(z, 0.3).indices,
+                                      topk_shared_indices(z.copy(), 0.3).indices)
+        np.testing.assert_array_equal(topk_shared_indices(z, 0.3).indices, [0, 1, 2])
+
+    def test_result_is_a_read_only_set_messages_carry(self):
+        """A Top-K set is built once, read-only, and a message built from
+        it carries its array as is."""
+        z = np.array([3.0, -5.0, 1.0, 0.0])
+        shared = topk_shared_indices(z, 0.5)
+        assert isinstance(shared, SharedSet) and shared.d == 4
+        assert shared.indices.dtype == np.int64 and not shared.indices.flags.writeable
+        with mock.patch("dpga.masking._checked_indices") as check:
+            msg = extract_shared(z, shared, round=1, p=0.5)
+        check.assert_not_called()
+        assert msg.indices is shared.indices
 
     def test_rejects_empty(self):
         with pytest.raises(ContractViolationError):
@@ -97,7 +110,7 @@ class TestTopK:
     def test_matches_lexsort_definition(self, z, num):
         z = np.array(z)
         p = num / 10.0
-        np.testing.assert_array_equal(topk_shared_indices(z, p),
+        np.testing.assert_array_equal(topk_shared_indices(z, p).indices,
                                       lexsort_topk(z, p))
 
 
@@ -183,13 +196,13 @@ class TestWireFormat:
         sizes = []
         for num in range(1, 11):
             p = num / 10.0
-            sizes.append(payload_bytes(topk_shared_indices(z, p).size))
+            sizes.append(payload_bytes(topk_shared_indices(z, p).indices.size))
         assert sizes == sorted(sizes)
 
     def test_halving_rate_roughly_halves_payload(self):
         z = np.random.default_rng(2).standard_normal(1000)
-        full = payload_bytes(topk_shared_indices(z, 1.0).size)
-        half = payload_bytes(topk_shared_indices(z, 0.5).size)
+        full = payload_bytes(topk_shared_indices(z, 1.0).indices.size)
+        half = payload_bytes(topk_shared_indices(z, 0.5).indices.size)
         assert abs(half / full - 0.5) < 0.05
 
     def test_off_grid_rate_not_encodable(self):

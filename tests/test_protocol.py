@@ -16,8 +16,8 @@ from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
 from dpga.protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
                            GlobalAggregate, PendingRound, apply_correction,
                            build_upload, grouped_local_round, local_round,
-                           pairwise_mean, pairwise_sum, seed_words,
-                           server_aggregate, static_partial_mask)
+                           measure_correction, pairwise_mean, pairwise_sum,
+                           seed_words, server_aggregate, static_partial_mask)
 from test_models import _pooled_bias
 
 SPEC = ModelSpec(kind="logistic-regression", input_dim=2, num_classes=2)
@@ -64,6 +64,23 @@ class TestPairwiseReductions:
     def test_rejects_empty(self):
         with pytest.raises(ContractViolationError):
             pairwise_sum(np.empty((0, 3)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 40).flatmap(lambda n: arrays(
+        np.float64, (n, 3), elements=st.one_of(
+            st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6)))))
+    @example(rows=np.full((40, 3), -0.0))
+    def test_equals_stacked_tree(self, rows):
+        """Same bits as the tree that stacks each level and appends the
+        carried odd row, signed zeros included."""
+        a = rows
+        while a.shape[0] > 1:
+            even = (a.shape[0] // 2) * 2
+            paired = a[0:even:2] + a[1:even:2]
+            if a.shape[0] % 2:
+                paired = np.vstack([paired, a[even:]])
+            a = paired
+        assert pairwise_sum(rows).tobytes() == a[0].tobytes()
 
 
 class TestSeedWords:
@@ -443,7 +460,8 @@ _ENTRIES = st.one_of(st.just(0.0), st.just(-0.0),
 
 @st.composite
 def _corrections(draw):
-    """A client with 1-5 pending rounds and an aggregate for the oldest.
+    """A client with 1-5 pending rounds, their z still raw, and the
+    aggregate of each round; the oldest one's is delivered.
 
     Coordinates may be uncovered (count 0, value 0) even inside the
     client's own shared set, and covered values may be signed zeros.
@@ -457,21 +475,22 @@ def _corrections(draw):
                          shard=Batch(np.zeros((1, input_dim)), [0]),
                          spec=spec, max_pending=5)
     client.anchor = draw(vector)
+    aggs = []
     for r in range(1, draw(st.integers(0, 4)) + 2):
         shared = sorted(draw(st.sets(st.integers(0, d - 1), max_size=d)))
         client.pending.append(PendingRound(
             round=r, shared=np.array(shared, dtype=np.int64), z_full=draw(vector)))
-    counts = draw(arrays(np.int64, d, elements=st.integers(0, 3)))
-    values = np.where(counts > 0, draw(vector), 0.0)
-    agg = GlobalAggregate(round=1, values=values, counts=counts)
-    return (client, agg, draw(st.sampled_from([0.1, 0.3, 1.0])),
+        counts = draw(arrays(np.int64, d, elements=st.integers(0, 3)))
+        values = np.where(counts > 0, draw(vector), 0.0)
+        aggs.append(GlobalAggregate(round=r, values=values, counts=counts))
+    return (client, aggs, draw(st.sampled_from([0.1, 0.3, 1.0])),
             draw(st.sampled_from(CORRECTION_SCOPES)))
 
 
 def _straight_line_correction(client, agg, eta, scope):
-    """(weights, anchor, delta) by the plain expressions: copy, gather and
-    scatter on the covered coordinates, then w = w - eta * z per later
-    round."""
+    """(weights, anchor, delta) by the plain expressions over the raw z:
+    copy, gather and scatter on the covered coordinates, then
+    w = w - eta * z per later round."""
     pend = client.pending[0]
     merged = pend.z_full.copy()
     coords = pend.shared if scope == "own-shared" else np.arange(merged.shape[0])
@@ -485,9 +504,24 @@ def _straight_line_correction(client, agg, eta, scope):
     return w, anchor, delta
 
 
+def _deliver(client, aggs, eta, scope="own-shared", measure=measure_correction):
+    """What a run does: each pending round is measured when its aggregate
+    (aggs, oldest first) forms, and then the oldest round's aggregate is
+    delivered with its values scaled once. Returns that round's size."""
+    rounds = list(client.pending)
+    client.pending.clear()
+    sizes = []
+    for pend, agg in zip(rounds, aggs):
+        client.pending.append(pend)
+        sizes.append(measure(client, agg, eta, scope=scope))
+    apply_correction(client, aggs[0], aggs[0].values * eta, scope=scope)
+    return sizes[0]
+
+
 def _correction_example(own, support, scope="own-shared"):
     """A client whose oldest of two pending rounds shared `own`, and an
-    aggregate for that round over `support`."""
+    aggregate for that round over `support` (the newer round's aggregate
+    covers everything)."""
     rng = np.random.default_rng(len(own) + 10 * len(support))
     client = ClientState(id=0, weights=rng.standard_normal(SPEC.dim),
                          shard=Batch(np.zeros((1, 2)), [0]), spec=SPEC, max_pending=5)
@@ -498,7 +532,10 @@ def _correction_example(own, support, scope="own-shared"):
     counts = np.zeros(SPEC.dim, dtype=np.int64)
     counts[support] = 2
     values = np.where(counts > 0, rng.standard_normal(SPEC.dim), 0.0)
-    return client, GlobalAggregate(round=1, values=values, counts=counts), 0.1, scope
+    newer = GlobalAggregate(round=2, values=rng.standard_normal(SPEC.dim),
+                            counts=np.full(SPEC.dim, 2))
+    return (client, [GlobalAggregate(round=1, values=values, counts=counts), newer],
+            0.1, scope)
 
 
 def _correction_examples(test):
@@ -513,42 +550,63 @@ def _correction_examples(test):
     return test
 
 
-def _check_correction(case, correct=apply_correction):
+def _check_correction(case, deliver=_deliver):
     # Explicit examples are built once, so work on a copy.
-    client, agg, eta, scope = copy.deepcopy(case)
+    client, aggs, eta, scope = copy.deepcopy(case)
     want_w, want_anchor, want_delta = _straight_line_correction(
-        copy.deepcopy(client), agg, eta, scope)
+        copy.deepcopy(client), aggs[0], eta, scope)
     later = [p.round for p in client.pending][1:]
-    delta = correct(client, agg, eta, scope=scope)
+    delta = deliver(client, aggs, eta, scope=scope)
     assert client.weights.tobytes() == want_w.tobytes()
     assert client.anchor.tobytes() == want_anchor.tobytes()
     assert np.float64(delta).tobytes() == np.float64(want_delta).tobytes()
     assert [p.round for p in client.pending] == later
 
 
-def _merge_ignoring_counts(client, agg, eta, scope="own-shared"):
+def _merge_ignoring_counts(client, aggs, eta, scope="own-shared"):
     """Substitutes on every candidate coordinate, writing the aggregate's 0
     where nobody shared."""
-    everywhere = GlobalAggregate(round=agg.round, values=agg.values,
-                                 counts=np.ones_like(agg.counts))
-    return apply_correction(client, everywhere, eta, scope=scope)
+    everywhere = GlobalAggregate(round=aggs[0].round, values=aggs[0].values,
+                                 counts=np.ones_like(aggs[0].counts))
+    return _deliver(client, [everywhere, *aggs[1:]], eta, scope=scope)
 
 
-def _replay_skipping_newest(client, agg, eta, scope="own-shared"):
+def _replay_skipping_newest(client, aggs, eta, scope="own-shared"):
     """Rebuilds the weights without the newest pending round."""
     newest = client.pending.pop() if len(client.pending) > 1 else None
-    delta = apply_correction(client, agg, eta, scope=scope)
+    delta = _deliver(client, aggs, eta, scope=scope)
     if newest is not None:
         client.pending.append(newest)
     return delta
 
 
-def _copy_on_full_own_set(client, agg, eta, scope="own-shared"):
+def _copy_on_full_own_set(client, aggs, eta, scope="own-shared"):
     """Merges by a copy of the aggregate's values whenever the client's own
     set is every coordinate, whatever the support."""
-    if client.pending[0].shared.shape == agg.values.shape:
-        return _merge_ignoring_counts(client, agg, eta, scope=scope)
-    return apply_correction(client, agg, eta, scope=scope)
+    if client.pending[0].shared.shape == aggs[0].values.shape:
+        return _merge_ignoring_counts(client, aggs, eta, scope=scope)
+    return _deliver(client, aggs, eta, scope=scope)
+
+
+def _measure_after_scaling(client, agg, eta, scope="own-shared"):
+    """Scales z to eta * z first and sizes the correction against that."""
+    client.pending[-1].z_full *= eta
+    return measure_correction(client, agg, 1.0, scope=scope)
+
+
+def _delta_after_scaling(client, aggs, eta, scope="own-shared"):
+    return _deliver(client, aggs, eta, scope=scope, measure=_measure_after_scaling)
+
+
+def _replay_scaling_again(client, aggs, eta, scope="own-shared"):
+    """Replays each later round as w - eta * its stored step, which
+    already holds eta * z."""
+    delta = _deliver(client, aggs, eta, scope=scope)
+    w = client.anchor
+    for later in client.pending:
+        w = w - eta * later.z_full
+    client.weights = w
+    return delta
 
 
 class TestApplyCorrection:
@@ -560,9 +618,12 @@ class TestApplyCorrection:
 
     @pytest.mark.parametrize("fault", [_merge_ignoring_counts,
                                        _replay_skipping_newest,
-                                       _copy_on_full_own_set],
+                                       _copy_on_full_own_set,
+                                       _delta_after_scaling,
+                                       _replay_scaling_again],
                              ids=["merge-ignoring-counts", "replay-skipping-newest",
-                                  "copy-on-full-own-set"])
+                                  "copy-on-full-own-set", "delta-after-scaling",
+                                  "replay-scaling-again"])
     def test_fault_fails(self, fault):
         # Finding a failure is the point; shrinking it would only cost time.
         with pytest.raises(AssertionError):
@@ -573,21 +634,27 @@ class TestApplyCorrection:
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_shared_aggregate_and_later_rounds_keep_their_bytes(self, scope):
-        """One aggregate goes to every client; neither it nor any round
-        still pending may be written to, and no client's new state may
-        share memory with them."""
+        """One aggregate goes to every client; neither measuring nor
+        delivering it writes to it or to its scaled values, delivering
+        writes to no round still pending, and no client's new state may
+        share memory with any of them."""
         clients = [_client(cid=i, seed=i) for i in range(3)]
-        msgs = []
         for r in (1, 2, 3):
             msgs = [build_upload(c, local_round(c, 1, 0.1, None, 0), 0.5, round=r)
                     for c in clients]
+            formed = server_aggregate(msgs, SPEC.dim)
             if r == 1:
-                agg = server_aggregate(msgs, SPEC.dim)
-        fields = (agg.values, agg.counts, agg.mask, agg.indices)
-        before = [a.tobytes() for a in fields]
+                agg = formed
+                fields = (agg.values, agg.counts, agg.mask, agg.indices)
+                before = [a.tobytes() for a in fields]
+            for c in clients:
+                measure_correction(c, formed, eta=0.1, scope=scope)
+        scaled = agg.values * 0.1
+        fields += (scaled,)
+        before.append(scaled.tobytes())
         later = [p.z_full.tobytes() for c in clients for p in list(c.pending)[1:]]
         for c in clients:
-            apply_correction(c, agg, eta=0.1, scope=scope)
+            apply_correction(c, agg, scaled, scope=scope)
         assert [a.tobytes() for a in fields] == before
         assert [p.z_full.tobytes() for c in clients for p in c.pending] == later
         for c in clients:
@@ -603,13 +670,13 @@ class TestApplyCorrection:
         set, merges by the straight-line rule."""
         fixed = SharedSet(fixed, SPEC.dim)
         clients = [_client(cid=i, seed=i) for i in range(3)]
+        aggs = []
         for r in (1, 2):
             msgs = [build_upload(c, local_round(c, 1, 0.1, None, 0), 0.5, round=r,
                                  shared=fixed) for c in clients]
-            if r == 1:
-                agg = server_aggregate(msgs, SPEC.dim)
+            aggs.append(server_aggregate(msgs, SPEC.dim))
         for c in clients:
-            _check_correction((c, agg, 0.1, scope))
+            _check_correction((c, aggs, 0.1, scope))
 
     def test_substitution_example(self):
         """shared={0}, global 1, own value 2, eta=0.1: coordinate 0 gains
@@ -624,8 +691,9 @@ class TestApplyCorrection:
 
         agg = _agg(1, [0], [1.0], [2])
         before = client.weights.copy()
-        delta = apply_correction(client, agg, eta=0.1)
-        assert delta == 1.0  # |1 - 2|
+        assert measure_correction(client, agg, eta=0.1) == 1.0  # |1 - 2|
+        np.testing.assert_array_equal(client.pending[0].z_full, 0.1 * z)
+        apply_correction(client, agg, agg.values * 0.1)
         np.testing.assert_array_equal(client.weights[0], before[0] + 0.1)
         np.testing.assert_array_equal(client.weights[1:], before[1:])
         assert not client.pending
@@ -643,7 +711,7 @@ class TestApplyCorrection:
         agg = server_aggregate(msgs, SPEC.dim)
         trajectories = []
         for c in clients:
-            assert apply_correction(c, agg, eta=0.1) == 0.0
+            assert _deliver(c, [agg], 0.1) == 0.0
             trajectories.append(c.weights)
         for w in trajectories[1:]:
             np.testing.assert_array_equal(w, trajectories[0])
@@ -653,28 +721,64 @@ class TestApplyCorrection:
         build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
         agg = _agg(2, [0], [1.0], [1])
         with pytest.raises(ContractViolationError):
-            apply_correction(client, agg, eta=0.1)
+            measure_correction(client, agg, eta=0.1)
+        measure_correction(client, _agg(1, [0], [1.0], [1]), eta=0.1)
+        with pytest.raises(ContractViolationError):
+            apply_correction(client, agg, agg.values * 0.1)
 
     def test_no_pending_rejected(self):
         client = _client()
         agg = _agg(1, [0], [1.0], [1])
         with pytest.raises(ContractViolationError):
-            apply_correction(client, agg, eta=0.1)
+            measure_correction(client, agg, eta=0.1)
+        with pytest.raises(ContractViolationError):
+            apply_correction(client, agg, agg.values * 0.1)
+
+    def test_each_round_is_measured_once_before_delivery(self):
+        """Delivery needs every pending round scaled, and a scaled round
+        is not scaled again."""
+        client = _client()
+        agg = _agg(1, [0], [1.0], [1])
+        build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        with pytest.raises(ContractViolationError, match="every pending round measured"):
+            apply_correction(client, agg, agg.values * 0.1)
+        measure_correction(client, agg, eta=0.1)
+        build_upload(client, np.ones(SPEC.dim), 1.0, round=2)
+        with pytest.raises(ContractViolationError, match="every pending round measured"):
+            apply_correction(client, agg, agg.values * 0.1)
+        measure_correction(client, _agg(2, [0], [1.0], [1]), eta=0.1)
+        with pytest.raises(ContractViolationError, match="already measured"):
+            measure_correction(client, _agg(2, [0], [1.0], [1]), eta=0.1)
+        np.testing.assert_array_equal(client.pending[1].z_full, np.full(SPEC.dim, 0.1))
+        apply_correction(client, agg, agg.values * 0.1)
+        assert [p.round for p in client.pending] == [2]
 
     def test_unknown_scope_rejected(self):
         client = _client()
         build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        agg = _agg(1, [0], [1.0], [1])
         with pytest.raises(ContractViolationError, match="scope"):
-            apply_correction(client, _agg(1, [0], [1.0], [1]), eta=0.1,
-                             scope="everything")
+            measure_correction(client, agg, eta=0.1, scope="everything")
+        assert not client.pending[0].scaled
+        np.testing.assert_array_equal(client.pending[0].z_full, np.ones(SPEC.dim))
+        measure_correction(client, agg, eta=0.1)
+        with pytest.raises(ContractViolationError, match="scope"):
+            apply_correction(client, agg, agg.values * 0.1, scope="everything")
         assert len(client.pending) == 1
 
     @pytest.mark.parametrize("d", [SPEC.dim - 1, SPEC.dim + 1])
     def test_wrong_length_rejected(self, d):
         client = _client()
         build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        wrong = _agg(1, [0], [1.0], [1], d=d)
         with pytest.raises(ContractViolationError):
-            apply_correction(client, _agg(1, [0], [1.0], [1], d=d), eta=0.1)
+            measure_correction(client, wrong, eta=0.1)
+        agg = _agg(1, [0], [1.0], [1])
+        measure_correction(client, agg, eta=0.1)
+        with pytest.raises(ContractViolationError):
+            apply_correction(client, wrong, wrong.values * 0.1)
+        with pytest.raises(ContractViolationError):
+            apply_correction(client, agg, wrong.values * 0.1)
         assert len(client.pending) == 1
 
     def test_full_support_scope_touches_aggregate_support(self):
@@ -685,7 +789,7 @@ class TestApplyCorrection:
         w_before = client.weights.copy()
         # Aggregate defines a coordinate this client never shared.
         agg = _agg(1, [0, 3], [2.0, 1.0], [1, 1])
-        apply_correction(client, agg, eta=0.1, scope="full-support")
+        _deliver(client, [agg], 0.1, scope="full-support")
         np.testing.assert_array_equal(client.weights[3], w_before[3] - 0.1)
 
     def test_own_shared_scope_ignores_foreign_coordinates(self):
@@ -695,7 +799,7 @@ class TestApplyCorrection:
         build_upload(client, z, 0.1, round=1)
         w_before = client.weights.copy()
         agg = _agg(1, [0, 3], [2.0, 1.0], [1, 1])
-        apply_correction(client, agg, eta=0.1)
+        _deliver(client, [agg], 0.1)
         np.testing.assert_array_equal(client.weights[3], w_before[3])
 
 
@@ -720,17 +824,21 @@ class TestDelayedPipelineTrace:
             msgs1.append(build_upload(c, z, 0.5, round=1))
             sets1.append(msgs1[-1].indices)
         agg1 = server_aggregate(msgs1, SPEC.dim)
+        for c in clients:
+            measure_correction(c, agg1, eta)
 
-        # round 2: another local step, then the round-1 aggregate lands
+        # round 2: another local step, its aggregate forms, then the
+        # round-1 aggregate lands, and the last round drains round 2's
         z2, msgs2 = [], []
         for c in clients:
             z2.append(local_round(c, 1, eta, None, np.random.default_rng(0)))
             msgs2.append(build_upload(c, z2[-1], 0.5, round=2))
-        for c in clients:
-            apply_correction(c, agg1, eta)
         agg2 = server_aggregate(msgs2, SPEC.dim)
         for c in clients:
-            apply_correction(c, agg2, eta)
+            measure_correction(c, agg2, eta)
+        for agg in (agg1, agg2):
+            for c in clients:
+                apply_correction(c, agg, agg.values * eta)
 
         # independent replay of the same schedule, straight-line
         for i, c in enumerate(clients):
@@ -738,7 +846,7 @@ class TestDelayedPipelineTrace:
             merged1[sets1[i]] = agg1.values[sets1[i]]
             w_r1 = w0 - eta * merged1          # corrected end of round 1
 
-            z2_set = topk_shared_indices(z2[i], 0.5)
+            z2_set = topk_shared_indices(z2[i], 0.5).indices
             merged2 = z2[i].copy()
             merged2[z2_set] = agg2.values[z2_set]
             w_final = w_r1 - eta * merged2     # corrected end of round 2
@@ -754,13 +862,14 @@ class TestDelayedPipelineTrace:
         w0 = client.weights.copy()
         za = local_round(client, 2, eta, None, np.random.default_rng(0))
         build_upload(client, za, 0.5, round=1)
-        zb = local_round(client, 2, eta, None, np.random.default_rng(0))
-        build_upload(client, zb, 0.5, round=2)
-
         own = client.pending[0].shared
         g = np.full(own.shape[0], 0.25)
         agg = _agg(1, own, g, 1)
-        apply_correction(client, agg, eta)
+        measure_correction(client, agg, eta)
+        zb = local_round(client, 2, eta, None, np.random.default_rng(0))
+        build_upload(client, zb, 0.5, round=2)
+        measure_correction(client, _agg(2, [], [], 0), eta)
+        apply_correction(client, agg, agg.values * eta)
 
         merged = za.copy()
         merged[own] = g

@@ -1,11 +1,15 @@
 """Rate walk: one-step matrix, m-step law, sampling. The law against path
 enumeration is the walk-enumeration suite in dpga.checks."""
 
+import bisect
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dpga import ratewalk
 from dpga.errors import ConfigurationError
 from dpga.ratewalk import (GRID, MAX_STEPS, N_STATES, RateState, m_step_matrix,
                            one_step_matrix, state_index)
@@ -140,3 +144,81 @@ class TestSampling:
         for value, prob in [(0.3, 0.25), (0.5, 0.5), (0.7, 0.25)]:
             sigma = np.sqrt(prob * (1 - prob) / n)
             assert abs(counts[value] / n - prob) < 3 * sigma
+
+
+# PCG64 moves its 128-bit state s to s * _PCG_MULT + inc, then outputs the
+# new state's high and low halves XORed and rotated right by its top 6 bits.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STEP_COUNTS = (0, 1, 2, 3, 56, 10 ** 9)
+
+
+def _generator_drawing(u: float) -> np.random.Generator:
+    """A Generator whose next random() is u, a multiple of 2**-53 in [0, 1).
+
+    random() is the top 53 bits of one 64-bit output over 2**53, and a
+    state whose high half is 0 outputs its low half as is, so the state
+    before it is solved for."""
+    bits = np.random.PCG64(0)
+    state = bits.state
+    after = int(u * 2 ** 53) << 11
+    state["state"]["state"] = ((after - state["state"]["inc"])
+                               * pow(_PCG_MULT, -1, 2 ** 128) % 2 ** 128)
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def _check_draw(i: int, m: int, u: float):
+    """From state i, with u as the next draw, sample() returns what
+    Generator.choice(p=row) returns and leaves the stream where it does
+    (with m = 0 it draws nothing)."""
+    ours, ref = _generator_drawing(u), _generator_drawing(u)
+    want = float(GRID[ref.choice(N_STATES, p=m_step_matrix(m)[i])])
+    assert _generator_drawing(u).random() == u
+    assert RateState(float(GRID[i]), m, ours).sample() == want, (i, m, u)
+    if m:
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _check_cdf_edges(m: int):
+    """Every start state, at each cumulative probability below 1 of its row
+    (on the 2**-53 grid a draw lives on) and at the draw just below it."""
+    for i in range(N_STATES):
+        cdf = m_step_matrix(m)[i].cumsum()
+        cdf /= cdf[-1]
+        for c in cdf[cdf < 1.0]:
+            k = math.floor(c * 2 ** 53)
+            for u in {k, max(k - 1, 0)}:
+                _check_draw(i, m, u / 2 ** 53)
+
+
+class TestDrawsAsChoice:
+    """sample() is Generator.choice(N_STATES, p=row) without its call
+    overhead, draw for draw."""
+
+    @pytest.mark.parametrize("m", _STEP_COUNTS)
+    def test_cdf_edges(self, m):
+        _check_cdf_edges(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(i=st.integers(0, N_STATES - 1), m=st.sampled_from(_STEP_COUNTS),
+           k=st.integers(0, 2 ** 53 - 1))
+    def test_any_draw(self, i, m, k):
+        _check_draw(i, m, k / 2 ** 53)
+
+    @settings(max_examples=30, deadline=None)
+    @given(i=st.integers(0, N_STATES - 1), m=st.sampled_from(_STEP_COUNTS[1:]),
+           seed=st.integers(0, 2 ** 64))
+    def test_chained_draws(self, i, m, seed):
+        state = RateState(float(GRID[i]), m, np.random.default_rng(seed))
+        ref, rows, j = np.random.default_rng(seed), m_step_matrix(m), i
+        for _ in range(200):
+            j = ref.choice(N_STATES, p=rows[j])
+            assert state.sample() == float(GRID[j])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bisect_left_fails(self, monkeypatch, m):
+        """A draw equal to a cumulative entry goes to the next state; the
+        left bisection keeps it in the state that entry closes."""
+        monkeypatch.setattr(ratewalk, "bisect_right", bisect.bisect_left)
+        with pytest.raises(AssertionError):
+            _check_cdf_edges(m)
