@@ -28,7 +28,7 @@ import numpy as np
 from .data import PartitionConfig, gen_synthetic, partition
 from .errors import ConfigurationError, ContractViolationError
 from .masking import U32_MAX, SharedSet, payload_bytes, snap_rate
-from .models import Batch, ModelSpec, evaluate, init_params
+from .models import Batch, ModelSpec, evaluate, init_params, mean_loss
 from .protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
                        apply_correction, build_upload, grouped_local_round,
                        measure_correction, pairwise_mean, seed_words,
@@ -238,8 +238,7 @@ def objective(wbar: np.ndarray, train: Batch, spec: ModelSpec) -> float:
     """Global training objective at wbar: sum_k (n_k / n) F_k(wbar), the
     size-weighted mean of the client losses. The shards partition the
     training set, so that is the mean loss over train in one pass."""
-    loss, _ = evaluate(wbar, train, spec)
-    return loss
+    return mean_loss(wbar, train, spec)
 
 
 class Simulation:
@@ -328,10 +327,10 @@ class Simulation:
         return rates * n, rates[0]
 
     def _evaluate(self):
+        """(train_loss, eval_acc) of the averaged model: only what a record
+        prints, the loss on train and the accuracy on test."""
         wbar = pairwise_mean(np.stack([c.weights for c in self.clients]))
-        train_loss = objective(wbar, self.train, self.spec)
-        _, acc = evaluate(wbar, self.test, self.spec)
-        return train_loss, acc
+        return objective(wbar, self.train, self.spec), evaluate(wbar, self.test, self.spec)
 
     # ---- main loop ---- #
 

@@ -225,9 +225,8 @@ def init_params(spec: ModelSpec, seed) -> np.ndarray:
 def _forward(params: np.ndarray, batch: Batch, spec: ModelSpec):
     """Run the network on a batch.
 
-    Returns (layers, acts, logits, logp, picks, loss): the (W, b) views of
-    params, the input to each layer, the logits, their log-softmax, the
-    flat positions of the labels in logp and the mean cross-entropy.
+    Returns (layers, acts, logits): the (W, b) views of params, the input
+    to each layer and the logits.
     """
     layers = _layer_views(params, spec)
     relu = spec.activation == "relu"
@@ -239,16 +238,37 @@ def _forward(params: np.ndarray, batch: Batch, spec: ModelSpec):
     w, bias = layers[-1]
     logits = np.matmul(acts[-1], w)
     logits += bias
+    return layers, acts, logits
+
+
+def _class_max(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The largest of each row's logits: flat holds the rows one after
+    another and starts[i] is where row i begins. One reduceat over the
+    flat array gives the bits np.maximum.reduce(axis=-1) gives, NaN and
+    signed zeros included, in about half the time."""
+    return np.maximum.reduceat(flat, starts)
+
+
+def _log_softmax_terms(logits: np.ndarray, labels: np.ndarray, num_classes: int):
+    """(shift, lognorm, picks) for a mean cross-entropy.
+
+    shift is the logits less each row's max, lognorm the log of each row's
+    sum of exp(shift), with a trailing axis of 1, and picks the flat
+    position of each row's label. The log-softmax is shift - lognorm.
+    """
+    # Each row's offset in the flat logits, then, in place, its label's.
+    picks = np.arange(0, labels.size * num_classes, num_classes)
+    top = _class_max(logits.reshape(-1), picks)
     # Max-subtracted log-sum-exp keeps this finite for any logit scale.
-    logp = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    norm = np.add.reduce(np.exp(logp), axis=-1, keepdims=True)
-    logp -= np.log(norm, out=norm)
-    labels = batch.labels
-    picks = np.arange(0, labels.size * spec.num_classes,
-                      spec.num_classes).reshape(labels.shape)
-    picks += labels
-    loss = -(np.add.reduce(logp.reshape(-1)[picks], axis=-1) / labels.shape[-1])
-    return layers, acts, logits, logp, picks, loss
+    shift = logits - top.reshape(labels.shape + (1,))
+    norm = np.add.reduce(np.exp(shift), axis=-1, keepdims=True)
+    picks += labels.reshape(-1)
+    return shift, np.log(norm, out=norm), picks.reshape(labels.shape)
+
+
+def _mean_nll(picked: np.ndarray):
+    """The mean cross-entropy of each batch from its label log-probabilities."""
+    return -(np.add.reduce(picked, axis=-1) / picked.shape[-1])
 
 
 def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
@@ -259,7 +279,10 @@ def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
         n stacked batches, n losses and an (n, spec.dim) array.
     """
     params = _check_args(params, batch, spec)
-    layers, acts, _, logp, picks, loss = _forward(params, batch, spec)
+    layers, acts, logits = _forward(params, batch, spec)
+    logp, lognorm, picks = _log_softmax_terms(logits, batch.labels, spec.num_classes)
+    logp -= lognorm
+    loss = _mean_nll(logp.reshape(-1)[picks])
     delta = np.exp(logp)
     delta.reshape(-1)[picks] -= 1.0
     delta /= batch.labels.shape[-1]
@@ -290,14 +313,31 @@ def _finite_loss(loss, grad=None):
     return loss
 
 
-def evaluate(params: np.ndarray, batch: Batch, spec: ModelSpec):
-    """Mean loss and accuracy on a batch.
+def mean_loss(params: np.ndarray, batch: Batch, spec: ModelSpec):
+    """Mean cross-entropy on a batch: loss_and_gradient's loss, bit for bit,
+    without the gradient.
 
-    Predictions take the argmax over logits; ties resolve to the lowest
-    class index. Stacked batches give one loss and one accuracy each. A
-    loss that is not finite breaks the contract, as in loss_and_gradient.
+    Only each row's label entry of the log-softmax is formed, as shift -
+    lognorm with the same two roundings. Stacked batches give one loss
+    each. A loss that is not finite breaks the contract.
     """
     params = _check_args(params, batch, spec)
-    _, _, logits, _, _, loss = _forward(params, batch, spec)
-    acc = np.mean(np.argmax(logits, axis=-1) == batch.labels, axis=-1)
-    return _finite_loss(loss), _per_batch(acc)
+    _, _, logits = _forward(params, batch, spec)
+    shift, lognorm, picks = _log_softmax_terms(logits, batch.labels, spec.num_classes)
+    picked = shift.reshape(-1)[picks]
+    picked -= lognorm.reshape(picks.shape)
+    return _finite_loss(_mean_nll(picked))
+
+
+def evaluate(params: np.ndarray, batch: Batch, spec: ModelSpec):
+    """Accuracy on a batch: the share of rows whose argmax over the logits
+    is their label. Ties resolve to the lowest class index. Stacked
+    batches give one accuracy each. No loss is formed (mean_loss gives
+    it); logits that are not finite break the contract, as a non-finite
+    loss does in mean_loss.
+    """
+    params = _check_args(params, batch, spec)
+    _, _, logits = _forward(params, batch, spec)
+    if not np.isfinite(logits).all():
+        raise ContractViolationError("logits overflowed to non-finite values")
+    return _per_batch(np.mean(np.argmax(logits, axis=-1) == batch.labels, axis=-1))

@@ -74,13 +74,22 @@ class PendingRound:
 
     Keeps the coordinates the client shared and the round's accumulated
     gradient z, which rebuilds the weights when the aggregate lands. Once
-    measure_correction has sized the correction, z_full holds eta * z.
+    measure_correction has sized the correction, z_full holds eta * z,
+    scope names the correction scope it was measured under and touched is
+    where the aggregate substitutes (None for every coordinate), for
+    apply_correction to reuse.
     """
 
     round: int
     shared: np.ndarray
     z_full: np.ndarray
-    scaled: bool = False
+    scope: str | None = None
+    touched: np.ndarray | None = None
+
+    @property
+    def scaled(self) -> bool:
+        """Whether the round was measured and z_full holds eta * z."""
+        return self.scope is not None
 
 
 @dataclass(eq=False)
@@ -289,6 +298,11 @@ def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
     ascending or not inside z is rejected. Rounds must strictly increase
     per client, and the pending queue may not outgrow the configured
     delay.
+
+    The call takes ownership of z: the pending round keeps the array
+    itself, not a copy, and measure_correction later scales it in place,
+    so the caller must not write to z or pass it again. The message holds
+    its own gathered values.
     """
     if round <= client.last_round:
         raise ContractViolationError(
@@ -296,7 +310,7 @@ def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
     if shared is None:
         shared = topk_shared_indices(z, p)
     msg = extract_shared(z, shared, round, p)
-    client.pending.append(PendingRound(round=round, shared=msg.indices, z_full=z.copy()))
+    client.pending.append(PendingRound(round=round, shared=msg.indices, z_full=z))
     client.last_round = round
     if len(client.pending) > client.max_pending:
         raise ContractViolationError(
@@ -410,7 +424,10 @@ def measure_correction(client: ClientState, agg: GlobalAggregate, eta: float,
     in the round agg forms, then scale that round's z to eta * z in place.
 
     Returns the largest |where(touched, values, z) - z|, exactly 0.0 when
-    agg agrees with the client's own shared values. agg is not written to.
+    agg agrees with the client's own shared values. The round keeps the
+    scope and touched for apply_correction: agg.mask itself under
+    full-support scope, and a new mask only under own-shared scope with a
+    partial merge. agg is not written to.
     """
     pend = _pending_round(client, agg, -1)
     if pend.scaled:
@@ -421,7 +438,7 @@ def measure_correction(client: ClientState, agg: GlobalAggregate, eta: float,
     diff = agg.values - z if touched is None else np.where(touched, agg.values, z) - z
     delta = float(np.maximum.reduce(np.abs(diff, out=diff), initial=0.0))
     np.multiply(z, float(eta), out=z)
-    pend.scaled = True
+    pend.scope, pend.touched = scope, touched
     return delta
 
 
@@ -431,17 +448,22 @@ def apply_correction(client: ClientState, agg: GlobalAggregate, scaled: np.ndarr
 
     scaled is eta * agg.values, computed once per aggregate. agg matches the
     oldest pending round, and every pending round was measured, so each
-    holds its step eta * z. The oldest step becomes where(touched, scaled,
-    step), or scaled when every coordinate is touched, and comes off the
-    anchor; each later step then comes off the new weights in place. Neither
-    agg, scaled nor a pending round is written to. agg's support is trusted
-    to match its counts.
+    holds its step eta * z and the oldest one where agg substitutes, found
+    when it was measured against agg under the same scope. The oldest step
+    becomes where(touched, scaled, step), or scaled when every coordinate
+    is touched, and comes off the anchor; each later step then comes off
+    the new weights in place. Neither agg, scaled nor a pending round is
+    written to. agg's support is trusted to match its counts.
     """
     pend = _pending_round(client, agg, 0)
     if scaled.shape != agg.values.shape or not all(p.scaled for p in client.pending):
         raise ContractViolationError(
             f"client {client.id}: needs eta * values and every pending round measured")
-    touched = _touched(pend, agg, scope)
+    if scope != pend.scope:
+        raise ContractViolationError(
+            f"client {client.id}: round {pend.round} was measured under scope "
+            f"{pend.scope!r}, not {scope!r}")
+    touched = pend.touched
     if touched is None:
         anchor = np.subtract(client.anchor, scaled)
     else:

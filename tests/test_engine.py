@@ -11,7 +11,7 @@ from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
                          validate_config)
 from dpga.errors import ConfigurationError
 from dpga.masking import ENTRY_BYTES, HEADER_BYTES
-from dpga.models import evaluate
+from dpga.models import Batch, mean_loss
 from dpga.protocol import pairwise_mean
 from dpga.ratewalk import MAX_STEPS
 
@@ -327,7 +327,7 @@ class TestObjective:
         sim = Simulation(_cfg(algorithm="fedavg", bandwidth=1e6))
         wbar = pairwise_mean(np.stack([c.weights for c in sim.clients]))
         total = sum(c.shard.size for c in sim.clients)
-        want = sum((c.shard.size / total) * evaluate(wbar, c.shard, sim.spec)[0]
+        want = sum((c.shard.size / total) * mean_loss(wbar, c.shard, sim.spec)
                    for c in sim.clients)
         got = objective(wbar, sim.train, sim.spec)
         assert got == pytest.approx(want, rel=1e-15)
@@ -339,8 +339,7 @@ class TestObjective:
         wbar = pairwise_mean(np.stack([c.weights for c in sim.clients]))
         feats = np.vstack([c.shard.features for c in sim.clients])
         labels = np.concatenate([c.shard.labels for c in sim.clients])
-        from dpga.models import Batch
-        flat_loss, _ = evaluate(wbar, Batch(feats, labels), sim.spec)
+        flat_loss = mean_loss(wbar, Batch(feats, labels), sim.spec)
         got = objective(wbar, sim.train, sim.spec)
         assert got == pytest.approx(flat_loss, rel=1e-12)
 
@@ -349,5 +348,5 @@ class TestObjective:
         sim = Simulation(_cfg(algorithm=algorithm, bandwidth=1e6))
         last = sim.run()[-1]
         wbar = pairwise_mean(np.stack([c.weights for c in sim.clients]))
-        loss, _ = evaluate(wbar, sim.train, sim.spec)
+        loss = mean_loss(wbar, sim.train, sim.spec)
         assert last.train_loss == loss

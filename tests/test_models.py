@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dpga import models
 from dpga.errors import ConfigurationError, ContractViolationError
-from dpga.models import Batch, ModelSpec, evaluate, init_params, loss_and_gradient
+from dpga.models import (Batch, ModelSpec, evaluate, init_params, loss_and_gradient,
+                         mean_loss)
 
 
 def _logistic(dim=3, classes=2):
@@ -212,6 +214,8 @@ class TestLossAndGradient:
             with pytest.raises(ContractViolationError):
                 loss_and_gradient(np.zeros(spec.dim), shard.rows(np.array(take)), spec)
             with pytest.raises(ContractViolationError):
+                mean_loss(np.zeros(spec.dim), shard.rows(np.array(take)), spec)
+            with pytest.raises(ContractViolationError):
                 evaluate(np.zeros(spec.dim), shard.rows(np.array(take)), spec)
 
     def test_overflowing_gradient_rejected(self):
@@ -224,7 +228,7 @@ class TestLossAndGradient:
         w2[:, 0], w2[:, 1] = -1e308, 1e308
         params[10:12] = [0.0, 1000.0]
         batch = Batch([[1.0, 1.0]], [0])
-        assert np.isfinite(evaluate(params, batch, spec)[0])
+        assert np.isfinite(mean_loss(params, batch, spec))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ContractViolationError, match="non-finite"):
                 loss_and_gradient(params, batch, spec)
@@ -246,8 +250,9 @@ class TestLossAndGradient:
 
 # ---- reference kernel ---- #
 # A straight-line copy of the forward pass, loss_and_gradient and evaluate
-# as written before the layer layout was cached and the temporaries were
-# reused. The lean kernel must match it bit for bit.
+# as written before the layer layout was cached, the temporaries were
+# reused and evaluation split into mean_loss and evaluate. The lean kernel
+# must match it bit for bit.
 
 def _ref_forward(params, feats, labels, spec):
     dims = spec.layer_dims
@@ -321,12 +326,60 @@ class TestLeanKernel:
         ref_loss, ref_grad = _ref_loss_and_gradient(params, feats, labels, spec)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
-        assert evaluate(params, batch, spec) == _ref_evaluate(params, feats, labels, spec)
+        ref_eval_loss, ref_acc = _ref_evaluate(params, feats, labels, spec)
+        assert mean_loss(params, batch, spec) == ref_eval_loss
+        assert evaluate(params, batch, spec) == ref_acc
+        # Stacked: the batch under params and its rows reversed under -params.
+        flip = np.arange(feats.shape[0])[::-1]
+        cases = [(params, feats, labels), (-params, feats[flip], labels[flip])]
+        stacked_params = np.stack([c[0] for c in cases])
+        stacked = Batch(np.stack([c[1] for c in cases]), np.stack([c[2] for c in cases]))
+        losses = mean_loss(stacked_params, stacked, spec)
+        accs = evaluate(stacked_params, stacked, spec)
+        for i, case_i in enumerate(cases):
+            assert (losses[i], accs[i]) == _ref_evaluate(*case_i, spec)
         # A trusted sub-batch computes the same as a fresh batch of its rows.
-        take = np.arange(feats.shape[0])[::-1]
-        sub_loss, sub_grad = loss_and_gradient(params, batch.rows(take), spec)
-        fresh_loss, fresh_grad = loss_and_gradient(params, Batch(feats[take], labels[take]), spec)
+        sub_loss, sub_grad = loss_and_gradient(params, batch.rows(flip), spec)
+        fresh_loss, fresh_grad = loss_and_gradient(params, Batch(feats[flip], labels[flip]), spec)
         assert sub_loss == fresh_loss and np.array_equal(sub_grad, fresh_grad)
+
+
+# Entries on which a max can go wrong: signed zeros, infinities and NaNs
+# of either sign, among ordinary values.
+_MAX_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf,
+                         np.nan, np.copysign(np.nan, -1.0)])
+
+
+@st.composite
+def _logit_rows(draw):
+    rows, classes = draw(st.integers(1, 3000)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(_MAX_ENTRIES, size=(rows, classes))
+
+
+def _check_class_max(logits, class_max=models._class_max):
+    starts = np.arange(0, logits.size, logits.shape[-1])
+    got = class_max(logits.reshape(-1), starts)
+    want = np.maximum.reduce(logits, axis=-1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _skips_last_class(flat, starts):
+    """A broken class max that never looks at the last class."""
+    return np.maximum.reduce(flat.reshape(starts.shape[0], -1)[:, :-1], axis=-1)
+
+
+class TestClassMax:
+    """The reduceat class max has np.maximum.reduce's bits, entry for entry."""
+
+    @given(_logit_rows())
+    def test_equals_maximum_reduce(self, logits):
+        _check_class_max(logits)
+
+    def test_skipping_the_last_class_fails(self):
+        with pytest.raises(AssertionError):
+            given(_logit_rows())(
+                lambda logits: _check_class_max(logits, _skips_last_class))()
 
 
 @st.composite
@@ -359,13 +412,13 @@ def _check_stacked(case, kernel=loss_and_gradient):
     spec, params, feats, labels = case
     stacked = Batch(feats, labels)
     losses, grads = kernel(params, stacked, spec)
-    accs = evaluate(params, stacked, spec)[1]
+    accs = evaluate(params, stacked, spec)
     assert losses.shape == accs.shape == (feats.shape[0],)
     for i in range(feats.shape[0]):
         one = Batch(feats[i], labels[i])
         loss, grad = loss_and_gradient(params[i], one, spec)
         assert losses[i] == loss and np.array_equal(grads[i], grad)
-        assert accs[i] == evaluate(params[i], one, spec)[1]
+        assert accs[i] == evaluate(params[i], one, spec)
 
 
 class TestStackedKernel:
@@ -419,7 +472,7 @@ class TestEvaluate:
         # Zero parameters make every logit equal; prediction must be class 0.
         spec = _logistic(2, 3)
         batch = Batch([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 1, 2])
-        _, acc = evaluate(np.zeros(spec.dim), batch, spec)
+        acc = evaluate(np.zeros(spec.dim), batch, spec)
         assert acc == pytest.approx(1.0 / 3.0)
 
     def test_perfect_separation(self):
@@ -427,6 +480,18 @@ class TestEvaluate:
         # Weights aligned with the features: class 0 on +x, class 1 on +y.
         params = np.array([5.0, -5.0, -5.0, 5.0, 0.0, 0.0])
         batch = Batch([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-        loss, acc = evaluate(params, batch, spec)
+        acc = evaluate(params, batch, spec)
+        loss = mean_loss(params, batch, spec)
         assert acc == 1.0
         assert loss < 1e-3
+
+    def test_non_finite_logits_rejected(self):
+        # Logits of 2e308 overflow to inf; accuracy is not taken on them.
+        spec = _logistic(1, 2)
+        params = np.array([1e308, -1e308, 0.0, 0.0])
+        batch = Batch([[2.0]], [0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolationError, match="non-finite"):
+                evaluate(params, batch, spec)
+            with pytest.raises(ContractViolationError, match="non-finite"):
+                mean_loss(params, batch, spec)

@@ -288,7 +288,7 @@ class TestBuildUpload:
         np.testing.assert_array_equal(msg.indices, [0, 1, 2])
         np.testing.assert_array_equal(msg.values, [3.0, -5.0, 1.0])
         assert len(client.pending) == 1
-        np.testing.assert_array_equal(client.pending[0].z_full, z)
+        assert client.pending[0].z_full is z  # kept, not copied
 
     def test_full_rate_uploads_densely(self):
         client = _client()
@@ -307,18 +307,16 @@ class TestBuildUpload:
 
     def test_rounds_must_increase(self):
         client = _client()
-        z = np.ones(SPEC.dim)
-        build_upload(client, z, 1.0, round=1)
+        build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
         with pytest.raises(ContractViolationError):
-            build_upload(client, z, 1.0, round=1)
+            build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
 
     def test_queue_overflow(self):
         client = _client(max_pending=2)
-        z = np.ones(SPEC.dim)
-        build_upload(client, z, 1.0, round=1)
-        build_upload(client, z, 1.0, round=2)
+        build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        build_upload(client, np.ones(SPEC.dim), 1.0, round=2)
         with pytest.raises(ContractViolationError):
-            build_upload(client, z, 1.0, round=3)
+            build_upload(client, np.ones(SPEC.dim), 1.0, round=3)
 
 
 class TestServerAggregate:
@@ -685,7 +683,7 @@ class TestApplyCorrection:
         z = np.zeros(SPEC.dim)
         z[0] = 2.0
         w_start = client.weights.copy()
-        msg = build_upload(client, z, 0.1, round=1)  # ceil(0.1 * 6) = 1 coord
+        msg = build_upload(client, z.copy(), 0.1, round=1)  # ceil(0.1 * 6) = 1 coord
         np.testing.assert_array_equal(msg.indices, [0])
         client.weights = w_start - 0.1 * z  # what a local round would leave
 
@@ -821,7 +819,7 @@ class TestDelayedPipelineTrace:
         for c in clients:
             z = local_round(c, 1, eta, None, np.random.default_rng(0))
             z1.append(z)
-            msgs1.append(build_upload(c, z, 0.5, round=1))
+            msgs1.append(build_upload(c, z.copy(), 0.5, round=1))
             sets1.append(msgs1[-1].indices)
         agg1 = server_aggregate(msgs1, SPEC.dim)
         for c in clients:
@@ -832,7 +830,7 @@ class TestDelayedPipelineTrace:
         z2, msgs2 = [], []
         for c in clients:
             z2.append(local_round(c, 1, eta, None, np.random.default_rng(0)))
-            msgs2.append(build_upload(c, z2[-1], 0.5, round=2))
+            msgs2.append(build_upload(c, z2[-1].copy(), 0.5, round=2))
         agg2 = server_aggregate(msgs2, SPEC.dim)
         for c in clients:
             measure_correction(c, agg2, eta)
@@ -861,13 +859,13 @@ class TestDelayedPipelineTrace:
         client = _client(cid=0, seed=3)
         w0 = client.weights.copy()
         za = local_round(client, 2, eta, None, np.random.default_rng(0))
-        build_upload(client, za, 0.5, round=1)
+        build_upload(client, za.copy(), 0.5, round=1)
         own = client.pending[0].shared
         g = np.full(own.shape[0], 0.25)
         agg = _agg(1, own, g, 1)
         measure_correction(client, agg, eta)
         zb = local_round(client, 2, eta, None, np.random.default_rng(0))
-        build_upload(client, zb, 0.5, round=2)
+        build_upload(client, zb.copy(), 0.5, round=2)
         measure_correction(client, _agg(2, [], [], 0), eta)
         apply_correction(client, agg, agg.values * eta)
 
