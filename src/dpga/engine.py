@@ -357,8 +357,8 @@ class Simulation:
 
             agg = server_aggregate(msgs, self.spec.dim, self._weights)
             # Sized while this round's z is raw; clients keep eta * z after.
-            delta = max(0.0, *(measure_correction(c, agg, cfg.eta, cfg.correction_scope)
-                               for c in self.clients))
+            delta = max(0.0, *(measure_correction(c, m, agg, cfg.eta, cfg.correction_scope)
+                               for c, m in zip(self.clients, msgs)))
             if cfg.correction_scope == "own-shared":
                 down_sizes = up_sizes  # each client gets back what it sent
             else:
@@ -373,7 +373,7 @@ class Simulation:
                 due, down, delta = inflight.popleft()
                 scaled = due.values * cfg.eta
                 for c in self.clients:
-                    apply_correction(c, due, scaled, cfg.correction_scope)
+                    apply_correction(c, due, scaled)
                 self.correction_log.append((due.round, delta))
                 down_total += down
 

@@ -70,26 +70,19 @@ def pairwise_mean(rows: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PendingRound:
-    """An upload still waiting for its aggregate.
+    """An upload still waiting for its aggregate: only what delivery reads.
 
-    Keeps the coordinates the client shared and the round's accumulated
-    gradient z, which rebuilds the weights when the aggregate lands. Once
-    measure_correction has sized the correction, z_full holds eta * z,
-    scope names the correction scope it was measured under and touched is
-    where the aggregate substitutes (None for every coordinate), for
-    apply_correction to reuse.
+    z_full is the round's accumulated gradient z, which rebuilds the
+    weights when the aggregate lands. measure_correction, given the
+    round's upload, scales it to eta * z in place, sets scaled and keeps
+    in touched where the aggregate substitutes (None for every
+    coordinate) for apply_correction.
     """
 
     round: int
-    shared: np.ndarray
     z_full: np.ndarray
-    scope: str | None = None
     touched: np.ndarray | None = None
-
-    @property
-    def scaled(self) -> bool:
-        """Whether the round was measured and z_full holds eta * z."""
-        return self.scope is not None
+    scaled: bool = False
 
 
 @dataclass(eq=False)
@@ -297,24 +290,25 @@ def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
     is checked and copied each call, and one that is not strictly
     ascending or not inside z is rejected. Rounds must strictly increase
     per client, and the pending queue may not outgrow the configured
-    delay.
+    delay; a refused upload leaves the client as it was.
 
     The call takes ownership of z: the pending round keeps the array
     itself, not a copy, and measure_correction later scales it in place,
     so the caller must not write to z or pass it again. The message holds
-    its own gathered values.
+    its own gathered values, and the caller hands it back to
+    measure_correction when the round's aggregate forms.
     """
     if round <= client.last_round:
         raise ContractViolationError(
             f"client {client.id}: round {round} not after {client.last_round}")
+    if len(client.pending) >= client.max_pending:
+        raise ContractViolationError(
+            f"client {client.id}: pending queue exceeded {client.max_pending}")
     if shared is None:
         shared = topk_shared_indices(z, p)
     msg = extract_shared(z, shared, round, p)
-    client.pending.append(PendingRound(round=round, shared=msg.indices, z_full=z))
+    client.pending.append(PendingRound(round=round, z_full=z))
     client.last_round = round
-    if len(client.pending) > client.max_pending:
-        raise ContractViolationError(
-            f"client {client.id}: pending queue exceeded {client.max_pending}")
     return msg
 
 
@@ -403,66 +397,70 @@ def _pending_round(client: ClientState, agg: GlobalAggregate, at: int) -> Pendin
     return pend
 
 
-def _touched(pend: PendingRound, agg: GlobalAggregate, scope: str) -> np.ndarray | None:
-    """Where agg substitutes in pend: agg.mask, within pend's own set under
-    own-shared scope; None for everywhere, which the index arrays' sizes tell."""
+def _touched(own: np.ndarray, agg: GlobalAggregate, scope: str) -> np.ndarray | None:
+    """Where agg substitutes in the round whose upload shared `own`:
+    agg.mask, within own under own-shared scope; None for everywhere,
+    which the index arrays' sizes tell."""
     if scope not in CORRECTION_SCOPES:
         raise ContractViolationError(f"unknown correction scope {scope!r}")
     d, own_shared = agg.counts.shape[0], scope == "own-shared"
-    if agg.indices.shape[0] == d and (not own_shared or pend.shared.shape[0] == d):
+    if agg.indices.shape[0] == d and (not own_shared or own.shape[0] == d):
         return None
     if not own_shared:
         return agg.mask
     touched = np.zeros(d, dtype=bool)
-    touched[pend.shared] = True
+    touched[own] = True
     return np.logical_and(touched, agg.mask, out=touched)
 
 
-def measure_correction(client: ClientState, agg: GlobalAggregate, eta: float,
-                       scope: str = "own-shared") -> float:
+def measure_correction(client: ClientState, sent: SparseGradient, agg: GlobalAggregate,
+                       eta: float, scope: str = "own-shared") -> float:
     """Size the correction agg makes to the client's newest pending round,
     in the round agg forms, then scale that round's z to eta * z in place.
 
-    Returns the largest |where(touched, values, z) - z|, exactly 0.0 when
-    agg agrees with the client's own shared values. The round keeps the
-    scope and touched for apply_correction: agg.mask itself under
-    full-support scope, and a new mask only under own-shared scope with a
-    partial merge. agg is not written to.
+    sent is the message build_upload returned for that round; its indices
+    are the client's own set, read here and not kept. An upload of another
+    round than agg's, or with an index outside z, is refused. Returns the
+    largest |where(touched, values, z) - z|, exactly 0.0 when agg agrees
+    with the client's own shared values. The round keeps touched for
+    apply_correction: agg.mask itself under full-support scope, and a new
+    mask only under own-shared scope with a partial merge. Neither agg
+    nor sent is written to.
     """
     pend = _pending_round(client, agg, -1)
+    d = pend.z_full.shape[0]
+    if sent.round != agg.round or (sent.count and sent.indices[-1] >= d):
+        raise ContractViolationError(
+            f"client {client.id}: an upload of round {sent.round} does not fit "
+            f"aggregate round {agg.round} of {d} coordinates")
     if pend.scaled:
         raise ContractViolationError(f"client {client.id}: round {pend.round} already measured")
-    z, touched = pend.z_full, _touched(pend, agg, scope)
+    z, touched = pend.z_full, _touched(sent.indices, agg, scope)
     # On an untouched coordinate the merge equals z, so |merged - z| adds
     # exactly 0.0, the max's initial value.
     diff = agg.values - z if touched is None else np.where(touched, agg.values, z) - z
     delta = float(np.maximum.reduce(np.abs(diff, out=diff), initial=0.0))
     np.multiply(z, float(eta), out=z)
-    pend.scope, pend.touched = scope, touched
+    pend.touched, pend.scaled = touched, True
     return delta
 
 
-def apply_correction(client: ClientState, agg: GlobalAggregate, scaled: np.ndarray,
-                     scope: str = "own-shared") -> None:
+def apply_correction(client: ClientState, agg: GlobalAggregate, scaled: np.ndarray) -> None:
     """Fold a delayed aggregate into the client's weights.
 
     scaled is eta * agg.values, computed once per aggregate. agg matches the
     oldest pending round, and every pending round was measured, so each
-    holds its step eta * z and the oldest one where agg substitutes, found
-    when it was measured against agg under the same scope. The oldest step
-    becomes where(touched, scaled, step), or scaled when every coordinate
-    is touched, and comes off the anchor; each later step then comes off
-    the new weights in place. Neither agg, scaled nor a pending round is
-    written to. agg's support is trusted to match its counts.
+    holds its step eta * z and the oldest one the touched mask its
+    measurement stored, under whichever scope it was measured. The oldest
+    step becomes where(touched, scaled, step), or scaled when every
+    coordinate is touched, and comes off the anchor; each later step then
+    comes off the new weights in place. Neither agg, scaled nor a pending
+    round is written to. agg's support is trusted to match its counts.
     """
     pend = _pending_round(client, agg, 0)
     if scaled.shape != agg.values.shape or not all(p.scaled for p in client.pending):
         raise ContractViolationError(
             f"client {client.id}: needs eta * values and every pending round measured")
-    if scope != pend.scope:
-        raise ContractViolationError(
-            f"client {client.id}: round {pend.round} was measured under scope "
-            f"{pend.scope!r}, not {scope!r}")
     touched = pend.touched
     if touched is None:
         anchor = np.subtract(client.anchor, scaled)
