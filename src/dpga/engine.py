@@ -8,7 +8,7 @@ never an algorithm's name.
 Clock model: every round costs t_compute. With delay 0 a round
 additionally blocks on its exchange (latency + bytes / bandwidth); with a
 delay D > 0 communication hides behind compute and only the final exchange
-is paid once at the end, when the still-in-flight aggregates drain. D must
+is paid once at the end, when the corrections still in flight drain. D must
 therefore cover a full round trip. Payload sizes come from
 masking.payload_bytes.
 
@@ -339,7 +339,7 @@ class Simulation:
     def run(self) -> list[MetricsRecord]:
         cfg = self.cfg
         records: list[MetricsRecord] = []
-        inflight: deque = deque()  # (aggregate, downlink bytes, correction size)
+        inflight: deque = deque()  # (round, eta * values, downlink bytes, delta)
         up_total = down_total = 0
         clock = 0.0
 
@@ -363,18 +363,17 @@ class Simulation:
                 down_sizes = up_sizes  # each client gets back what it sent
             else:
                 down_sizes = [self._payload(int(agg.indices.shape[0]))] * len(msgs)
-            inflight.append((agg, sum(down_sizes), delta))
+            inflight.append((t, agg.values * cfg.eta, sum(down_sizes), delta))
+            del agg  # delivery reads only the round and eta * values kept above
             exchange = max(u + dn for u, dn in zip(up_sizes, down_sizes))
 
             # An aggregate lands D rounds after its upload; the last round
             # drains everything still in flight.
-            while inflight and (inflight[0][0].round + self.delay <= t
-                                or t == cfg.rounds):
-                due, down, delta = inflight.popleft()
-                scaled = due.values * cfg.eta
+            while inflight and (inflight[0][0] + self.delay <= t or t == cfg.rounds):
+                due, scaled, down, delta = inflight.popleft()
                 for c in self.clients:
                     apply_correction(c, due, scaled)
-                self.correction_log.append((due.round, delta))
+                self.correction_log.append((due, delta))
                 down_total += down
 
             clock += cfg.t_compute

@@ -111,12 +111,12 @@ class GlobalAggregate:
 
     values and counts have one entry per model coordinate: counts[j] is how
     many clients shared coordinate j and values[j] is their aggregate.
-    Where nobody shared, both are 0. The support is derived once, at
-    construction, and from counts alone: mask is counts > 0 and indices
-    the coordinates at least one client shared, ascending. One aggregate
-    goes to every client, so it is read-only once server_aggregate returns
-    it: nothing may write to its arrays, or the derived support would no
-    longer match counts.
+    Where nobody shared, both are 0. Built, an aggregate has checked that
+    values and counts have one length and derived its support from counts
+    alone: mask is counts > 0 and indices the shared coordinates, ascending.
+    It is read-only once server_aggregate returns it, or the support would
+    no longer match counts. It lives only for the round it forms, when
+    measure_correction reads it; delivery needs its round and eta * values.
     """
 
     round: int
@@ -126,6 +126,8 @@ class GlobalAggregate:
     indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.values.shape != self.counts.shape:
+            raise ContractViolationError("aggregate values and counts differ in length")
         self.mask = self.counts > 0
         self.indices = np.flatnonzero(self.mask)
 
@@ -384,16 +386,15 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     return GlobalAggregate(round=round_, values=values, counts=counts)
 
 
-def _pending_round(client: ClientState, agg: GlobalAggregate, at: int) -> PendingRound:
-    """client.pending[at], checked to be agg's round and of agg's length."""
+def _pending_round(client: ClientState, round: int, shape: tuple, at: int) -> PendingRound:
+    """client.pending[at], checked to be `round` and to hold a z of `shape`."""
     if not client.pending:
         raise ContractViolationError(f"client {client.id}: no pending round for correction")
     pend = client.pending[at]
-    if pend.round != agg.round:
+    if pend.round != round or pend.z_full.shape != shape:
         raise ContractViolationError(
-            f"client {client.id}: aggregate round {agg.round} != pending {pend.round}")
-    if not agg.values.shape == agg.counts.shape == pend.z_full.shape:
-        raise ContractViolationError("aggregate length differs from the model size")
+            f"client {client.id}: round {round} of shape {shape} does not fit "
+            f"pending round {pend.round} of shape {pend.z_full.shape}")
     return pend
 
 
@@ -427,7 +428,7 @@ def measure_correction(client: ClientState, sent: SparseGradient, agg: GlobalAgg
     mask only under own-shared scope with a partial merge. Neither agg
     nor sent is written to.
     """
-    pend = _pending_round(client, agg, -1)
+    pend = _pending_round(client, agg.round, agg.values.shape, -1)
     d = pend.z_full.shape[0]
     if sent.round != agg.round or (sent.count and sent.indices[-1] >= d):
         raise ContractViolationError(
@@ -445,22 +446,22 @@ def measure_correction(client: ClientState, sent: SparseGradient, agg: GlobalAgg
     return delta
 
 
-def apply_correction(client: ClientState, agg: GlobalAggregate, scaled: np.ndarray) -> None:
-    """Fold a delayed aggregate into the client's weights.
+def apply_correction(client: ClientState, round: int, scaled: np.ndarray) -> None:
+    """Fold round `round`'s delayed aggregate into the client's weights.
 
-    scaled is eta * agg.values, computed once per aggregate. agg matches the
-    oldest pending round, and every pending round was measured, so each
-    holds its step eta * z and the oldest one the touched mask its
-    measurement stored, under whichever scope it was measured. The oldest
-    step becomes where(touched, scaled, step), or scaled when every
-    coordinate is touched, and comes off the anchor; each later step then
-    comes off the new weights in place. Neither agg, scaled nor a pending
-    round is written to. agg's support is trusted to match its counts.
+    scaled is that aggregate's eta * values, computed once in the round it
+    formed. round is the oldest pending round, and every pending round was
+    measured, so each holds its step eta * z and the oldest one the
+    touched mask its measurement stored, under whichever scope it was
+    measured. The oldest step becomes where(touched, scaled, step), or
+    scaled when every coordinate is touched, and comes off the anchor;
+    each later step then comes off the new weights in place. Neither
+    scaled nor a pending round is written to; both are checked first.
     """
-    pend = _pending_round(client, agg, 0)
-    if scaled.shape != agg.values.shape or not all(p.scaled for p in client.pending):
+    pend = _pending_round(client, round, scaled.shape, 0)
+    if not all(p.scaled for p in client.pending):
         raise ContractViolationError(
-            f"client {client.id}: needs eta * values and every pending round measured")
+            f"client {client.id}: needs every pending round measured")
     touched = pend.touched
     if touched is None:
         anchor = np.subtract(client.anchor, scaled)

@@ -750,8 +750,8 @@ class TestCheckCommand:
     def test_summed_replay_fails(self, monkeypatch):
         """A correction that replays the later rounds as one summed step
         keeps every correction at 0.0 but leaves the bitwise trajectory."""
-        def summed(client, agg, scaled):
-            apply_correction(client, agg, scaled)
+        def summed(client, round, scaled):
+            apply_correction(client, round, scaled)
             # Each pending round holds its step eta * z.
             client.weights = client.anchor - sum(p.z_full for p in client.pending)
 

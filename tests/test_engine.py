@@ -1,18 +1,21 @@
 """Simulation engine: clock model, byte accounting, algorithm scheduling."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dpga import engine
 from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
                          Simulation, comm_time, objective, resolve_delay,
                          validate_config)
 from dpga.errors import ConfigurationError
 from dpga.masking import ENTRY_BYTES, HEADER_BYTES
 from dpga.models import Batch, mean_loss
-from dpga.protocol import pairwise_mean
+from dpga.protocol import CORRECTION_SCOPES, pairwise_mean
 from dpga.ratewalk import MAX_STEPS
 
 # Small logistic problem reused across tests: d = 4 * 3 + 3 = 15.
@@ -288,6 +291,27 @@ class TestScheduling:
         assert len(sim.correction_log) == sim.cfg.rounds
         assert [r for r, _ in sim.correction_log] == list(range(1, 7))
         assert all(not c.pending for c in sim.clients)
+
+    @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
+    def test_no_aggregate_outlives_its_round(self, monkeypatch, scope):
+        """Delivery reads only a round and eta * values, so when the server
+        forms an aggregate at most one earlier aggregate may still be
+        alive: the one a loop variable might still name."""
+        aggregate, refs, alive = engine.server_aggregate, [], []
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            agg = aggregate(*args, **kwargs)
+            refs.append(weakref.ref(agg))
+            return agg
+
+        monkeypatch.setattr(engine, "server_aggregate", tracked)
+        sim = Simulation(_cfg(algorithm="dpga", delay=4, bandwidth=1e6,
+                              correction_scope=scope))
+        sim.run()
+        assert len(alive) == sim.cfg.rounds
+        assert max(alive) <= 1
 
     def test_delay_zero_applies_same_round(self):
         sim = Simulation(_cfg(algorithm="dpga", delay=0, walk_m=0,

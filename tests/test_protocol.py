@@ -391,6 +391,10 @@ class TestServerAggregate:
         with pytest.raises(ContractViolationError):
             server_aggregate([], 1)
 
+    def test_aggregate_checks_its_own_shape(self):
+        with pytest.raises(ContractViolationError, match="differ in length"):
+            GlobalAggregate(round=1, values=np.zeros(6), counts=np.zeros(7, dtype=np.int64))
+
     def test_index_outside_model_rejected(self):
         # A decoded u32 index can be far beyond the model; it must not size
         # the aggregation buffer.
@@ -542,7 +546,7 @@ def _deliver(client, sents, aggs, eta, scope="own-shared", measure=measure_corre
     for pend, sent, agg in zip(rounds, sents, aggs):
         client.pending.append(pend)
         sizes.append(measure(client, sent, agg, eta, scope=scope))
-    apply_correction(client, aggs[0], aggs[0].values * eta)
+    apply_correction(client, aggs[0].round, aggs[0].values * eta)
     return sizes[0]
 
 
@@ -675,10 +679,10 @@ class TestApplyCorrection:
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_shared_aggregate_and_later_rounds_keep_their_bytes(self, scope):
-        """One aggregate goes to every client; neither measuring nor
-        delivering it writes to it or to its scaled values, delivering
-        writes to no round still pending, and no client's new state may
-        share memory with any of them."""
+        """One aggregate goes to every client and its scaled values to
+        every delivery; measuring writes to neither, delivering writes to
+        no round still pending, and no client's new state may share memory
+        with any of them."""
         clients = [_client(cid=i, seed=i) for i in range(3)]
         for r in (1, 2, 3):
             msgs = [build_upload(c, local_round(c, 1, 0.1, None, 0), 0.5, round=r)
@@ -695,7 +699,7 @@ class TestApplyCorrection:
         before.append(scaled.tobytes())
         later = [p.z_full.tobytes() for c in clients for p in list(c.pending)[1:]]
         for c in clients:
-            apply_correction(c, agg, scaled)
+            apply_correction(c, agg.round, scaled)
         assert [a.tobytes() for a in fields] == before
         assert [p.z_full.tobytes() for c in clients for p in c.pending] == later
         for c in clients:
@@ -734,7 +738,7 @@ class TestApplyCorrection:
         before = client.weights.copy()
         assert measure_correction(client, msg, agg, eta=0.1) == 1.0  # |1 - 2|
         np.testing.assert_array_equal(client.pending[0].z_full, 0.1 * z)
-        apply_correction(client, agg, agg.values * 0.1)
+        apply_correction(client, agg.round, agg.values * 0.1)
         np.testing.assert_array_equal(client.weights[0], before[0] + 0.1)
         np.testing.assert_array_equal(client.weights[1:], before[1:])
         assert not client.pending
@@ -772,7 +776,7 @@ class TestApplyCorrection:
         assert not client.pending[1].scaled
         np.testing.assert_array_equal(client.pending[1].z_full, np.ones(SPEC.dim))
         with pytest.raises(ContractViolationError):
-            apply_correction(client, agg, agg.values * 0.1)
+            apply_correction(client, agg.round, agg.values * 0.1)
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_upload_outside_model_rejected(self, scope):
@@ -790,7 +794,7 @@ class TestApplyCorrection:
         with pytest.raises(ContractViolationError):
             measure_correction(client, sent, agg, eta=0.1)
         with pytest.raises(ContractViolationError):
-            apply_correction(client, agg, agg.values * 0.1)
+            apply_correction(client, agg.round, agg.values * 0.1)
 
     def test_each_round_is_measured_once_before_delivery(self):
         """Delivery needs every pending round scaled, and a scaled round
@@ -799,16 +803,16 @@ class TestApplyCorrection:
         agg = _agg(1, [0], [1.0], [1])
         first = build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
         with pytest.raises(ContractViolationError, match="every pending round measured"):
-            apply_correction(client, agg, agg.values * 0.1)
+            apply_correction(client, agg.round, agg.values * 0.1)
         measure_correction(client, first, agg, eta=0.1)
         second = build_upload(client, np.ones(SPEC.dim), 1.0, round=2)
         with pytest.raises(ContractViolationError, match="every pending round measured"):
-            apply_correction(client, agg, agg.values * 0.1)
+            apply_correction(client, agg.round, agg.values * 0.1)
         measure_correction(client, second, _agg(2, [0], [1.0], [1]), eta=0.1)
         with pytest.raises(ContractViolationError, match="already measured"):
             measure_correction(client, second, _agg(2, [0], [1.0], [1]), eta=0.1)
         np.testing.assert_array_equal(client.pending[1].z_full, np.full(SPEC.dim, 0.1))
-        apply_correction(client, agg, agg.values * 0.1)
+        apply_correction(client, agg.round, agg.values * 0.1)
         assert [p.round for p in client.pending] == [2]
 
     def test_unknown_scope_rejected(self):
@@ -830,9 +834,7 @@ class TestApplyCorrection:
         agg = _agg(1, [0], [1.0], [1])
         measure_correction(client, msg, agg, eta=0.1)
         with pytest.raises(ContractViolationError):
-            apply_correction(client, wrong, wrong.values * 0.1)
-        with pytest.raises(ContractViolationError):
-            apply_correction(client, agg, wrong.values * 0.1)
+            apply_correction(client, agg.round, wrong.values * 0.1)
         assert len(client.pending) == 1
 
     def test_full_support_scope_touches_aggregate_support(self):
@@ -892,7 +894,7 @@ class TestDelayedPipelineTrace:
             measure_correction(c, m, agg2, eta)
         for agg in (agg1, agg2):
             for c in clients:
-                apply_correction(c, agg, agg.values * eta)
+                apply_correction(c, agg.round, agg.values * eta)
 
         # independent replay of the same schedule, straight-line
         for i, c in enumerate(clients):
@@ -923,7 +925,7 @@ class TestDelayedPipelineTrace:
         zb = local_round(client, 2, eta, None, np.random.default_rng(0))
         later = build_upload(client, zb.copy(), 0.5, round=2)
         measure_correction(client, later, _agg(2, [], [], 0), eta)
-        apply_correction(client, agg, agg.values * eta)
+        apply_correction(client, agg.round, agg.values * eta)
 
         merged = za.copy()
         merged[own] = g
