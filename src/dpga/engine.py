@@ -275,12 +275,12 @@ class Simulation:
         self.clients = [
             ClientState(id=i, weights=w0.copy(),
                         shard=dealt.rows(slice(end - idx.size, end)),
-                        spec=self.spec, max_pending=self.delay + 1)
+                        max_pending=self.delay + 1)
             for i, (idx, end) in enumerate(zip(shards, ends))
         ]
         # Who samples, the pool they sample from and the minibatch seed
         # words [seed, _SEED_BATCH] depend on the config alone.
-        self._group = ClientGroup(self.clients, cfg.batch_size)
+        self._group = ClientGroup(self.clients, self.spec, cfg.batch_size)
         self._batch_words = seed_words(cfg.seed, _SEED_BATCH)
 
         self._weights = None

@@ -16,9 +16,10 @@ with the merge's select, and the replay subtracts each stored step, so it
 rounds the same product and difference as w - eta * z. That makes the two
 documented degenerate cases exact: identical clients see corrections of
 exactly zero and stay on the plain SGD trajectory, and p=1 with zero delay
-reproduces synchronized gradient averaging bit for bit. Clients that draw
-minibatches take their steps together (grouped_local_round) with the same
-arithmetic per client, so grouping changes no bit either.
+reproduces synchronized gradient averaging bit for bit. local_round is the
+one SGD loop: grouped_local_round runs it once per full-shard client and
+once for all clients that draw minibatches, stacked, with the same
+arithmetic per client, so stacking changes no bit either.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ class ClientState:
     id: int
     weights: np.ndarray
     shard: Batch
-    spec: ModelSpec
     max_pending: int
     anchor: np.ndarray = None
     pending: deque = field(default_factory=deque)
@@ -134,41 +134,24 @@ class GlobalAggregate:
 
 # ---- operations ---- #
 
-def _check_round_args(epochs: int, eta: float, batch_size: int | None):
-    if epochs < 1:
-        raise ContractViolationError("epochs must be >= 1")
-    if not eta > 0.0:
-        raise ContractViolationError("eta must be positive")
-    if batch_size is not None and batch_size < 1:
-        raise ContractViolationError("batch_size must be >= 1 or None")
+def local_round(w0: np.ndarray, steps: list[Batch], spec: ModelSpec,
+                eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Run one SGD step per batch of `steps` from w0 and return (w, z):
+    the weights after the last step and the accumulated gradient z.
 
-
-def local_round(client: ClientState, epochs: int, eta: float,
-                batch_size: int | None, rng) -> np.ndarray:
-    """Run K local SGD steps and return the accumulated gradient z.
-
-    Weights are updated so that w_after == w_before - eta * z exactly:
-    each step recomputes w from the round-start weights and the running
-    gradient sum rather than chaining subtractions. rng is a Generator or a
-    seed for one, built only when a minibatch is drawn.
+    w0 is one client's (d,) weights with unstacked batches, or n clients'
+    (n, d) weights with n stacked batches per step. Each step recomputes w
+    from w0 and the running gradient sum rather than chaining
+    subtractions, so w == w0 - eta * z exactly. Each gradient call checks
+    its weights and batch against the spec.
     """
-    _check_round_args(epochs, eta, batch_size)
-    w0 = client.weights
     z = np.zeros_like(w0)
     w = w0
-    n = client.shard.size
-    sampled = batch_size is not None and batch_size < n
-    rng = np.random.default_rng(rng) if sampled else None
-    for _ in range(epochs):
-        batch = client.shard
-        if sampled:
-            take = rng.choice(n, size=batch_size, replace=False)
-            batch = client.shard.rows(take)
-        _, g = loss_and_gradient(w, batch, client.spec)
+    for batch in steps:
+        _, g = loss_and_gradient(w, batch, spec)
         z += g
         w = w0 - eta * z
-    client.weights = w
-    return z
+    return w, z
 
 
 def seed_words(*values: int) -> np.ndarray:
@@ -191,32 +174,33 @@ def seed_words(*values: int) -> np.ndarray:
 
 
 class ClientGroup:
-    """A run's clients, split once by how their local rounds draw.
+    """A run's clients and its one model spec, the clients split once by
+    how their local rounds draw.
 
     A client whose shard holds more than batch_size examples samples a
     minibatch of exactly batch_size rows per step; the rest step on their
-    whole shard. The samplers are checked once, here: one spec, weights of
-    length spec.dim and features of spec.input_dim. Their shards are
-    pooled once, with each shard's row offset: shards sliced one after
-    another from one batch, as Simulation deals them, pool as a view of
-    those rows, and any others are copied into one. Each sampler's id is
-    kept as seed words. A group trusts that no client's spec or shard
-    changes after that, and that every weights vector keeps its length.
+    whole shard. The samplers are checked once, here: weights of length
+    spec.dim and features of spec.input_dim. Their shards are pooled once,
+    with each shard's row offset: shards sliced one after another from one
+    batch, as Simulation deals them, pool as a view of those rows, and any
+    others are copied into one. Each sampler's id is kept as seed words. A
+    group trusts that no client's shard changes after that, and that every
+    weights vector keeps its length.
     """
 
-    def __init__(self, clients: list[ClientState], batch_size: int | None):
+    def __init__(self, clients: list[ClientState], spec: ModelSpec, batch_size: int | None):
         if batch_size is not None and batch_size < 1:
             raise ContractViolationError("batch_size must be >= 1 or None")
         self.clients = list(clients)
+        self.spec = spec
         self.batch_size = batch_size
         self.samplers = [i for i, c in enumerate(self.clients)
                          if batch_size is not None and batch_size < c.shard.size]
         self.members = members = [self.clients[i] for i in self.samplers]
         if not members:
             return
-        self.spec = spec = members[0].spec
         for client in members:
-            if (client.spec != spec or client.weights.shape != (spec.dim,)
+            if (client.weights.shape != (spec.dim,)
                     or client.shard.features.shape[1:] != (spec.input_dim,)):
                 raise ContractViolationError(
                     f"client {client.id} does not fit the group's model {spec}: "
@@ -230,37 +214,42 @@ class ClientGroup:
 
 def grouped_local_round(group: ClientGroup, epochs: int, eta: float,
                         seed: np.ndarray) -> list[np.ndarray]:
-    """local_round for each client of the group; returns the z of each
-    client in order.
+    """K = epochs local steps for each client of the group; sets each
+    client's weights and returns the z of each client in order.
 
-    seed is the round's uint32 seed words: a sampler draws from
-    default_rng(seed followed by seed_words(its id)), which is
-    local_round's stream for the seed list [*seed, id], and only samplers
-    build a generator. Each sampler makes all its rng.choice draws for the
-    round up front, in local_round's order, and one gather takes every
-    step's rows from the group's pool. The samplers then step in lockstep
-    with no padding: one gradient call per step over stacked params
-    (n, d) and batches (n, batch_size, f), and the updates run on (n, d)
-    stacks. Every stacked operation acts on each client alone, so weights
-    and z equal local_round's bit for bit. The other clients run
-    local_round itself.
+    Every client steps through local_round, the one SGD loop. A full-shard
+    client takes its whole shard at each step, one call per client. seed is
+    the round's uint32 seed words: a sampler draws from default_rng(seed
+    followed by seed_words(its id)), the stream of the seed list
+    [*seed, id], and only samplers build a generator. Each sampler makes
+    its epochs rng.choice(shard size, batch_size, replace=False) draws for
+    the round up front, and one gather takes every step's rows from the
+    group's pool. The samplers then step together in one local_round call
+    with no padding: params (n, d) and batches (n, batch_size, f) per step.
+    Every stacked operation acts on each client alone, so weights and z
+    equal one call per sampler bit for bit.
 
-    The group's spec and shapes were checked when it was built; this
-    checks the round's arguments and the seed, and each gradient call
-    checks its batch against the spec.
+    The group's shapes were checked when it was built; this checks the
+    round's arguments and the seed, and each gradient call checks its
+    batch against the spec.
     """
-    batch_size = group.batch_size
-    _check_round_args(epochs, eta, batch_size)
+    if epochs < 1:
+        raise ContractViolationError("epochs must be >= 1")
+    if not eta > 0.0:
+        raise ContractViolationError("eta must be positive")
     seed = np.asarray(seed)
     if seed.dtype != np.uint32 or seed.ndim != 1:
         raise ContractViolationError("seed must be a 1-d array of uint32 words")
     samplers = set(group.samplers)
-    zs = [None if i in samplers else local_round(client, epochs, eta, batch_size, None)
-          for i, client in enumerate(group.clients)]
+    zs = [None] * len(group.clients)
+    for i, client in enumerate(group.clients):
+        if i not in samplers:
+            client.weights, zs[i] = local_round(client.weights, [client.shard] * epochs,
+                                                group.spec, eta)
     if not samplers:
         return zs
 
-    members = group.members
+    members, batch_size = group.members, group.batch_size
     take = np.empty((epochs, len(members), batch_size), dtype=np.int64)
     for j, (n, words) in enumerate(zip(group.sizes, group.id_words)):
         gen = np.random.default_rng(np.concatenate((seed, words)))
@@ -268,16 +257,10 @@ def grouped_local_round(group: ClientGroup, epochs: int, eta: float,
             step[...] = gen.choice(n, size=batch_size, replace=False)
     take += group.starts
     batches = group.pool.rows(take)
-    w0 = np.stack([client.weights for client in members])
-    z = np.zeros_like(w0)
-    w = w0
-    for step in range(epochs):
-        _, g = loss_and_gradient(w, batches.rows(step), group.spec)
-        z += g
-        w = w0 - eta * z
+    w, z = local_round(np.stack([client.weights for client in members]),
+                       [batches.rows(step) for step in range(epochs)], group.spec, eta)
     for i, client, wi, zi in zip(group.samplers, members, w, z):
-        client.weights = wi
-        zs[i] = zi
+        client.weights, zs[i] = wi, zi
     return zs
 
 

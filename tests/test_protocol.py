@@ -11,6 +11,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpga import protocol
+from dpga.engine import SimConfig, Simulation
 from dpga.errors import ContractViolationError
 from dpga.masking import SharedSet, SparseGradient, topk_shared_indices
 from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
@@ -35,7 +36,14 @@ def _client(cid=0, seed=0, n=3, max_pending=8):
     rng = np.random.default_rng([seed, cid])
     shard = Batch(rng.standard_normal((n, 2)), rng.integers(0, 2, n))
     return ClientState(id=cid, weights=init_params(SPEC, seed),
-                       shard=shard, spec=SPEC, max_pending=max_pending)
+                       shard=shard, max_pending=max_pending)
+
+
+def _step(client, epochs, eta):
+    """One local round of `epochs` full-shard steps: sets the client's
+    weights and returns its z."""
+    client.weights, z = local_round(client.weights, [client.shard] * epochs, SPEC, eta)
+    return z
 
 
 class TestPairwiseReductions:
@@ -117,21 +125,19 @@ class TestLocalRound:
         for epochs in (1, 2, 3, 7):
             client = _client(seed=epochs)
             before = client.weights.copy()
-            z = local_round(client, epochs, 0.1,
-                            batch_size=None, rng=np.random.default_rng(0))
-            np.testing.assert_array_equal(client.weights, before - 0.1 * z)
+            w, z = local_round(before, [client.shard] * epochs, SPEC, 0.1)
+            np.testing.assert_array_equal(w, before - 0.1 * z)
 
     def test_single_epoch_full_batch_is_one_gradient(self):
         client = _client(seed=4)
-        w = client.weights.copy()
-        z = local_round(client, 1, 0.2, None, np.random.default_rng(0))
-        _, g = loss_and_gradient(w, client.shard, SPEC)
+        _, z = local_round(client.weights, [client.shard], SPEC, 0.2)
+        _, g = loss_and_gradient(client.weights, client.shard, SPEC)
         np.testing.assert_array_equal(z, g)
 
     def test_matches_manual_three_step_loop(self):
         client = _client(seed=9)
         w0 = client.weights.copy()
-        z = local_round(client, 3, 0.05, None, np.random.default_rng(0))
+        w_got, z = local_round(w0, [client.shard] * 3, SPEC, 0.05)
 
         acc = np.zeros_like(w0)
         w = w0
@@ -140,29 +146,24 @@ class TestLocalRound:
             acc = acc + g
             w = w0 - 0.05 * acc
         np.testing.assert_array_equal(z, acc)
-        np.testing.assert_array_equal(client.weights, w)
+        np.testing.assert_array_equal(w_got, w)
+
+    def test_stacked_weights_equal_one_call_per_client(self):
+        """(n, d) weights with n stacked batches per step give each row
+        the bits of that client's own (d,) call."""
+        clients = [_client(cid=i, seed=i, n=4) for i in range(3)]
+        pool = Batch.concatenate([c.shard for c in clients])
+        rows = np.arange(12).reshape(3, 4)
+        steps = [pool.rows(rows), pool.rows(rows[::-1, ::-1])]
+        w, z = local_round(np.stack([c.weights for c in clients]), steps, SPEC, 0.1)
+        for i, c in enumerate(clients):
+            wi, zi = local_round(c.weights, [step.rows(i) for step in steps], SPEC, 0.1)
+            assert w[i].tobytes() == wi.tobytes() and z[i].tobytes() == zi.tobytes()
 
     def test_client_equality_is_identity(self):
         a, b = _client(), _client()
         assert a == a and a != b
         assert len({a, b, a}) == 2 and hash(a) == hash(a)
-
-    def test_minibatch_draws_are_seeded(self):
-        a = _client(seed=2, n=10)
-        b = _client(seed=2, n=10)
-        za = local_round(a, 4, 0.1, 3, np.random.default_rng(42))
-        zb = local_round(b, 4, 0.1, 3, np.random.default_rng(42))
-        np.testing.assert_array_equal(za, zb)
-        np.testing.assert_array_equal(a.weights, b.weights)
-
-    def test_rejects_bad_arguments(self):
-        client = _client()
-        with pytest.raises(ContractViolationError):
-            local_round(client, 0, 0.1, None, np.random.default_rng(0))
-        with pytest.raises(ContractViolationError):
-            local_round(client, 1, 0.0, None, np.random.default_rng(0))
-        with pytest.raises(ContractViolationError):
-            local_round(client, 1, 0.1, 0, np.random.default_rng(0))
 
     def test_empty_shard_impossible(self):
         # A zero-row batch cannot even be constructed, so every client
@@ -187,20 +188,32 @@ def _groups(draw):
         shard = Batch(rng.standard_normal((n, spec.input_dim)),
                       rng.integers(0, spec.num_classes, n))
         clients.append(ClientState(id=i, weights=rng.standard_normal(spec.dim),
-                                   shard=shard, spec=spec, max_pending=1))
-    return (clients, draw(st.integers(1, 4)), draw(st.sampled_from([0.01, 0.1, 0.5])),
-            batch_size, draw(st.integers(0, 1000)))
+                                   shard=shard, max_pending=1))
+    return (clients, spec, draw(st.integers(1, 4)),
+            draw(st.sampled_from([0.01, 0.1, 0.5])), batch_size, draw(st.integers(0, 1000)))
 
 
 def _check_grouped(case):
-    clients, epochs, eta, batch_size, seed = case
+    """The group's weights and z against a straight-line loop per client:
+    a sampler draws each step's rows from default_rng([seed, id]), and a
+    full-shard client takes its whole shard."""
+    clients, spec, epochs, eta, batch_size, seed = case
     alone = copy.deepcopy(clients)
-    seeds = [[seed, c.id] for c in clients]
-    zs = grouped_local_round(ClientGroup(clients, batch_size), epochs, eta,
+    zs = grouped_local_round(ClientGroup(clients, spec, batch_size), epochs, eta,
                              seed_words(seed))
-    for c, a, z, s in zip(clients, alone, zs, seeds):
-        assert np.array_equal(z, local_round(a, epochs, eta, batch_size, s))
-        assert np.array_equal(c.weights, a.weights)
+    for c, a, z in zip(clients, alone, zs):
+        n, rng = a.shard.size, np.random.default_rng([seed, a.id])
+        w0 = w = a.weights
+        acc = np.zeros_like(w0)
+        for _ in range(epochs):
+            batch = a.shard
+            if batch_size is not None and batch_size < n:
+                batch = a.shard.rows(rng.choice(n, size=batch_size, replace=False))
+            _, g = loss_and_gradient(w, batch, spec)
+            acc += g
+            w = w0 - eta * acc
+        assert np.array_equal(z, acc)
+        assert np.array_equal(c.weights, w)
 
 
 class TestGroupedLocalRound:
@@ -223,11 +236,15 @@ class TestGroupedLocalRound:
         return [ClientState(id=i, weights=init_params(SPEC, i),
                             shard=Batch(rng.standard_normal((rows, 2)),
                                         rng.integers(0, classes, rows)),
-                            spec=SPEC, max_pending=1) for i in range(n)]
+                            max_pending=1) for i in range(n)]
 
     def test_checks_hold(self):
-        def run(clients, epochs=2, eta=0.1, batch_size=2):
-            return grouped_local_round(ClientGroup(clients, batch_size), epochs,
+        for batch_size in (2, None):  # the samplers, or every client on its shard
+            self._check_refusals(batch_size)
+
+    def _check_refusals(self, batch_size):
+        def run(clients, epochs=2, eta=0.1, batch_size=batch_size):
+            return grouped_local_round(ClientGroup(clients, SPEC, batch_size), epochs,
                                        eta, seed_words(0))
 
         for args in (dict(epochs=0), dict(eta=0.0), dict(eta=float("nan")),
@@ -235,7 +252,8 @@ class TestGroupedLocalRound:
             with pytest.raises(ContractViolationError):
                 run(self._group(), **args)
         with pytest.raises(ContractViolationError):  # seed words are uint32
-            grouped_local_round(ClientGroup(self._group(), 2), 1, 0.1, [[0, 0]])
+            grouped_local_round(ClientGroup(self._group(), SPEC, batch_size), 1, 0.1,
+                                [[0, 0]])
         for bad in (0, 2):  # every client, or the last one, with a wrong length
             clients = self._group()
             for c in clients[bad:]:
@@ -253,6 +271,35 @@ class TestGroupedLocalRound:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ContractViolationError, match="non-finite"):
                 run(clients)
+
+    def test_every_gradient_call_runs_inside_local_round(self):
+        """A run takes every local step in local_round: one call per
+        full-shard client and one for the stacked samplers each round."""
+        depth, calls = [0], {"local_round": 0, "inside": 0, "outside": 0}
+        real_round, real_gradient = protocol.local_round, protocol.loss_and_gradient
+
+        def counted_round(*args):
+            calls["local_round"] += 1
+            depth[0] += 1
+            try:
+                return real_round(*args)
+            finally:
+                depth[0] -= 1
+
+        def counted_gradient(*args):
+            calls["inside" if depth[0] else "outside"] += 1
+            return real_gradient(*args)
+
+        # Shards of 11, 15, 6, 21, 25, 19, 19 and 4 examples: 5 samplers
+        # and 3 full-shard clients.
+        cfg = SimConfig(batch_size=12, rounds=3)
+        with (mock.patch.object(protocol, "local_round", counted_round),
+              mock.patch.object(protocol, "loss_and_gradient", counted_gradient)):
+            sim = Simulation(cfg)
+            assert len(sim._group.samplers) == 5
+            sim.run()
+        assert calls == {"local_round": 4 * cfg.rounds,
+                         "inside": 4 * cfg.rounds * cfg.local_epochs, "outside": 0}
 
 
 class TestBuildUpload:
@@ -495,8 +542,7 @@ def _corrections(draw):
     d = spec.dim
     vector = arrays(np.float64, d, elements=_ENTRIES)
     client = ClientState(id=0, weights=draw(vector),
-                         shard=Batch(np.zeros((1, input_dim)), [0]),
-                         spec=spec, max_pending=5)
+                         shard=Batch(np.zeros((1, input_dim)), [0]), max_pending=5)
     client.anchor = draw(vector)
     sents, aggs = [], []
     for r in range(1, draw(st.integers(0, 4)) + 2):
@@ -556,7 +602,7 @@ def _correction_example(own, support, scope="own-shared"):
     covers everything)."""
     rng = np.random.default_rng(len(own) + 10 * len(support))
     client = ClientState(id=0, weights=rng.standard_normal(SPEC.dim),
-                         shard=Batch(np.zeros((1, 2)), [0]), spec=SPEC, max_pending=5)
+                         shard=Batch(np.zeros((1, 2)), [0]), max_pending=5)
     client.anchor = rng.standard_normal(SPEC.dim)
     sents = []
     for r in (1, 2):
@@ -685,7 +731,7 @@ class TestApplyCorrection:
         with any of them."""
         clients = [_client(cid=i, seed=i) for i in range(3)]
         for r in (1, 2, 3):
-            msgs = [build_upload(c, local_round(c, 1, 0.1, None, 0), 0.5, round=r)
+            msgs = [build_upload(c, _step(c, 1, 0.1), 0.5, round=r)
                     for c in clients]
             formed = server_aggregate(msgs, SPEC.dim)
             if r == 1:
@@ -717,7 +763,7 @@ class TestApplyCorrection:
         clients = [_client(cid=i, seed=i) for i in range(3)]
         msgs, aggs = [], []
         for r in (1, 2):
-            msgs.append([build_upload(c, local_round(c, 1, 0.1, None, 0), 0.5, round=r,
+            msgs.append([build_upload(c, _step(c, 1, 0.1), 0.5, round=r,
                                       shared=fixed) for c in clients])
             aggs.append(server_aggregate(msgs[-1], SPEC.dim))
         for i, c in enumerate(clients):
@@ -748,10 +794,10 @@ class TestApplyCorrection:
         client's own share and the correction is exactly zero."""
         shard = _client().shard
         clients = [ClientState(id=i, weights=init_params(SPEC, 0), shard=shard,
-                               spec=SPEC, max_pending=8) for i in range(4)]
+                               max_pending=8) for i in range(4)]
         msgs = []
         for c in clients:
-            z = local_round(c, 2, 0.1, None, np.random.default_rng(1))
+            z = _step(c, 2, 0.1)
             msgs.append(build_upload(c, z, 0.5, round=1))
         agg = server_aggregate(msgs, SPEC.dim)
         trajectories = []
@@ -875,7 +921,7 @@ class TestDelayedPipelineTrace:
         # round 1: local step, upload top half, nothing arrives yet
         z1, msgs1, sets1 = [], [], []
         for c in clients:
-            z = local_round(c, 1, eta, None, np.random.default_rng(0))
+            z = _step(c, 1, eta)
             z1.append(z)
             msgs1.append(build_upload(c, z.copy(), 0.5, round=1))
             sets1.append(msgs1[-1].indices)
@@ -887,7 +933,7 @@ class TestDelayedPipelineTrace:
         # round-1 aggregate lands, and the last round drains round 2's
         z2, msgs2 = [], []
         for c in clients:
-            z2.append(local_round(c, 1, eta, None, np.random.default_rng(0)))
+            z2.append(_step(c, 1, eta))
             msgs2.append(build_upload(c, z2[-1].copy(), 0.5, round=2))
         agg2 = server_aggregate(msgs2, SPEC.dim)
         for c, m in zip(clients, msgs2):
@@ -916,13 +962,13 @@ class TestDelayedPipelineTrace:
         eta = 0.2
         client = _client(cid=0, seed=3)
         w0 = client.weights.copy()
-        za = local_round(client, 2, eta, None, np.random.default_rng(0))
+        za = _step(client, 2, eta)
         msg = build_upload(client, za.copy(), 0.5, round=1)
         own = msg.indices
         g = np.full(own.shape[0], 0.25)
         agg = _agg(1, own, g, 1)
         measure_correction(client, msg, agg, eta)
-        zb = local_round(client, 2, eta, None, np.random.default_rng(0))
+        zb = _step(client, 2, eta)
         later = build_upload(client, zb.copy(), 0.5, round=2)
         measure_correction(client, later, _agg(2, [], [], 0), eta)
         apply_correction(client, agg.round, agg.values * eta)
