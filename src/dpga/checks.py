@@ -15,7 +15,7 @@ take their Top-K reference from lexsort_topk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import wraps
 from itertools import product
 
@@ -25,7 +25,8 @@ from .engine import SimConfig, Simulation
 from .masking import (SharedSet, SparseGradient, decode, encode,
                       extract_shared, shared_count, topk_shared_indices)
 from .models import ACTIVATIONS, KINDS, Batch, ModelSpec, loss_and_gradient
-from .protocol import pairwise_mean, pairwise_sum, server_aggregate
+from .protocol import (pairwise_mean, pairwise_sum, server_aggregate,
+                       static_partial_mask)
 from .ratewalk import GRID, N_STATES, m_step_matrix
 
 
@@ -146,18 +147,18 @@ def check_codec():
         d = int(rng.integers(1, 400))
         p = float(GRID[rng.integers(0, GRID.shape[0])])
         k = shared_count(p, d)
-        idx = np.sort(rng.choice(d, size=k, replace=False))
+        shared = SharedSet(np.sort(rng.choice(d, size=k, replace=False)), d)
         msg = SparseGradient(round=int(rng.integers(0, 2 ** 64, dtype=np.uint64)),
-                             p=p, indices=idx, values=_random_vector(rng, k))
+                             p=p, shared=shared, values=_random_vector(rng, k))
         blob = encode(msg)
         # The DPG1 layout spelled out: a 17-byte header, 4 + 8 bytes per entry.
         if len(blob) != 17 + 12 * k:
             return False, f"case {i}: {len(blob)} bytes, not 17 + 12k"
         back = decode(blob)
-        for field in fields(SparseGradient):
-            sent, got = (np.asarray(getattr(m, field.name)) for m in (msg, back))
+        for name in ("round", "p", "indices", "values"):
+            sent, got = (np.asarray(getattr(m, name)) for m in (msg, back))
             if not _same_bits(got, sent):
-                return False, f"case {i}: the decoded {field.name} field differs"
+                return False, f"case {i}: the decoded {name} field differs"
     return True, "1000 random messages round-tripped bit for bit at 17 + 12k bytes"
 
 
@@ -210,10 +211,7 @@ def check_exchange():
         if not _same_bits(topk_shared_indices(z, p).indices, lexsort_topk(z, p)):
             return False, f"case {i}: Top-K differs from the lexsort rule"
         upload = ("top-k", "dense", "tail")[rng.choice(3, p=[0.5, 0.25, 0.25])]
-        if upload == "dense":
-            fixed = SharedSet(np.arange(d), d)
-        elif upload == "tail":
-            fixed = SharedSet(np.arange(d - shared_count(p, d), d), d)
+        fixed = static_partial_mask(d, 1.0 if upload == "dense" else p)
         msgs = []
         for _ in range(int(rng.integers(1, 9))):
             z = _random_vector(rng, d)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import PartitionConfig, gen_synthetic, partition
 from .errors import ConfigurationError, ContractViolationError
-from .masking import U32_MAX, SharedSet, payload_bytes, snap_rate
+from .masking import U32_MAX, payload_bytes, snap_rate
 from .models import Batch, ModelSpec, evaluate, init_params, mean_loss
 from .protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
                        apply_correction, build_upload, grouped_local_round,
@@ -289,15 +289,13 @@ class Simulation:
             self._weights = sizes / sizes.sum()
         # A fixed upload has one (wire rate, reported p); Top-K walks.
         self._walks: list[RateState] = []
-        # A fixed set is checked once and every upload carries it.
-        if self.scheme.upload == "dense":
-            self._shared = SharedSet(np.arange(self.spec.dim), self.spec.dim)
-            self._fixed_rate = (1.0, 1.0)
-        elif self.scheme.upload == "static":
-            self._shared = SharedSet(
-                static_partial_mask(self.spec, cfg.static_fraction), self.spec.dim)
-            # The wire carries the snapped grid rate; the record the nominal one.
-            self._fixed_rate = (snap_rate(cfg.static_fraction), cfg.static_fraction)
+        # A fixed set is built once and every upload carries it: a dense
+        # upload is the tail of all coordinates. The wire carries the
+        # snapped grid rate; the record the nominal one.
+        if self.scheme.upload != "top-k":
+            fraction = 1.0 if self.scheme.upload == "dense" else cfg.static_fraction
+            self._shared = static_partial_mask(self.spec.dim, fraction)
+            self._fixed_rate = (snap_rate(fraction), fraction)
         else:
             self._fixed_rate = None
             self._shared = None  # build_upload picks Top-K by |z|

@@ -5,11 +5,12 @@ accumulated gradient and keeps the rest private. Selection runs in O(d):
 one np.partition finds the K-th largest magnitude t, every coordinate
 above t is kept, and the remaining slots go to the lowest-indexed
 coordinates equal to t, so magnitude ties resolve toward the lower index
-without a sort. Messages travel in a
-little-endian binary layout ("DPG1"): 4-byte magic, u64 round, u8 rate
-numerator (p * 10), u32 entry count, then the ascending u32 indices and
-their f64 values. Index overhead is real and counted: 12 bytes per entry
-against 8 for a dense value, whose coordinates the receiver already knows.
+without a sort. A message carries the SharedSet it was cut by, which alone
+checks its indices. Messages travel in a little-endian binary layout
+("DPG1"): 4-byte magic, u64 round, u8 rate numerator (p * 10), u32 entry
+count, then the ascending u32 indices and their f64 values. Index overhead
+is real and counted: 12 bytes per entry against 8 for a dense value, whose
+coordinates the receiver already knows.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class SharedSet:
     The indices are copied, checked to be strictly ascending and below d,
     and stored read-only. A fixed shared set (every coordinate, or a
     static tail) is built once per run, and every message extract_shared
-    builds from it carries this same array, with no copy and no second
+    builds from it carries this same set, with no copy and no second
     check. Two sets are equal only when they are the same object.
     """
 
@@ -87,35 +88,31 @@ class SharedSet:
 
 @dataclass(frozen=True, eq=False)
 class SparseGradient:
-    """Shared part of a gradient: ascending indices and their values. Two
-    messages are equal only when they are the same object.
-
-    indices may be given as a SharedSet: the message then carries the
-    set's checked read-only array as is and does not scan it again.
-    """
+    """Shared part of a gradient: the SharedSet it was cut by, whose
+    indices it reads as is, and one value per index. Two messages are
+    equal only when they are the same object."""
 
     round: int
     p: float
-    indices: np.ndarray
+    shared: SharedSet
     values: np.ndarray
 
     def __post_init__(self):
-        checked = isinstance(self.indices, SharedSet)
-        idx = (self.indices.indices if checked
-               else np.asarray(self.indices, dtype=np.int64))
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", vals)
-        if idx.ndim != 1 or vals.ndim != 1 or idx.shape != vals.shape:
-            raise ContractViolationError("indices and values must be 1-d and matched")
-        if not checked and idx.size and (np.any(idx[:-1] >= idx[1:]) or idx[0] < 0):
-            raise ContractViolationError("indices must be strictly ascending and >= 0")
+        if not isinstance(self.shared, SharedSet):
+            raise ContractViolationError("a message's indices must be a SharedSet")
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        if self.values.shape != self.shared.indices.shape:
+            raise ContractViolationError("need one value per shared index")
         if self.round < 0:
             raise ContractViolationError("round must be >= 0")
 
     @property
+    def indices(self) -> np.ndarray:
+        return self.shared.indices
+
+    @property
     def count(self) -> int:
-        return int(self.indices.shape[0])
+        return int(self.shared.indices.shape[0])
 
 
 def topk_shared_indices(z: np.ndarray, p: float) -> SharedSet:
@@ -144,20 +141,17 @@ def topk_shared_indices(z: np.ndarray, p: float) -> SharedSet:
     return SharedSet._trusted(np.flatnonzero(keep), d)
 
 
-def extract_shared(z: np.ndarray, shared: SharedSet | np.ndarray, round: int,
+def extract_shared(z: np.ndarray, shared: SharedSet, round: int,
                    p: float) -> SparseGradient:
-    """Pull the shared coordinates of z into a message.
-
-    shared is a SharedSet for z's length, whose array the message carries
-    as is, or an index array, which is checked and copied into one first.
-    """
-    z = np.asarray(z, dtype=np.float64)
+    """Pull the shared coordinates of z into a message that carries the
+    SharedSet `shared`, which must be for z's length."""
     if not isinstance(shared, SharedSet):
-        shared = SharedSet(shared, z.shape[0])
-    elif z.shape != (shared.d,):
+        raise ContractViolationError("the shared set must be a SharedSet")
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (shared.d,):
         raise ContractViolationError(
             f"z has shape {z.shape}; the shared set is for length {shared.d}")
-    return SparseGradient(round=round, p=p, indices=shared, values=z[shared.indices])
+    return SparseGradient(round=round, p=p, shared=shared, values=z[shared.indices])
 
 
 def snap_rate(fraction: float) -> float:
@@ -196,7 +190,9 @@ def encode(msg: SparseGradient) -> bytes:
 
 
 def decode(data: bytes) -> SparseGradient:
-    """Parse a DPG1 message; raises DecodeError with the offending offset."""
+    """Parse a DPG1 message; raises DecodeError with the offending offset.
+    The wire has no model size: the set spans u32 indices until a receiver
+    binds it to its model with SharedSet(msg.indices, d)."""
     if len(data) < HEADER_BYTES:
         raise DecodeError("message truncated inside header", len(data))
     magic, round_, num, count = _HEADER.unpack_from(data, 0)
@@ -218,5 +214,5 @@ def decode(data: bytes) -> SparseGradient:
             raise DecodeError("indices not strictly ascending",
                               HEADER_BYTES + 4 * (int(bad[0]) + 1))
     return SparseGradient(round=round_, p=num / N_STATES,
-                          indices=indices.astype(np.int64),
+                          shared=SharedSet._trusted(indices.astype(np.int64), U32_MAX + 1),
                           values=values.astype(np.float64))

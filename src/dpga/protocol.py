@@ -265,17 +265,15 @@ def grouped_local_round(group: ClientGroup, epochs: int, eta: float,
 
 
 def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
-                 shared: SharedSet | np.ndarray | None = None) -> SparseGradient:
+                 shared: SharedSet | None = None) -> SparseGradient:
     """Select the shared part of z, queue it, and return the message.
 
-    The shared set defaults to Top-K by |z|; a fixed set (every
-    coordinate, or static partial sharing) can be passed instead. A
-    SharedSet was checked when it was built and is trusted: the message
-    and the pending round carry its read-only array as is. An index array
-    is checked and copied each call, and one that is not strictly
-    ascending or not inside z is rejected. Rounds must strictly increase
-    per client, and the pending queue may not outgrow the configured
-    delay; a refused upload leaves the client as it was.
+    The shared set defaults to Top-K by |z|; a fixed SharedSet (every
+    coordinate, or static partial sharing) can be passed instead, and the
+    message carries it as is. Anything else is refused, as is a set for
+    another length than z's. Rounds must strictly increase per client,
+    and the pending queue may not outgrow the configured delay; a refused
+    upload leaves the client as it was.
 
     The call takes ownership of z: the pending round keeps the array
     itself, not a copy, and measure_correction later scales it in place,
@@ -305,24 +303,23 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     mean if per-client weights are given). Messages must be passed in
     ascending client-id order; the reduction order is fixed by position.
 
-    d is the model size: every index must lie below it, and the aggregate
-    has one value and one count per coordinate, 0 where nobody shared. A
-    fixed tree sums each coordinate's values over the messages, column by
-    column, so a shared coordinate carries the same bits whichever other
-    coordinates are shared.
+    d is the model size, which every message's set must be for, and the
+    aggregate has one value and one count per coordinate, 0 where nobody
+    shared. A fixed tree sums each coordinate's values over the messages,
+    column by column, so a shared coordinate carries the same bits
+    whichever other coordinates are shared.
 
     Two routes give the same bits. When every message carries the same
-    index array (one fixed shared set, from one SharedSet), the tree runs
-    on the stacked (n, K) values, every count on the set is n, and the
-    weighted denominator is one tree over the weights. Otherwise each
-    message is scattered into one row of an (n_messages, d) float buffer;
-    the counts are one bincount over all the messages' indices, and with
-    weights a second (n_messages, d) buffer holds each message's weight at
-    its indices and sums to the denominator the same way. Either way the
-    aggregate derives its support from the counts. This trusts each
-    message's indices to be strictly ascending, which a SparseGradient
-    checks, and checks the rounds, the weights and that every index lies
-    below d. The work is linear in d and no index is sorted or searched.
+    SharedSet (one fixed shared set), the tree runs on the stacked (n, K)
+    values, every count on the set is n, and the weighted denominator is
+    one tree over the weights. Otherwise each message is scattered into
+    one row of an (n_messages, d) float buffer; the counts are one
+    bincount over all the messages' indices, and with weights a second
+    (n_messages, d) buffer holds each message's weight at its indices and
+    sums to the denominator the same way. Either way the aggregate derives
+    its support from the counts. This checks the rounds, the weights and
+    each set's d. The work is linear in d and no index is sorted or
+    searched.
     """
     if not messages:
         raise ContractViolationError("nothing to aggregate")
@@ -333,12 +330,10 @@ def server_aggregate(messages: list[SparseGradient], d: int,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(messages),):
             raise ContractViolationError("need one weight per message")
+    if any(m.shared.d != d for m in messages):
+        raise ContractViolationError(f"a message's shared set is not for a model of size {d}")
     shared = messages[0].indices
-    one_set = all(m.indices is shared for m in messages)
-    for m in messages[:1] if one_set else messages:
-        if m.count and m.indices[-1] >= d:
-            raise ContractViolationError(
-                f"index {m.indices[-1]} outside a model of size {d}")
+    one_set = all(m.shared is messages[0].shared for m in messages)
 
     values = np.zeros(d)
     if one_set:
@@ -404,16 +399,16 @@ def measure_correction(client: ClientState, sent: SparseGradient, agg: GlobalAgg
 
     sent is the message build_upload returned for that round; its indices
     are the client's own set, read here and not kept. An upload of another
-    round than agg's, or with an index outside z, is refused. Returns the
-    largest |where(touched, values, z) - z|, exactly 0.0 when agg agrees
-    with the client's own shared values. The round keeps touched for
-    apply_correction: agg.mask itself under full-support scope, and a new
-    mask only under own-shared scope with a partial merge. Neither agg
-    nor sent is written to.
+    round than agg's, or cut for another length than z's, is refused.
+    Returns the largest |where(touched, values, z) - z|, exactly 0.0 when
+    agg agrees with the client's own shared values. The round keeps
+    touched for apply_correction: agg.mask itself under full-support
+    scope, and a new mask only under own-shared scope with a partial
+    merge. Neither agg nor sent is written to.
     """
     pend = _pending_round(client, agg.round, agg.values.shape, -1)
     d = pend.z_full.shape[0]
-    if sent.round != agg.round or (sent.count and sent.indices[-1] >= d):
+    if sent.round != agg.round or sent.shared.d != d:
         raise ContractViolationError(
             f"client {client.id}: an upload of round {sent.round} does not fit "
             f"aggregate round {agg.round} of {d} coordinates")
@@ -460,11 +455,10 @@ def apply_correction(client: ClientState, round: int, scaled: np.ndarray) -> Non
     client.weights = w
 
 
-def static_partial_mask(spec: ModelSpec, fraction: float) -> np.ndarray:
-    """Fixed shared set: the last ceil(fraction * d) coordinates.
+def static_partial_mask(d: int, fraction: float) -> SharedSet:
+    """Fixed shared set: the last ceil(fraction * d) of d coordinates.
 
     With the layer-by-layer packing the tail of the vector is the output
     side of the network, mirroring depth-first partial sharing schemes.
     """
-    k = shared_count(fraction, spec.dim)
-    return np.arange(spec.dim - k, spec.dim, dtype=np.int64)
+    return SharedSet._trusted(np.arange(d - shared_count(fraction, d), d, dtype=np.int64), d)

@@ -6,7 +6,8 @@ half of the coin mass stays put, so each single step is a reflecting-hold
 move. The m-step law is the corresponding row of the one-step matrix
 raised to the m-th power. Every entry is a multiple of 2**-m; float64
 holds the power exactly up to m = 56, past that it rounds, and each row
-sum drifts from 1 by about 6e-19 * m.
+sum drifts from 1 by about 6e-19 * m. No BLAS call computes the power,
+so it rounds to the same bits whichever BLAS kernels a host selects.
 """
 
 from __future__ import annotations
@@ -55,9 +56,18 @@ def one_step_matrix() -> np.ndarray:
 
 
 def m_step_matrix(m: int) -> np.ndarray:
+    """The one-step matrix to the m-th power in np.linalg.matrix_power's
+    order, each product summed over k in order in numpy's own loops."""
     if not 0 <= m <= MAX_STEPS:
         raise ConfigurationError(f"step count m must be in 0..{MAX_STEPS}")
-    return np.linalg.matrix_power(one_step_matrix(), m)
+    def product(a, b):
+        return functools.reduce(np.add, (a[:, k, None] * b[None, k] for k in range(N_STATES)))
+    result, square = np.eye(N_STATES), one_step_matrix()
+    for bit in reversed(f"{m:b}"):
+        if bit == "1":
+            result = product(result, square)
+        square = product(square, square)
+    return result
 
 
 @functools.lru_cache(maxsize=16)

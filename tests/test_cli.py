@@ -645,7 +645,7 @@ def _decode_flipped_bit(blob):
 def _decode_unsigned_zero(blob):
     """Decoding that turns -0.0 into 0.0, which compares equal to it."""
     msg = decode(blob)
-    return SparseGradient(msg.round, msg.p, msg.indices, msg.values + 0.0)
+    return SparseGradient(msg.round, msg.p, msg.shared, msg.values + 0.0)
 
 
 def _topk_ties_high(z, p):

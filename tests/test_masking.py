@@ -13,6 +13,13 @@ from dpga.errors import ConfigurationError, ContractViolationError, DecodeError
 from dpga.masking import (ENTRY_BYTES, HEADER_BYTES, SharedSet, SparseGradient,
                           decode, encode, extract_shared, payload_bytes,
                           shared_count, snap_rate, topk_shared_indices)
+from dpga.protocol import server_aggregate
+
+
+def _msg(indices, values, round=0, p=0.5, d=2 ** 32):
+    """A message over SharedSet(indices, d); d defaults to the u32 index
+    space a decoded message spans."""
+    return SparseGradient(round=round, p=p, shared=SharedSet(indices, d), values=values)
 
 
 class TestSharedCount:
@@ -117,15 +124,18 @@ class TestTopK:
 class TestExtractMerge:
     def test_extract(self):
         z = np.array([3.0, -5.0, 1.0, 0.0])
-        msg = extract_shared(z, np.array([0, 1]), round=7, p=0.5)
+        msg = extract_shared(z, SharedSet([0, 1], 4), round=7, p=0.5)
         assert msg.round == 7 and msg.p == 0.5
         np.testing.assert_array_equal(msg.indices, [0, 1])
         np.testing.assert_array_equal(msg.values, [3.0, -5.0])
 
     @pytest.mark.parametrize("shared", [[1, 4], [-1, 2]])
     def test_rejects_indices_outside_z(self, shared):
-        with pytest.raises(ContractViolationError, match="out of range"):
+        """A raw array is refused, and a set holding them is not for z."""
+        with pytest.raises(ContractViolationError, match="SharedSet"):
             extract_shared(np.zeros(4), np.array(shared), round=0, p=0.5)
+        with pytest.raises(ContractViolationError, match="out of range"):
+            SharedSet(np.array(shared), 4)
 
 
 class TestSharedSet:
@@ -154,26 +164,38 @@ class TestSharedSet:
 
 class TestSparseGradient:
     def test_rejects_unsorted_indices(self):
+        with pytest.raises(ContractViolationError, match="SharedSet"):
+            SparseGradient(round=0, p=0.5, shared=np.array([2, 1]), values=[1.0, 2.0])
         with pytest.raises(ContractViolationError):
-            SparseGradient(round=0, p=0.5, indices=[2, 1], values=[1.0, 2.0])
+            _msg([2, 1], [1.0, 2.0])
 
     def test_rejects_duplicate_indices(self):
+        with pytest.raises(ContractViolationError, match="SharedSet"):
+            SparseGradient(round=0, p=0.5, shared=np.array([1, 1]), values=[1.0, 2.0])
         with pytest.raises(ContractViolationError):
-            SparseGradient(round=0, p=0.5, indices=[1, 1], values=[1.0, 2.0])
+            _msg([1, 1], [1.0, 2.0])
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            SparseGradient(round=0, p=0.5, indices=[1], values=[1.0, 2.0])
+        for values in ([1.0, 2.0], [], [[1.0]]):
+            with pytest.raises(ContractViolationError, match="one value"):
+                _msg([1], values)
 
     def test_rejects_negative_round(self):
         with pytest.raises(ContractViolationError, match="round"):
-            SparseGradient(round=-1, p=0.5, indices=[1], values=[1.0])
+            _msg([1], [1.0], round=-1)
+
+    def test_indices_and_count_read_through_the_set(self):
+        shared = SharedSet([0, 2], 4)
+        msg = SparseGradient(round=1, p=0.5, shared=shared, values=[1.0, 2.0])
+        assert msg.indices is shared.indices and msg.count == 2
+        with pytest.raises(AttributeError):
+            msg.indices = np.array([0, 1])
 
     def test_equality(self):
         """Messages compare by identity; check_codec compares decoded
         fields bit for bit."""
-        a = SparseGradient(round=1, p=0.5, indices=[0, 2], values=[1.0, 2.0])
-        b = SparseGradient(round=1, p=0.5, indices=[0, 2], values=[1.0, 2.0])
+        a = _msg([0, 2], [1.0, 2.0], round=1)
+        b = _msg([0, 2], [1.0, 2.0], round=1)
         assert a == a
         assert a != b
         assert len({a, b}) == 2
@@ -181,13 +203,12 @@ class TestSparseGradient:
 
 class TestWireFormat:
     def test_empty_message_is_header_only(self):
-        msg = SparseGradient(round=0, p=0.1, indices=[], values=[])
+        msg = _msg([], [], p=0.1)
         assert payload_bytes(msg.count) == HEADER_BYTES == 17
         assert len(encode(msg)) == 17
 
     def test_fifty_entries(self):
-        msg = SparseGradient(round=3, p=0.5, indices=np.arange(50),
-                             values=np.zeros(50))
+        msg = _msg(np.arange(50), np.zeros(50), round=3)
         assert payload_bytes(msg.count) == 17 + 50 * ENTRY_BYTES == 617
         assert len(encode(msg)) == 617
 
@@ -206,7 +227,7 @@ class TestWireFormat:
         assert abs(half / full - 0.5) < 0.05
 
     def test_off_grid_rate_not_encodable(self):
-        msg = SparseGradient(round=0, p=0.55, indices=[0], values=[1.0])
+        msg = _msg([0], [1.0], p=0.55)
         with pytest.raises(ContractViolationError):
             encode(msg)
 
@@ -215,9 +236,46 @@ class TestWireFormat:
         (2 ** 64, 0, "round exceeds u64"),
     ])
     def test_field_past_its_width_not_encodable(self, round_, index, reason):
-        msg = SparseGradient(round=round_, p=0.5, indices=[index], values=[1.0])
+        msg = _msg([index], [1.0], round=round_, d=2 ** 32 + 1)
         with pytest.raises(ContractViolationError, match=reason):
             encode(msg)
+
+
+@st.composite
+def _messages(draw):
+    """A message over a drawn SharedSet of a length-d model, d in 1..300,
+    with ties and signed zeros among its values, any u64 round and a grid
+    rate."""
+    d = draw(st.integers(1, 300))
+    indices = sorted(draw(st.sets(st.integers(0, d - 1), max_size=d)))
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0])
+                           | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(indices), max_size=len(indices)))
+    return d, _msg(indices, values, round=draw(st.integers(0, 2 ** 64 - 1)),
+                   p=draw(st.integers(1, 10)) / 10, d=d)
+
+
+class TestWireCodecWithSets:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_messages())
+    def test_round_trip_and_rebinding(self, case):
+        """A decoded message equals the sent one field by field, spans the
+        u32 index space until a receiver binds it to its model, and then
+        aggregates to the sent message's bits."""
+        d, msg = case
+        blob = encode(msg)
+        assert len(blob) == 17 + 12 * msg.count
+        back = decode(blob)
+        assert (back.round, back.p) == (msg.round, msg.p)
+        assert back.indices.tobytes() == msg.indices.tobytes()
+        assert back.values.tobytes() == msg.values.tobytes()
+        assert back.shared.d == 2 ** 32
+        with pytest.raises(ContractViolationError):
+            server_aggregate([back], d)
+        bound = SparseGradient(back.round, back.p, SharedSet(back.indices, d), back.values)
+        got, want = server_aggregate([bound], d), server_aggregate([msg], d)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.counts.tobytes() == want.counts.tobytes()
 
 
 class TestDecodeErrors:
@@ -228,34 +286,33 @@ class TestDecodeErrors:
         assert "at byte 5" in str(exc.value)
 
     def test_bad_magic(self):
-        blob = encode(SparseGradient(round=0, p=0.5, indices=[], values=[]))
+        blob = encode(_msg([], []))
         with pytest.raises(DecodeError) as exc:
             decode(b"XXXX" + blob[4:])
         assert exc.value.offset == 0
 
     def test_bad_rate_numerator(self):
-        blob = bytearray(encode(SparseGradient(round=0, p=0.5, indices=[], values=[])))
+        blob = bytearray(encode(_msg([], [])))
         blob[12] = 11
         with pytest.raises(DecodeError) as exc:
             decode(bytes(blob))
         assert exc.value.offset == 12
 
     def test_truncated_payload(self):
-        msg = SparseGradient(round=0, p=0.5, indices=[0, 3], values=[1.0, 2.0])
+        msg = _msg([0, 3], [1.0, 2.0])
         blob = encode(msg)
         with pytest.raises(DecodeError) as exc:
             decode(blob[:-4])
         assert exc.value.offset == len(blob) - 4
 
     def test_trailing_garbage(self):
-        blob = encode(SparseGradient(round=0, p=0.5, indices=[0], values=[1.0]))
+        blob = encode(_msg([0], [1.0]))
         with pytest.raises(DecodeError) as exc:
             decode(blob + b"\x00")
         assert exc.value.offset == len(blob)
 
     def test_non_ascending_indices(self):
-        msg = SparseGradient(round=0, p=0.5, indices=[0, 1, 2],
-                             values=[1.0, 2.0, 3.0])
+        msg = _msg([0, 1, 2], [1.0, 2.0, 3.0])
         blob = bytearray(encode(msg))
         # Overwrite the second index (offset 17 + 4) with 0, breaking order.
         blob[21:25] = (0).to_bytes(4, "little")
@@ -270,9 +327,8 @@ def _valid_blobs(draw):
     indices = sorted(draw(st.sets(st.integers(0, 2 ** 32 - 1), max_size=6)))
     values = draw(st.lists(st.floats(), min_size=len(indices),
                            max_size=len(indices)))
-    return encode(SparseGradient(round=draw(st.integers(0, 2 ** 64 - 1)),
-                                 p=draw(st.integers(1, 10)) / 10,
-                                 indices=indices, values=values))
+    return encode(_msg(indices, values, round=draw(st.integers(0, 2 ** 64 - 1)),
+                       p=draw(st.integers(1, 10)) / 10))
 
 
 class TestDecodeProperties:

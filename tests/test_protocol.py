@@ -13,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 from dpga import protocol
 from dpga.engine import SimConfig, Simulation
 from dpga.errors import ContractViolationError
-from dpga.masking import SharedSet, SparseGradient, topk_shared_indices
+from dpga.masking import (SharedSet, SparseGradient, decode, encode, extract_shared,
+                          topk_shared_indices)
 from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
 from dpga.protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
                            GlobalAggregate, PendingRound, apply_correction,
@@ -308,10 +309,14 @@ class TestBuildUpload:
                              ids=["unsorted", "duplicated", "past-the-end",
                                   "negative", "unsorted-past-the-end"])
     def test_bad_fixed_set_rejected(self, shared):
+        """A raw index array is refused, good or bad; SharedSet refuses the
+        bad sets themselves (test_masking.TestSharedSet)."""
         client = _client()
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="SharedSet"):
             build_upload(client, np.ones(SPEC.dim), 0.5, round=1,
                          shared=np.array(shared))
+        with pytest.raises(ContractViolationError):
+            SharedSet(np.array(shared), SPEC.dim)
         assert not client.pending and client.last_round == -1
 
     def test_shared_set_travels_as_is(self):
@@ -365,9 +370,9 @@ class TestBuildUpload:
     def test_fixed_mask_override(self):
         client = _client()
         z = np.arange(SPEC.dim, dtype=np.float64)
-        mask = np.array([4, 5], dtype=np.int64)
+        mask = static_partial_mask(SPEC.dim, 0.3)
         msg = build_upload(client, z, 0.3, round=1, shared=mask)
-        np.testing.assert_array_equal(msg.indices, mask)
+        np.testing.assert_array_equal(msg.indices, [4, 5])
         np.testing.assert_array_equal(msg.values, [4.0, 5.0])
 
     def test_rounds_must_increase(self):
@@ -388,22 +393,23 @@ class TestBuildUpload:
 
 
 class TestServerAggregate:
-    def _msg(self, indices, values, round=1, p=0.5):
-        return SparseGradient(round=round, p=p, indices=indices, values=values)
+    def _msg(self, d, indices, values, round=1, p=0.5):
+        shared = indices if isinstance(indices, SharedSet) else SharedSet(indices, d)
+        return SparseGradient(round=round, p=p, shared=shared, values=values)
 
     def test_singleton_coordinate_mean(self):
-        agg = server_aggregate([self._msg([3], [7.0])], 4)
+        agg = server_aggregate([self._msg(4, [3], [7.0])], 4)
         np.testing.assert_array_equal(agg.indices, [3])
         np.testing.assert_array_equal(agg.values, [0.0, 0.0, 0.0, 7.0])
         np.testing.assert_array_equal(agg.counts, [0, 0, 0, 1])
 
     def test_two_contributors(self):
-        msgs = [self._msg([2], [2.0]), self._msg([2], [4.0])]
+        msgs = [self._msg(3, [2], [2.0]), self._msg(3, [2], [4.0])]
         agg = server_aggregate(msgs, 3)
         assert agg.values[2] == 3.0
 
     def test_unshared_coordinates_absent(self):
-        agg = server_aggregate([self._msg([1, 5], [1.0, 2.0])], 6)
+        agg = server_aggregate([self._msg(6, [1, 5], [1.0, 2.0])], 6)
         np.testing.assert_array_equal(agg.indices, [1, 5])
         np.testing.assert_array_equal(agg.counts, [0, 1, 0, 0, 0, 1])
 
@@ -411,7 +417,7 @@ class TestServerAggregate:
                              ids=["per-component-None", "per-component-weights1"])
     def test_off_union_is_exact_zero(self, weights):
         # Coordinate 1 is shared with the value 0: it still counts as shared.
-        msgs = [self._msg([1, 4], [-0.0, 3.0]), self._msg([4], [5.0])]
+        msgs = [self._msg(6, [1, 4], [-0.0, 3.0]), self._msg(6, [4], [5.0])]
         agg = server_aggregate(msgs, 6, weights)
         off = [0, 2, 3, 5]
         assert agg.values.shape == agg.counts.shape == (6,)
@@ -420,17 +426,17 @@ class TestServerAggregate:
         np.testing.assert_array_equal(agg.indices, [1, 4])
 
     def test_weighted_mean(self):
-        msgs = [self._msg([0], [1.0]), self._msg([0], [5.0])]
+        msgs = [self._msg(1, [0], [1.0]), self._msg(1, [0], [5.0])]
         agg = server_aggregate(msgs, 1, weights=np.array([0.75, 0.25]))
         np.testing.assert_allclose(agg.values, [0.75 * 1.0 + 0.25 * 5.0])
 
     def test_one_weight_per_message(self):
-        msgs = [self._msg([0], [1.0]), self._msg([0], [5.0])]
+        msgs = [self._msg(1, [0], [1.0]), self._msg(1, [0], [5.0])]
         with pytest.raises(ContractViolationError):
             server_aggregate(msgs, 1, weights=np.array([1.0]))
 
     def test_mixed_rounds_rejected(self):
-        msgs = [self._msg([0], [1.0], round=1), self._msg([0], [1.0], round=2)]
+        msgs = [self._msg(1, [0], [1.0], round=1), self._msg(1, [0], [1.0], round=2)]
         with pytest.raises(ContractViolationError):
             server_aggregate(msgs, 1)
 
@@ -444,26 +450,41 @@ class TestServerAggregate:
 
     def test_index_outside_model_rejected(self):
         # A decoded u32 index can be far beyond the model; it must not size
-        # the aggregation buffer.
-        msgs = [self._msg([0, 2], [1.0, 2.0]),
-                self._msg([1, 2 ** 32 - 1], [1.0, 2.0])]
-        with pytest.raises(ContractViolationError):
+        # the aggregation buffer. A decoded message is not bound to a model.
+        wire = decode(encode(self._msg(2 ** 32, [1, 2 ** 32 - 1], [1.0, 2.0])))
+        msgs = [self._msg(3, [0, 2], [1.0, 2.0]), wire]
+        with pytest.raises(ContractViolationError, match="size 3"):
             server_aggregate(msgs, 3)
-        with pytest.raises(ContractViolationError):
-            server_aggregate([self._msg([3], [1.0])], 3)
+        with pytest.raises(ContractViolationError, match="size 3"):
+            server_aggregate([decode(encode(self._msg(4, [3], [1.0])))], 3)
+        with pytest.raises(ContractViolationError, match="out of range"):
+            SharedSet(wire.indices, 3)
+
+    def test_set_for_another_model_size_rejected(self):
+        """A message cut from a length-10 z is refused by a model of size
+        5, though every one of its indices lies below 5."""
+        msg = extract_shared(np.arange(10.0), SharedSet([0, 1], 10), round=1, p=0.2)
+        with pytest.raises(ContractViolationError, match="size 5"):
+            server_aggregate([msg], 5)
+        client = ClientState(id=0, weights=np.zeros(5), shard=Batch(np.zeros((1, 1)), [0]),
+                             max_pending=1)
+        client.pending.append(PendingRound(round=1, z_full=np.ones(5)))
+        with pytest.raises(ContractViolationError, match="5 coordinates"):
+            measure_correction(client, msg, _agg(1, [0], [1.0], [1], d=5), eta=0.1)
+        assert not client.pending[0].scaled
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("fixed", [np.arange(6), np.arange(3, 6)],
                              ids=["dense", "tail"])
     def test_one_fixed_set_equals_scatter_route(self, fixed, weighted):
-        """Messages that share one set's array take the stacked route; the
-        same messages with their own arrays take the scatter route."""
+        """Messages that carry one SharedSet take the stacked route; the
+        same messages with a SharedSet copy each take the scatter route."""
         rng = np.random.default_rng(3)
         fixed = SharedSet(fixed, 6)
         zs = rng.standard_normal((5, 6))
         weights = rng.uniform(0.5, 1.5, 5) if weighted else None
-        one = server_aggregate([self._msg(fixed, z[fixed.indices]) for z in zs], 6, weights)
-        own = server_aggregate([self._msg(fixed.indices.copy(), z[fixed.indices])
+        one = server_aggregate([self._msg(6, fixed, z[fixed.indices]) for z in zs], 6, weights)
+        own = server_aggregate([self._msg(6, fixed.indices, z[fixed.indices])
                                 for z in zs], 6, weights)
         assert one.values.tobytes() == own.values.tobytes()
         assert one.counts.tobytes() == own.counts.tobytes()
@@ -494,7 +515,7 @@ class TestServerAggregate:
         rng = np.random.default_rng(seed)
         subsets = [sorted(data.draw(st.sets(st.integers(0, d - 1), max_size=d)))
                    for _ in range(n)]
-        msgs = [self._msg(idx, rng.standard_normal(len(idx))) for idx in subsets]
+        msgs = [self._msg(d, idx, rng.standard_normal(len(idx))) for idx in subsets]
         weights = rng.uniform(0.5, 1.5, n) if weighted else None
         agg = server_aggregate(msgs, d, weights)
 
@@ -560,8 +581,8 @@ def _corrections(draw):
 def _sent(pend, shared):
     """The upload of a pending round whose z is still raw: its values on
     the coordinates `shared`."""
-    return SparseGradient(round=pend.round, p=0.5, indices=shared,
-                          values=pend.z_full[shared])
+    return extract_shared(pend.z_full, SharedSet(shared, pend.z_full.shape[0]),
+                          pend.round, 0.5)
 
 
 def _straight_line_correction(client, own, agg, eta, scope):
@@ -679,8 +700,8 @@ def _delta_after_scaling(client, sents, aggs, eta, scope="own-shared"):
 
 def _measure_against_support(client, sent, agg, eta, scope="own-shared"):
     """Takes the aggregate's support for the client's own set."""
-    support = SparseGradient(round=sent.round, p=sent.p, indices=agg.indices,
-                             values=agg.values[agg.indices])
+    support = extract_shared(agg.values, SharedSet(agg.indices, agg.values.shape[0]),
+                             sent.round, sent.p)
     return measure_correction(client, support, agg, eta, scope=scope)
 
 
@@ -828,7 +849,8 @@ class TestApplyCorrection:
     def test_upload_outside_model_rejected(self, scope):
         client = _client()
         build_upload(client, np.ones(SPEC.dim), 0.5, round=1)
-        outside = SparseGradient(round=1, p=0.5, indices=[0, SPEC.dim], values=[1.0, 1.0])
+        outside = extract_shared(np.ones(SPEC.dim + 1), SharedSet([0, SPEC.dim], SPEC.dim + 1),
+                                 round=1, p=0.5)
         with pytest.raises(ContractViolationError, match="6 coordinates"):
             measure_correction(client, outside, _agg(1, [0], [1.0], [1]), eta=0.1, scope=scope)
         assert not client.pending[0].scaled
@@ -836,7 +858,7 @@ class TestApplyCorrection:
     def test_no_pending_rejected(self):
         client = _client()
         agg = _agg(1, [0], [1.0], [1])
-        sent = SparseGradient(round=1, p=0.2, indices=[0], values=[1.0])
+        sent = extract_shared(np.ones(SPEC.dim), SharedSet([0], SPEC.dim), round=1, p=0.2)
         with pytest.raises(ContractViolationError):
             measure_correction(client, sent, agg, eta=0.1)
         with pytest.raises(ContractViolationError):
@@ -984,15 +1006,17 @@ class TestDelayedPipelineTrace:
 class TestStaticPartialMask:
     def test_full_fraction(self):
         spec = ModelSpec(kind="logistic-regression", input_dim=3, num_classes=2)
-        np.testing.assert_array_equal(static_partial_mask(spec, 1.0),
+        np.testing.assert_array_equal(static_partial_mask(spec.dim, 1.0).indices,
                                       np.arange(8))
 
     def test_quarter_of_logistic(self):
         # d = 8, ceil(0.25 * 8) = 2: the final two coordinates
         spec = ModelSpec(kind="logistic-regression", input_dim=3, num_classes=2)
-        np.testing.assert_array_equal(static_partial_mask(spec, 0.25), [6, 7])
+        shared = static_partial_mask(spec.dim, 0.25)
+        assert isinstance(shared, SharedSet) and shared.d == 8
+        np.testing.assert_array_equal(shared.indices, [6, 7])
 
     def test_static_across_calls(self):
         spec = ModelSpec(kind="mlp", input_dim=4, num_classes=3, hidden_dims=(5,))
-        np.testing.assert_array_equal(static_partial_mask(spec, 0.3),
-                                      static_partial_mask(spec, 0.3))
+        np.testing.assert_array_equal(static_partial_mask(spec.dim, 0.3).indices,
+                                      static_partial_mask(spec.dim, 0.3).indices)

@@ -3,7 +3,11 @@ enumeration is the walk-enumeration suite in dpga.checks."""
 
 import bisect
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,19 @@ class TestTransitionDistribution:
             same = all(Fraction(float(got[i, j])) == exact[i][j]
                        for i in range(N_STATES) for j in range(N_STATES))
             assert same == (m <= 56), m
+
+    def test_rounded_powers_equal_under_the_oldest_blas_kernels(self):
+        """Past m = 56 the law rounds, and it rounds to the same bits under
+        OpenBLAS's Nehalem kernels as here: no BLAS call computes it."""
+        steps = (60, 100, MAX_STEPS)
+        code = ("import sys; from dpga.ratewalk import m_step_matrix; "
+                f"sys.stdout.write(''.join(m_step_matrix(m).tobytes().hex() for m in {steps}))")
+        src = str(Path(ratewalk.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "".join(m_step_matrix(m).tobytes().hex() for m in steps)
 
 
 class TestSampling:
