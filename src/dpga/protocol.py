@@ -10,16 +10,17 @@ left, replaying the local updates it made in the meantime.
 
 Float discipline: within a round, weights are always materialized as
 w_round_start - eta * z_partial (left-to-right accumulation), so
-w_after == w_before - eta * z holds bitwise. A pending round's z is
-scaled to eta * z in place once its correction is sized; scaling commutes
-with the merge's select, and the replay subtracts each stored step, so it
-rounds the same product and difference as w - eta * z. That makes the two
-documented degenerate cases exact: identical clients see corrections of
-exactly zero and stay on the plain SGD trajectory, and p=1 with zero delay
-reproduces synchronized gradient averaging bit for bit. local_round is the
-one SGD loop: grouped_local_round runs it once per full-shard client and
-once for all clients that draw minibatches, stacked, with the same
-arithmetic per client, so stacking changes no bit either.
+w_after == w_before - eta * z holds bitwise. An upload's z is staged until
+its aggregate forms, then scaled to eta * z in place and queued, never
+written again; scaling commutes with the merge's select, and the replay
+subtracts each stored step, so it rounds the same product and difference
+as w - eta * z. That makes the two documented degenerate cases exact:
+identical clients see corrections of exactly zero and stay on the plain
+SGD trajectory, and p=1 with zero delay reproduces synchronized gradient
+averaging bit for bit. local_round is the one SGD loop:
+grouped_local_round runs it once per full-shard client and once for all
+clients that draw minibatches, stacked, with the same arithmetic per
+client, so stacking changes no bit either.
 """
 
 from __future__ import annotations
@@ -71,25 +72,24 @@ def pairwise_mean(rows: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PendingRound:
-    """An upload still waiting for its aggregate: only what delivery reads.
+    """A measured round waiting for its aggregate: only what delivery reads.
 
-    z_full is the round's accumulated gradient z, which rebuilds the
-    weights when the aggregate lands. measure_correction, given the
-    round's upload, scales it to eta * z in place, sets scaled and keeps
-    in touched where the aggregate substitutes (None for every
-    coordinate) for apply_correction.
+    z_full is the round's step eta * z, which rebuilds the weights when
+    the aggregate lands, and touched is where the aggregate substitutes
+    (None for every coordinate). Only measure_correction builds one, and
+    nothing writes to it once it is queued.
     """
 
     round: int
     z_full: np.ndarray
-    touched: np.ndarray | None = None
-    scaled: bool = False
+    touched: np.ndarray | None
 
 
 @dataclass(eq=False)
 class ClientState:
     """One simulated client. Two clients are equal only when they are the
-    same object."""
+    same object. staged holds the raw z of upload last_round until
+    measure_correction queues that round in pending, and is None after."""
 
     id: int
     weights: np.ndarray
@@ -97,6 +97,7 @@ class ClientState:
     max_pending: int
     anchor: np.ndarray = None
     pending: deque = field(default_factory=deque)
+    staged: np.ndarray | None = None
     last_round: int = -1
 
     def __post_init__(self):
@@ -266,32 +267,33 @@ def grouped_local_round(group: ClientGroup, epochs: int, eta: float,
 
 def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
                  shared: SharedSet | None = None) -> SparseGradient:
-    """Select the shared part of z, queue it, and return the message.
+    """Select the shared part of z, stage z, and return the message.
 
     The shared set defaults to Top-K by |z|; a fixed SharedSet (every
     coordinate, or static partial sharing) can be passed instead, and the
     message carries it as is. Anything else is refused, as is a set for
     another length than z's. Rounds must strictly increase per client,
-    and the pending queue may not outgrow the configured delay; a refused
-    upload leaves the client as it was.
+    the last upload must be measured, and the pending queue may not
+    outgrow the configured delay; a refused upload leaves the client as
+    it was.
 
-    The call takes ownership of z: the pending round keeps the array
-    itself, not a copy, and measure_correction later scales it in place,
-    so the caller must not write to z or pass it again. The message holds
-    its own gathered values, and the caller hands it back to
-    measure_correction when the round's aggregate forms.
+    The call takes ownership of z: it is staged itself, not a copy, and
+    measure_correction scales it in place, so the caller must not write to
+    z or pass it again. The message holds its own gathered values.
     """
     if round <= client.last_round:
         raise ContractViolationError(
             f"client {client.id}: round {round} not after {client.last_round}")
+    if client.staged is not None:
+        raise ContractViolationError(
+            f"client {client.id}: round {client.last_round} was never measured")
     if len(client.pending) >= client.max_pending:
         raise ContractViolationError(
             f"client {client.id}: pending queue exceeded {client.max_pending}")
     if shared is None:
         shared = topk_shared_indices(z, p)
     msg = extract_shared(z, shared, round, p)
-    client.pending.append(PendingRound(round=round, z_full=z))
-    client.last_round = round
+    client.staged, client.last_round = z, round
     return msg
 
 
@@ -299,9 +301,10 @@ def server_aggregate(messages: list[SparseGradient], d: int,
                      weights: np.ndarray | None = None) -> GlobalAggregate:
     """Combine one round's uploads into a global aggregate.
 
-    Each coordinate is the mean over the clients that shared it (weighted
-    mean if per-client weights are given). Messages must be passed in
-    ascending client-id order; the reduction order is fixed by position.
+    Each coordinate is the mean over the clients that shared it, weighted
+    if per-client weights are given, which needs one fixed shared set.
+    Messages must be passed in ascending client-id order; the reduction
+    order is fixed by position.
 
     d is the model size, which every message's set must be for, and the
     aggregate has one value and one count per coordinate, 0 where nobody
@@ -313,12 +316,10 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     SharedSet (one fixed shared set), the tree runs on the stacked (n, K)
     values, every count on the set is n, and the weighted denominator is
     one tree over the weights. Otherwise each message is scattered into
-    one row of an (n_messages, d) float buffer; the counts are one
-    bincount over all the messages' indices, and with weights a second
-    (n_messages, d) buffer holds each message's weight at its indices and
-    sums to the denominator the same way. Either way the aggregate derives
-    its support from the counts. This checks the rounds, the weights and
-    each set's d. The work is linear in d and no index is sorted or
+    one row of an (n_messages, d) float buffer, and the counts are one
+    bincount over all the messages' indices. Either way the aggregate
+    derives its support from the counts. This checks the rounds, the
+    weights and each set's d. The work is linear in d and no index is sorted or
     searched.
     """
     if not messages:
@@ -326,14 +327,16 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     round_ = messages[0].round
     if any(m.round != round_ for m in messages):
         raise ContractViolationError("aggregating messages from different rounds")
+    one_set = all(m.shared is messages[0].shared for m in messages)
     if weights is not None:
+        if not one_set:
+            raise ContractViolationError("weights need one fixed shared set")
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(messages),):
             raise ContractViolationError("need one weight per message")
     if any(m.shared.d != d for m in messages):
         raise ContractViolationError(f"a message's shared set is not for a model of size {d}")
     shared = messages[0].indices
-    one_set = all(m.shared is messages[0].shared for m in messages)
 
     values = np.zeros(d)
     if one_set:
@@ -352,28 +355,8 @@ def server_aggregate(messages: list[SparseGradient], d: int,
         # Indices are distinct within a message, so this counts contributors.
         counts = np.bincount(np.concatenate([m.indices for m in messages]),
                              minlength=d)
-        if weights is None:
-            num, den = pairwise_sum(slots), counts
-        else:
-            num = pairwise_sum(slots * weights[:, None])
-            shares = np.zeros((len(messages), d))
-            for i, m in enumerate(messages):
-                shares[i, m.indices] = weights[i]
-            den = pairwise_sum(shares)
-        np.divide(num, den, out=values, where=counts > 0)
+        np.divide(pairwise_sum(slots), counts, out=values, where=counts > 0)
     return GlobalAggregate(round=round_, values=values, counts=counts)
-
-
-def _pending_round(client: ClientState, round: int, shape: tuple, at: int) -> PendingRound:
-    """client.pending[at], checked to be `round` and to hold a z of `shape`."""
-    if not client.pending:
-        raise ContractViolationError(f"client {client.id}: no pending round for correction")
-    pend = client.pending[at]
-    if pend.round != round or pend.z_full.shape != shape:
-        raise ContractViolationError(
-            f"client {client.id}: round {round} of shape {shape} does not fit "
-            f"pending round {pend.round} of shape {pend.z_full.shape}")
-    return pend
 
 
 def _touched(own: np.ndarray, agg: GlobalAggregate, scope: str) -> np.ndarray | None:
@@ -394,33 +377,35 @@ def _touched(own: np.ndarray, agg: GlobalAggregate, scope: str) -> np.ndarray | 
 
 def measure_correction(client: ClientState, sent: SparseGradient, agg: GlobalAggregate,
                        eta: float, scope: str = "own-shared") -> float:
-    """Size the correction agg makes to the client's newest pending round,
-    in the round agg forms, then scale that round's z to eta * z in place.
+    """Size the correction agg makes to the client's staged round, in the
+    round agg forms, then scale its z to eta * z in place and queue it.
 
     sent is the message build_upload returned for that round; its indices
-    are the client's own set, read here and not kept. An upload of another
-    round than agg's, or cut for another length than z's, is refused.
-    Returns the largest |where(touched, values, z) - z|, exactly 0.0 when
-    agg agrees with the client's own shared values. The round keeps
-    touched for apply_correction: agg.mask itself under full-support
-    scope, and a new mask only under own-shared scope with a partial
-    merge. Neither agg nor sent is written to.
+    are the client's own set, read here and not kept. Nothing staged, an
+    aggregate or upload of another round or length than the staged z, or
+    an unknown scope is refused before anything is written. Returns the
+    largest |where(touched, values, z) - z|, exactly 0.0 when agg agrees
+    with the client's own shared values. The queued round keeps touched
+    for apply_correction: agg.mask itself under full-support scope, and a
+    new mask only under own-shared scope with a partial merge. Neither agg
+    nor sent is written to.
     """
-    pend = _pending_round(client, agg.round, agg.values.shape, -1)
-    d = pend.z_full.shape[0]
-    if sent.round != agg.round or sent.shared.d != d:
+    z = client.staged
+    if z is None:
+        raise ContractViolationError(f"client {client.id}: no upload waits to be measured")
+    if (agg.round != client.last_round or sent.round != agg.round
+            or agg.values.shape != z.shape or sent.shared.d != z.shape[0]):
         raise ContractViolationError(
-            f"client {client.id}: an upload of round {sent.round} does not fit "
-            f"aggregate round {agg.round} of {d} coordinates")
-    if pend.scaled:
-        raise ContractViolationError(f"client {client.id}: round {pend.round} already measured")
-    z, touched = pend.z_full, _touched(sent.indices, agg, scope)
+            f"client {client.id}: an upload of round {sent.round} and aggregate round "
+            f"{agg.round} do not fit round {client.last_round} of {z.shape[0]} coordinates")
+    touched = _touched(sent.indices, agg, scope)
     # On an untouched coordinate the merge equals z, so |merged - z| adds
     # exactly 0.0, the max's initial value.
     diff = agg.values - z if touched is None else np.where(touched, agg.values, z) - z
     delta = float(np.maximum.reduce(np.abs(diff, out=diff), initial=0.0))
     np.multiply(z, float(eta), out=z)
-    pend.touched, pend.scaled = touched, True
+    client.pending.append(PendingRound(agg.round, z, touched))
+    client.staged = None
     return delta
 
 
@@ -428,18 +413,24 @@ def apply_correction(client: ClientState, round: int, scaled: np.ndarray) -> Non
     """Fold round `round`'s delayed aggregate into the client's weights.
 
     scaled is that aggregate's eta * values, computed once in the round it
-    formed. round is the oldest pending round, and every pending round was
-    measured, so each holds its step eta * z and the oldest one the
-    touched mask its measurement stored, under whichever scope it was
-    measured. The oldest step becomes where(touched, scaled, step), or
-    scaled when every coordinate is touched, and comes off the anchor;
-    each later step then comes off the new weights in place. Neither
-    scaled nor a pending round is written to; both are checked first.
+    formed. round is the oldest pending round, and nothing may be staged,
+    or the replay would drop its step. Each queued round holds its step
+    eta * z and the touched mask its measurement stored. The oldest step
+    becomes where(touched, scaled, step), or scaled when every coordinate
+    is touched, and comes off the anchor; each later step then comes off
+    the new weights in place. Neither scaled nor a pending round is
+    written to; both are checked first.
     """
-    pend = _pending_round(client, round, scaled.shape, 0)
-    if not all(p.scaled for p in client.pending):
+    if client.staged is not None:
         raise ContractViolationError(
-            f"client {client.id}: needs every pending round measured")
+            f"client {client.id}: round {client.last_round} was never measured")
+    if not client.pending:
+        raise ContractViolationError(f"client {client.id}: no pending round for correction")
+    pend = client.pending[0]
+    if pend.round != round or pend.z_full.shape != scaled.shape:
+        raise ContractViolationError(
+            f"client {client.id}: round {round} of shape {scaled.shape} does not fit "
+            f"pending round {pend.round} of shape {pend.z_full.shape}")
     touched = pend.touched
     if touched is None:
         anchor = np.subtract(client.anchor, scaled)

@@ -313,6 +313,12 @@ class TestScheduling:
         assert len(alive) == sim.cfg.rounds
         assert max(alive) <= 1
 
+    def test_weights_travel_only_with_a_fixed_set(self):
+        """The server takes weights only when every upload carries one
+        SharedSet, so no weighted scheme may upload by Top-K."""
+        weighted = [s for s in SCHEMES.values() if s.weighted]
+        assert weighted and all(s.upload != "top-k" for s in weighted)
+
     def test_delay_zero_applies_same_round(self):
         sim = Simulation(_cfg(algorithm="dpga", delay=0, walk_m=0,
                               walk_p0=1.0, bandwidth=1e9))

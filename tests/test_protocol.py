@@ -11,13 +11,14 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpga import protocol
+from dpga.checks import union_aggregate
 from dpga.engine import SimConfig, Simulation
 from dpga.errors import ContractViolationError
 from dpga.masking import (SharedSet, SparseGradient, decode, encode, extract_shared,
                           topk_shared_indices)
 from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
 from dpga.protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
-                           GlobalAggregate, PendingRound, apply_correction,
+                           GlobalAggregate, apply_correction,
                            build_upload, grouped_local_round, local_round,
                            measure_correction, pairwise_mean, pairwise_sum,
                            seed_words, server_aggregate, static_partial_mask)
@@ -317,7 +318,7 @@ class TestBuildUpload:
                          shared=np.array(shared))
         with pytest.raises(ContractViolationError):
             SharedSet(np.array(shared), SPEC.dim)
-        assert not client.pending and client.last_round == -1
+        assert client.staged is None and not client.pending and client.last_round == -1
 
     def test_shared_set_travels_as_is(self):
         """Every upload from one SharedSet carries the set's own read-only
@@ -340,25 +341,22 @@ class TestBuildUpload:
         # ceil(0.5 * 6) = 3 largest magnitudes: coordinates 1, 0, 2
         np.testing.assert_array_equal(msg.indices, [0, 1, 2])
         np.testing.assert_array_equal(msg.values, [3.0, -5.0, 1.0])
-        assert len(client.pending) == 1
-        assert client.pending[0].z_full is z  # kept, not copied
+        assert client.staged is z  # kept, not copied
+        assert not client.pending
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_pending_round_keeps_no_index_array(self, scope):
-        """A Top-K round holds nothing of its upload's indices, before or
-        after its correction is measured from them."""
+        """A Top-K round, queued once its correction is measured from its
+        upload's indices, holds nothing of them."""
         client = _client()
         msg = build_upload(client, np.array([3.0, -5.0, 1.0, 0.0, 0.0, 0.0]), 0.5, round=1)
-        pend = client.pending[0]
-
-        def arrays_held():
-            return [a for a in (getattr(pend, f.name) for f in dataclasses.fields(pend))
-                    if isinstance(a, np.ndarray)]
-
-        assert all(not np.shares_memory(a, msg.indices) for a in arrays_held())
+        assert not np.shares_memory(client.staged, msg.indices)
         measure_correction(client, msg, _agg(1, [0, 3], [1.0, 2.0], [1, 1]), eta=0.1,
                            scope=scope)
-        assert all(not np.shares_memory(a, msg.indices) for a in arrays_held())
+        pend = client.pending[0]
+        held = [a for a in (getattr(pend, f.name) for f in dataclasses.fields(pend))
+                if isinstance(a, np.ndarray)]
+        assert held and all(not np.shares_memory(a, msg.indices) for a in held)
 
     def test_full_rate_uploads_densely(self):
         client = _client()
@@ -384,8 +382,9 @@ class TestBuildUpload:
     def test_queue_overflow(self):
         """A refused upload leaves the queue and the last round as they were."""
         client = _client(max_pending=2)
-        build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
-        build_upload(client, np.ones(SPEC.dim), 1.0, round=2)
+        for r in (1, 2):
+            msg = build_upload(client, np.ones(SPEC.dim), 1.0, round=r)
+            measure_correction(client, msg, _agg(r, [0], [1.0], [1]), eta=0.1)
         with pytest.raises(ContractViolationError, match="pending queue"):
             build_upload(client, np.ones(SPEC.dim), 1.0, round=3)
         assert [p.round for p in client.pending] == [1, 2]
@@ -416,9 +415,12 @@ class TestServerAggregate:
     @pytest.mark.parametrize("weights", [None, np.array([0.25, 0.75])],
                              ids=["per-component-None", "per-component-weights1"])
     def test_off_union_is_exact_zero(self, weights):
-        # Coordinate 1 is shared with the value 0: it still counts as shared.
-        msgs = [self._msg(6, [1, 4], [-0.0, 3.0]), self._msg(6, [4], [5.0])]
-        agg = server_aggregate(msgs, 6, weights)
+        # Coordinate 1 is shared with the value 0: it still counts as
+        # shared. Weights travel only with one fixed set.
+        first = self._msg(6, [1, 4], [-0.0, 3.0])
+        second = (self._msg(6, [4], [5.0]) if weights is None
+                  else self._msg(6, first.shared, [-0.0, 5.0]))
+        agg = server_aggregate([first, second], 6, weights)
         off = [0, 2, 3, 5]
         assert agg.values.shape == agg.counts.shape == (6,)
         assert agg.values[off].tobytes() == np.zeros(4).tobytes()
@@ -426,9 +428,15 @@ class TestServerAggregate:
         np.testing.assert_array_equal(agg.indices, [1, 4])
 
     def test_weighted_mean(self):
-        msgs = [self._msg(1, [0], [1.0]), self._msg(1, [0], [5.0])]
+        """Weights need one fixed set: equal sets held by two SharedSets
+        are refused before anything is summed."""
+        fixed = SharedSet([0], 1)
+        msgs = [self._msg(1, fixed, [1.0]), self._msg(1, fixed, [5.0])]
         agg = server_aggregate(msgs, 1, weights=np.array([0.75, 0.25]))
         np.testing.assert_allclose(agg.values, [0.75 * 1.0 + 0.25 * 5.0])
+        msgs[1] = self._msg(1, [0], [5.0])
+        with pytest.raises(ContractViolationError, match="one fixed shared set"):
+            server_aggregate(msgs, 1, weights=np.array([0.75, 0.25]))
 
     def test_one_weight_per_message(self):
         msgs = [self._msg(1, [0], [1.0]), self._msg(1, [0], [5.0])]
@@ -468,24 +476,33 @@ class TestServerAggregate:
             server_aggregate([msg], 5)
         client = ClientState(id=0, weights=np.zeros(5), shard=Batch(np.zeros((1, 1)), [0]),
                              max_pending=1)
-        client.pending.append(PendingRound(round=1, z_full=np.ones(5)))
+        build_upload(client, np.ones(5), 0.2, round=1)
         with pytest.raises(ContractViolationError, match="5 coordinates"):
             measure_correction(client, msg, _agg(1, [0], [1.0], [1], d=5), eta=0.1)
-        assert not client.pending[0].scaled
+        assert client.staged.tobytes() == np.ones(5).tobytes() and not client.pending
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("fixed", [np.arange(6), np.arange(3, 6)],
                              ids=["dense", "tail"])
     def test_one_fixed_set_equals_scatter_route(self, fixed, weighted):
         """Messages that carry one SharedSet take the stacked route; the
-        same messages with a SharedSet copy each take the scatter route."""
+        same messages with a SharedSet copy each take the scatter route,
+        which takes no weights, so a weighted round is held to the union
+        route of `dpga check` instead."""
         rng = np.random.default_rng(3)
         fixed = SharedSet(fixed, 6)
         zs = rng.standard_normal((5, 6))
-        weights = rng.uniform(0.5, 1.5, 5) if weighted else None
-        one = server_aggregate([self._msg(6, fixed, z[fixed.indices]) for z in zs], 6, weights)
+        msgs = [self._msg(6, fixed, z[fixed.indices]) for z in zs]
+        if weighted:
+            weights = rng.uniform(0.5, 1.5, 5)
+            one = server_aggregate(msgs, 6, weights)
+            values, counts = union_aggregate(msgs, 6, weights)
+            assert one.values.tobytes() == values.tobytes()
+            assert one.counts.tobytes() == counts.tobytes()
+            return
+        one = server_aggregate(msgs, 6)
         own = server_aggregate([self._msg(6, fixed.indices, z[fixed.indices])
-                                for z in zs], 6, weights)
+                                for z in zs], 6)
         assert one.values.tobytes() == own.values.tobytes()
         assert one.counts.tobytes() == own.counts.tobytes()
         np.testing.assert_array_equal(one.mask, own.mask)
@@ -494,14 +511,20 @@ class TestServerAggregate:
     @pytest.mark.parametrize("upload", ["top-k", "dense", "tail"])
     def test_support_is_derived_from_counts(self, upload, weighted):
         """Whatever route the server takes, the support is the
-        coordinates with a nonzero count, in a fresh array."""
+        coordinates with a nonzero count, in a fresh array. Top-K uploads
+        take no weights."""
         rng = np.random.default_rng(5)
         shared = {"top-k": None, "dense": SharedSet(np.arange(6), SPEC.dim),
                   "tail": SharedSet(np.arange(3, 6), SPEC.dim)}[upload]
         clients = [_client(cid=i, seed=i) for i in range(4)]
         msgs = [build_upload(c, rng.standard_normal(SPEC.dim), 0.3, round=1,
                              shared=shared) for c in clients]
-        agg = server_aggregate(msgs, SPEC.dim, rng.uniform(0.5, 1.5, 4) if weighted else None)
+        weights = rng.uniform(0.5, 1.5, 4) if weighted else None
+        if weighted and shared is None:
+            with pytest.raises(ContractViolationError, match="one fixed shared set"):
+                server_aggregate(msgs, SPEC.dim, weights)
+            return
+        agg = server_aggregate(msgs, SPEC.dim, weights)
         assert agg.indices.tobytes() == np.flatnonzero(agg.counts).tobytes()
         np.testing.assert_array_equal(agg.mask, agg.counts > 0)
         for m in msgs:
@@ -512,10 +535,15 @@ class TestServerAggregate:
            weighted=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_plain_loop_reference(self, data, n, d, weighted, seed):
+        """Each message draws its own set, or with weights all carry one."""
         rng = np.random.default_rng(seed)
         subsets = [sorted(data.draw(st.sets(st.integers(0, d - 1), max_size=d)))
-                   for _ in range(n)]
-        msgs = [self._msg(d, idx, rng.standard_normal(len(idx))) for idx in subsets]
+                   for _ in range(1 if weighted else n)]
+        if weighted:
+            fixed = SharedSet(np.array(subsets[0], dtype=np.int64), d)
+            subsets *= n
+        msgs = [self._msg(d, fixed if weighted else idx, rng.standard_normal(len(idx)))
+                for idx in subsets]
         weights = rng.uniform(0.5, 1.5, n) if weighted else None
         agg = server_aggregate(msgs, d, weights)
 
@@ -551,8 +579,9 @@ _ENTRIES = st.one_of(st.just(0.0), st.just(-0.0),
 
 @st.composite
 def _corrections(draw):
-    """A client with 1-5 pending rounds, their z still raw, with the
-    upload and the aggregate of each round; the oldest one's is delivered.
+    """A client with 1-5 rounds still to measure, each as its raw z and
+    upload, with the aggregate of each round; the oldest one's is
+    delivered.
 
     Coordinates may be uncovered (count 0, value 0) even inside the
     client's own shared set, and covered values may be signed zeros.
@@ -565,76 +594,73 @@ def _corrections(draw):
     client = ClientState(id=0, weights=draw(vector),
                          shard=Batch(np.zeros((1, input_dim)), [0]), max_pending=5)
     client.anchor = draw(vector)
-    sents, aggs = [], []
+    uploads, aggs = [], []
     for r in range(1, draw(st.integers(0, 4)) + 2):
         shared = np.array(sorted(draw(st.sets(st.integers(0, d - 1), max_size=d))),
                           dtype=np.int64)
-        client.pending.append(PendingRound(round=r, z_full=draw(vector)))
-        sents.append(_sent(client.pending[-1], shared))
+        z = draw(vector)
+        uploads.append((z, _sent(r, z, shared)))
         counts = draw(arrays(np.int64, d, elements=st.integers(0, 3)))
         values = np.where(counts > 0, draw(vector), 0.0)
         aggs.append(GlobalAggregate(round=r, values=values, counts=counts))
-    return (client, sents, aggs, draw(st.sampled_from([0.1, 0.3, 1.0])),
+    return (client, uploads, aggs, draw(st.sampled_from([0.1, 0.3, 1.0])),
             draw(st.sampled_from(CORRECTION_SCOPES)))
 
 
-def _sent(pend, shared):
-    """The upload of a pending round whose z is still raw: its values on
-    the coordinates `shared`."""
-    return extract_shared(pend.z_full, SharedSet(shared, pend.z_full.shape[0]),
-                          pend.round, 0.5)
+def _sent(round, z, shared):
+    """The upload of round `round` from a raw z: its values on the
+    coordinates `shared`."""
+    return extract_shared(z, SharedSet(shared, z.shape[0]), round, 0.5)
 
 
-def _straight_line_correction(client, own, agg, eta, scope):
+def _straight_line_correction(client, uploads, agg, eta, scope):
     """(weights, anchor, delta) by the plain expressions over the raw z of
-    the oldest round, whose upload shared `own`: copy, gather and scatter
-    on the covered coordinates, then w = w - eta * z per later round."""
-    pend = client.pending[0]
-    merged = pend.z_full.copy()
-    coords = own if scope == "own-shared" else np.arange(merged.shape[0])
+    each round: copy, gather and scatter on the oldest round's covered
+    coordinates, then w = w - eta * z per later round."""
+    (z, sent), later = uploads[0], uploads[1:]
+    merged = z.copy()
+    coords = sent.indices if scope == "own-shared" else np.arange(merged.shape[0])
     touched = coords[agg.counts[coords] > 0]
     vals = agg.values[touched]
     delta = float(np.max(np.abs(vals - merged[touched]), initial=0.0))
     merged[touched] = vals
     anchor = w = client.anchor - eta * merged
-    for later in list(client.pending)[1:]:
-        w = w - eta * later.z_full
+    for z_later, _ in later:
+        w = w - eta * z_later
     return w, anchor, delta
 
 
-def _deliver(client, sents, aggs, eta, scope="own-shared", measure=measure_correction):
-    """What a run does: each pending round is measured from its upload
-    (sents, oldest first) when its aggregate (aggs) forms, and then the
-    oldest round's aggregate is delivered with its values scaled once.
-    Returns that round's size."""
-    rounds = list(client.pending)
-    client.pending.clear()
+def _deliver(client, uploads, aggs, eta, scope="own-shared", measure=measure_correction):
+    """What a run does: each round's z is staged as build_upload leaves
+    it and measured from its upload (uploads, oldest first) when its
+    aggregate (aggs) forms, and then the oldest round's aggregate is
+    delivered with its values scaled once. Returns that round's size."""
     sizes = []
-    for pend, sent, agg in zip(rounds, sents, aggs):
-        client.pending.append(pend)
+    for (z, sent), agg in zip(uploads, aggs):
+        client.staged, client.last_round = z, sent.round
         sizes.append(measure(client, sent, agg, eta, scope=scope))
     apply_correction(client, aggs[0].round, aggs[0].values * eta)
     return sizes[0]
 
 
 def _correction_example(own, support, scope="own-shared"):
-    """A client whose oldest of two pending rounds shared `own`, and an
-    aggregate for that round over `support` (the newer round's aggregate
-    covers everything)."""
+    """A client with two rounds to measure, the oldest of which shared
+    `own`, and an aggregate for that round over `support` (the newer
+    round's aggregate covers everything)."""
     rng = np.random.default_rng(len(own) + 10 * len(support))
     client = ClientState(id=0, weights=rng.standard_normal(SPEC.dim),
                          shard=Batch(np.zeros((1, 2)), [0]), max_pending=5)
     client.anchor = rng.standard_normal(SPEC.dim)
-    sents = []
+    uploads = []
     for r in (1, 2):
-        client.pending.append(PendingRound(round=r, z_full=rng.standard_normal(SPEC.dim)))
-        sents.append(_sent(client.pending[-1], np.array(own, dtype=np.int64)))
+        z = rng.standard_normal(SPEC.dim)
+        uploads.append((z, _sent(r, z, np.array(own, dtype=np.int64))))
     counts = np.zeros(SPEC.dim, dtype=np.int64)
     counts[support] = 2
     values = np.where(counts > 0, rng.standard_normal(SPEC.dim), 0.0)
     newer = GlobalAggregate(round=2, values=rng.standard_normal(SPEC.dim),
                             counts=np.full(SPEC.dim, 2))
-    return (client, sents, [GlobalAggregate(round=1, values=values, counts=counts), newer],
+    return (client, uploads, [GlobalAggregate(round=1, values=values, counts=counts), newer],
             0.1, scope)
 
 
@@ -652,50 +678,51 @@ def _correction_examples(test):
 
 def _check_correction(case, deliver=_deliver):
     # Explicit examples are built once, so work on a copy.
-    client, sents, aggs, eta, scope = copy.deepcopy(case)
+    client, uploads, aggs, eta, scope = copy.deepcopy(case)
     want_w, want_anchor, want_delta = _straight_line_correction(
-        copy.deepcopy(client), sents[0].indices, aggs[0], eta, scope)
-    later = [p.round for p in client.pending][1:]
-    delta = deliver(client, sents, aggs, eta, scope=scope)
+        client, uploads, aggs[0], eta, scope)
+    later = [sent.round for _, sent in uploads][1:]
+    delta = deliver(client, uploads, aggs, eta, scope=scope)
     assert client.weights.tobytes() == want_w.tobytes()
     assert client.anchor.tobytes() == want_anchor.tobytes()
     assert np.float64(delta).tobytes() == np.float64(want_delta).tobytes()
     assert [p.round for p in client.pending] == later
 
 
-def _merge_ignoring_counts(client, sents, aggs, eta, scope="own-shared"):
+def _merge_ignoring_counts(client, uploads, aggs, eta, scope="own-shared"):
     """Substitutes on every candidate coordinate, writing the aggregate's 0
     where nobody shared."""
     everywhere = GlobalAggregate(round=aggs[0].round, values=aggs[0].values,
                                  counts=np.ones_like(aggs[0].counts))
-    return _deliver(client, sents, [everywhere, *aggs[1:]], eta, scope=scope)
+    return _deliver(client, uploads, [everywhere, *aggs[1:]], eta, scope=scope)
 
 
-def _replay_skipping_newest(client, sents, aggs, eta, scope="own-shared"):
+def _replay_skipping_newest(client, uploads, aggs, eta, scope="own-shared"):
     """Rebuilds the weights without the newest pending round."""
-    newest = client.pending.pop() if len(client.pending) > 1 else None
-    delta = _deliver(client, sents, aggs, eta, scope=scope)
-    if newest is not None:
-        client.pending.append(newest)
+    delta = _deliver(client, uploads, aggs, eta, scope=scope)
+    w = client.anchor
+    for later in list(client.pending)[:-1]:
+        w = w - later.z_full
+    client.weights = w
     return delta
 
 
-def _copy_on_full_own_set(client, sents, aggs, eta, scope="own-shared"):
+def _copy_on_full_own_set(client, uploads, aggs, eta, scope="own-shared"):
     """Merges by a copy of the aggregate's values whenever the client's own
     set is every coordinate, whatever the support."""
-    if sents[0].indices.shape == aggs[0].values.shape:
-        return _merge_ignoring_counts(client, sents, aggs, eta, scope=scope)
-    return _deliver(client, sents, aggs, eta, scope=scope)
+    if uploads[0][1].indices.shape == aggs[0].values.shape:
+        return _merge_ignoring_counts(client, uploads, aggs, eta, scope=scope)
+    return _deliver(client, uploads, aggs, eta, scope=scope)
 
 
 def _measure_after_scaling(client, sent, agg, eta, scope="own-shared"):
     """Scales z to eta * z first and sizes the correction against that."""
-    client.pending[-1].z_full *= eta
+    client.staged *= eta
     return measure_correction(client, sent, agg, 1.0, scope=scope)
 
 
-def _delta_after_scaling(client, sents, aggs, eta, scope="own-shared"):
-    return _deliver(client, sents, aggs, eta, scope=scope, measure=_measure_after_scaling)
+def _delta_after_scaling(client, uploads, aggs, eta, scope="own-shared"):
+    return _deliver(client, uploads, aggs, eta, scope=scope, measure=_measure_after_scaling)
 
 
 def _measure_against_support(client, sent, agg, eta, scope="own-shared"):
@@ -705,14 +732,14 @@ def _measure_against_support(client, sent, agg, eta, scope="own-shared"):
     return measure_correction(client, support, agg, eta, scope=scope)
 
 
-def _own_set_from_support(client, sents, aggs, eta, scope="own-shared"):
-    return _deliver(client, sents, aggs, eta, scope=scope, measure=_measure_against_support)
+def _own_set_from_support(client, uploads, aggs, eta, scope="own-shared"):
+    return _deliver(client, uploads, aggs, eta, scope=scope, measure=_measure_against_support)
 
 
-def _replay_scaling_again(client, sents, aggs, eta, scope="own-shared"):
+def _replay_scaling_again(client, uploads, aggs, eta, scope="own-shared"):
     """Replays each later round as w - eta * its stored step, which
     already holds eta * z."""
-    delta = _deliver(client, sents, aggs, eta, scope=scope)
+    delta = _deliver(client, uploads, aggs, eta, scope=scope)
     w = client.anchor
     for later in client.pending:
         w = w - eta * later.z_full
@@ -782,13 +809,13 @@ class TestApplyCorrection:
         set, merges by the straight-line rule."""
         fixed = SharedSet(fixed, SPEC.dim)
         clients = [_client(cid=i, seed=i) for i in range(3)]
-        msgs, aggs = [], []
+        uploads, aggs = [], []
         for r in (1, 2):
-            msgs.append([build_upload(c, _step(c, 1, 0.1), 0.5, round=r,
-                                      shared=fixed) for c in clients])
-            aggs.append(server_aggregate(msgs[-1], SPEC.dim))
+            zs = [_step(c, 1, 0.1) for c in clients]
+            uploads.append([(z, extract_shared(z, fixed, r, 0.5)) for z in zs])
+            aggs.append(server_aggregate([m for _, m in uploads[-1]], SPEC.dim))
         for i, c in enumerate(clients):
-            _check_correction((c, [m[i] for m in msgs], aggs, 0.1, scope))
+            _check_correction((c, [u[i] for u in uploads], aggs, 0.1, scope))
 
     def test_substitution_example(self):
         """shared={0}, global 1, own value 2, eta=0.1: coordinate 0 gains
@@ -816,14 +843,14 @@ class TestApplyCorrection:
         shard = _client().shard
         clients = [ClientState(id=i, weights=init_params(SPEC, 0), shard=shard,
                                max_pending=8) for i in range(4)]
-        msgs = []
+        uploads = []
         for c in clients:
             z = _step(c, 2, 0.1)
-            msgs.append(build_upload(c, z, 0.5, round=1))
-        agg = server_aggregate(msgs, SPEC.dim)
+            uploads.append((z, build_upload(c, z, 0.5, round=1)))
+        agg = server_aggregate([m for _, m in uploads], SPEC.dim)
         trajectories = []
-        for c, m in zip(clients, msgs):
-            assert _deliver(c, [m], [agg], 0.1) == 0.0
+        for c, upload in zip(clients, uploads):
+            assert _deliver(c, [upload], [agg], 0.1) == 0.0
             trajectories.append(c.weights)
         for w in trajectories[1:]:
             np.testing.assert_array_equal(w, trajectories[0])
@@ -840,8 +867,8 @@ class TestApplyCorrection:
         build_upload(client, np.ones(SPEC.dim), 1.0, round=2)
         with pytest.raises(ContractViolationError, match="upload of round 1"):
             measure_correction(client, first, agg, eta=0.1)
-        assert not client.pending[1].scaled
-        np.testing.assert_array_equal(client.pending[1].z_full, np.ones(SPEC.dim))
+        assert client.staged.tobytes() == np.ones(SPEC.dim).tobytes()
+        assert [p.round for p in client.pending] == [1]
         with pytest.raises(ContractViolationError):
             apply_correction(client, agg.round, agg.values * 0.1)
 
@@ -853,7 +880,7 @@ class TestApplyCorrection:
                                  round=1, p=0.5)
         with pytest.raises(ContractViolationError, match="6 coordinates"):
             measure_correction(client, outside, _agg(1, [0], [1.0], [1]), eta=0.1, scope=scope)
-        assert not client.pending[0].scaled
+        assert client.staged.tobytes() == np.ones(SPEC.dim).tobytes() and not client.pending
 
     def test_no_pending_rejected(self):
         client = _client()
@@ -865,19 +892,19 @@ class TestApplyCorrection:
             apply_correction(client, agg.round, agg.values * 0.1)
 
     def test_each_round_is_measured_once_before_delivery(self):
-        """Delivery needs every pending round scaled, and a scaled round
-        is not scaled again."""
+        """Delivery and the next upload wait until the staged round is
+        measured, and a measured round is not measured again."""
         client = _client()
         agg = _agg(1, [0], [1.0], [1])
         first = build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
-        with pytest.raises(ContractViolationError, match="every pending round measured"):
+        with pytest.raises(ContractViolationError, match="round 1 was never measured"):
             apply_correction(client, agg.round, agg.values * 0.1)
         measure_correction(client, first, agg, eta=0.1)
         second = build_upload(client, np.ones(SPEC.dim), 1.0, round=2)
-        with pytest.raises(ContractViolationError, match="every pending round measured"):
-            apply_correction(client, agg.round, agg.values * 0.1)
+        with pytest.raises(ContractViolationError, match="round 2 was never measured"):
+            build_upload(client, np.ones(SPEC.dim), 1.0, round=3)
         measure_correction(client, second, _agg(2, [0], [1.0], [1]), eta=0.1)
-        with pytest.raises(ContractViolationError, match="already measured"):
+        with pytest.raises(ContractViolationError, match="no upload waits"):
             measure_correction(client, second, _agg(2, [0], [1.0], [1]), eta=0.1)
         np.testing.assert_array_equal(client.pending[1].z_full, np.full(SPEC.dim, 0.1))
         apply_correction(client, agg.round, agg.values * 0.1)
@@ -889,8 +916,7 @@ class TestApplyCorrection:
         agg = _agg(1, [0], [1.0], [1])
         with pytest.raises(ContractViolationError, match="scope"):
             measure_correction(client, msg, agg, eta=0.1, scope="everything")
-        assert not client.pending[0].scaled
-        np.testing.assert_array_equal(client.pending[0].z_full, np.ones(SPEC.dim))
+        assert client.staged.tobytes() == np.ones(SPEC.dim).tobytes() and not client.pending
 
     @pytest.mark.parametrize("d", [SPEC.dim - 1, SPEC.dim + 1])
     def test_wrong_length_rejected(self, d):
@@ -913,7 +939,7 @@ class TestApplyCorrection:
         w_before = client.weights.copy()
         # Aggregate defines a coordinate this client never shared.
         agg = _agg(1, [0, 3], [2.0, 1.0], [1, 1])
-        _deliver(client, [msg], [agg], 0.1, scope="full-support")
+        _deliver(client, [(z, msg)], [agg], 0.1, scope="full-support")
         np.testing.assert_array_equal(client.weights[3], w_before[3] - 0.1)
 
     def test_own_shared_scope_ignores_foreign_coordinates(self):
@@ -923,8 +949,74 @@ class TestApplyCorrection:
         msg = build_upload(client, z, 0.1, round=1)
         w_before = client.weights.copy()
         agg = _agg(1, [0, 3], [2.0, 1.0], [1, 1])
-        _deliver(client, [msg], [agg], 0.1)
+        _deliver(client, [(z, msg)], [agg], 0.1)
         np.testing.assert_array_equal(client.weights[3], w_before[3])
+
+
+def _upload(client, r):
+    return build_upload(client, np.arange(SPEC.dim) * 0.5 + r, 1.0, round=r)
+
+
+def _measure(client, msg, d=SPEC.dim, scope="own-shared"):
+    return measure_correction(client, msg, _agg(msg.round, [0], [1.0], [1], d=d), eta=0.1,
+                              scope=scope)
+
+
+def _state(client):
+    """What a refused call must leave as it was, by value: the queued
+    rounds, the last round, the weights, the anchor and the staged z."""
+    return ([(p.round, p.z_full.tobytes(), None if p.touched is None else p.touched.tobytes())
+             for p in client.pending],
+            client.last_round, client.weights.tobytes(), client.anchor.tobytes(),
+            None if client.staged is None else client.staged.tobytes())
+
+
+def _deliver_zeros(round, d=SPEC.dim):
+    return lambda c, m: apply_correction(c, round, np.zeros(d))
+
+
+# name: (rounds measured, round left staged, the refused call on the
+# client and its uploads by round)
+_REFUSALS = {
+    "upload-while-staged": ([], 1, lambda c, m: _upload(c, 2)),
+    "upload-past-queue-bound": ([1, 2], None, lambda c, m: _upload(c, 3)),
+    "measure-nothing-staged": ([], None, lambda c, m: _measure(
+        c, _sent(1, np.ones(SPEC.dim), [0]))),
+    "measure-twice": ([1], None, lambda c, m: _measure(c, m[1])),
+    "measure-another-round": ([1], 2, lambda c, m: _measure(c, m[1])),
+    "measure-aggregate-of-another-length": ([], 1, lambda c, m: _measure(
+        c, m[1], d=SPEC.dim + 1)),
+    "measure-upload-of-another-length": ([], 1, lambda c, m: _measure(
+        c, _sent(1, np.ones(SPEC.dim + 1), [0]))),
+    "measure-unknown-scope": ([], 1, lambda c, m: _measure(c, m[1], scope="everything")),
+    "deliver-while-staged": ([1], 2, _deliver_zeros(1)),
+    "deliver-nothing-pending": ([], None, _deliver_zeros(1)),
+    "deliver-wrong-round": ([1], None, _deliver_zeros(2)),
+    "deliver-wrong-length": ([1], None, _deliver_zeros(1, SPEC.dim + 1)),
+}
+
+
+class TestStagedLifecycle:
+    @pytest.mark.parametrize("measured, staged, refused", _REFUSALS.values(),
+                             ids=_REFUSALS.keys())
+    def test_refusal_leaves_the_client_as_it_was(self, measured, staged, refused):
+        """An upload waits in the staged slot until it is measured and
+        queued; every call out of that order is refused before it writes."""
+        client = _client(max_pending=2)
+        client.anchor = client.anchor + 1.0  # tell the anchor from the weights
+        msgs = {}
+        for r in measured:
+            msgs[r] = _upload(client, r)
+            _measure(client, msgs[r])
+        if staged is not None:
+            msgs[staged] = _upload(client, staged)
+        before, slot, queued = _state(client), client.staged, list(client.pending)
+        with pytest.raises(ContractViolationError):
+            refused(client, msgs)
+        assert client.staged is slot
+        assert len(client.pending) == len(queued)
+        assert all(a is b for a, b in zip(client.pending, queued))
+        assert _state(client) == before
 
 
 class TestDelayedPipelineTrace:
