@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolationError
 from .models import Batch
 
 CLASS_SEPARATION = 3.0  # radius of the class-mean sphere
@@ -85,15 +85,20 @@ def partition(labels: np.ndarray, num_classes: int,
               cfg: PartitionConfig) -> list[np.ndarray]:
     """Split the examples with these labels into disjoint client shards.
 
+    A label outside 0..num_classes-1 is refused before the first draw.
     For every class: draw per-client presence ~ Bernoulli(rho), redrawing
-    until someone holds the class; then split the class's examples among
-    the present clients with Dirichlet(alpha) proportions rounded by
-    largest remainder. Returns ascending index arrays, one per client.
+    until someone holds the class; then deal the class's examples, in
+    index order, to the present clients by Dirichlet(alpha) proportions
+    rounded by largest remainder. One stable sort by owner returns
+    ascending int64 index arrays, one per client, empty if it holds none.
 
     The same (labels, num_classes, cfg) always produces the same shards.
     """
+    unknown = labels[~np.isin(labels, np.arange(num_classes))]
+    if unknown.size:
+        raise ContractViolationError(f"label {unknown[0]} is not a class in 0..{num_classes - 1}")
     rng = np.random.default_rng(cfg.seed)
-    per_client: list[list[np.ndarray]] = [[] for _ in range(cfg.n_clients)]
+    owner = np.empty(labels.shape[0], dtype=np.int64)
     for c in range(num_classes):
         members = np.nonzero(labels == c)[0]
         for attempt in range(_MAX_PRESENCE_REDRAWS):
@@ -104,17 +109,6 @@ def partition(labels: np.ndarray, num_classes: int,
             raise ConfigurationError(
                 f"could not draw a non-empty presence set for class {c}")
         props = rng.dirichlet(np.full(present.size, cfg.alpha))
-        counts = _largest_remainder(props, members.shape[0])
-        stops = np.cumsum(counts)
-        starts = stops - counts
-        for k, client in enumerate(present):
-            if counts[k]:
-                per_client[client].append(members[starts[k]:stops[k]])
-    shards = []
-    for parts in per_client:
-        if parts:
-            shards.append(np.sort(np.concatenate(parts)))
-        else:
-            shards.append(np.empty(0, dtype=np.int64))
-    return shards
-
+        owner[members] = np.repeat(present, _largest_remainder(props, members.size))
+    order = np.argsort(owner, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(owner, minlength=cfg.n_clients))[:-1])

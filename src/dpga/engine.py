@@ -242,7 +242,8 @@ def objective(wbar: np.ndarray, train: Batch, spec: ModelSpec) -> float:
 
 
 class Simulation:
-    """A fully built experiment; run() returns one MetricsRecord per round."""
+    """A fully built experiment; run() returns one MetricsRecord per round.
+    Every client starts from one read-only w0, as weights and as anchor."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -268,12 +269,13 @@ class Simulation:
                     f"partition left client {i} without data; grow the dataset "
                     "or raise alpha/rho")
         w0 = init_params(self.spec, _derived_seed(cfg.seed, _SEED_INIT))
+        w0.setflags(write=False)
         # One gather deals every shard, client by client; each shard is a
         # view of its rows, so the sampling group pools them without a copy.
         dealt = self.train.rows(np.concatenate(shards))
         ends = np.cumsum([idx.size for idx in shards])
         self.clients = [
-            ClientState(id=i, weights=w0.copy(),
+            ClientState(id=i, weights=w0,
                         shard=dealt.rows(slice(end - idx.size, end)),
                         max_pending=self.delay + 1)
             for i, (idx, end) in enumerate(zip(shards, ends))

@@ -89,7 +89,9 @@ class PendingRound:
 class ClientState:
     """One simulated client. Two clients are equal only when they are the
     same object. staged holds the raw z of upload last_round until
-    measure_correction queues that round in pending, and is None after."""
+    measure_correction queues that round in pending, and is None after.
+    The anchor defaults to the weights array itself: weights and anchor
+    are replaced, never written in place, so clients may share them."""
 
     id: int
     weights: np.ndarray
@@ -103,7 +105,7 @@ class ClientState:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.anchor is None:
-            self.anchor = self.weights.copy()
+            self.anchor = self.weights
 
 
 @dataclass(eq=False)

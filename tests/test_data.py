@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from dpga.data import (CLASS_SEPARATION, PartitionConfig, _largest_remainder,
                        gen_synthetic, partition)
-from dpga.errors import ConfigurationError
+from dpga.errors import ConfigurationError, ContractViolationError
 from dpga.models import ModelSpec, evaluate, loss_and_gradient
 
 
@@ -85,7 +85,65 @@ class TestLargestRemainder:
             assert np.all(counts >= 0)
 
 
+def _per_client_lists(labels, num_classes, cfg):
+    """The partition rule dealt through per-client lists, kept as a
+    reference: each present client takes its slice of every class, and
+    each client's slices are joined and sorted once."""
+    rng = np.random.default_rng(cfg.seed)
+    per_client = [[] for _ in range(cfg.n_clients)]
+    for c in range(num_classes):
+        members = np.nonzero(labels == c)[0]
+        while True:
+            present = np.nonzero(rng.random(cfg.n_clients) < cfg.rho)[0]
+            if present.size:
+                break
+        props = rng.dirichlet(np.full(present.size, cfg.alpha))
+        counts = _largest_remainder(props, members.shape[0])
+        stops = np.cumsum(counts)
+        for client, start, stop in zip(present, stops - counts, stops):
+            if stop > start:
+                per_client[client].append(members[start:stop])
+    return [np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+            for parts in per_client]
+
+
+@st.composite
+def _partition_cases(draw):
+    """Labels (possibly none) over classes that may hold no example, and
+    a partition config with rho at or below 1."""
+    num_classes = draw(st.integers(0, 6))
+    labels = draw(st.lists(st.integers(0, num_classes - 1), max_size=80)
+                  if num_classes else st.just([]))
+    cfg = PartitionConfig(alpha=draw(st.floats(0.05, 50.0)), rho=draw(st.floats(0.2, 1.0)),
+                          n_clients=draw(st.integers(1, 9)),
+                          seed=draw(st.integers(0, 2**32 - 1)))
+    return np.array(labels, dtype=np.int64), num_classes, cfg
+
+
 class TestPartition:
+    @given(_partition_cases())
+    def test_one_sort_equals_per_client_lists(self, case):
+        """Dealing every shard by one stable sort over the owners gives
+        each client exactly the shard the per-client lists give, in
+        values and dtype, empty shards included."""
+        labels, num_classes, cfg = case
+        got, want = partition(labels, num_classes, cfg), _per_client_lists(*case)
+        assert len(got) == len(want) == cfg.n_clients
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+    def test_refuses_labels_it_cannot_deal(self):
+        """A label outside 0..num_classes-1 belongs to no class, so no
+        client could hold it; it is named, not silently dropped."""
+        cfg = PartitionConfig(alpha=1.0, rho=1.0, n_clients=2, seed=3)
+        with pytest.raises(ContractViolationError, match="label 5 is not a class in 0..1"):
+            partition(np.array([0, 1, 5, -1, 1, 0]), 2, cfg)
+        with pytest.raises(ContractViolationError, match="label -1 "):
+            partition(np.array([0, -1]), 2, cfg)
+        with pytest.raises(ContractViolationError, match="label 0 "):
+            partition(np.array([0]), 0, cfg)
+
     def _cover_check(self, shards, n):
         joined = np.concatenate(shards)
         assert joined.shape[0] == n

@@ -340,6 +340,22 @@ class TestScheduling:
         assert records[0].p == 0.5
 
 
+class TestInitialModel:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_client_starts_from_one_model_no_run_writes(self, algorithm):
+        """Building gives every client the same read-only w0 as weights and
+        as anchor, and a run, samplers and deliveries included, replaces
+        them without writing a byte of it."""
+        sim = Simulation(_cfg(algorithm=algorithm, bandwidth=1e6, batch_size=5))
+        w0 = sim.clients[0].weights
+        assert not w0.flags.writeable
+        assert all(c.weights is w0 and c.anchor is w0 for c in sim.clients)
+        before = w0.copy()
+        sim.run()
+        assert w0.tobytes() == before.tobytes()
+        assert all(c.weights is not w0 and c.anchor is not w0 for c in sim.clients)
+
+
 class TestDeterminism:
     def test_same_config_same_records(self):
         cfg = _cfg(algorithm="dpga", delay=2, bandwidth=1e6, batch_size=4)

@@ -304,6 +304,18 @@ class TestGroupedLocalRound:
                          "inside": 4 * cfg.rounds * cfg.local_epochs, "outside": 0}
 
 
+class TestClientState:
+    def test_anchor_defaults_to_the_weights_array(self):
+        """Without an anchor a client anchors on its weights array itself;
+        a given anchor is kept as it is."""
+        client = _client()
+        assert client.anchor is client.weights
+        anchor = np.zeros(SPEC.dim)
+        other = ClientState(id=1, weights=client.weights, shard=client.shard,
+                            max_pending=1, anchor=anchor)
+        assert other.weights is client.weights and other.anchor is anchor
+
+
 class TestBuildUpload:
     @pytest.mark.parametrize("shared", [[2, 1], [1, 1], [0, SPEC.dim],
                                         [-1, 0], [0, 100, 3]],
