@@ -6,9 +6,9 @@ overridden on the command line with --set section.key=value. The random
 seed resolves with precedence: --seed flag, then the DPGA_SEED environment
 variable, then the config file.
 
-Exit codes: 0 success, 1 failed check suites, 2 bad configuration,
-malformed input or an output path that cannot be written, 3 runtime
-contract violation.
+Exit codes: 0 success, 1 failed check suites, 2 bad configuration or
+input file, or an output path that cannot be written, 3 runtime contract
+violation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import get_type_hints
 
 from .checks import run_all
 from .engine import MetricsRecord, SimConfig, Simulation
-from .errors import ConfigurationError, ContractViolationError, DecodeError
+from .errors import ConfigurationError, ContractViolationError
 from .plotting import Y_LABEL, render_plot
 
 log = logging.getLogger("dpga")
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
                 "check": cmd_check, "plot": cmd_plot}
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, DecodeError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a failed read is a ConfigurationError, so this is a write

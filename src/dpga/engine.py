@@ -271,7 +271,7 @@ class Simulation:
         w0 = init_params(self.spec, _derived_seed(cfg.seed, _SEED_INIT))
         w0.setflags(write=False)
         # One gather deals every shard, client by client; each shard is a
-        # view of its rows, so the sampling group pools them without a copy.
+        # view of its rows, and the sampling clients draw from dealt itself.
         dealt = self.train.rows(np.concatenate(shards))
         ends = np.cumsum([idx.size for idx in shards])
         self.clients = [
@@ -280,9 +280,9 @@ class Simulation:
                         max_pending=self.delay + 1)
             for i, (idx, end) in enumerate(zip(shards, ends))
         ]
-        # Who samples, the pool they sample from and the minibatch seed
+        # Who samples, the row offsets they sample at and the minibatch seed
         # words [seed, _SEED_BATCH] depend on the config alone.
-        self._group = ClientGroup(self.clients, self.spec, cfg.batch_size)
+        self._group = ClientGroup(self.clients, self.spec, cfg.batch_size, dealt)
         self._batch_words = seed_words(cfg.seed, _SEED_BATCH)
 
         self._weights = None

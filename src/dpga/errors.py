@@ -1,7 +1,9 @@
-"""Exception types shared across the simulator, each with one CLI exit code.
+"""Exception types shared across the simulator.
 
-ConfigurationError and DecodeError exit with 2 (bad configuration or
-input); ContractViolationError exits with 3 (a broken runtime contract).
+The CLI exits with 2 on a ConfigurationError (bad configuration or input
+file) and with 3 on a ContractViolationError (a broken runtime contract).
+No subcommand decodes wire bytes, so a DecodeError reaches only the
+caller of masking.decode; `dpga check` reports one as a failed suite.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ are mean softmax cross-entropy; gradients are exact, not autodiff.
 
 A `Batch` is checked once, at construction, and is read-only after that,
 so each call only checks what depends on the spec: the parameter shape,
-the feature dim and the batch's recorded label bound. `Batch.rows` and
-`Batch.concatenate` take examples of checked batches without a second
-check.
+the feature dim and the batch's recorded label bound. `Batch.rows`
+takes examples of a checked batch without a second check.
 
 Batches of equal size can be stacked on a leading axis. With features
 (n, rows, f) and labels (n, rows), the params are (n, d): the n batches
@@ -98,9 +97,9 @@ class Batch:
     The examples are checked once, here: finite features of shape
     (rows, f), or (n, rows, f) for n stacked batches of equal size, and one
     non-negative label per row. The stored arrays are read-only views, so
-    no write through the batch can invalidate that check. `rows` and
-    `concatenate` take examples of checked batches without checking them
-    again. Two batches are equal only when they are the same object.
+    no write through the batch can invalidate that check. `rows` takes
+    examples of a checked batch without checking them again. Two batches
+    are equal only when they are the same object.
     """
 
     features: np.ndarray
@@ -154,30 +153,9 @@ class Batch:
         copies of them and keeps this batch's label bound; it must still
         hold at least one example. An (n, rows) take gives n stacked
         batches, and a take with more axes stacks deeper. An integer or a
-        slice takes a view instead of a copy, and a sub-batch sliced with
-        step 1 remembers where it lies, so `concatenate` can join
-        neighbours back into one view.
+        slice takes a view instead of a copy.
         """
-        sub = Batch._trusted(self.features[take], self.labels[take], self.label_bound)
-        if isinstance(take, slice):
-            start, stop, step = take.indices(self.labels.shape[0])
-            if step == 1:
-                sub.__dict__["_rows_of"] = (self, start, stop)
-        return sub
-
-    @staticmethod
-    def concatenate(batches: list[Batch]) -> Batch:
-        """The examples of checked unstacked batches of one feature dim,
-        one after another, without a second check. Batches sliced one
-        after another from one batch give the view of their rows there,
-        with that batch's label bound, and nothing is copied."""
-        spans = [b.__dict__.get("_rows_of") for b in batches]
-        if (spans and all(spans) and all(span[0] is spans[0][0] for span in spans)
-                and all(a[2] == b[1] for a, b in zip(spans, spans[1:]))):
-            return spans[0][0].rows(slice(spans[0][1], spans[-1][2]))
-        return Batch._trusted(np.concatenate([b.features for b in batches]),
-                              np.concatenate([b.labels for b in batches]),
-                              max(b.label_bound for b in batches))
+        return Batch._trusted(self.features[take], self.labels[take], self.label_bound)
 
 
 def _layer_views(params: np.ndarray, spec: ModelSpec):

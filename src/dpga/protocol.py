@@ -182,23 +182,30 @@ class ClientGroup:
 
     A client whose shard holds more than batch_size examples samples a
     minibatch of exactly batch_size rows per step; the rest step on their
-    whole shard. The samplers are checked once, here: weights of length
-    spec.dim and features of spec.input_dim. Their shards are pooled once,
-    with each shard's row offset: shards sliced one after another from one
-    batch, as Simulation deals them, pool as a view of those rows, and any
-    others are copied into one. Each sampler's id is kept as seed words. A
-    group trusts that no client's shard changes after that, and that every
-    weights vector keeps its length.
+    whole shard. dealt is the batch the shards were dealt from, client by
+    client, as Simulation deals them, so each sampler draws from dealt
+    itself at its shard's row offset, the sum of the shard sizes before
+    it. Shards whose sizes do not add up to dealt's rows are refused. The
+    samplers are checked once, here: weights of length spec.dim and
+    features of spec.input_dim. Each sampler's id is kept as seed words. A
+    group trusts that each shard is its rows of dealt and does not change
+    after that, and that every weights vector keeps its length.
     """
 
-    def __init__(self, clients: list[ClientState], spec: ModelSpec, batch_size: int | None):
+    def __init__(self, clients: list[ClientState], spec: ModelSpec, batch_size: int | None,
+                 dealt: Batch):
         if batch_size is not None and batch_size < 1:
             raise ContractViolationError("batch_size must be >= 1 or None")
         self.clients = list(clients)
         self.spec = spec
         self.batch_size = batch_size
-        self.samplers = [i for i, c in enumerate(self.clients)
-                         if batch_size is not None and batch_size < c.shard.size]
+        sizes = [client.shard.size for client in self.clients]
+        if dealt.labels.shape != (sum(sizes),):
+            raise ContractViolationError(
+                f"shards of {sum(sizes)} rows in all do not tile the dealt batch "
+                f"of labels {dealt.labels.shape}")
+        self.samplers = [i for i, n in enumerate(sizes)
+                         if batch_size is not None and batch_size < n]
         self.members = members = [self.clients[i] for i in self.samplers]
         if not members:
             return
@@ -209,9 +216,9 @@ class ClientGroup:
                     f"client {client.id} does not fit the group's model {spec}: "
                     f"weights {client.weights.shape}, features "
                     f"{client.shard.features.shape}")
-        self.sizes = [client.shard.size for client in members]
-        self.pool = Batch.concatenate([client.shard for client in members])
-        self.starts = np.cumsum([0] + self.sizes[:-1])[:, None]
+        self.sizes = [sizes[i] for i in self.samplers]
+        self.pool = dealt
+        self.starts = np.cumsum([0] + sizes[:-1])[self.samplers, None]
         self.id_words = [seed_words(client.id) for client in members]
 
 

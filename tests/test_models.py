@@ -10,6 +10,12 @@ from dpga.models import (Batch, ModelSpec, evaluate, init_params, loss_and_gradi
                          mean_loss)
 
 
+def _joined(batches):
+    """The examples of unstacked batches one after another, as one batch."""
+    return Batch(np.concatenate([b.features for b in batches]),
+                 np.concatenate([b.labels for b in batches]))
+
+
 def _logistic(dim=3, classes=2):
     return ModelSpec(kind="logistic-regression", input_dim=dim, num_classes=classes)
 
@@ -96,7 +102,7 @@ class TestBatch:
         shard = Batch(np.arange(10.0).reshape(5, 2), [0, 1, 2, 3, 4])
         sub = shard.rows(np.array([[4, 0], [1, 2]]))
         assert sub.features.shape == (2, 2, 2) and sub.labels.tolist() == [[4, 0], [1, 2]]
-        pool = Batch.concatenate([shard, Batch([[9.0, 9.0]], [7])])
+        pool = _joined([shard, Batch([[9.0, 9.0]], [7])])
         assert pool.size == 6 and pool.label_bound == 8
         with pytest.raises(ContractViolationError):
             Batch(np.zeros((3, 4, 2)), np.zeros((3, 3), dtype=int))
@@ -104,26 +110,6 @@ class TestBatch:
             Batch(np.zeros((0, 4, 2)), np.zeros((0, 4), dtype=int))
         with pytest.raises(ContractViolationError):
             Batch(np.zeros((1, 3, 4, 2)), np.zeros((1, 3, 4), dtype=int))
-
-    def test_concatenated_neighbours_are_a_view(self):
-        """Slices dealt one after another from one batch join back into a
-        view of it; anything else is copied. Either way the examples are
-        those of the parts, in order."""
-        dealt = Batch(np.arange(20.0).reshape(10, 2), np.arange(10))
-        parts = [dealt.rows(slice(0, 3)), dealt.rows(slice(3, 4)), dealt.rows(slice(4, 9))]
-        other = Batch(np.arange(20.0).reshape(10, 2), np.arange(10))
-        cases = {True: [parts, parts[1:]],
-                 False: [parts[::-1], [parts[0], parts[2]], [parts[0], other.rows(slice(3, 5))],
-                         [parts[0], dealt.rows(np.arange(3, 5))], [dealt.rows(slice(0, 4, 2))]]}
-        for view, groups in cases.items():
-            for group in groups:
-                joined = Batch.concatenate(group)
-                want_f = np.concatenate([b.features for b in group])
-                np.testing.assert_array_equal(joined.features, want_f)
-                np.testing.assert_array_equal(joined.labels,
-                                              np.concatenate([b.labels for b in group]))
-                assert np.shares_memory(joined.features, dealt.features) == view
-                assert not joined.features.flags.writeable
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ContractViolationError):

@@ -22,9 +22,20 @@ from dpga.protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
                            build_upload, grouped_local_round, local_round,
                            measure_correction, pairwise_mean, pairwise_sum,
                            seed_words, server_aggregate, static_partial_mask)
-from test_models import _pooled_bias
+from test_models import _joined, _pooled_bias
 
 SPEC = ModelSpec(kind="logistic-regression", input_dim=2, num_classes=2)
+
+
+def _grouped(clients, spec, batch_size):
+    """The clients' group, their shards first dealt as Simulation deals
+    them: one after another, as views of one batch of all their rows."""
+    dealt = _joined([c.shard for c in clients])
+    end = 0
+    for c in clients:
+        c.shard = dealt.rows(slice(end, end + c.shard.size))
+        end += c.shard.size
+    return ClientGroup(clients, spec, batch_size, dealt)
 
 
 def _agg(round, indices, values, counts, d=SPEC.dim):
@@ -154,7 +165,7 @@ class TestLocalRound:
         """(n, d) weights with n stacked batches per step give each row
         the bits of that client's own (d,) call."""
         clients = [_client(cid=i, seed=i, n=4) for i in range(3)]
-        pool = Batch.concatenate([c.shard for c in clients])
+        pool = _joined([c.shard for c in clients])
         rows = np.arange(12).reshape(3, 4)
         steps = [pool.rows(rows), pool.rows(rows[::-1, ::-1])]
         w, z = local_round(np.stack([c.weights for c in clients]), steps, SPEC, 0.1)
@@ -201,7 +212,7 @@ def _check_grouped(case):
     full-shard client takes its whole shard."""
     clients, spec, epochs, eta, batch_size, seed = case
     alone = copy.deepcopy(clients)
-    zs = grouped_local_round(ClientGroup(clients, spec, batch_size), epochs, eta,
+    zs = grouped_local_round(_grouped(clients, spec, batch_size), epochs, eta,
                              seed_words(seed))
     for c, a, z in zip(clients, alone, zs):
         n, rng = a.shard.size, np.random.default_rng([seed, a.id])
@@ -246,7 +257,7 @@ class TestGroupedLocalRound:
 
     def _check_refusals(self, batch_size):
         def run(clients, epochs=2, eta=0.1, batch_size=batch_size):
-            return grouped_local_round(ClientGroup(clients, SPEC, batch_size), epochs,
+            return grouped_local_round(_grouped(clients, SPEC, batch_size), epochs,
                                        eta, seed_words(0))
 
         for args in (dict(epochs=0), dict(eta=0.0), dict(eta=float("nan")),
@@ -254,7 +265,7 @@ class TestGroupedLocalRound:
             with pytest.raises(ContractViolationError):
                 run(self._group(), **args)
         with pytest.raises(ContractViolationError):  # seed words are uint32
-            grouped_local_round(ClientGroup(self._group(), SPEC, batch_size), 1, 0.1,
+            grouped_local_round(_grouped(self._group(), SPEC, batch_size), 1, 0.1,
                                 [[0, 0]])
         for bad in (0, 2):  # every client, or the last one, with a wrong length
             clients = self._group()
@@ -263,7 +274,8 @@ class TestGroupedLocalRound:
             with pytest.raises(ContractViolationError):
                 run(clients)
         clients = self._group()
-        clients[1].shard = Batch(np.ones((6, 3)), np.zeros(6, dtype=int))
+        for c in clients:  # a dealt batch has one feature dim, here not SPEC's
+            c.shard = Batch(np.ones((6, 3)), np.zeros(6, dtype=int))
         with pytest.raises(ContractViolationError):
             run(clients)
         with pytest.raises(ContractViolationError):
@@ -273,6 +285,36 @@ class TestGroupedLocalRound:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ContractViolationError, match="non-finite"):
                 run(clients)
+
+    @pytest.mark.parametrize("batch_size", [2, None])
+    def test_refuses_shards_that_do_not_tile_dealt(self, batch_size):
+        """Shards whose sizes do not add up to the dealt batch's rows, or a
+        stacked dealt batch, are refused before any client is checked."""
+        clients = self._group()
+        dealt = _joined([c.shard for c in clients])
+        for bad in (dealt.rows(slice(1, None)), _joined([dealt, dealt]),
+                    dealt.rows(np.arange(18).reshape(3, 6))):
+            with pytest.raises(ContractViolationError, match="tile"):
+                ClientGroup(clients, SPEC, batch_size, bad)
+
+    @pytest.mark.parametrize("batch_size, samplers", [(3, 8), (12, 5)],
+                             ids=["all-samplers", "mixed"])
+    def test_pool_is_the_dealt_batch(self, batch_size, samplers):
+        """The samplers draw from the batch Simulation dealt, not a copy of
+        it: every client's shard is a view of the pool, and each sampler's
+        row offset leads to its own shard's rows there."""
+        # Shards of 11, 15, 6, 21, 25, 19, 19 and 4 examples.
+        sim = Simulation(SimConfig(batch_size=batch_size, rounds=1))
+        group = sim._group
+        assert len(group.samplers) == samplers
+        assert group.pool.size == sum(c.shard.size for c in sim.clients)
+        assert all(np.shares_memory(group.pool.features, c.shard.features)
+                   for c in sim.clients)
+        for i, start, n in zip(group.samplers, group.starts[:, 0], group.sizes):
+            rows, shard = group.pool.rows(slice(start, start + n)), sim.clients[i].shard
+            for got, want in ((rows.features, shard.features), (rows.labels, shard.labels)):
+                assert got.shape == want.shape
+                assert got.__array_interface__["data"] == want.__array_interface__["data"]
 
     def test_every_gradient_call_runs_inside_local_round(self):
         """A run takes every local step in local_round: one call per
