@@ -7,8 +7,8 @@ seed resolves with precedence: --seed flag, then the DPGA_SEED environment
 variable, then the config file.
 
 Exit codes: 0 success, 1 failed check suites, 2 bad configuration or
-input file, or an output path that cannot be written, 3 runtime contract
-violation.
+input file, an output path that cannot be written, or a run too large
+for memory, 3 runtime contract violation.
 """
 
 from __future__ import annotations
@@ -323,6 +323,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # a failed read is a ConfigurationError, so this is a write
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the refused array
+        print(f"error: out of memory: {str(exc) or 'an allocation was refused'}",
+              file=sys.stderr)
         return 2
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

@@ -317,54 +317,41 @@ def server_aggregate(messages: list[SparseGradient], d: int,
 
     d is the model size, which every message's set must be for, and the
     aggregate has one value and one count per coordinate, 0 where nobody
-    shared. A fixed tree sums each coordinate's values over the messages,
-    column by column, so a shared coordinate carries the same bits
-    whichever other coordinates are shared.
-
-    Two routes give the same bits. When every message carries the same
-    SharedSet (one fixed shared set), the tree runs on the stacked (n, K)
-    values, every count on the set is n, and the weighted denominator is
-    one tree over the weights. Otherwise each message is scattered into
-    one row of an (n_messages, d) float buffer, and the counts are one
-    bincount over all the messages' indices. Either way the aggregate
-    derives its support from the counts. This checks the rounds, the
-    weights and each set's d. The work is linear in d and no index is sorted or
-    searched.
+    shared. Each message is scattered into one row of an (n_messages, d)
+    buffer, the counts are one bincount over all the messages' indices,
+    and one fixed tree sums the rows column by column, so a shared
+    coordinate carries the same bits whichever other coordinates are
+    shared. Weights scale the rows first and the tree over the weights is
+    the denominator. The aggregate derives its support from the counts.
+    This checks the rounds, the weights and each set's d. The work is
+    linear in d and no index is sorted or searched.
     """
     if not messages:
         raise ContractViolationError("nothing to aggregate")
     round_ = messages[0].round
     if any(m.round != round_ for m in messages):
         raise ContractViolationError("aggregating messages from different rounds")
-    one_set = all(m.shared is messages[0].shared for m in messages)
     if weights is not None:
-        if not one_set:
+        if any(m.shared is not messages[0].shared for m in messages):
             raise ContractViolationError("weights need one fixed shared set")
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(messages),):
             raise ContractViolationError("need one weight per message")
     if any(m.shared.d != d for m in messages):
         raise ContractViolationError(f"a message's shared set is not for a model of size {d}")
-    shared = messages[0].indices
 
+    slots = np.zeros((len(messages), d))
+    for i, m in enumerate(messages):
+        slots[i, m.indices] = m.values
+    # Indices are distinct within a message, so this counts contributors.
+    counts = np.bincount(np.concatenate([m.indices for m in messages]), minlength=d)
+    if weights is None:
+        den = counts
+    else:  # one fixed set: each shared column holds every message's weight
+        slots *= weights[:, None]
+        den = pairwise_sum(weights[:, None])
     values = np.zeros(d)
-    if one_set:
-        vals = np.stack([m.values for m in messages])
-        counts = np.zeros(d, dtype=np.int64)
-        counts[shared] = len(messages)
-        if weights is None:
-            num, den = pairwise_sum(vals), len(messages)
-        else:
-            num, den = pairwise_sum(vals * weights[:, None]), pairwise_sum(weights[:, None])
-        values[shared] = num / den
-    else:
-        slots = np.zeros((len(messages), d))
-        for i, m in enumerate(messages):
-            slots[i, m.indices] = m.values
-        # Indices are distinct within a message, so this counts contributors.
-        counts = np.bincount(np.concatenate([m.indices for m in messages]),
-                             minlength=d)
-        np.divide(pairwise_sum(slots), counts, out=values, where=counts > 0)
+    np.divide(pairwise_sum(slots), den, out=values, where=counts > 0)
     return GlobalAggregate(round=round_, values=values, counts=counts)
 
 

@@ -331,6 +331,24 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 9.34 GiB for an array",
+         "error: out of memory: Unable to allocate 9.34 GiB for an array"),
+        ("", "error: out of memory: an allocation was refused")],
+        ids=["numpy", "bare"])
+    def test_out_of_memory_exits_2(self, config_file, tmp_path, capsys, monkeypatch,
+                                   message, line):
+        """A problem too large for memory is a configuration the machine
+        cannot run, not a failed check suite."""
+        def run(sim):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(engine.Simulation, "run", run)
+        out = tmp_path / "m.csv"
+        assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
     def test_seed_flag_changes_output(self, config_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["run", "--config", str(config_file), "--out", str(a)])

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dpga.masking import ENTRY_BYTES, HEADER_BYTES
 from dpga.models import Batch, mean_loss
 from dpga.protocol import CORRECTION_SCOPES, pairwise_mean
 from dpga.ratewalk import MAX_STEPS
+from test_csv_bytes import comparative, minibatch
 
 # Small logistic problem reused across tests: d = 4 * 3 + 3 = 15.
 BASE = dict(n_clients=4, rounds=6, local_epochs=2, eta=0.1,
@@ -396,3 +398,41 @@ class TestObjective:
         wbar = pairwise_mean(np.stack([c.weights for c in sim.clients]))
         loss = mean_loss(wbar, sim.train, sim.spec)
         assert last.train_loss == loss
+
+
+def _run_state(cfg):
+    """A run's records without the byte meter's columns, as text so that a
+    round without evaluation (eval_acc nan) compares equal, and its end
+    state: every client's final weights and anchor, and the correction_log."""
+    sim = Simulation(cfg)
+    rows = [repr(replace(r, sim_time=0.0, up_bytes=0, down_bytes=0)) for r in sim.run()]
+    return (rows, [c.weights.tobytes() for c in sim.clients],
+            [c.anchor.tobytes() for c in sim.clients], sim.correction_log)
+
+
+class TestSchemeRelations:
+    """Two schemes are degenerate cases of the others, bit for bit in
+    records, final weights, anchors and correction_log. Only the byte
+    meter tells them apart: an indexed entry costs more than a dense one,
+    which moves up_bytes, down_bytes and the clock. The relations compare
+    the program with itself: Top-K at K = d must take every coordinate,
+    and a fixed dense set must aggregate as that Top-K set does."""
+
+    CASES = {"comparative": (comparative, 60), "minibatch": (minibatch, 40)}
+
+    def _dga(self, case, **kw):
+        build, rounds = self.CASES[case]
+        return replace(build("dga"), rounds=rounds, **kw)
+
+    @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_dpga_at_full_rate_is_dga(self, case, scope):
+        dga = self._dga(case, correction_scope=scope)
+        dpga = replace(dga, algorithm="dpga", walk_p0=1.0, walk_m=0)
+        assert _run_state(dpga) == _run_state(dga)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_dga_without_delay_is_static_partial_at_fraction_1(self, case):
+        dga = self._dga(case, delay=0)
+        static = replace(dga, algorithm="static-partial", static_fraction=1.0)
+        assert _run_state(static) == _run_state(dga)

@@ -538,35 +538,25 @@ class TestServerAggregate:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("fixed", [np.arange(6), np.arange(3, 6)],
                              ids=["dense", "tail"])
-    def test_one_fixed_set_equals_scatter_route(self, fixed, weighted):
-        """Messages that carry one SharedSet take the stacked route; the
-        same messages with a SharedSet copy each take the scatter route,
-        which takes no weights, so a weighted round is held to the union
-        route of `dpga check` instead."""
+    def test_one_fixed_set_equals_union_oracle(self, fixed, weighted):
+        """Messages that carry one SharedSet, as a dense or static run
+        sends them, aggregate to the union route of `dpga check`, values
+        and counts bit for bit, with or without weights."""
         rng = np.random.default_rng(3)
         fixed = SharedSet(fixed, 6)
         zs = rng.standard_normal((5, 6))
         msgs = [self._msg(6, fixed, z[fixed.indices]) for z in zs]
-        if weighted:
-            weights = rng.uniform(0.5, 1.5, 5)
-            one = server_aggregate(msgs, 6, weights)
-            values, counts = union_aggregate(msgs, 6, weights)
-            assert one.values.tobytes() == values.tobytes()
-            assert one.counts.tobytes() == counts.tobytes()
-            return
-        one = server_aggregate(msgs, 6)
-        own = server_aggregate([self._msg(6, fixed.indices, z[fixed.indices])
-                                for z in zs], 6)
-        assert one.values.tobytes() == own.values.tobytes()
-        assert one.counts.tobytes() == own.counts.tobytes()
-        np.testing.assert_array_equal(one.mask, own.mask)
+        weights = rng.uniform(0.5, 1.5, 5) if weighted else None
+        agg = server_aggregate(msgs, 6, weights)
+        values, counts = union_aggregate(msgs, 6, weights)
+        assert agg.values.tobytes() == values.tobytes()
+        assert agg.counts.tobytes() == counts.tobytes()
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("upload", ["top-k", "dense", "tail"])
     def test_support_is_derived_from_counts(self, upload, weighted):
-        """Whatever route the server takes, the support is the
-        coordinates with a nonzero count, in a fresh array. Top-K uploads
-        take no weights."""
+        """The support is the coordinates with a nonzero count, in a fresh
+        array. Top-K uploads take no weights."""
         rng = np.random.default_rng(5)
         shared = {"top-k": None, "dense": SharedSet(np.arange(6), SPEC.dim),
                   "tail": SharedSet(np.arange(3, 6), SPEC.dim)}[upload]
