@@ -262,7 +262,7 @@ def averaged_local_sgd(w: np.ndarray, shards: list[Batch], spec: ModelSpec,
                 z += g
                 cur = w - eta * z
             zs.append(z)
-        w = w - eta * pairwise_mean(np.stack(zs))
+        w = w - eta * pairwise_mean(zs)
         if t in horizons:
             out[t] = w
     return out

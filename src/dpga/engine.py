@@ -329,7 +329,7 @@ class Simulation:
     def _evaluate(self):
         """(train_loss, eval_acc) of the averaged model: only what a record
         prints, the loss on train and the accuracy on test."""
-        wbar = pairwise_mean(np.stack([c.weights for c in self.clients]))
+        wbar = pairwise_mean([c.weights for c in self.clients])
         return objective(wbar, self.train, self.spec), evaluate(wbar, self.test, self.spec)
 
     # ---- main loop ---- #

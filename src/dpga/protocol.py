@@ -11,13 +11,18 @@ left, replaying the local updates it made in the meantime.
 Float discipline: within a round, weights are always materialized as
 w_round_start - eta * z_partial (left-to-right accumulation), so
 w_after == w_before - eta * z holds bitwise. An upload's z is staged until
-its aggregate forms, then scaled to eta * z in place and queued, never
-written again; scaling commutes with the merge's select, and the replay
+its aggregate forms, then scaled to eta * z in place and queued, and not
+written while it waits. Its delivery consumes it: the merge and the
+subtraction from the anchor run in place in that buffer, which becomes
+the new anchor. Scaling commutes with the merge's select, and the replay
 subtracts each stored step, so it rounds the same product and difference
-as w - eta * z. That makes the two documented degenerate cases exact:
-identical clients see corrections of exactly zero and stay on the plain
-SGD trajectory, and p=1 with zero delay reproduces synchronized gradient
-averaging bit for bit. local_round is the one SGD loop:
+as w - eta * z. The server and the evaluation sum rows with one streaming
+tree, pairwise_sum, whose association depends only on the row count, so
+neither stacks an (n_clients, d) array. That makes the two documented
+degenerate cases exact: identical clients see corrections of exactly
+zero and stay on the plain SGD trajectory, and p=1 with zero delay
+reproduces synchronized gradient averaging bit for bit. local_round is
+the one SGD loop:
 grouped_local_round runs it once per full-shard client and once for all
 clients that draw minibatches, stacked, with the same arithmetic per
 client, so stacking changes no bit either.
@@ -25,6 +30,7 @@ client, so stacking changes no bit either.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -41,31 +47,50 @@ CORRECTION_SCOPES = ("own-shared", "full-support")
 
 # ---- fixed-order reductions ---- #
 
-def pairwise_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum 2-d rows with a fixed balanced tree (odd row carried upward).
+def pairwise_sum(rows) -> np.ndarray:
+    """Sum equal-length 1-d rows with a fixed balanced tree, streaming.
+
+    rows is any iterable of rows (a 2-d array gives its rows), consumed
+    once. The tree pairs rows 0+1, 2+3, ..., then those sums, and so on,
+    an odd partial carried up to the next level. It keeps one partial
+    per level, like a binary counter, so it holds at most
+    ceil(log2 n) + 1 rows at a time. A pair of caller rows is added into
+    a new array and every higher pair into the tree's own left partial,
+    so no row passed in is written; one row comes back as a copy.
 
     The association depends only on the row count, so results are
     reproducible regardless of host parallelism, and summing 2^k identical
     rows is exact.
     """
-    a = np.asarray(rows, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ContractViolationError("pairwise_sum needs a non-empty 2-d array")
-    n, d = a.shape
-    # Levels alternate between two buffers; level j holds ceil(n / 2**j) rows.
-    out, spare = np.empty(((n + 1) // 2, d)), np.empty(((n + 3) // 4, d))
-    while n > 1:
-        half = n // 2
-        np.add(a[0:2 * half:2], a[1:2 * half:2], out=out[:half])
-        if n % 2:
-            out[half] = a[n - 1]
-        a, n, out, spare = out, half + n % 2, spare, out
-    return a[0].copy()
+    stack: list[tuple[int, np.ndarray]] = []  # (level, partial), levels descending
+    d = None
+    for row in rows:
+        row = np.asarray(row, dtype=np.float64)
+        if row.ndim != 1 or (d is not None and row.shape[0] != d):
+            raise ContractViolationError(
+                f"pairwise_sum needs 1-d rows of one length, got shape {row.shape}")
+        d, level, part = row.shape[0], 0, row
+        while stack and stack[-1][0] == level:
+            left = stack.pop()[1]
+            part = np.add(left, part, out=None if level == 0 else left)
+            level += 1
+        stack.append((level, part))
+    if not stack:
+        raise ContractViolationError("pairwise_sum needs at least one row")
+    level, total = stack.pop()
+    if not stack:
+        return total.copy() if level == 0 else total
+    # Carried partials join from the lowest level up, each on the right.
+    while stack:
+        left = stack.pop()[1]
+        total = np.add(left, total, out=left)
+    return total
 
 
-def pairwise_mean(rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    return pairwise_sum(rows) / rows.shape[0]
+def pairwise_mean(rows) -> np.ndarray:
+    """The pairwise_sum of a sequence of rows divided by their count."""
+    total = pairwise_sum(rows)
+    return np.divide(total, len(rows), out=total)
 
 
 # ---- state ---- #
@@ -77,7 +102,8 @@ class PendingRound:
     z_full is the round's step eta * z, which rebuilds the weights when
     the aggregate lands, and touched is where the aggregate substitutes
     (None for every coordinate). Only measure_correction builds one, and
-    nothing writes to it once it is queued.
+    nothing writes to it while it is queued; apply_correction takes it off
+    the queue and turns z_full into the client's new anchor in place.
     """
 
     round: int
@@ -145,15 +171,24 @@ def local_round(w0: np.ndarray, steps: list[Batch], spec: ModelSpec,
     w0 is one client's (d,) weights with unstacked batches, or n clients'
     (n, d) weights with n stacked batches per step. Each step recomputes w
     from w0 and the running gradient sum rather than chaining
-    subtractions, so w == w0 - eta * z exactly. Each gradient call checks
-    its weights and batch against the spec.
+    subtractions, so w == w0 - eta * z exactly. z is the first step's
+    gradient array plus 0.0, in place (the bits of 0.0 + g, so a -0.0
+    reads +0.0), and each later gradient is added into it; each step's w
+    is one new array. w0 is not written. An empty step list is refused:
+    a round takes at least one step. Each gradient call checks its
+    weights and batch against the spec.
     """
-    z = np.zeros_like(w0)
+    if not steps:
+        raise ContractViolationError("a local round needs at least one step")
     w = w0
-    for batch in steps:
+    for i, batch in enumerate(steps):
         _, g = loss_and_gradient(w, batch, spec)
-        z += g
-        w = w0 - eta * z
+        if i:
+            z += g
+        else:
+            z = np.add(g, 0.0, out=g)
+        w = np.multiply(z, eta)
+        np.subtract(w0, w, out=w)
     return w, z
 
 
@@ -317,14 +352,16 @@ def server_aggregate(messages: list[SparseGradient], d: int,
 
     d is the model size, which every message's set must be for, and the
     aggregate has one value and one count per coordinate, 0 where nobody
-    shared. Each message is scattered into one row of an (n_messages, d)
-    buffer, the counts are one bincount over all the messages' indices,
-    and one fixed tree sums the rows column by column, so a shared
+    shared. The counts are one bincount over all the messages' indices.
+    pairwise_sum streams the messages, each scattered into its own zeroed
+    length-d row, so a round holds a few rows, never an (n_messages, d)
+    array, and the fixed tree sums them column by column: a shared
     coordinate carries the same bits whichever other coordinates are
-    shared. Weights scale the rows first and the tree over the weights is
-    the denominator. The aggregate derives its support from the counts.
-    This checks the rounds, the weights and each set's d. The work is
-    linear in d and no index is sorted or searched.
+    shared. Weights, each finite and > 0, scale the rows first and the
+    tree over the weights is the denominator. The aggregate derives its
+    support from the counts. This checks the rounds, the weights and each
+    set's d before anything is allocated, and writes to no message. The
+    work is linear in d and no index is sorted or searched.
     """
     if not messages:
         raise ContractViolationError("nothing to aggregate")
@@ -337,21 +374,27 @@ def server_aggregate(messages: list[SparseGradient], d: int,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(messages),):
             raise ContractViolationError("need one weight per message")
+        if not all(math.isfinite(w) and w > 0.0 for w in weights.tolist()):
+            raise ContractViolationError(f"weights must be finite and > 0, got {weights}")
     if any(m.shared.d != d for m in messages):
         raise ContractViolationError(f"a message's shared set is not for a model of size {d}")
 
-    slots = np.zeros((len(messages), d))
-    for i, m in enumerate(messages):
-        slots[i, m.indices] = m.values
     # Indices are distinct within a message, so this counts contributors.
     counts = np.bincount(np.concatenate([m.indices for m in messages]), minlength=d)
-    if weights is None:
-        den = counts
-    else:  # one fixed set: each shared column holds every message's weight
-        slots *= weights[:, None]
-        den = pairwise_sum(weights[:, None])
-    values = np.zeros(d)
-    np.divide(pairwise_sum(slots), den, out=values, where=counts > 0)
+
+    def rows():
+        for i, m in enumerate(messages):
+            row = np.zeros(d)
+            row[m.indices] = m.values
+            if weights is not None:
+                row *= weights[i]
+            yield row
+
+    # Off the support every row holds +0.0, so the sum there is already 0.
+    values = pairwise_sum(rows())
+    # One fixed set: each shared column holds every message's weight.
+    den = counts if weights is None else pairwise_sum(weights[:, None])
+    np.divide(values, den, out=values, where=counts > 0)
     return GlobalAggregate(round=round_, values=values, counts=counts)
 
 
@@ -411,11 +454,14 @@ def apply_correction(client: ClientState, round: int, scaled: np.ndarray) -> Non
     scaled is that aggregate's eta * values, computed once in the round it
     formed. round is the oldest pending round, and nothing may be staged,
     or the replay would drop its step. Each queued round holds its step
-    eta * z and the touched mask its measurement stored. The oldest step
-    becomes where(touched, scaled, step), or scaled when every coordinate
-    is touched, and comes off the anchor; each later step then comes off
-    the new weights in place. Neither scaled nor a pending round is
-    written to; both are checked first.
+    eta * z and the touched mask its measurement stored. The oldest round
+    is consumed: its step buffer becomes the new anchor in place, first
+    where(touched, scaled, step), then anchor - that, or anchor - scaled
+    when every coordinate is touched. The later steps then come off the
+    new anchor into one new array, the replayed weights, which is all a
+    call allocates. Nothing else is written: not scaled, not a later pending step, and
+    not the old anchor, which other clients may share; all are checked
+    first.
     """
     if client.staged is not None:
         raise ContractViolationError(
@@ -427,11 +473,11 @@ def apply_correction(client: ClientState, round: int, scaled: np.ndarray) -> Non
         raise ContractViolationError(
             f"client {client.id}: round {round} of shape {scaled.shape} does not fit "
             f"pending round {pend.round} of shape {pend.z_full.shape}")
-    touched = pend.touched
+    anchor, touched = pend.z_full, pend.touched
     if touched is None:
-        anchor = np.subtract(client.anchor, scaled)
+        np.subtract(client.anchor, scaled, out=anchor)
     else:
-        anchor = np.where(touched, scaled, pend.z_full)
+        np.copyto(anchor, scaled, where=touched)
         np.subtract(client.anchor, anchor, out=anchor)
     client.anchor = w = anchor
     client.pending.popleft()

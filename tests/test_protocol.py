@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -59,6 +61,32 @@ def _step(client, epochs, eta):
     return z
 
 
+def _level_tree(rows) -> np.ndarray:
+    """The reference tree, level by level: each level's pairs are written
+    into a preallocated buffer and an odd row is carried to the next."""
+    a = np.asarray(rows, dtype=np.float64)
+    n, d = a.shape
+    # Levels alternate between two buffers; level j holds ceil(n / 2**j) rows.
+    out, spare = np.empty(((n + 1) // 2, d)), np.empty(((n + 3) // 4, d))
+    while n > 1:
+        half = n // 2
+        np.add(a[0:2 * half:2], a[1:2 * half:2], out=out[:half])
+        if n % 2:
+            out[half] = a[n - 1]
+        a, n, out, spare = out, half + n % 2, spare, out
+    return a[0].copy()
+
+
+def _mixed_magnitudes(seed, n, width):
+    """n rows of `width` entries whose magnitudes span 1e-8 to 1e8, with
+    random signs and about one entry in ten a signed zero."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice([-1.0, 1.0], (n, width)) * 10.0 ** rng.uniform(-8, 8, (n, width))
+    zeros = rng.random((n, width)) < 0.1
+    rows[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return rows
+
+
 class TestPairwiseReductions:
     def test_single_row(self):
         row = np.array([[1.0, 2.0]])
@@ -103,6 +131,59 @@ class TestPairwiseReductions:
                 paired = np.vstack([paired, a[even:]])
             a = paired
         assert pairwise_sum(rows).tobytes() == a[0].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 130), width=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=129, width=9, seed=0)
+    @example(n=130, width=1, seed=1)
+    def test_streaming_equals_level_tree(self, n, width, seed):
+        """The streaming tree has the bits of the level-by-level tree for
+        every row count, fed as an array, a list or a generator."""
+        rows = _mixed_magnitudes(seed, n, width)
+        want = _level_tree(rows).tobytes()
+        assert pairwise_sum(rows).tobytes() == want
+        assert pairwise_sum(list(rows)).tobytes() == want
+        assert pairwise_sum(row for row in rows).tobytes() == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 33])
+    def test_caller_rows_are_never_written(self, n):
+        """Read-only rows go in, and a fresh array comes out: for one row,
+        a copy."""
+        rows = [row.copy() for row in _mixed_magnitudes(n, n, 5)]
+        for row in rows:
+            row.setflags(write=False)
+        before = [row.tobytes() for row in rows]
+        total = pairwise_sum(rows)
+        assert [row.tobytes() for row in rows] == before
+        assert total.flags.writeable
+        assert not any(np.shares_memory(total, row) for row in rows)
+        if n == 1:
+            assert total.tobytes() == before[0]
+
+    def test_generator_is_consumed_once(self):
+        rows = _mixed_magnitudes(3, 11, 4)
+        drawn = []
+
+        def stream():
+            for i, row in enumerate(rows):
+                drawn.append(i)
+                yield row
+
+        gen = stream()
+        assert pairwise_sum(gen).tobytes() == _level_tree(rows).tobytes()
+        assert drawn == list(range(11))
+        assert next(gen, None) is None
+
+    @pytest.mark.parametrize("rows", [[], iter(()), [np.zeros(3), np.zeros(4)],
+                                      [np.zeros(3), np.zeros((1, 3))],
+                                      [np.zeros((2, 3)), np.zeros((2, 3))],
+                                      np.zeros(3), np.zeros((2, 2, 3))],
+                             ids=["empty-list", "empty-iterator", "two-lengths",
+                                  "a-2-d-row", "2-d-rows", "1-d-array", "3-d-array"])
+    def test_refuses_rows_that_are_not_one_length_and_1_d(self, rows):
+        with pytest.raises(ContractViolationError):
+            pairwise_sum(rows)
 
 
 class TestSeedWords:
@@ -172,6 +253,29 @@ class TestLocalRound:
         for i, c in enumerate(clients):
             wi, zi = local_round(c.weights, [step.rows(i) for step in steps], SPEC, 0.1)
             assert w[i].tobytes() == wi.tobytes() and z[i].tobytes() == zi.tobytes()
+
+    def test_empty_step_list_refused(self):
+        """A round takes at least one step; none is refused, not answered
+        with w0 and a zero z."""
+        client = _client()
+        with pytest.raises(ContractViolationError, match="at least one step"):
+            local_round(client.weights, [], SPEC, 0.1)
+
+    def test_w0_is_not_written_and_z_is_a_fresh_array(self):
+        """A read-only w0 steps; z reads +0.0 where 0.0 + g does, and
+        shares memory with neither w0 nor w."""
+        client = _client(seed=6)
+        w0 = client.weights.copy()
+        w0.setflags(write=False)
+        for epochs in (1, 3):
+            w, z = local_round(w0, [client.shard] * epochs, SPEC, 0.1)
+            assert not np.shares_memory(z, w0) and not np.shares_memory(z, w)
+            assert z.flags.writeable
+        g = np.array([-0.0, 0.0, -0.0, 1.5, -2.0, -0.0])
+        with mock.patch.object(protocol, "loss_and_gradient",
+                               lambda w, batch, spec: (0.0, g.copy())):
+            _, z = local_round(w0, [client.shard], SPEC, 0.1)
+        assert z.tobytes() == (0.0 + g).tobytes() != g.tobytes()
 
     def test_client_equality_is_identity(self):
         a, b = _client(), _client()
@@ -496,6 +600,50 @@ class TestServerAggregate:
         msgs = [self._msg(1, [0], [1.0]), self._msg(1, [0], [5.0])]
         with pytest.raises(ContractViolationError):
             server_aggregate(msgs, 1, weights=np.array([1.0]))
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, -1.0], [math.inf, 1.0],
+                                         [math.nan, 1.0]],
+                             ids=["zeros", "negative", "inf", "nan"])
+    def test_degenerate_weights_rejected(self, weights):
+        """A weight that is not finite and > 0 is refused before any sum,
+        not turned into a warning and an inf or NaN aggregate."""
+        fixed = SharedSet([0, 1], 2)
+        msgs = [self._msg(2, fixed, [1.0, 2.0]), self._msg(2, fixed, [3.0, 4.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="finite and > 0"):
+                server_aggregate(msgs, 2, weights=np.array(weights))
+
+    def test_messages_keep_their_values(self):
+        """Aggregating writes to no message, weighted or not."""
+        rng = np.random.default_rng(8)
+        fixed = SharedSet(np.arange(2, 6), 6)
+        for weights in (None, rng.uniform(0.5, 1.5, 5)):
+            msgs = [self._msg(6, fixed, rng.standard_normal(4)) for _ in range(5)]
+            for m in msgs:
+                m.values.setflags(write=False)
+            before = [m.values.tobytes() for m in msgs]
+            server_aggregate(msgs, 6, weights)
+            assert [m.values.tobytes() for m in msgs] == before
+
+    def test_no_message_by_model_buffer(self):
+        """One exchange-heavy round, 32 Top-K uploads at d = 6,154, peaks
+        below the concatenated indices plus ceil(log2 n) + 3 rows of d:
+        the streamed tree holds a few rows, never one per message."""
+        d, n = 6154, 32
+        rng = np.random.default_rng(28)
+        msgs = [extract_shared(z, topk_shared_indices(z, p), 1, p)
+                for z, p in zip(rng.standard_normal((n, d)), rng.uniform(0.3, 0.9, n))]
+        entries = sum(m.count for m in msgs)
+        bound = 8 * entries + (math.ceil(math.log2(n)) + 3) * 8 * d
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            server_aggregate(msgs, d)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
     def test_mixed_rounds_rejected(self):
         msgs = [self._msg(1, [0], [1.0], round=1), self._msg(1, [0], [1.0], round=2)]
@@ -844,6 +992,64 @@ class TestApplyCorrection:
             for a in fields + tuple(p.z_full for p in c.pending):
                 assert not np.shares_memory(c.weights, a)
                 assert not np.shares_memory(c.anchor, a)
+
+    @pytest.mark.parametrize("scope, p", [("full-support", 1.0), ("own-shared", 0.5)],
+                             ids=["every-coordinate", "touched-mask"])
+    def test_delivery_writes_only_the_step_it_consumes(self, scope, p):
+        """Two clients start from one read-only model, as weights and as
+        anchor, with two rounds in flight (delay 2). Delivering the oldest
+        round to one client rewrites that round's step buffer into its new
+        anchor and nothing else: not scaled, not its later step, not the
+        shared model, and nothing of the other client."""
+        w0 = init_params(SPEC, 0)
+        w0.setflags(write=False)
+        shard = _client().shard
+        clients = [ClientState(id=i, weights=w0, shard=shard, max_pending=2)
+                   for i in range(2)]
+        aggs = []
+        for r in (1, 2):
+            msgs = [build_upload(c, _step(c, 1 + i, 0.1), p, round=r)
+                    for i, c in enumerate(clients)]
+            aggs.append(server_aggregate(msgs, SPEC.dim))
+            for c, m in zip(clients, msgs):
+                measure_correction(c, m, aggs[-1], eta=0.1, scope=scope)
+        one, other = clients
+        assert (one.pending[0].touched is None) == (p == 1.0)
+        scaled = aggs[0].values * 0.1
+        scaled.setflags(write=False)
+        step = one.pending[0].z_full
+        unchanged = lambda: ([scaled.tobytes(), w0.tobytes(), one.pending[-1].z_full.tobytes(),
+                              other.weights.tobytes(), other.anchor.tobytes()]
+                             + [(q.round, q.z_full.tobytes(), q.touched is None)
+                                for q in other.pending])
+        before = unchanged()
+        apply_correction(one, 1, scaled)
+        assert unchanged() == before
+        assert one.anchor is step and other.anchor is w0
+        assert [q.round for q in one.pending] == [2] and len(other.pending) == 2
+        assert not np.shares_memory(one.weights, one.pending[0].z_full)
+
+    @pytest.mark.parametrize("touched", [None, np.arange(SPEC.dim * 500) % 3 == 0],
+                             ids=["every-coordinate", "touched-mask"])
+    def test_delivery_allocates_only_the_replayed_weights(self, touched):
+        """With two later rounds pending, one delivery allocates one
+        d-length array, the replayed weights; the new anchor is the
+        consumed step."""
+        d = SPEC.dim * 500
+        rng = np.random.default_rng(9)
+        client = ClientState(id=0, weights=rng.standard_normal(d),
+                             shard=_client().shard, max_pending=3)
+        client.pending.extend(protocol.PendingRound(r, rng.standard_normal(d), touched)
+                              for r in (1, 2, 3))
+        scaled = rng.standard_normal(d)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            apply_correction(client, 1, scaled)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 8 * d <= peak < 8 * d + 4096, peak
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     @pytest.mark.parametrize("fixed", [np.arange(6), np.arange(3, 6)],
