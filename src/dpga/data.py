@@ -89,7 +89,8 @@ def partition(labels: np.ndarray, num_classes: int,
     For every class: draw per-client presence ~ Bernoulli(rho), redrawing
     until someone holds the class; then deal the class's examples, in
     index order, to the present clients by Dirichlet(alpha) proportions
-    rounded by largest remainder. One stable sort by owner returns
+    rounded by largest remainder; an alpha so large that the draw
+    overflows is refused. One stable sort by owner returns
     ascending int64 index arrays, one per client, empty if it holds none.
 
     The same (labels, num_classes, cfg) always produces the same shards.
@@ -109,6 +110,10 @@ def partition(labels: np.ndarray, num_classes: int,
             raise ConfigurationError(
                 f"could not draw a non-empty presence set for class {c}")
         props = rng.dirichlet(np.full(present.size, cfg.alpha))
+        if not props.sum() > 0.0:  # the gamma draws overflowed to inf
+            raise ConfigurationError(
+                f"alpha {cfg.alpha:g} is too large for a Dirichlet draw over "
+                f"{present.size} clients")
         owner[members] = np.repeat(present, _largest_remainder(props, members.size))
     order = np.argsort(owner, kind="stable")
     return np.split(order, np.cumsum(np.bincount(owner, minlength=cfg.n_clients))[:-1])

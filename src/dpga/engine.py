@@ -12,9 +12,12 @@ is paid once at the end, when the corrections still in flight drain. D must
 therefore cover a full round trip. Payload sizes come from
 masking.payload_bytes.
 
-Determinism: every random stream is derived from (seed, purpose tag), the
-per-(round, client) batch streams included, and all reductions run in a
-fixed order, so a config reproduces its metrics byte for byte.
+Simulation owns the local-step phase as well as every random stream: it
+deals every shard as a view of one gathered batch, and the clients that
+sample draw their minibatches from there. Every stream is derived from
+(seed, purpose tag), the per-(round, client) batch streams included, and
+all reductions run in a fixed order, so a config reproduces its metrics
+byte for byte.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from .data import PartitionConfig, gen_synthetic, partition
 from .errors import ConfigurationError, ContractViolationError
 from .masking import U32_MAX, payload_bytes, snap_rate
 from .models import Batch, ModelSpec, evaluate, init_params, mean_loss
-from .protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
-                       apply_correction, build_upload, grouped_local_round,
-                       measure_correction, pairwise_mean, seed_words,
-                       server_aggregate, static_partial_mask)
+from .protocol import (CORRECTION_SCOPES, ClientState, apply_correction,
+                       build_upload, local_round, measure_correction,
+                       pairwise_mean, seed_words, server_aggregate,
+                       static_partial_mask)
 from .ratewalk import MAX_STEPS, RateState, state_index
 
 
@@ -61,6 +64,9 @@ SCHEMES = {
     "static-partial": Scheme(upload="static", weighted=False, synchronous=True),
 }
 ALGORITHMS = tuple(SCHEMES)
+
+# The most bytes one numpy array can span.
+_MAX_BYTES = int(np.iinfo(np.intp).max)
 
 # Purpose tags for derived random streams.
 _SEED_DATA, _SEED_PART, _SEED_INIT, _SEED_WALK, _SEED_BATCH = range(1, 6)
@@ -215,10 +221,30 @@ def validate_config(cfg: SimConfig) -> int:
         raise ConfigurationError(f"unknown correction scope {cfg.correction_scope!r}")
     if not 0.0 < cfg.static_fraction <= 1.0:
         raise ConfigurationError("static_fraction must be in (0, 1]")
-    if cfg.model_spec().dim > U32_MAX:  # building the spec validates it
+    d = cfg.model_spec().dim  # building the spec validates it
+    if d > U32_MAX:
         raise ConfigurationError(
             "the model has more parameters than the DPG1 wire format can "
             f"index; its u32 indices and entry counts stop at {U32_MAX}")
+    examples = cfg.num_classes * cfg.per_class
+    if cfg.n_clients > examples:
+        raise ConfigurationError(
+            f"n_clients {cfg.n_clients} is more than the {examples} training "
+            "examples; every client needs one")
+    # numpy refuses an array of more bytes than intp counts only with a raw
+    # error, so such a size is refused here, before anything is allocated.
+    # A round's samplers draw fewer rows than there are examples, as each
+    # batch is smaller than its shard; the step list is local_epochs long.
+    drawn = 0 if cfg.batch_size is None else min(cfg.n_clients * cfg.batch_size, examples)
+    width = max(cfg.dim, cfg.num_classes, *cfg.hidden_dims)
+    for what, items in (
+            ("the dataset's features or activations",
+             cfg.num_classes * (cfg.per_class + cfg.test_per_class) * width),
+            ("the clients' stacked weights", cfg.n_clients * d),
+            ("one round's local steps", cfg.local_epochs * max(1, drawn * (cfg.dim + 1)))):
+        if 8 * items > _MAX_BYTES:
+            raise ConfigurationError(f"{what} would take {8 * items} bytes, "
+                                     f"more than numpy can address ({_MAX_BYTES})")
     delay = resolve_delay(cfg)
     # The clock is largest when every exchange is as big as it can be.
     rt = _worst_roundtrip(cfg)
@@ -272,17 +298,21 @@ class Simulation:
         w0.setflags(write=False)
         # One gather deals every shard, client by client; each shard is a
         # view of its rows, and the sampling clients draw from dealt itself.
-        dealt = self.train.rows(np.concatenate(shards))
-        ends = np.cumsum([idx.size for idx in shards])
+        self._dealt = dealt = self.train.rows(np.concatenate(shards))
+        sizes = [idx.size for idx in shards]
+        starts = np.cumsum([0] + sizes[:-1])
         self.clients = [
-            ClientState(id=i, weights=w0,
-                        shard=dealt.rows(slice(end - idx.size, end)),
+            ClientState(id=i, weights=w0, shard=dealt.rows(slice(start, start + n)),
                         max_pending=self.delay + 1)
-            for i, (idx, end) in enumerate(zip(shards, ends))
+            for i, (start, n) in enumerate(zip(starts, sizes))
         ]
-        # Who samples, the row offsets they sample at and the minibatch seed
-        # words [seed, _SEED_BATCH] depend on the config alone.
-        self._group = ClientGroup(self.clients, self.spec, cfg.batch_size, dealt)
+        # A client whose shard holds more than batch_size rows samples. Who
+        # samples, where its rows start in dealt and the minibatch seed
+        # words of [seed, _SEED_BATCH] and of its id depend on the config alone.
+        self._samplers = [i for i, n in enumerate(sizes)
+                          if cfg.batch_size is not None and cfg.batch_size < n]
+        self._sampler_starts = starts[self._samplers, None]
+        self._sampler_words = [seed_words(i) for i in self._samplers]
         self._batch_words = seed_words(cfg.seed, _SEED_BATCH)
 
         self._weights = None
@@ -326,6 +356,42 @@ class Simulation:
             return rates, float(np.mean(rates))
         return rates * n, rates[0]
 
+    def _local_steps(self, t: int) -> list[np.ndarray]:
+        """Round t's local_epochs steps for every client: sets each client's
+        weights and returns each client's z, in client order.
+
+        A full-shard client steps on its whole shard, one local_round call
+        per client. A sampler makes its rng.choice(shard size, batch_size,
+        replace=False) draws for the round up front, from default_rng on
+        the words of [seed, _SEED_BATCH, t, id]; one gather from dealt
+        takes every sampler's steps, and the samplers step together in one
+        local_round call, params (n, d) and batches (n, batch_size, f) per
+        step, which equals one call per sampler bit for bit.
+        """
+        cfg, samplers = self.cfg, self._samplers
+        epochs, batch_size = cfg.local_epochs, cfg.batch_size
+        zs, sampling = [None] * len(self.clients), set(samplers)
+        for i, client in enumerate(self.clients):
+            if i not in sampling:
+                client.weights, zs[i] = local_round(client.weights, [client.shard] * epochs,
+                                                    self.spec, cfg.eta)
+        if not samplers:
+            return zs
+        members = [self.clients[i] for i in samplers]
+        round_words = np.concatenate((self._batch_words, seed_words(t)))
+        take = np.empty((epochs, len(members), batch_size), dtype=np.int64)
+        for j, (client, words) in enumerate(zip(members, self._sampler_words)):
+            gen = np.random.default_rng(np.concatenate((round_words, words)))
+            for step in take[:, j]:
+                step[...] = gen.choice(client.shard.size, size=batch_size, replace=False)
+        take += self._sampler_starts
+        batches = self._dealt.rows(take)
+        w, z = local_round(np.stack([client.weights for client in members]),
+                           [batches.rows(step) for step in range(epochs)], self.spec, cfg.eta)
+        for i, client, wi, zi in zip(samplers, members, w, z):
+            client.weights, zs[i] = wi, zi
+        return zs
+
     def _evaluate(self):
         """(train_loss, eval_acc) of the averaged model: only what a record
         prints, the loss on train and the accuracy on test."""
@@ -345,10 +411,7 @@ class Simulation:
 
         for t in range(1, cfg.rounds + 1):
             rates, p_used = self._rates(t)
-            # Client i samples from default_rng([seed, _SEED_BATCH, t, i]).
-            zs = grouped_local_round(
-                self._group, cfg.local_epochs, cfg.eta,
-                np.concatenate((self._batch_words, seed_words(t))))
+            zs = self._local_steps(t)
 
             msgs = [build_upload(client, z, p, t, shared=self._shared)
                     for client, z, p in zip(self.clients, zs, rates)]

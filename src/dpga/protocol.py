@@ -22,10 +22,8 @@ neither stacks an (n_clients, d) array. That makes the two documented
 degenerate cases exact: identical clients see corrections of exactly
 zero and stay on the plain SGD trajectory, and p=1 with zero delay
 reproduces synchronized gradient averaging bit for bit. local_round is
-the one SGD loop:
-grouped_local_round runs it once per full-shard client and once for all
-clients that draw minibatches, stacked, with the same arithmetic per
-client, so stacking changes no bit either.
+the one SGD loop, for one client or for clients stacked, with the same
+arithmetic per client, so stacking changes no bit either.
 """
 
 from __future__ import annotations
@@ -209,104 +207,6 @@ def seed_words(*values: int) -> np.ndarray:
             v >>= 32
             words.append(v & 0xFFFFFFFF)
     return np.array(words, dtype=np.uint32)
-
-
-class ClientGroup:
-    """A run's clients and its one model spec, the clients split once by
-    how their local rounds draw.
-
-    A client whose shard holds more than batch_size examples samples a
-    minibatch of exactly batch_size rows per step; the rest step on their
-    whole shard. dealt is the batch the shards were dealt from, client by
-    client, as Simulation deals them, so each sampler draws from dealt
-    itself at its shard's row offset, the sum of the shard sizes before
-    it. Shards whose sizes do not add up to dealt's rows are refused. The
-    samplers are checked once, here: weights of length spec.dim and
-    features of spec.input_dim. Each sampler's id is kept as seed words. A
-    group trusts that each shard is its rows of dealt and does not change
-    after that, and that every weights vector keeps its length.
-    """
-
-    def __init__(self, clients: list[ClientState], spec: ModelSpec, batch_size: int | None,
-                 dealt: Batch):
-        if batch_size is not None and batch_size < 1:
-            raise ContractViolationError("batch_size must be >= 1 or None")
-        self.clients = list(clients)
-        self.spec = spec
-        self.batch_size = batch_size
-        sizes = [client.shard.size for client in self.clients]
-        if dealt.labels.shape != (sum(sizes),):
-            raise ContractViolationError(
-                f"shards of {sum(sizes)} rows in all do not tile the dealt batch "
-                f"of labels {dealt.labels.shape}")
-        self.samplers = [i for i, n in enumerate(sizes)
-                         if batch_size is not None and batch_size < n]
-        self.members = members = [self.clients[i] for i in self.samplers]
-        if not members:
-            return
-        for client in members:
-            if (client.weights.shape != (spec.dim,)
-                    or client.shard.features.shape[1:] != (spec.input_dim,)):
-                raise ContractViolationError(
-                    f"client {client.id} does not fit the group's model {spec}: "
-                    f"weights {client.weights.shape}, features "
-                    f"{client.shard.features.shape}")
-        self.sizes = [sizes[i] for i in self.samplers]
-        self.pool = dealt
-        self.starts = np.cumsum([0] + sizes[:-1])[self.samplers, None]
-        self.id_words = [seed_words(client.id) for client in members]
-
-
-def grouped_local_round(group: ClientGroup, epochs: int, eta: float,
-                        seed: np.ndarray) -> list[np.ndarray]:
-    """K = epochs local steps for each client of the group; sets each
-    client's weights and returns the z of each client in order.
-
-    Every client steps through local_round, the one SGD loop. A full-shard
-    client takes its whole shard at each step, one call per client. seed is
-    the round's uint32 seed words: a sampler draws from default_rng(seed
-    followed by seed_words(its id)), the stream of the seed list
-    [*seed, id], and only samplers build a generator. Each sampler makes
-    its epochs rng.choice(shard size, batch_size, replace=False) draws for
-    the round up front, and one gather takes every step's rows from the
-    group's pool. The samplers then step together in one local_round call
-    with no padding: params (n, d) and batches (n, batch_size, f) per step.
-    Every stacked operation acts on each client alone, so weights and z
-    equal one call per sampler bit for bit.
-
-    The group's shapes were checked when it was built; this checks the
-    round's arguments and the seed, and each gradient call checks its
-    batch against the spec.
-    """
-    if epochs < 1:
-        raise ContractViolationError("epochs must be >= 1")
-    if not eta > 0.0:
-        raise ContractViolationError("eta must be positive")
-    seed = np.asarray(seed)
-    if seed.dtype != np.uint32 or seed.ndim != 1:
-        raise ContractViolationError("seed must be a 1-d array of uint32 words")
-    samplers = set(group.samplers)
-    zs = [None] * len(group.clients)
-    for i, client in enumerate(group.clients):
-        if i not in samplers:
-            client.weights, zs[i] = local_round(client.weights, [client.shard] * epochs,
-                                                group.spec, eta)
-    if not samplers:
-        return zs
-
-    members, batch_size = group.members, group.batch_size
-    take = np.empty((epochs, len(members), batch_size), dtype=np.int64)
-    for j, (n, words) in enumerate(zip(group.sizes, group.id_words)):
-        gen = np.random.default_rng(np.concatenate((seed, words)))
-        for step in take[:, j]:
-            step[...] = gen.choice(n, size=batch_size, replace=False)
-    take += group.starts
-    batches = group.pool.rows(take)
-    w, z = local_round(np.stack([client.weights for client in members]),
-                       [batches.rows(step) for step in range(epochs)], group.spec, eta)
-    for i, client, wi, zi in zip(group.samplers, members, w, z):
-        client.weights, zs[i] = wi, zi
-    return zs
 
 
 def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,

@@ -4,6 +4,7 @@ import glob
 import math
 import shlex
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -258,16 +259,32 @@ class TestRunCommand:
         (["dataset.dim=100000000000000000000", "run.rounds=1"], "DPG1"),
         (["dataset.classes=100000000000000000000", "run.rounds=1"], "DPG1"),
         (["dataset.spread=1e308", "run.rounds=2"], "dataset.spread"),
-    ], ids=["delay", "walk-m", "walk-m-fedavg", "dim", "classes", "spread"])
+        # Sizes numpy cannot allocate at all, refused before any allocation.
+        ([f"run.local_epochs={2 ** 63}"], "one round's local steps"),
+        ([f"run.n_clients={2 ** 62}"], "training examples"),
+        ([f"run.n_clients={10 ** 20}"], "training examples"),
+        ([f"dataset.per_class={2 ** 62}"], "the dataset's"),
+        ([f"dataset.per_class={10 ** 20}"], "the dataset's"),
+        ([f"dataset.test_per_class={10 ** 20}"], "the dataset's"),
+    ], ids=["delay", "walk-m", "walk-m-fedavg", "dim", "classes", "spread",
+            "epochs", "clients", "clients-1e20", "per-class", "per-class-1e20",
+            "test-per-class-1e20"])
     @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
     def test_oversized_value_exits_2(self, tmp_path, capsys, sets, reason):
         out = tmp_path / "x.csv"
-        code = main(["run", *(arg for s in sets for arg in ("--set", s)),
-                     "--out", str(out)])
+        tracemalloc.start()
+        try:
+            code = main(["run", *(arg for s in sets for arg in ("--set", s)),
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2
-        err = capsys.readouterr().err
-        assert reason in err
-        assert "Traceback" not in err
+        assert peak < 2 ** 20  # nothing sized by the value was allocated
+        lines = [ln for ln in capsys.readouterr().err.splitlines()
+                 if not ln.startswith("INFO ")]
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert reason in lines[0]
         assert not out.exists()
 
     def test_out_is_directory_exits_2(self, config_file, tmp_path, capsys, no_run):

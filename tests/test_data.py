@@ -144,6 +144,13 @@ class TestPartition:
         with pytest.raises(ContractViolationError, match="label 0 "):
             partition(np.array([0]), 0, cfg)
 
+    def test_alpha_whose_draw_overflows_is_refused(self):
+        """Near the float limit three gamma draws sum to inf and the
+        Dirichlet shares come back as zeros, which deal no example."""
+        cfg = PartitionConfig(alpha=1e308, rho=1.0, n_clients=3, seed=0)
+        with pytest.raises(ConfigurationError, match="too large for a Dirichlet draw"):
+            partition(np.array([0, 0, 1, 1]), 2, cfg)
+
     def _cover_check(self, shards, n):
         joined = np.concatenate(shards)
         assert joined.shape[0] == n

@@ -4,12 +4,13 @@ import gc
 import math
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpga import engine
+from dpga import engine, protocol
 from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
                          Simulation, comm_time, objective, resolve_delay,
                          validate_config)
@@ -186,6 +187,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="DPG1"):
             validate_config(_cfg(dim=2 ** 31 - 1, num_classes=2))
 
+    @pytest.mark.parametrize("kw, reason", [
+        (dict(n_clients=37), "more than the 36 training examples"),
+        (dict(local_epochs=2 ** 63), "one round's local steps"),
+        (dict(batch_size=1, local_epochs=2 ** 59), "one round's local steps"),
+        (dict(per_class=2 ** 62), "the dataset's"),
+        (dict(test_per_class=10 ** 20), "the dataset's"),
+        (dict(model_kind="mlp", hidden_dims=(2 ** 30 - 1,), dim=1, num_classes=2,
+              per_class=2 ** 30), "the dataset's"),
+        (dict(n_clients=2 ** 29, num_classes=2, per_class=2 ** 28, model_kind="mlp",
+              hidden_dims=(60000, 60000)), "stacked weights"),
+    ], ids=["clients", "step-list", "draws", "features", "test-features",
+            "activations", "weights"])
+    def test_sizes_past_numpy_are_refused(self, kw, reason):
+        """Every client needs an example, and no array a run sizes from the
+        config may take more bytes than intp counts. Only validate_config
+        runs, as a Simulation would allocate some of these sizes if the
+        refusal broke."""
+        with pytest.raises(ConfigurationError, match=reason):
+            validate_config(_cfg(**kw))
+        validate_config(_cfg(n_clients=36, batch_size=1))  # one example each is enough
+
     def test_walk_steps_bound_is_inclusive(self):
         assert validate_config(_cfg(algorithm="dpga", walk_m=MAX_STEPS,
                                     delay=1, bandwidth=1e9)) == 1
@@ -356,6 +378,59 @@ class TestInitialModel:
         sim.run()
         assert w0.tobytes() == before.tobytes()
         assert all(c.weights is not w0 and c.anchor is not w0 for c in sim.clients)
+
+
+class TestLocalSteps:
+    """Simulation takes each round's local steps from the shards it dealt."""
+
+    @pytest.mark.parametrize("batch_size, samplers", [(3, 8), (12, 5)],
+                             ids=["all-samplers", "mixed"])
+    def test_pool_is_the_dealt_batch(self, batch_size, samplers):
+        """The samplers draw from the batch Simulation dealt, not a copy of
+        it: every client's shard is a view of it, and each sampler's row
+        offset leads to its own shard's rows there."""
+        # Shards of 11, 15, 6, 21, 25, 19, 19 and 4 examples.
+        sim = Simulation(SimConfig(batch_size=batch_size, rounds=1))
+        dealt = sim._dealt
+        assert len(sim._samplers) == samplers
+        assert dealt.size == sum(c.shard.size for c in sim.clients)
+        assert all(np.shares_memory(dealt.features, c.shard.features)
+                   for c in sim.clients)
+        for i, start in zip(sim._samplers, sim._sampler_starts[:, 0]):
+            shard = sim.clients[i].shard
+            rows = dealt.rows(slice(start, start + shard.size))
+            for got, want in ((rows.features, shard.features), (rows.labels, shard.labels)):
+                assert got.shape == want.shape
+                assert got.__array_interface__["data"] == want.__array_interface__["data"]
+
+    def test_every_gradient_call_runs_inside_local_round(self):
+        """A run takes every local step in local_round: one call per
+        full-shard client and one for the stacked samplers each round."""
+        depth, calls = [0], {"local_round": 0, "inside": 0, "outside": 0}
+        real_round, real_gradient = engine.local_round, protocol.loss_and_gradient
+
+        def counted_round(*args):
+            calls["local_round"] += 1
+            depth[0] += 1
+            try:
+                return real_round(*args)
+            finally:
+                depth[0] -= 1
+
+        def counted_gradient(*args):
+            calls["inside" if depth[0] else "outside"] += 1
+            return real_gradient(*args)
+
+        # Shards of 11, 15, 6, 21, 25, 19, 19 and 4 examples: 5 samplers
+        # and 3 full-shard clients.
+        cfg = SimConfig(batch_size=12, rounds=3)
+        with (mock.patch.object(engine, "local_round", counted_round),
+              mock.patch.object(protocol, "loss_and_gradient", counted_gradient)):
+            sim = Simulation(cfg)
+            assert len(sim._samplers) == 5
+            sim.run()
+        assert calls == {"local_round": 4 * cfg.rounds,
+                         "inside": 4 * cfg.rounds * cfg.local_epochs, "outside": 0}
 
 
 class TestDeterminism:

@@ -14,30 +14,17 @@ from hypothesis.extra.numpy import arrays
 
 from dpga import protocol
 from dpga.checks import union_aggregate
-from dpga.engine import SimConfig, Simulation
 from dpga.errors import ContractViolationError
 from dpga.masking import (SharedSet, SparseGradient, decode, encode, extract_shared,
                           topk_shared_indices)
 from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
-from dpga.protocol import (CORRECTION_SCOPES, ClientGroup, ClientState,
-                           GlobalAggregate, apply_correction,
-                           build_upload, grouped_local_round, local_round,
+from dpga.protocol import (CORRECTION_SCOPES, ClientState, GlobalAggregate,
+                           apply_correction, build_upload, local_round,
                            measure_correction, pairwise_mean, pairwise_sum,
                            seed_words, server_aggregate, static_partial_mask)
-from test_models import _joined, _pooled_bias
+from test_models import _joined
 
 SPEC = ModelSpec(kind="logistic-regression", input_dim=2, num_classes=2)
-
-
-def _grouped(clients, spec, batch_size):
-    """The clients' group, their shards first dealt as Simulation deals
-    them: one after another, as views of one batch of all their rows."""
-    dealt = _joined([c.shard for c in clients])
-    end = 0
-    for c in clients:
-        c.shard = dealt.rows(slice(end, end + c.shard.size))
-        end += c.shard.size
-    return ClientGroup(clients, spec, batch_size, dealt)
 
 
 def _agg(round, indices, values, counts, d=SPEC.dim):
@@ -287,167 +274,6 @@ class TestLocalRound:
         # holds at least one example.
         with pytest.raises(ContractViolationError):
             Batch(np.zeros((0, 2)), np.zeros(0, dtype=int))
-
-
-@st.composite
-def _groups(draw):
-    """Clients with one spec and shards on both sides of batch_size."""
-    kind = draw(st.sampled_from(["logistic-regression", "mlp"]))
-    hidden = (tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
-              if kind == "mlp" else ())
-    spec = ModelSpec(kind=kind, input_dim=draw(st.integers(1, 6)),
-                     num_classes=draw(st.integers(2, 5)), hidden_dims=hidden,
-                     activation=draw(st.sampled_from(["relu", "tanh"])))
-    batch_size = draw(st.none() | st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    clients = []
-    for i, n in enumerate(draw(st.lists(st.integers(1, 24), min_size=1, max_size=8))):
-        shard = Batch(rng.standard_normal((n, spec.input_dim)),
-                      rng.integers(0, spec.num_classes, n))
-        clients.append(ClientState(id=i, weights=rng.standard_normal(spec.dim),
-                                   shard=shard, max_pending=1))
-    return (clients, spec, draw(st.integers(1, 4)),
-            draw(st.sampled_from([0.01, 0.1, 0.5])), batch_size, draw(st.integers(0, 1000)))
-
-
-def _check_grouped(case):
-    """The group's weights and z against a straight-line loop per client:
-    a sampler draws each step's rows from default_rng([seed, id]), and a
-    full-shard client takes its whole shard."""
-    clients, spec, epochs, eta, batch_size, seed = case
-    alone = copy.deepcopy(clients)
-    zs = grouped_local_round(_grouped(clients, spec, batch_size), epochs, eta,
-                             seed_words(seed))
-    for c, a, z in zip(clients, alone, zs):
-        n, rng = a.shard.size, np.random.default_rng([seed, a.id])
-        w0 = w = a.weights
-        acc = np.zeros_like(w0)
-        for _ in range(epochs):
-            batch = a.shard
-            if batch_size is not None and batch_size < n:
-                batch = a.shard.rows(rng.choice(n, size=batch_size, replace=False))
-            _, g = loss_and_gradient(w, batch, spec)
-            acc += g
-            w = w0 - eta * acc
-        assert np.array_equal(z, acc)
-        assert np.array_equal(c.weights, w)
-
-
-class TestGroupedLocalRound:
-    """Stepping the sampled clients together changes no bit of any
-    client's weights or z."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(_groups())
-    def test_equals_local_round_per_client(self, case):
-        _check_grouped(case)
-
-    def test_pooled_bias_gradient_fails(self):
-        with mock.patch.object(protocol, "loss_and_gradient", _pooled_bias):
-            with pytest.raises(AssertionError):
-                settings(max_examples=150, deadline=None)(
-                    given(_groups())(_check_grouped))()
-
-    def _group(self, n=3, rows=6, classes=2):
-        rng = np.random.default_rng(7)
-        return [ClientState(id=i, weights=init_params(SPEC, i),
-                            shard=Batch(rng.standard_normal((rows, 2)),
-                                        rng.integers(0, classes, rows)),
-                            max_pending=1) for i in range(n)]
-
-    def test_checks_hold(self):
-        for batch_size in (2, None):  # the samplers, or every client on its shard
-            self._check_refusals(batch_size)
-
-    def _check_refusals(self, batch_size):
-        def run(clients, epochs=2, eta=0.1, batch_size=batch_size):
-            return grouped_local_round(_grouped(clients, SPEC, batch_size), epochs,
-                                       eta, seed_words(0))
-
-        for args in (dict(epochs=0), dict(eta=0.0), dict(eta=float("nan")),
-                     dict(batch_size=0)):
-            with pytest.raises(ContractViolationError):
-                run(self._group(), **args)
-        with pytest.raises(ContractViolationError):  # seed words are uint32
-            grouped_local_round(_grouped(self._group(), SPEC, batch_size), 1, 0.1,
-                                [[0, 0]])
-        for bad in (0, 2):  # every client, or the last one, with a wrong length
-            clients = self._group()
-            for c in clients[bad:]:
-                c.weights = np.zeros(SPEC.dim + 1)
-            with pytest.raises(ContractViolationError):
-                run(clients)
-        clients = self._group()
-        for c in clients:  # a dealt batch has one feature dim, here not SPEC's
-            c.shard = Batch(np.ones((6, 3)), np.zeros(6, dtype=int))
-        with pytest.raises(ContractViolationError):
-            run(clients)
-        with pytest.raises(ContractViolationError):
-            run(self._group(classes=3))  # a label outside SPEC's 2 classes
-        clients = self._group()
-        clients[2].weights = np.full(SPEC.dim, 1e308)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ContractViolationError, match="non-finite"):
-                run(clients)
-
-    @pytest.mark.parametrize("batch_size", [2, None])
-    def test_refuses_shards_that_do_not_tile_dealt(self, batch_size):
-        """Shards whose sizes do not add up to the dealt batch's rows, or a
-        stacked dealt batch, are refused before any client is checked."""
-        clients = self._group()
-        dealt = _joined([c.shard for c in clients])
-        for bad in (dealt.rows(slice(1, None)), _joined([dealt, dealt]),
-                    dealt.rows(np.arange(18).reshape(3, 6))):
-            with pytest.raises(ContractViolationError, match="tile"):
-                ClientGroup(clients, SPEC, batch_size, bad)
-
-    @pytest.mark.parametrize("batch_size, samplers", [(3, 8), (12, 5)],
-                             ids=["all-samplers", "mixed"])
-    def test_pool_is_the_dealt_batch(self, batch_size, samplers):
-        """The samplers draw from the batch Simulation dealt, not a copy of
-        it: every client's shard is a view of the pool, and each sampler's
-        row offset leads to its own shard's rows there."""
-        # Shards of 11, 15, 6, 21, 25, 19, 19 and 4 examples.
-        sim = Simulation(SimConfig(batch_size=batch_size, rounds=1))
-        group = sim._group
-        assert len(group.samplers) == samplers
-        assert group.pool.size == sum(c.shard.size for c in sim.clients)
-        assert all(np.shares_memory(group.pool.features, c.shard.features)
-                   for c in sim.clients)
-        for i, start, n in zip(group.samplers, group.starts[:, 0], group.sizes):
-            rows, shard = group.pool.rows(slice(start, start + n)), sim.clients[i].shard
-            for got, want in ((rows.features, shard.features), (rows.labels, shard.labels)):
-                assert got.shape == want.shape
-                assert got.__array_interface__["data"] == want.__array_interface__["data"]
-
-    def test_every_gradient_call_runs_inside_local_round(self):
-        """A run takes every local step in local_round: one call per
-        full-shard client and one for the stacked samplers each round."""
-        depth, calls = [0], {"local_round": 0, "inside": 0, "outside": 0}
-        real_round, real_gradient = protocol.local_round, protocol.loss_and_gradient
-
-        def counted_round(*args):
-            calls["local_round"] += 1
-            depth[0] += 1
-            try:
-                return real_round(*args)
-            finally:
-                depth[0] -= 1
-
-        def counted_gradient(*args):
-            calls["inside" if depth[0] else "outside"] += 1
-            return real_gradient(*args)
-
-        # Shards of 11, 15, 6, 21, 25, 19, 19 and 4 examples: 5 samplers
-        # and 3 full-shard clients.
-        cfg = SimConfig(batch_size=12, rounds=3)
-        with (mock.patch.object(protocol, "local_round", counted_round),
-              mock.patch.object(protocol, "loss_and_gradient", counted_gradient)):
-            sim = Simulation(cfg)
-            assert len(sim._group.samplers) == 5
-            sim.run()
-        assert calls == {"local_round": 4 * cfg.rounds,
-                         "inside": 4 * cfg.rounds * cfg.local_epochs, "outside": 0}
 
 
 class TestClientState:

@@ -24,10 +24,13 @@ correction_log as Simulation.run(), bit for bit.
 """
 
 from collections import deque
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, strategies as st
 
+from dpga import protocol
 from dpga.checks import lexsort_topk
 from dpga.engine import ALGORITHMS, MetricsRecord, SimConfig, Simulation, resolve_delay
 from dpga.errors import ConfigurationError
@@ -35,6 +38,7 @@ from dpga.masking import payload_bytes, shared_count
 from dpga.models import evaluate, loss_and_gradient, mean_loss
 from dpga.protocol import pairwise_mean, pairwise_sum
 from dpga.ratewalk import GRID
+from test_models import _pooled_bias
 
 _BATCH_TAG = 5  # the purpose tag of the minibatch streams
 
@@ -124,11 +128,12 @@ def small_configs(draw):
     algorithm = draw(st.sampled_from(ALGORITHMS))
     synchronous = algorithm in ("fedavg", "static-partial")
     mlp = draw(st.booleans())
+    n_clients = draw(st.integers(1, 8))
     return SimConfig(
         algorithm=algorithm,
-        n_clients=draw(st.integers(1, 4)), rounds=draw(st.integers(1, 6)),
-        local_epochs=draw(st.integers(1, 3)), eta=draw(st.sampled_from([0.05, 0.2])),
-        batch_size=draw(st.one_of(st.none(), st.integers(1, 6))),
+        n_clients=n_clients, rounds=draw(st.integers(1, 6)),
+        local_epochs=draw(st.integers(1, 4)), eta=draw(st.sampled_from([0.05, 0.2])),
+        batch_size=draw(st.one_of(st.none(), st.integers(1, 12))),
         delay=0 if synchronous else draw(st.integers(0, 3)),
         bandwidth=10_000.0, latency=draw(st.sampled_from([0.0, 0.5])),
         walk_m=draw(st.integers(0, 2)), walk_p0=float(draw(st.sampled_from(GRID))),
@@ -137,10 +142,11 @@ def small_configs(draw):
         static_fraction=draw(st.sampled_from([0.1, 0.35, 1.0])),
         eval_every=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**40)),
         model_kind="mlp" if mlp else "logistic-regression",
-        hidden_dims=(draw(st.integers(1, 4)),) if mlp else (),
+        hidden_dims=(tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+                     if mlp else ()),
         activation=draw(st.sampled_from(["relu", "tanh"])),
         num_classes=draw(st.integers(2, 3)), dim=draw(st.integers(1, 4)),
-        per_class=draw(st.integers(6, 12)), test_per_class=3,
+        per_class=draw(st.integers(6, 12 + 3 * n_clients)), test_per_class=3,
         alpha=draw(st.sampled_from([1.0, 5.0])),
     )
 
@@ -158,3 +164,12 @@ def test_run_equals_straight_line_reference(cfg):
     assert np.stack([c.weights for c in sim.clients]).tobytes() == want_w.tobytes()
     assert np.stack([c.anchor for c in sim.clients]).tobytes() == want_a.tobytes()
     assert repr(sim.correction_log) == repr(want_log)
+
+
+def test_pooled_bias_gradient_fails():
+    """The run steps its samplers stacked and the reference steps each
+    client alone, so a stacked kernel that sums each bias gradient over the
+    clients fails the property."""
+    with mock.patch.object(protocol, "loss_and_gradient", _pooled_bias):
+        with pytest.raises(AssertionError):
+            test_run_equals_straight_line_reference()
