@@ -31,9 +31,13 @@ MAX_STEPS = 10 ** 9
 
 def grid_numerator(p: float) -> int | None:
     """The n in 1..N_STATES with p * N_STATES within 1e-9 of n, or None when
-    p is off the grid. Every rate on the grid is parsed here."""
-    num = round(p * N_STATES)
-    if 1 <= num <= N_STATES and abs(p * N_STATES - num) <= 1e-9:
+    p is off the grid. Every rate on the grid is parsed here; a huge, an
+    infinite or a NaN p is off it."""
+    scaled = p * N_STATES
+    if not abs(scaled) <= N_STATES + 1:
+        return None
+    num = round(scaled)
+    if 1 <= num <= N_STATES and abs(scaled - num) <= 1e-9:
         return num
     return None
 

@@ -276,6 +276,68 @@ class TestLocalRound:
             Batch(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
+@st.composite
+def _groups(draw):
+    """Clients with one spec, each shard larger than batch_size, so every
+    client samples."""
+    kind = draw(st.sampled_from(["logistic-regression", "mlp"]))
+    hidden = (tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+              if kind == "mlp" else ())
+    spec = ModelSpec(kind=kind, input_dim=draw(st.integers(1, 6)),
+                     num_classes=draw(st.integers(2, 5)), hidden_dims=hidden,
+                     activation=draw(st.sampled_from(["relu", "tanh"])))
+    batch_size = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clients = []
+    for i, n in enumerate(draw(st.lists(st.integers(batch_size + 1, batch_size + 24),
+                                        min_size=1, max_size=8))):
+        shard = Batch(rng.standard_normal((n, spec.input_dim)),
+                      rng.integers(0, spec.num_classes, n))
+        clients.append(ClientState(id=i, weights=rng.standard_normal(spec.dim),
+                                   shard=shard, max_pending=1))
+    return (clients, spec, draw(st.integers(1, 4)),
+            draw(st.sampled_from([0.01, 0.1, 0.5])), batch_size, draw(st.integers(0, 1000)))
+
+
+def _check_grouped(case):
+    """One stacked local_round over every client's minibatches, gathered
+    from one pool of their shards as Simulation gathers its samplers'
+    steps, against a straight-line loop per client: each draws its steps'
+    rows from default_rng([seed, id])."""
+    clients, spec, epochs, eta, batch_size, seed = case
+    pool = _joined([c.shard for c in clients])
+    starts = np.cumsum([0] + [c.shard.size for c in clients[:-1]])
+    take = np.empty((epochs, len(clients), batch_size), dtype=np.int64)
+    for j, c in enumerate(clients):
+        gen = np.random.default_rng([seed, c.id])
+        for step in take[:, j]:
+            step[...] = gen.choice(c.shard.size, size=batch_size, replace=False)
+    batches = pool.rows(take + starts[:, None])
+    ws, zs = local_round(np.stack([c.weights for c in clients]),
+                         [batches.rows(step) for step in range(epochs)], spec, eta)
+    for c, w_got, z in zip(clients, ws, zs):
+        n, rng = c.shard.size, np.random.default_rng([seed, c.id])
+        w0 = w = c.weights
+        acc = np.zeros_like(w0)
+        for _ in range(epochs):
+            batch = c.shard.rows(rng.choice(n, size=batch_size, replace=False))
+            _, g = loss_and_gradient(w, batch, spec)
+            acc += g
+            w = w0 - eta * acc
+        assert z.tobytes() == acc.tobytes()
+        assert w_got.tobytes() == w.tobytes()
+
+
+class TestGroupedLocalRound:
+    """Stepping the sampling clients together in one stacked local_round
+    changes no bit of any client's weights or z."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_groups())
+    def test_equals_local_round_per_client(self, case):
+        _check_grouped(case)
+
+
 class TestClientState:
     def test_anchor_defaults_to_the_weights_array(self):
         """Without an anchor a client anchors on its weights array itself;

@@ -89,6 +89,14 @@ class TestTransitionDistribution:
         with pytest.raises(ConfigurationError):
             state_index(0.0)
 
+    @pytest.mark.parametrize("p", [1.797693134862316e307, -1e308, math.inf, math.nan])
+    def test_rate_past_float_range_rejected(self, p):
+        """A rate whose p * N_STATES overflows or is NaN is off the grid,
+        not an OverflowError or ValueError from round()."""
+        assert ratewalk.grid_numerator(p) is None
+        with pytest.raises(ConfigurationError, match="grid"):
+            state_index(p)
+
     def test_negative_steps_rejected(self):
         with pytest.raises(ConfigurationError):
             m_step_matrix(-1)
