@@ -115,6 +115,13 @@ def load_config(path: str | None, sets: list[str], seed_flag: int | None) -> Sim
             raise ConfigurationError(f"cannot read config {path}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigurationError(f"cannot parse config {path}: {exc}") from None
+        # configparser would copy a [DEFAULT] key into every section, or
+        # drop it when there is none; each key belongs to one section.
+        if parser.defaults():
+            key = next(iter(parser.defaults()))
+            raise ConfigurationError(
+                f"config key [{parser.default_section}] {key} belongs to no section; "
+                "set it under its own section")
         for section in parser.sections():
             for key, raw in parser.items(section):
                 field, value = _parse_value(section, key, raw)

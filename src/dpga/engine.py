@@ -356,9 +356,11 @@ class Simulation:
             return rates, float(np.mean(rates))
         return rates * n, rates[0]
 
-    def _local_steps(self, t: int) -> list[np.ndarray]:
-        """Round t's local_epochs steps for every client: sets each client's
-        weights and returns each client's z, in client order.
+    def _local_steps(self, t: int, keep: bool) -> list[np.ndarray]:
+        """Round t's local_epochs steps for every client: returns each
+        client's z, in client order, and sets each client's weights to
+        the result if keep, else to None (a delivery this round rebuilds
+        them without reading them).
 
         A full-shard client steps on its whole shard, one local_round call
         per client. A sampler makes its rng.choice(shard size, batch_size,
@@ -373,8 +375,9 @@ class Simulation:
         zs, sampling = [None] * len(self.clients), set(samplers)
         for i, client in enumerate(self.clients):
             if i not in sampling:
-                client.weights, zs[i] = local_round(client.weights, [client.shard] * epochs,
-                                                    self.spec, cfg.eta)
+                w, zs[i] = local_round(client.weights, [client.shard] * epochs,
+                                       self.spec, cfg.eta)
+                client.weights = w if keep else None
         if not samplers:
             return zs
         members = [self.clients[i] for i in samplers]
@@ -389,7 +392,7 @@ class Simulation:
         w, z = local_round(np.stack([client.weights for client in members]),
                            [batches.rows(step) for step in range(epochs)], self.spec, cfg.eta)
         for i, client, wi, zi in zip(samplers, members, w, z):
-            client.weights, zs[i] = wi, zi
+            client.weights, zs[i] = wi if keep else None, zi
         return zs
 
     def _evaluate(self):
@@ -410,8 +413,12 @@ class Simulation:
         clock = 0.0
 
         for t in range(1, cfg.rounds + 1):
+            # An aggregate lands D rounds after its upload, so from round
+            # D + 1 on each round delivers the oldest one to every client;
+            # the last round drains everything still in flight.
+            delivers = t > self.delay or t == cfg.rounds
             rates, p_used = self._rates(t)
-            zs = self._local_steps(t)
+            zs = self._local_steps(t, keep=not delivers)
 
             msgs = [build_upload(client, z, p, t, shared=self._shared)
                     for client, z, p in zip(self.clients, zs, rates)]
@@ -427,17 +434,18 @@ class Simulation:
             else:
                 down_sizes = [self._payload(int(agg.indices.shape[0]))] * len(msgs)
             inflight.append((t, agg.values * cfg.eta, sum(down_sizes), delta))
-            del agg  # delivery reads only the round and eta * values kept above
+            # Delivery reads only the round and eta * values kept above;
+            # the clients hold every z they still need.
+            del agg, msgs, zs
             exchange = max(u + dn for u, dn in zip(up_sizes, down_sizes))
 
-            # An aggregate lands D rounds after its upload; the last round
-            # drains everything still in flight.
-            while inflight and (inflight[0][0] + self.delay <= t or t == cfg.rounds):
-                due, scaled, down, delta = inflight.popleft()
-                for c in self.clients:
-                    apply_correction(c, due, scaled)
-                self.correction_log.append((due, delta))
-                down_total += down
+            if delivers:
+                for _ in range(len(inflight) if t == cfg.rounds else 1):
+                    due, scaled, down, delta = inflight.popleft()
+                    for c in self.clients:
+                        apply_correction(c, due, scaled)
+                    self.correction_log.append((due, delta))
+                    down_total += down
 
             clock += cfg.t_compute
             # A delayed run only waits once, for the final exchange to drain.

@@ -18,12 +18,13 @@ the new anchor. Scaling commutes with the merge's select, and the replay
 subtracts each stored step, so it rounds the same product and difference
 as w - eta * z. The server and the evaluation sum rows with one streaming
 tree, pairwise_sum, whose association depends only on the row count, so
-neither stacks an (n_clients, d) array. That makes the two documented
-degenerate cases exact: identical clients see corrections of exactly
-zero and stay on the plain SGD trajectory, and p=1 with zero delay
-reproduces synchronized gradient averaging bit for bit. local_round is
-the one SGD loop, for one client or for clients stacked, with the same
-arithmetic per client, so stacking changes no bit either.
+neither stacks an (n_clients, d) array; the server counts contributors
+message by message, without concatenating their indices. That makes the
+two documented degenerate cases exact: identical clients see corrections
+of exactly zero and stay on the plain SGD trajectory, and p=1 with zero
+delay reproduces synchronized gradient averaging bit for bit.
+local_round is the one SGD loop, for one client or for clients stacked,
+with the same arithmetic per client, so stacking changes no bit either.
 """
 
 from __future__ import annotations
@@ -115,10 +116,13 @@ class ClientState:
     same object. staged holds the raw z of upload last_round until
     measure_correction queues that round in pending, and is None after.
     The anchor defaults to the weights array itself: weights and anchor
-    are replaced, never written in place, so clients may share them."""
+    are replaced, never written in place, so clients may share them.
+    weights is None from the local step of a round that delivers an
+    aggregate until apply_correction rebuilds it from the anchor and the
+    pending steps, which it does without reading the old weights."""
 
     id: int
-    weights: np.ndarray
+    weights: np.ndarray | None
     shard: Batch
     max_pending: int
     anchor: np.ndarray = None
@@ -252,14 +256,15 @@ def server_aggregate(messages: list[SparseGradient], d: int,
 
     d is the model size, which every message's set must be for, and the
     aggregate has one value and one count per coordinate, 0 where nobody
-    shared. The counts are one bincount over all the messages' indices.
-    pairwise_sum streams the messages, each scattered into its own zeroed
-    length-d row, so a round holds a few rows, never an (n_messages, d)
-    array, and the fixed tree sums them column by column: a shared
-    coordinate carries the same bits whichever other coordinates are
-    shared. Weights, each finite and > 0, scale the rows first and the
-    tree over the weights is the denominator. The aggregate derives its
-    support from the counts. This checks the rounds, the weights and each
+    shared. pairwise_sum streams the messages, each scattered into its
+    own zeroed length-d row, so a round holds a few rows, never an
+    (n_messages, d) array, and the fixed tree sums them column by
+    column: a shared coordinate carries the same bits whichever other
+    coordinates are shared. Weights, each finite and > 0, scale the rows
+    first and the tree over the weights is the denominator. After the
+    tree each message adds its own bincount into one length-d row of
+    counts, so no index array is concatenated, and the aggregate derives
+    its support from those counts. This checks the rounds, the weights and each
     set's d before anything is allocated, and writes to no message. The
     work is linear in d and no index is sorted or searched.
     """
@@ -279,9 +284,6 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     if any(m.shared.d != d for m in messages):
         raise ContractViolationError(f"a message's shared set is not for a model of size {d}")
 
-    # Indices are distinct within a message, so this counts contributors.
-    counts = np.bincount(np.concatenate([m.indices for m in messages]), minlength=d)
-
     def rows():
         for i, m in enumerate(messages):
             row = np.zeros(d)
@@ -292,6 +294,11 @@ def server_aggregate(messages: list[SparseGradient], d: int,
 
     # Off the support every row holds +0.0, so the sum there is already 0.
     values = pairwise_sum(rows())
+    # Indices are distinct within a message, so each adds one contributor.
+    # Counted after the tree, the counts do not add to its peak.
+    counts = np.zeros(d, dtype=np.int64)
+    for m in messages:
+        counts += np.bincount(m.indices, minlength=d)
     # One fixed set: each shared column holds every message's weight.
     den = counts if weights is None else pairwise_sum(weights[:, None])
     np.divide(values, den, out=values, where=counts > 0)

@@ -311,7 +311,12 @@ class TestRunCommand:
         # A % is literal text: configs have no interpolation.
         (b"[run]\nalgorithm = dp%ga\n", [], "unknown algorithm 'dp%ga'"),
         (b"\xff\xfe[run]\nrounds = 3\n", [], "cannot read config"),
-    ], ids=["unparsable-ini", "not-a-boolean", "percent-sign", "not-utf-8"])
+        # A [DEFAULT] key is refused, not dropped or copied into each section.
+        (b"[DEFAULT]\nrounds = 5\n", [], "[DEFAULT] rounds"),
+        (b"[DEFAULT]\nrounds = 5\n[run]\nalgorithm = dpga\n", [], "[DEFAULT] rounds"),
+        (b"[DEFAULT]\nrounds = 5\n[model]\nkind = mlp\n", [], "[DEFAULT] rounds"),
+    ], ids=["unparsable-ini", "not-a-boolean", "percent-sign", "not-utf-8",
+            "default-alone", "default-beside-run", "default-beside-model"])
     def test_bad_config_text_exits_2(self, tmp_path, capsys, ini, sets, reason):
         path, out = tmp_path / "exp.ini", tmp_path / "x.csv"
         path.write_bytes(ini)

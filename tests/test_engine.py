@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -15,7 +16,7 @@ from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
                          Simulation, comm_time, objective, resolve_delay,
                          validate_config)
 from dpga.errors import ConfigurationError
-from dpga.masking import ENTRY_BYTES, HEADER_BYTES
+from dpga.masking import ENTRY_BYTES, HEADER_BYTES, shared_count
 from dpga.models import Batch, mean_loss
 from dpga.protocol import CORRECTION_SCOPES, pairwise_mean
 from dpga.ratewalk import MAX_STEPS
@@ -431,6 +432,39 @@ class TestLocalSteps:
             sim.run()
         assert calls == {"local_round": 4 * cfg.rounds,
                          "inside": 4 * cfg.rounds * cfg.local_epochs, "outside": 0}
+
+
+class TestMemory:
+    def test_run_peaks_at_its_live_state(self):
+        """A shortened exchange-heavy run, 32 clients of the (64, 64) MLP
+        at D = 8 and a fixed rate, peaks under tracemalloc within 8 rows of
+        d of its live state: per client D + 2 rows (the anchor, D pending
+        steps and the staged z, as a round that delivers holds no
+        weights), D + 1 aggregates in flight, one round's messages (an
+        8-byte value and an 8-byte index per entry) and ceil(log2 n) + 3
+        rows of the server's tree. Nothing else outlives its use: not the previous round's
+        messages, a concatenation of every uploaded index, or post-step
+        weights that the round's delivery replaces unread."""
+        cfg = SimConfig(algorithm="dpga", n_clients=32, rounds=20, local_epochs=1,
+                        eta=0.2, delay=8, bandwidth=50000.0, latency=1.0,
+                        t_compute=1.5, walk_p0=0.5, walk_m=0,
+                        correction_scope="full-support", eval_every=50, seed=11,
+                        model_kind="mlp", hidden_dims=(64, 64), num_classes=10,
+                        dim=20, per_class=40, test_per_class=10, alpha=3.0)
+        sim = Simulation(cfg)
+        d, n, delay = sim.spec.dim, cfg.n_clients, sim.delay
+        assert (d, delay) == (6154, 8)
+        rows = n * (delay + 2) + delay + 1 + math.ceil(math.log2(n)) + 3
+        live = 8 * d * rows + n * 16 * shared_count(cfg.walk_p0, d)
+        slack = 8 * 8 * d
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim.run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < live + slack, (peak, live, slack)
 
 
 class TestDeterminism:

@@ -516,14 +516,14 @@ class TestServerAggregate:
 
     def test_no_message_by_model_buffer(self):
         """One exchange-heavy round, 32 Top-K uploads at d = 6,154, peaks
-        below the concatenated indices plus ceil(log2 n) + 3 rows of d:
-        the streamed tree holds a few rows, never one per message."""
+        below ceil(log2 n) + 3 rows of d: the streamed tree holds a few
+        rows, never one per message, and the counts need no concatenation
+        of every message's indices."""
         d, n = 6154, 32
         rng = np.random.default_rng(28)
         msgs = [extract_shared(z, topk_shared_indices(z, p), 1, p)
                 for z, p in zip(rng.standard_normal((n, d)), rng.uniform(0.3, 0.9, n))]
-        entries = sum(m.count for m in msgs)
-        bound = 8 * entries + (math.ceil(math.log2(n)) + 3) * 8 * d
+        bound = (math.ceil(math.log2(n)) + 3) * 8 * d
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
