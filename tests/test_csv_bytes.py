@@ -14,18 +14,22 @@ kernels of the build (numpy 2.4.6 with its OpenBLAS 0.3.31): on x86-64
 the matmul kernels of OpenBLAS and numpy's own SIMD loops (exp, log, tanh)
 each round differently with and without AVX-512. A machine runs both at
 one level, so a kernel family names the pair: "avx512" (SkylakeX,
-Cooperlake, SapphireRapids) or "avx2" (Haswell, Zen). Each case holds a
-pin per family, and a CSV must match its family's pin; a mixed pair, such
-as Haswell BLAS under numpy's AVX-512 loops, has no pins. A change that
-moves any of these bytes on purpose rewrites the pins under both families,
+Cooperlake, SapphireRapids), "avx2" (Haswell, Zen) or "sse42" (Nehalem
+with numpy's baseline x86-64-v2 loops, the oldest kernels either ships).
+Each case holds a pin per family, and a CSV must match its family's pin;
+a mixed pair, such as Haswell BLAS under numpy's AVX-512 loops, has no
+pins. A change that moves any of these bytes on purpose rewrites the pins
+under all three families,
 
     PYTHONPATH=src python tests/test_csv_bytes.py
 
-once as it is and once with OPENBLAS_CORETYPE=Haswell and
+once as it is, once with OPENBLAS_CORETYPE=Haswell and
 NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR set, which on an
-AVX-512 host runs what an AVX2-only CPU runs, and says so in CHANGES.md.
-Each run records the family it runs under and keeps the other family's
-pins.
+AVX-512 host runs what an AVX2-only CPU runs, and once with
+OPENBLAS_CORETYPE=Nehalem and
+NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR,X86_V3 set, and
+says so in CHANGES.md. Each run records the family it runs under and
+keeps the other families' pins.
 """
 
 import functools
@@ -141,21 +145,23 @@ CASES = {
 }
 # OPENBLAS_CORETYPE names -> the kernel family they select.
 FAMILIES = {"skylakex": "avx512", "cooperlake": "avx512",
-            "sapphirerapids": "avx512", "haswell": "avx2", "zen": "avx2"}
+            "sapphirerapids": "avx512", "haswell": "avx2", "zen": "avx2",
+            "nehalem": "sse42"}
 
 
 def kernel_family() -> str:
     """The kernels this process runs. The OpenBLAS family is the one
     OPENBLAS_CORETYPE names, or else the widest the CPU supports; numpy's
-    level is "avx512" when its X86_V4 loops are on (NPY_DISABLE_CPU_FEATURES
-    turns them off). When the two agree that is the family; a mixed pair
+    level is "avx512" when its X86_V4 loops are on, "avx2" with X86_V3 and
+    "sse42" with the x86-64-v2 baseline alone (NPY_DISABLE_CPU_FEATURES
+    turns levels off). When the two agree that is the family; a mixed pair
     is named for both parts."""
     from numpy._core._multiarray_umath import __cpu_features__ as cpu
     core = os.environ.get("OPENBLAS_CORETYPE", "").lower()
     blas = (FAMILIES.get(core, core) if core else "avx512" if cpu.get("AVX512F")
             else "avx2" if cpu.get("AVX2") else platform.machine())
     simd = ("avx512" if cpu.get("X86_V4") else "avx2" if cpu.get("X86_V3")
-            else platform.machine())
+            else "sse42" if cpu.get("X86_V2") else platform.machine())
     return blas if blas == simd else f"openblas-{blas}+numpy-{simd}"
 
 
