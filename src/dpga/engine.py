@@ -35,7 +35,7 @@ from .models import Batch, ModelSpec, evaluate, init_params, mean_loss
 from .protocol import (CORRECTION_SCOPES, ClientState, apply_correction,
                        build_upload, local_round, measure_correction,
                        pairwise_mean, seed_words, server_aggregate,
-                       static_partial_mask)
+                       static_partial_mask, step_weights)
 from .ratewalk import MAX_STEPS, RateState, state_index
 
 
@@ -358,9 +358,10 @@ class Simulation:
 
     def _local_steps(self, t: int, keep: bool) -> list[np.ndarray]:
         """Round t's local_epochs steps for every client: returns each
-        client's z, in client order, and sets each client's weights to
-        the result if keep, else to None (a delivery this round rebuilds
-        them without reading them).
+        client's z, in client order. If keep, each client's weights
+        become step_weights(w0, z, eta), the bits local_round's loop would
+        have formed for them; else they become None and are not formed (a
+        delivery this round rebuilds them without reading them).
 
         A full-shard client steps on its whole shard, one local_round call
         per client. A sampler makes its rng.choice(shard size, batch_size,
@@ -375,9 +376,9 @@ class Simulation:
         zs, sampling = [None] * len(self.clients), set(samplers)
         for i, client in enumerate(self.clients):
             if i not in sampling:
-                w, zs[i] = local_round(client.weights, [client.shard] * epochs,
-                                       self.spec, cfg.eta)
-                client.weights = w if keep else None
+                zs[i] = z = local_round(client.weights, [client.shard] * epochs,
+                                        self.spec, cfg.eta)
+                client.weights = step_weights(client.weights, z, cfg.eta) if keep else None
         if not samplers:
             return zs
         members = [self.clients[i] for i in samplers]
@@ -389,10 +390,11 @@ class Simulation:
                 step[...] = gen.choice(client.shard.size, size=batch_size, replace=False)
         take += self._sampler_starts
         batches = self._dealt.rows(take)
-        w, z = local_round(np.stack([client.weights for client in members]),
-                           [batches.rows(step) for step in range(epochs)], self.spec, cfg.eta)
+        w0 = np.stack([client.weights for client in members])
+        z = local_round(w0, [batches.rows(step) for step in range(epochs)], self.spec, cfg.eta)
+        w = step_weights(w0, z, cfg.eta) if keep else [None] * len(members)
         for i, client, wi, zi in zip(samplers, members, w, z):
-            client.weights, zs[i] = wi if keep else None, zi
+            client.weights, zs[i] = wi, zi
         return zs
 
     def _evaluate(self):

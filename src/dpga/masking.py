@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,10 +63,14 @@ class SharedSet:
     """The coordinates of a length-d vector that go up, checked once.
 
     The indices are copied, checked to be strictly ascending and below d,
-    and stored read-only. A fixed shared set (every coordinate, or a
-    static tail) is built once per run, and every message extract_shared
-    builds from it carries this same set, with no copy and no second
-    check. Two sets are equal only when they are the same object.
+    and stored read-only. mask is the same set as d read-only bools, True
+    at each index; Top-K and a fixed set hand theirs over when they build
+    the set, and any other set forms it on first read, so a decoded set,
+    which spans the wire's u32 range, holds none until it is read. A fixed
+    shared set (every coordinate, or a static tail) is built once per
+    run, and every message extract_shared builds from it carries this
+    same set, with no copy and no second check. Two sets are equal only
+    when they are the same object.
     """
 
     indices: np.ndarray
@@ -77,13 +82,26 @@ class SharedSet:
         object.__setattr__(self, "indices", idx)
 
     @classmethod
-    def _trusted(cls, indices: np.ndarray, d: int) -> SharedSet:
-        """Int64 indices its maker built strictly ascending and below d."""
+    def _trusted(cls, indices: np.ndarray, d: int,
+                 mask: np.ndarray | None = None) -> SharedSet:
+        """Int64 indices its maker built strictly ascending and below d,
+        and, if it has it, the length-d bool mask of the same set."""
         indices.setflags(write=False)
         shared = object.__new__(cls)
         object.__setattr__(shared, "indices", indices)
         object.__setattr__(shared, "d", d)
+        if mask is not None:
+            mask.setflags(write=False)
+            shared.__dict__["mask"] = mask
         return shared
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """d read-only bools, True exactly at the shared indices."""
+        mask = np.zeros(self.d, dtype=bool)
+        mask[self.indices] = True
+        mask.setflags(write=False)
+        return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +156,7 @@ def topk_shared_indices(z: np.ndarray, p: float) -> SharedSet:
     excess = np.count_nonzero(keep) - k
     if excess:  # more than K tie at t: the highest-indexed ties stay private
         keep[np.flatnonzero(mag == t)[-excess:]] = False
-    return SharedSet._trusted(np.flatnonzero(keep), d)
+    return SharedSet._trusted(np.flatnonzero(keep), d, keep)
 
 
 def extract_shared(z: np.ndarray, shared: SharedSet, round: int,

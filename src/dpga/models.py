@@ -100,6 +100,11 @@ class Batch:
     no write through the batch can invalidate that check. `rows` takes
     examples of a checked batch without checking them again. Two batches
     are equal only when they are the same object.
+
+    Like its label bound, a batch caches the positions a cross-entropy
+    reads in its flat logits, per number of classes, in its own __dict__
+    (see label_positions): they live and die with the batch, and a
+    sub-batch from `rows` forms its own.
     """
 
     features: np.ndarray
@@ -156,6 +161,19 @@ class Batch:
         slice takes a view instead of a copy.
         """
         return Batch._trusted(self.features[take], self.labels[take], self.label_bound)
+
+    def label_positions(self, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, picks) in this batch's flat logits over num_classes
+        classes: starts[i] = i * num_classes is where row i begins, and
+        picks, shaped like labels, where each row's label entry lies.
+        Both are read-only and formed once per num_classes."""
+        cache = self.__dict__.setdefault("_label_positions", {})
+        got = cache.get(num_classes)
+        if got is None:
+            starts = np.arange(0, self.size * num_classes, num_classes)
+            picks = (starts + self.labels.reshape(-1)).reshape(self.labels.shape)
+            got = cache[num_classes] = (_frozen(starts), _frozen(picks))
+        return got
 
 
 def _layer_views(params: np.ndarray, spec: ModelSpec):
@@ -227,21 +245,16 @@ def _class_max(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(flat, starts)
 
 
-def _log_softmax_terms(logits: np.ndarray, labels: np.ndarray, num_classes: int):
-    """(shift, lognorm, picks) for a mean cross-entropy.
-
-    shift is the logits less each row's max, lognorm the log of each row's
-    sum of exp(shift), with a trailing axis of 1, and picks the flat
-    position of each row's label. The log-softmax is shift - lognorm.
-    """
-    # Each row's offset in the flat logits, then, in place, its label's.
-    picks = np.arange(0, labels.size * num_classes, num_classes)
-    top = _class_max(logits.reshape(-1), picks)
+def _shift_logits(logits: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Subtract each row's max from the logits in place, giving the shift,
+    and return lognorm, the log of each row's sum of exp(shift), with a
+    trailing axis of 1. The log-softmax is shift - lognorm. starts is
+    where each row begins in the flat logits."""
+    top = _class_max(logits.reshape(-1), starts)
     # Max-subtracted log-sum-exp keeps this finite for any logit scale.
-    shift = logits - top.reshape(labels.shape + (1,))
+    shift = np.subtract(logits, top.reshape(logits.shape[:-1] + (1,)), out=logits)
     norm = np.add.reduce(np.exp(shift), axis=-1, keepdims=True)
-    picks += labels.reshape(-1)
-    return shift, np.log(norm, out=norm), picks.reshape(labels.shape)
+    return np.log(norm, out=norm)
 
 
 def _mean_nll(picked: np.ndarray):
@@ -258,18 +271,22 @@ def loss_and_gradient(params: np.ndarray, batch: Batch, spec: ModelSpec):
     """
     params = _check_args(params, batch, spec)
     layers, acts, logits = _forward(params, batch, spec)
-    logp, lognorm, picks = _log_softmax_terms(logits, batch.labels, spec.num_classes)
-    logp -= lognorm
-    loss = _mean_nll(logp.reshape(-1)[picks])
-    delta = np.exp(logp)
+    starts, picks = batch.label_positions(spec.num_classes)
+    # The logits buffer becomes the log-softmax, then delta, in place.
+    lognorm = _shift_logits(logits, starts)
+    logits -= lognorm
+    loss = _mean_nll(logits.reshape(-1)[picks])
+    delta = np.exp(logits, out=logits)
     delta.reshape(-1)[picks] -= 1.0
     delta /= batch.labels.shape[-1]
 
     # Backpropagate, writing each layer's gradient into its views of grad.
-    grad = np.empty(params.shape)
-    for li, (gw, gb) in reversed(list(enumerate(_layer_views(grad, spec)))):
-        np.matmul(acts[li].swapaxes(-1, -2), delta, out=gw)
-        np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
+    grad, lead = np.empty(params.shape), params.shape[:-1]
+    for li in range(len(layers) - 1, -1, -1):
+        w0, b0, b1, a, b = spec.layout[li]
+        np.matmul(acts[li].swapaxes(-1, -2), delta,
+                  out=grad[..., w0:b0].reshape(lead + (a, b)))
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grad[..., None, b0:b1])
         if li > 0:
             delta = np.matmul(delta, layers[li][0].swapaxes(-1, -2))
             a = acts[li]  # f(z) of the hidden layer below; f'(z) follows from it
@@ -301,8 +318,9 @@ def mean_loss(params: np.ndarray, batch: Batch, spec: ModelSpec):
     """
     params = _check_args(params, batch, spec)
     _, _, logits = _forward(params, batch, spec)
-    shift, lognorm, picks = _log_softmax_terms(logits, batch.labels, spec.num_classes)
-    picked = shift.reshape(-1)[picks]
+    starts, picks = batch.label_positions(spec.num_classes)
+    lognorm = _shift_logits(logits, starts)
+    picked = logits.reshape(-1)[picks]
     picked -= lognorm.reshape(picks.shape)
     return _finite_loss(_mean_nll(picked))
 

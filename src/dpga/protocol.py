@@ -9,8 +9,12 @@ the global values and rebuilds its weights from the round the upload
 left, replaying the local updates it made in the meantime.
 
 Float discipline: within a round, weights are always materialized as
-w_round_start - eta * z_partial (left-to-right accumulation), so
-w_after == w_before - eta * z holds bitwise. An upload's z is staged until
+w_round_start - eta * z_partial (left-to-right accumulation) by
+step_weights. local_round returns z alone; a caller that keeps the
+round's weights forms them with the same step_weights, so
+w_after == w_before - eta * z holds bitwise, and a round that delivers an
+aggregate, which rebuilds the weights from the anchor, forms none. An
+upload's z is staged until
 its aggregate forms, then scaled to eta * z in place and queued, and not
 written while it waits. Its delivery consumes it: the merge and the
 subtraction from the anchor run in place in that buffer, which becomes
@@ -19,7 +23,7 @@ subtracts each stored step, so it rounds the same product and difference
 as w - eta * z. The server and the evaluation sum rows with one streaming
 tree, pairwise_sum, whose association depends only on the row count, so
 neither stacks an (n_clients, d) array; the server counts contributors
-message by message, without concatenating their indices. That makes the
+by adding each message's shared-set mask into one row. That makes the
 two documented degenerate cases exact: identical clients see corrections
 of exactly zero and stay on the plain SGD trajectory, and p=1 with zero
 delay reproduces synchronized gradient averaging bit for bit.
@@ -165,33 +169,40 @@ class GlobalAggregate:
 
 # ---- operations ---- #
 
+def step_weights(w0: np.ndarray, z: np.ndarray, eta: float) -> np.ndarray:
+    """w0 - eta * z as one new array: the product, then the difference
+    written over it. local_round forms every step's weights this way, so
+    a caller forms the weights its last step reaches with the same bits."""
+    w = np.multiply(z, eta)
+    return np.subtract(w0, w, out=w)
+
+
 def local_round(w0: np.ndarray, steps: list[Batch], spec: ModelSpec,
-                eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Run one SGD step per batch of `steps` from w0 and return (w, z):
-    the weights after the last step and the accumulated gradient z.
+                eta: float) -> np.ndarray:
+    """Run one SGD step per batch of `steps` from w0 and return the
+    accumulated gradient z.
 
     w0 is one client's (d,) weights with unstacked batches, or n clients'
-    (n, d) weights with n stacked batches per step. Each step recomputes w
-    from w0 and the running gradient sum rather than chaining
-    subtractions, so w == w0 - eta * z exactly. z is the first step's
-    gradient array plus 0.0, in place (the bits of 0.0 + g, so a -0.0
-    reads +0.0), and each later gradient is added into it; each step's w
-    is one new array. w0 is not written. An empty step list is refused:
-    a round takes at least one step. Each gradient call checks its
-    weights and batch against the spec.
+    (n, d) weights with n stacked batches per step. Each later step takes
+    its weights from w0 and the running gradient sum, step_weights(w0, z,
+    eta), rather than chaining subtractions. No weights are formed after
+    the last step: the caller forms step_weights(w0, z, eta) if it keeps
+    them, which equals what the loop would have formed bit for bit, and
+    a round whose weights a delivery rebuilds forms none. z is the first
+    step's gradient array plus 0.0, in place (the bits of 0.0 + g, so a
+    -0.0 reads +0.0), and each later gradient is added into it. w0 is
+    not written. An empty step list is refused: a round takes at least
+    one step. Each gradient call checks its weights and batch against
+    the spec.
     """
     if not steps:
         raise ContractViolationError("a local round needs at least one step")
-    w = w0
-    for i, batch in enumerate(steps):
-        _, g = loss_and_gradient(w, batch, spec)
-        if i:
-            z += g
-        else:
-            z = np.add(g, 0.0, out=g)
-        w = np.multiply(z, eta)
-        np.subtract(w0, w, out=w)
-    return w, z
+    _, z = loss_and_gradient(w0, steps[0], spec)
+    np.add(z, 0.0, out=z)
+    for batch in steps[1:]:
+        _, g = loss_and_gradient(step_weights(w0, z, eta), batch, spec)
+        z += g
+    return z
 
 
 def seed_words(*values: int) -> np.ndarray:
@@ -260,13 +271,14 @@ def server_aggregate(messages: list[SparseGradient], d: int,
     own zeroed length-d row, so a round holds a few rows, never an
     (n_messages, d) array, and the fixed tree sums them column by
     column: a shared coordinate carries the same bits whichever other
-    coordinates are shared. Weights, each finite and > 0, scale the rows
-    first and the tree over the weights is the denominator. After the
-    tree each message adds its own bincount into one length-d row of
-    counts, so no index array is concatenated, and the aggregate derives
-    its support from those counts. This checks the rounds, the weights and each
-    set's d before anything is allocated, and writes to no message. The
-    work is linear in d and no index is sorted or searched.
+    coordinates are shared. A message that spans every coordinate is its
+    own row, with nothing to scatter. Weights, each finite and > 0, scale
+    the rows first and the tree over the weights is the denominator.
+    After the tree each message adds its set's bool mask into one
+    length-d row of counts, and the aggregate derives its support from
+    those counts. This checks the rounds, the weights and each set's d
+    before anything is allocated or any mask is read, and writes to no
+    message. The work is linear in d and no index is sorted or searched.
     """
     if not messages:
         raise ContractViolationError("nothing to aggregate")
@@ -286,6 +298,10 @@ def server_aggregate(messages: list[SparseGradient], d: int,
 
     def rows():
         for i, m in enumerate(messages):
+            if m.count == d:
+                # pairwise_sum writes no row it is passed.
+                yield m.values if weights is None else m.values * weights[i]
+                continue
             row = np.zeros(d)
             row[m.indices] = m.values
             if weights is not None:
@@ -294,31 +310,28 @@ def server_aggregate(messages: list[SparseGradient], d: int,
 
     # Off the support every row holds +0.0, so the sum there is already 0.
     values = pairwise_sum(rows())
-    # Indices are distinct within a message, so each adds one contributor.
     # Counted after the tree, the counts do not add to its peak.
     counts = np.zeros(d, dtype=np.int64)
     for m in messages:
-        counts += np.bincount(m.indices, minlength=d)
+        counts += m.shared.mask
     # One fixed set: each shared column holds every message's weight.
     den = counts if weights is None else pairwise_sum(weights[:, None])
     np.divide(values, den, out=values, where=counts > 0)
     return GlobalAggregate(round=round_, values=values, counts=counts)
 
 
-def _touched(own: np.ndarray, agg: GlobalAggregate, scope: str) -> np.ndarray | None:
+def _touched(own: SharedSet, agg: GlobalAggregate, scope: str) -> np.ndarray | None:
     """Where agg substitutes in the round whose upload shared `own`:
-    agg.mask, within own under own-shared scope; None for everywhere,
-    which the index arrays' sizes tell."""
+    agg.mask, ANDed with own's mask under own-shared scope; None for
+    everywhere, which the index arrays' sizes tell."""
     if scope not in CORRECTION_SCOPES:
         raise ContractViolationError(f"unknown correction scope {scope!r}")
     d, own_shared = agg.counts.shape[0], scope == "own-shared"
-    if agg.indices.shape[0] == d and (not own_shared or own.shape[0] == d):
+    if agg.indices.shape[0] == d and (not own_shared or own.indices.shape[0] == d):
         return None
     if not own_shared:
         return agg.mask
-    touched = np.zeros(d, dtype=bool)
-    touched[own] = True
-    return np.logical_and(touched, agg.mask, out=touched)
+    return np.logical_and(own.mask, agg.mask)
 
 
 def measure_correction(client: ClientState, sent: SparseGradient, agg: GlobalAggregate,
@@ -326,8 +339,8 @@ def measure_correction(client: ClientState, sent: SparseGradient, agg: GlobalAgg
     """Size the correction agg makes to the client's staged round, in the
     round agg forms, then scale its z to eta * z in place and queue it.
 
-    sent is the message build_upload returned for that round; its indices
-    are the client's own set, read here and not kept. Nothing staged, an
+    sent is the message build_upload returned for that round; its shared
+    set is the client's own, whose mask is read here and not kept. Nothing staged, an
     aggregate or upload of another round or length than the staged z, or
     an unknown scope is refused before anything is written. Returns the
     largest |where(touched, values, z) - z|, exactly 0.0 when agg agrees
@@ -344,7 +357,7 @@ def measure_correction(client: ClientState, sent: SparseGradient, agg: GlobalAgg
         raise ContractViolationError(
             f"client {client.id}: an upload of round {sent.round} and aggregate round "
             f"{agg.round} do not fit round {client.last_round} of {z.shape[0]} coordinates")
-    touched = _touched(sent.indices, agg, scope)
+    touched = _touched(sent.shared, agg, scope)
     # On an untouched coordinate the merge equals z, so |merged - z| adds
     # exactly 0.0, the max's initial value.
     diff = agg.values - z if touched is None else np.where(touched, agg.values, z) - z
@@ -401,4 +414,7 @@ def static_partial_mask(d: int, fraction: float) -> SharedSet:
     With the layer-by-layer packing the tail of the vector is the output
     side of the network, mirroring depth-first partial sharing schemes.
     """
-    return SharedSet._trusted(np.arange(d - shared_count(fraction, d), d, dtype=np.int64), d)
+    start = d - shared_count(fraction, d)
+    mask = np.zeros(d, dtype=bool)
+    mask[start:] = True
+    return SharedSet._trusted(np.arange(start, d, dtype=np.int64), d, mask)

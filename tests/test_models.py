@@ -1,5 +1,8 @@
 """Model core: layout arithmetic, loss/gradient exactness, SGD identities."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -122,6 +125,82 @@ class TestBatch:
             Batch([[np.inf, 0.0]], [0])
         with pytest.raises(ContractViolationError):
             Batch([[1.0, 0.0]], [-1])
+
+
+def _positions(labels, num_classes):
+    """Row starts and label positions in the flat logits, written out."""
+    starts = np.arange(labels.size) * num_classes
+    return starts, (starts + labels.reshape(-1)).reshape(labels.shape)
+
+
+def _bits(result):
+    """The float64 bytes of a kernel's result, a value or a tuple of them."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return [np.asarray(x, dtype=np.float64).tobytes() for x in parts]
+
+
+class TestLabelPositions:
+    """A batch caches its label positions per number of classes in its
+    own __dict__; nothing outside the batch holds them or it."""
+
+    def test_positions_are_cached_read_only_per_class_count(self):
+        b = Batch(np.zeros((4, 2)), [2, 0, 1, 2])
+        for classes in (3, 5):
+            got = b.label_positions(classes)
+            assert b.label_positions(classes) is got
+            for have, want in zip(got, _positions(b.labels, classes)):
+                assert have.dtype == np.int64 and have.tolist() == want.tolist()
+                assert not have.flags.writeable
+        assert b.label_positions(3)[1].tolist() == [2, 3, 7, 11]
+
+    def test_sub_batches_get_their_own_positions(self):
+        """A rows() sub-batch, by index, slice or an (n, rows) take, never
+        inherits its parent's positions and computes what a fresh batch of
+        its rows computes."""
+        rng = np.random.default_rng(12)
+        spec = ModelSpec(kind="mlp", input_dim=3, num_classes=4, hidden_dims=(5,))
+        shard = Batch(rng.standard_normal((10, 3)), rng.integers(0, 4, 10))
+        shard.label_positions(4)
+        for take in (np.array([7, 1, 4]), slice(2, 8), np.array([[0, 5, 9], [3, 3, 1]])):
+            sub = shard.rows(take)
+            assert "_label_positions" not in sub.__dict__
+            for have, want in zip(sub.label_positions(4), _positions(sub.labels, 4)):
+                assert have.tolist() == want.tolist()
+            params = rng.standard_normal(sub.labels.shape[:-1] + (spec.dim,))
+            fresh = Batch(sub.features.copy(), sub.labels.copy())
+            for kernel in (loss_and_gradient, mean_loss):
+                got, want = kernel(params, sub, spec), kernel(params, fresh, spec)
+                assert _bits(got) == _bits(want)
+        assert shard.label_positions(4)[1].shape == (10,)
+
+    def test_one_batch_under_two_class_counts(self):
+        """One batch alternates between a 3- and a 5-class model, and each
+        call gives the loss and gradient of a fresh batch bit for bit."""
+        rng = np.random.default_rng(13)
+        b = Batch(rng.standard_normal((6, 2)), rng.integers(0, 3, 6))
+        for classes in (3, 5, 3, 5):
+            spec = _logistic(dim=2, classes=classes)
+            params = rng.standard_normal(spec.dim)
+            fresh = Batch(b.features.copy(), b.labels.copy())
+            loss, grad = loss_and_gradient(params, b, spec)
+            want_loss, want_grad = loss_and_gradient(params, fresh, spec)
+            assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+            assert mean_loss(params, b, spec) == want_loss
+            ref_loss, ref_grad = _ref_loss_and_gradient(params, b.features, b.labels, spec)
+            assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+        assert sorted(b.__dict__["_label_positions"]) == [3, 5]
+
+    def test_batch_is_collected_after_use(self):
+        """No registry outside the batch keeps it, or its positions, alive."""
+        spec = _logistic(dim=2, classes=3)
+        b = Batch(np.ones((5, 2)), [0, 1, 2, 1, 0])
+        stacked = b.rows(np.array([[0, 1], [2, 3]]))
+        loss_and_gradient(np.zeros(spec.dim), b, spec)
+        mean_loss(np.zeros((2, spec.dim)), stacked, spec)
+        refs = [weakref.ref(x) for x in (b, stacked, b.label_positions(3)[1])]
+        del b, stacked
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
 
 
 class TestLossAndGradient:

@@ -21,7 +21,8 @@ from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
 from dpga.protocol import (CORRECTION_SCOPES, ClientState, GlobalAggregate,
                            apply_correction, build_upload, local_round,
                            measure_correction, pairwise_mean, pairwise_sum,
-                           seed_words, server_aggregate, static_partial_mask)
+                           seed_words, server_aggregate, static_partial_mask,
+                           step_weights)
 from test_models import _joined
 
 SPEC = ModelSpec(kind="logistic-regression", input_dim=2, num_classes=2)
@@ -42,10 +43,23 @@ def _client(cid=0, seed=0, n=3, max_pending=8):
 
 
 def _step(client, epochs, eta):
-    """One local round of `epochs` full-shard steps: sets the client's
-    weights and returns its z."""
-    client.weights, z = local_round(client.weights, [client.shard] * epochs, SPEC, eta)
+    """One local round of `epochs` full-shard steps, as Simulation takes
+    one in a round that keeps its weights: sets the client's weights to
+    step_weights(w0, z, eta) and returns its z."""
+    z = local_round(client.weights, [client.shard] * epochs, SPEC, eta)
+    client.weights = step_weights(client.weights, z, eta)
     return z
+
+
+def _straight_line(w0, batches, spec, eta):
+    """The plain SGD loop, one step per batch: (w, acc) after the last
+    step, each step's weights written out as w0 - eta * acc."""
+    w, acc = w0, np.zeros_like(w0)
+    for batch in batches:
+        _, g = loss_and_gradient(w, batch, spec)
+        acc = acc + g
+        w = w0 - eta * acc
+    return w, acc
 
 
 def _level_tree(rows) -> np.ndarray:
@@ -202,23 +216,29 @@ class TestSeedWords:
 
 class TestLocalRound:
     def test_telescoping_identity(self):
-        """w_after == w_before - eta * z, bitwise, for several K."""
+        """The weights a caller forms, step_weights(w_before, z, eta), are
+        w_before - eta * z and the straight-line loop's last weights,
+        bitwise, for several K."""
         for epochs in (1, 2, 3, 7):
             client = _client(seed=epochs)
             before = client.weights.copy()
-            w, z = local_round(before, [client.shard] * epochs, SPEC, 0.1)
+            z = local_round(before, [client.shard] * epochs, SPEC, 0.1)
+            w = step_weights(before, z, 0.1)
             np.testing.assert_array_equal(w, before - 0.1 * z)
+            want_w, want_z = _straight_line(before, [client.shard] * epochs, SPEC, 0.1)
+            assert w.tobytes() == want_w.tobytes() and z.tobytes() == want_z.tobytes()
 
     def test_single_epoch_full_batch_is_one_gradient(self):
         client = _client(seed=4)
-        _, z = local_round(client.weights, [client.shard], SPEC, 0.2)
+        z = local_round(client.weights, [client.shard], SPEC, 0.2)
         _, g = loss_and_gradient(client.weights, client.shard, SPEC)
         np.testing.assert_array_equal(z, g)
 
     def test_matches_manual_three_step_loop(self):
         client = _client(seed=9)
         w0 = client.weights.copy()
-        w_got, z = local_round(w0, [client.shard] * 3, SPEC, 0.05)
+        z = local_round(w0, [client.shard] * 3, SPEC, 0.05)
+        w_got = step_weights(w0, z, 0.05)
 
         acc = np.zeros_like(w0)
         w = w0
@@ -228,18 +248,27 @@ class TestLocalRound:
             w = w0 - 0.05 * acc
         np.testing.assert_array_equal(z, acc)
         np.testing.assert_array_equal(w_got, w)
+        assert z.tobytes() == acc.tobytes() and w_got.tobytes() == w.tobytes()
 
     def test_stacked_weights_equal_one_call_per_client(self):
         """(n, d) weights with n stacked batches per step give each row
-        the bits of that client's own (d,) call."""
+        the bits of that client's own (d,) call, z and the weights
+        step_weights forms from it alike, and those of the straight-line
+        loop."""
         clients = [_client(cid=i, seed=i, n=4) for i in range(3)]
         pool = _joined([c.shard for c in clients])
         rows = np.arange(12).reshape(3, 4)
         steps = [pool.rows(rows), pool.rows(rows[::-1, ::-1])]
-        w, z = local_round(np.stack([c.weights for c in clients]), steps, SPEC, 0.1)
+        w0 = np.stack([c.weights for c in clients])
+        z = local_round(w0, steps, SPEC, 0.1)
+        w = step_weights(w0, z, 0.1)
         for i, c in enumerate(clients):
-            wi, zi = local_round(c.weights, [step.rows(i) for step in steps], SPEC, 0.1)
+            batches = [step.rows(i) for step in steps]
+            zi = local_round(c.weights, batches, SPEC, 0.1)
+            wi = step_weights(c.weights, zi, 0.1)
             assert w[i].tobytes() == wi.tobytes() and z[i].tobytes() == zi.tobytes()
+            want_w, want_z = _straight_line(c.weights, batches, SPEC, 0.1)
+            assert wi.tobytes() == want_w.tobytes() and zi.tobytes() == want_z.tobytes()
 
     def test_empty_step_list_refused(self):
         """A round takes at least one step; none is refused, not answered
@@ -250,18 +279,21 @@ class TestLocalRound:
 
     def test_w0_is_not_written_and_z_is_a_fresh_array(self):
         """A read-only w0 steps; z reads +0.0 where 0.0 + g does, and
-        shares memory with neither w0 nor w."""
+        shares memory with neither w0 nor the weights step_weights forms
+        from it."""
         client = _client(seed=6)
         w0 = client.weights.copy()
         w0.setflags(write=False)
         for epochs in (1, 3):
-            w, z = local_round(w0, [client.shard] * epochs, SPEC, 0.1)
+            z = local_round(w0, [client.shard] * epochs, SPEC, 0.1)
+            w = step_weights(w0, z, 0.1)
             assert not np.shares_memory(z, w0) and not np.shares_memory(z, w)
+            assert not np.shares_memory(w, w0)
             assert z.flags.writeable
         g = np.array([-0.0, 0.0, -0.0, 1.5, -2.0, -0.0])
         with mock.patch.object(protocol, "loss_and_gradient",
                                lambda w, batch, spec: (0.0, g.copy())):
-            _, z = local_round(w0, [client.shard], SPEC, 0.1)
+            z = local_round(w0, [client.shard], SPEC, 0.1)
         assert z.tobytes() == (0.0 + g).tobytes() != g.tobytes()
 
     def test_client_equality_is_identity(self):
@@ -313,8 +345,9 @@ def _check_grouped(case):
         for step in take[:, j]:
             step[...] = gen.choice(c.shard.size, size=batch_size, replace=False)
     batches = pool.rows(take + starts[:, None])
-    ws, zs = local_round(np.stack([c.weights for c in clients]),
-                         [batches.rows(step) for step in range(epochs)], spec, eta)
+    w0s = np.stack([c.weights for c in clients])
+    zs = local_round(w0s, [batches.rows(step) for step in range(epochs)], spec, eta)
+    ws = step_weights(w0s, zs, eta)
     for c, w_got, z in zip(clients, ws, zs):
         n, rng = c.shard.size, np.random.default_rng([seed, c.id])
         w0 = w = c.weights
@@ -435,6 +468,55 @@ class TestBuildUpload:
             build_upload(client, np.ones(SPEC.dim), 1.0, round=3)
         assert [p.round for p in client.pending] == [1, 2]
         assert client.last_round == 2
+
+
+_SET_KINDS = ("top-k", "dense", "tail", "checked")
+
+
+def _mixed_round(kinds, d, seed, weighted):
+    """One round of messages cut from z rows of mixed magnitudes and
+    signed zeros, one per entry of `kinds`: a Top-K set at a random grid
+    rate, every coordinate, a static tail, or a checked set of random
+    indices. Weighted, every message carries the first kind's one fixed
+    set (a Top-K first kind becomes a checked set) and a weight."""
+    rng = np.random.default_rng(seed)
+    zs = _mixed_magnitudes(seed, len(kinds), d)
+
+    def cut(kind, z):
+        if kind == "top-k":
+            return topk_shared_indices(z, rng.integers(1, 11) / 10)
+        if kind in ("dense", "tail"):
+            return static_partial_mask(d, 1.0 if kind == "dense" else rng.uniform(0.05, 1.0))
+        return SharedSet(np.flatnonzero(rng.random(d) < rng.random()), d)
+
+    if weighted:
+        fixed = cut("checked" if kinds[0] == "top-k" else kinds[0], zs[0])
+        sets = [fixed] * len(kinds)
+    else:
+        sets = [cut(kind, z) for kind, z in zip(kinds, zs)]
+    msgs = [extract_shared(z, shared, 1, 0.5) for z, shared in zip(zs, sets)]
+    return msgs, d, (rng.uniform(0.5, 1.5, len(msgs)) if weighted else None)
+
+
+def _scatter_route(msgs, d, weights):
+    """server_aggregate as it was before sets carried masks: every
+    message scattered into its own zeroed row and weighted there, the
+    rows summed by pairwise_sum, and one bincount per message."""
+    def rows():
+        for i, m in enumerate(msgs):
+            row = np.zeros(d)
+            row[m.indices] = m.values
+            if weights is not None:
+                row *= weights[i]
+            yield row
+
+    values = pairwise_sum(rows())
+    counts = np.zeros(d, dtype=np.int64)
+    for m in msgs:
+        counts += np.bincount(m.indices, minlength=d)
+    den = counts if weights is None else pairwise_sum(weights[:, None])
+    np.divide(values, den, out=values, where=counts > 0)
+    return values, counts
 
 
 class TestServerAggregate:
@@ -649,6 +731,50 @@ class TestServerAggregate:
         off = np.setdiff1d(np.arange(d), union)
         assert agg.values[off].tobytes() == np.zeros(off.shape[0]).tobytes()
         assert not agg.counts[off].any()
+
+    @settings(max_examples=150, deadline=None)
+    @example(case=(["top-k"], 7, 1, False))
+    @example(case=(["tail"] * 4, 9, 2, True))
+    @example(case=(["checked"] * 3, 5, 3, True))
+    @example(case=(["dense", "top-k", "tail", "checked", "dense"], 12, 4, False))
+    @given(case=st.tuples(st.lists(st.sampled_from(_SET_KINDS), min_size=1, max_size=8),
+                          st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans()))
+    def test_mask_counts_equal_the_scatter_route(self, case):
+        """A round mixing Top-K, dense, tail and checked sets, or one whose
+        messages all carry one weighted fixed set: each set's mask is its
+        indices scattered into d read-only bools, and the aggregate's counts
+        and values are the bincount and scatter route's, bit for bit."""
+        msgs, d, weights = _mixed_round(*case)
+        for m in msgs:
+            want = np.zeros(d, dtype=bool)
+            want[m.indices] = True
+            mask = m.shared.mask
+            assert mask.dtype == bool and mask.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
+        agg = server_aggregate(msgs, d, weights)
+        values, counts = _scatter_route(msgs, d, weights)
+        assert agg.counts.dtype == np.int64 and agg.counts.tobytes() == counts.tobytes()
+        assert agg.values.tobytes() == values.tobytes()
+
+    def test_wire_bound_set_is_refused_before_any_mask(self):
+        """A decoded set spans the wire's u32 range, so its mask would be
+        4 GiB: the server and the measurement refuse it on its size before
+        any mask is formed."""
+        wire = decode(encode(self._msg(2 ** 32, [1, 2 ** 32 - 1], [1.0, 2.0])))
+        client = _client()
+        build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractViolationError, match=f"size {SPEC.dim}"):
+                server_aggregate([self._msg(SPEC.dim, [0], [1.0]), wire], SPEC.dim)
+            with pytest.raises(ContractViolationError, match="coordinates"):
+                measure_correction(client, wire, _agg(1, [0], [1.0], [1]), eta=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+        assert "mask" not in wire.shared.__dict__ and client.staged is not None
 
 
 # Signed zeros on purpose: a merge or replay that loses a sign shows in
