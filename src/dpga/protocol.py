@@ -14,11 +14,10 @@ step_weights. local_round returns z alone; a caller that keeps the
 round's weights forms them with the same step_weights, so
 w_after == w_before - eta * z holds bitwise, and a round that delivers an
 aggregate, which rebuilds the weights from the anchor, forms none. An
-upload's z is staged until
-its aggregate forms, then scaled to eta * z in place and queued, and not
-written while it waits. Its delivery consumes it: the merge and the
-subtraction from the anchor run in place in that buffer, which becomes
-the new anchor. Scaling commutes with the merge's select, and the replay
+upload's z is staged until its aggregate forms, then scaled to eta * z
+in place and queued, and not written while it waits. Its delivery
+consumes it: the merge and the subtraction from the anchor run in place
+in that buffer, which becomes the new anchor. Scaling commutes with the merge's select, and the replay
 subtracts each stored step, so it rounds the same product and difference
 as w - eta * z. The server and the evaluation sum rows with one streaming
 tree, pairwise_sum, whose association depends only on the row count, so

@@ -239,15 +239,7 @@ class TestLocalRound:
         w0 = client.weights.copy()
         z = local_round(w0, [client.shard] * 3, SPEC, 0.05)
         w_got = step_weights(w0, z, 0.05)
-
-        acc = np.zeros_like(w0)
-        w = w0
-        for _ in range(3):
-            _, g = loss_and_gradient(w, client.shard, SPEC)
-            acc = acc + g
-            w = w0 - 0.05 * acc
-        np.testing.assert_array_equal(z, acc)
-        np.testing.assert_array_equal(w_got, w)
+        w, acc = _straight_line(w0, [client.shard] * 3, SPEC, 0.05)
         assert z.tobytes() == acc.tobytes() and w_got.tobytes() == w.tobytes()
 
     def test_stacked_weights_equal_one_call_per_client(self):
