@@ -9,8 +9,8 @@ Clock model: every round costs t_compute. With delay 0 a round
 additionally blocks on its exchange (latency + bytes / bandwidth); with a
 delay D > 0 communication hides behind compute and only the final exchange
 is paid once at the end, when the corrections still in flight drain. D must
-therefore cover a full round trip. Payload sizes come from
-masking.payload_bytes.
+therefore cover a full round trip. account turns the payload bytes that
+Simulation.run logs into the clock; a downlink counts in the round it lands.
 
 Simulation owns the local-step phase as well as every random stream: it
 deals every shard as a view of one gathered batch, and the clients that
@@ -23,8 +23,9 @@ byte for byte.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -137,6 +138,27 @@ def comm_time(nbytes: float, bandwidth: float, latency: float) -> float:
     if nbytes < 0:
         raise ConfigurationError("byte count must be >= 0")
     return latency + nbytes / bandwidth
+
+
+def landing_rounds(delay: int, rounds: int) -> list[int]:
+    """Where each round's aggregate lands: D rounds on, or in the last round."""
+    return [min(r + delay, rounds) for r in range(1, rounds + 1)]
+
+
+def account(log: list, cfg: SimConfig, delay: int) -> list[tuple[float, int, int]]:
+    """Each round's (sim_time, up_bytes, down_bytes) by the clock model above,
+    from log[r - 1]: every client's (up, down) payload bytes in round r."""
+    landed = [0] * (len(log) + 1)
+    for lands, (_, down) in zip(landing_rounds(delay, len(log)), log):
+        landed[lands] += sum(down)
+    clock, times = 0.0, []
+    for r, (up, down) in enumerate(log, 1):
+        clock += cfg.t_compute
+        if delay == 0 or r == len(log):
+            clock += comm_time(max(u + dn for u, dn in zip(up, down)),
+                               cfg.bandwidth, cfg.latency)
+        times.append(clock)
+    return list(zip(times, accumulate(sum(up) for up, _ in log), accumulate(landed[1:])))
 
 
 def _worst_roundtrip(cfg: SimConfig) -> float:
@@ -315,10 +337,7 @@ class Simulation:
         self._sampler_words = [seed_words(i) for i in self._samplers]
         self._batch_words = seed_words(cfg.seed, _SEED_BATCH)
 
-        self._weights = None
-        if self.scheme.weighted:
-            sizes = np.array([c.shard.size for c in self.clients], dtype=np.float64)
-            self._weights = sizes / sizes.sum()
+        self._weights = np.divide(sizes, sum(sizes)) if self.scheme.weighted else None
         # A fixed upload has one (wire rate, reported p); Top-K walks.
         self._walks: list[RateState] = []
         # A fixed set is built once and every upload carries it: a dense
@@ -397,9 +416,10 @@ class Simulation:
             client.weights, zs[i] = wi, zi
         return zs
 
-    def _evaluate(self):
-        """(train_loss, eval_acc) of the averaged model: only what a record
-        prints, the loss on train and the accuracy on test."""
+    def _evaluate(self, t: int) -> tuple[float, float]:
+        """Round t's (train_loss, eval_acc) of the averaged model; nan unless evaluated."""
+        if t % self.cfg.eval_every and t != self.cfg.rounds:
+            return math.nan, math.nan
         wbar = pairwise_mean([c.weights for c in self.clients])
         return objective(wbar, self.train, self.spec), evaluate(wbar, self.test, self.spec)
 
@@ -409,59 +429,39 @@ class Simulation:
     @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> list[MetricsRecord]:
         cfg = self.cfg
-        records: list[MetricsRecord] = []
-        inflight: deque = deque()  # (round, eta * values, downlink bytes, delta)
-        up_total = down_total = 0
-        clock = 0.0
+        learned, log = [], []  # (round, p, train_loss, eval_acc), (up, down)
+        inflight: deque = deque()  # (round, eta * values, delta)
+        arrivals = Counter(landing_rounds(self.delay, cfg.rounds))
 
         for t in range(1, cfg.rounds + 1):
-            # An aggregate lands D rounds after its upload, so from round
-            # D + 1 on each round delivers the oldest one to every client;
-            # the last round drains everything still in flight.
-            delivers = t > self.delay or t == cfg.rounds
             rates, p_used = self._rates(t)
-            zs = self._local_steps(t, keep=not delivers)
+            zs = self._local_steps(t, keep=not arrivals[t])
 
             msgs = [build_upload(client, z, p, t, shared=self._shared)
                     for client, z, p in zip(self.clients, zs, rates)]
             up_sizes = [self._payload(m.count) for m in msgs]
-            up_total += sum(up_sizes)
 
             agg = server_aggregate(msgs, self.spec.dim, self._weights)
             # Sized while this round's z is raw; clients keep eta * z after.
             delta = max(0.0, *(measure_correction(c, m, agg, cfg.eta, cfg.correction_scope)
                                for c, m in zip(self.clients, msgs)))
-            if cfg.correction_scope == "own-shared":
-                down_sizes = up_sizes  # each client gets back what it sent
-            else:
-                down_sizes = [self._payload(int(agg.indices.shape[0]))] * len(msgs)
-            inflight.append((t, agg.values * cfg.eta, sum(down_sizes), delta))
-            # Delivery reads only the round and eta * values kept above;
-            # the clients hold every z they still need.
+            # Each client gets back what it sent, or the aggregate's support.
+            down_sizes = (up_sizes if cfg.correction_scope == "own-shared"
+                          else [self._payload(int(agg.indices.shape[0]))] * len(msgs))
+            log.append((up_sizes, down_sizes))
+            inflight.append((t, agg.values * cfg.eta, delta))
+            # Delivery reads only inflight; the clients hold every z they still need.
             del agg, msgs, zs
-            exchange = max(u + dn for u, dn in zip(up_sizes, down_sizes))
 
-            if delivers:
-                for _ in range(len(inflight) if t == cfg.rounds else 1):
-                    due, scaled, down, delta = inflight.popleft()
-                    for c in self.clients:
-                        apply_correction(c, due, scaled)
-                    self.correction_log.append((due, delta))
-                    down_total += down
+            for _ in range(arrivals[t]):
+                due, scaled, delta = inflight.popleft()
+                for c in self.clients:
+                    apply_correction(c, due, scaled)
+                self.correction_log.append((due, delta))
 
-            clock += cfg.t_compute
-            # A delayed run only waits once, for the final exchange to drain.
-            if self.delay == 0 or t == cfg.rounds:
-                clock += comm_time(exchange, cfg.bandwidth, cfg.latency)
-
-            if t % cfg.eval_every == 0 or t == cfg.rounds:
-                train_loss, acc = self._evaluate()
-            else:
-                train_loss = acc = float("nan")
-            records.append(MetricsRecord(
-                round=t, sim_time=clock, up_bytes=up_total, down_bytes=down_total,
-                p=p_used, train_loss=train_loss, eval_acc=acc))
+            learned.append((t, p_used, *self._evaluate(t)))
 
         if any(c.pending for c in self.clients):
             raise ContractViolationError("run ended with undelivered aggregates")
-        return records
+        return [MetricsRecord(t, *columns, p, loss, acc) for (t, p, loss, acc), columns
+                in zip(learned, account(log, cfg, self.delay))]

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from dpga import engine, protocol
 from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
-                         Simulation, comm_time, objective, resolve_delay,
-                         validate_config)
+                         Simulation, account, comm_time, landing_rounds,
+                         objective, resolve_delay, validate_config)
 from dpga.errors import ConfigurationError
 from dpga.masking import ENTRY_BYTES, HEADER_BYTES, shared_count
 from dpga.models import Batch, mean_loss
@@ -247,6 +247,44 @@ class TestClockModel:
             assert b.sim_time > a.sim_time
             assert b.up_bytes >= a.up_bytes
             assert b.down_bytes >= a.down_bytes
+
+
+class TestAccount:
+    """account on a hand-built exchange log: 2 clients over 4 rounds, on a
+    link of latency 0.5 and bandwidth 4 with t_compute 1, so every column
+    is exact. Each round's downlink totals differ (12, 32, 64, 128 bytes),
+    so the down_bytes column names the round each one landed in."""
+
+    LOG = [([8, 4], [8, 4]),        # up 12, down 12, worst exchange 16
+           ([4, 12], [16, 16]),     # up 16, down 32, worst exchange 28
+           ([8, 8], [32, 32]),      # up 16, down 64, worst exchange 40
+           ([2, 6], [64, 64])]      # up 8, down 128, worst exchange 70
+    UP = [12, 28, 44, 52]
+
+    def _columns(self, delay):
+        cfg = _cfg(rounds=4, t_compute=1.0, latency=0.5, bandwidth=4.0)
+        return account(self.LOG, cfg, delay)
+
+    def test_delay_0_pays_every_exchange_as_it_lands(self):
+        # Round r takes 1 + 0.5 + worst / 4: 5.5, 8.5, 11.5 and 19.
+        assert self._columns(0) == list(zip([5.5, 14.0, 25.5, 44.5], self.UP,
+                                            [12, 44, 108, 236]))
+
+    def test_delay_2_lands_two_rounds_on_and_drains_at_the_end(self):
+        # Round 1's 12 bytes land in round 3; rounds 2-4 (224 bytes) drain in
+        # round 4, the only round that waits for an exchange: its own 70,
+        # 0.5 + 70 / 4 time units.
+        assert self._columns(2) == list(zip([1.0, 2.0, 3.0, 22.0], self.UP,
+                                            [0, 0, 12, 236]))
+
+    def test_delay_1_lands_one_round_on(self):
+        assert self._columns(1) == list(zip([1.0, 2.0, 3.0, 22.0], self.UP,
+                                            [0, 12, 44, 236]))
+
+    @pytest.mark.parametrize("delay, rounds, want", [
+        (0, 3, [1, 2, 3]), (2, 5, [3, 4, 5, 5, 5]), (9, 3, [3, 3, 3])])
+    def test_landing_rounds(self, delay, rounds, want):
+        assert landing_rounds(delay, rounds) == want
 
 
 class TestByteAccounting:
@@ -509,12 +547,16 @@ class TestObjective:
         assert last.train_loss == loss
 
 
-def _run_state(cfg):
-    """A run's records without the byte meter's columns, as text so that a
-    round without evaluation (eval_acc nan) compares equal, and its end
-    state: every client's final weights and anchor, and the correction_log."""
+METER = ("sim_time", "up_bytes", "down_bytes")
+
+
+def _run_state(cfg, blank=METER):
+    """A run's records with the columns in blank set to 0 (by default the
+    byte meter's), as text so that a round without evaluation (eval_acc
+    nan) compares equal, and its end state: every client's final weights
+    and anchor, and the correction_log."""
     sim = Simulation(cfg)
-    rows = [repr(replace(r, sim_time=0.0, up_bytes=0, down_bytes=0)) for r in sim.run()]
+    rows = [repr(replace(r, **dict.fromkeys(blank, 0))) for r in sim.run()]
     return (rows, [c.weights.tobytes() for c in sim.clients],
             [c.anchor.tobytes() for c in sim.clients], sim.correction_log)
 
@@ -545,3 +587,53 @@ class TestSchemeRelations:
         dga = self._dga(case, delay=0)
         static = replace(dga, algorithm="static-partial", static_fraction=1.0)
         assert _run_state(static) == _run_state(dga)
+
+
+@st.composite
+def _small_runs(draw, algorithm):
+    """A small config of algorithm at a fixed delay: 0 for a synchronous
+    scheme, else 0-3, which every network drawn below covers."""
+    return _cfg(algorithm=algorithm,
+                delay=0 if SCHEMES[algorithm].synchronous else draw(st.integers(0, 3)),
+                rounds=draw(st.integers(1, 7)),
+                batch_size=draw(st.none() | st.integers(2, 6)),
+                correction_scope=draw(st.sampled_from(CORRECTION_SCOPES)),
+                per_client_walk=draw(st.booleans()),
+                bandwidth=1e6, latency=0.0, t_compute=1.0)
+
+
+class TestLearningIgnoresMeter:
+    """The learning loop reads neither the network nor the evaluation
+    schedule. At a fixed delay, bandwidth, latency and t_compute move only
+    sim_time; eval_every moves only which rows carry train_loss and
+    eval_acc. Final weights, anchors and correction_log stay bit-equal."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(),
+           bandwidth=st.floats(1e3, 1e9) | st.just(math.inf),
+           latency=st.floats(0.0, 0.5), t_compute=st.floats(1.0, 10.0))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_network_moves_only_sim_time(self, algorithm, data, bandwidth,
+                                         latency, t_compute):
+        # The worst round trip at d = 15 is under 0.9 time units, so every
+        # delay drawn stays valid on every link drawn.
+        base = data.draw(_small_runs(algorithm))
+        moved = replace(base, bandwidth=bandwidth, latency=latency, t_compute=t_compute)
+        assert (_run_state(moved, blank=("sim_time",))
+                == _run_state(base, blank=("sim_time",)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), every=st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_eval_every_moves_only_which_rows_are_evaluated(self, algorithm, data, every):
+        base = data.draw(_small_runs(algorithm))
+        a, b = (replace(base, eval_every=e) for e in every)
+        assert (_run_state(a, blank=("train_loss", "eval_acc"))
+                == _run_state(b, blank=("train_loss", "eval_acc")))
+        rows_a, rows_b = _run_state(a, blank=())[0], _run_state(b, blank=())[0]
+        for t, row_a, row_b in zip(range(1, base.rounds + 1), rows_a, rows_b):
+            evaluated = [t % e == 0 or t == base.rounds for e in every]
+            for row, on in zip((row_a, row_b), evaluated):
+                assert ("eval_acc=nan" in row) is not on
+            if all(evaluated):
+                assert row_a == row_b
