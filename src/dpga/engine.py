@@ -9,8 +9,9 @@ Clock model: every round costs t_compute. With delay 0 a round
 additionally blocks on its exchange (latency + bytes / bandwidth); with a
 delay D > 0 communication hides behind compute and only the final exchange
 is paid once at the end, when the corrections still in flight drain. D must
-therefore cover a full round trip. account turns the payload bytes that
-Simulation.run logs into the clock; a downlink counts in the round it lands.
+therefore cover a full round trip. Simulation.run logs each round's shared
+entry counts and support size; account alone prices them, charges each
+download by scope and runs the clock. A downlink counts in the round it lands.
 
 Simulation owns the local-step phase as well as every random stream: it
 deals every shard as a view of one gathered batch, and the clients that
@@ -31,7 +32,7 @@ import numpy as np
 
 from .data import PartitionConfig, gen_synthetic, partition
 from .errors import ConfigurationError, ContractViolationError
-from .masking import U32_MAX, payload_bytes, snap_rate
+from .masking import U32_MAX, payload_bytes
 from .models import Batch, ModelSpec, evaluate, init_params, mean_loss
 from .protocol import (CORRECTION_SCOPES, ClientState, apply_correction,
                        build_upload, local_round, measure_correction,
@@ -130,13 +131,7 @@ class MetricsRecord:
 
 
 def comm_time(nbytes: float, bandwidth: float, latency: float) -> float:
-    """Transfer time for one exchange: latency plus payload over bandwidth."""
-    if not bandwidth > 0.0:
-        raise ConfigurationError("bandwidth must be positive")
-    if latency < 0.0:
-        raise ConfigurationError("latency must be >= 0")
-    if nbytes < 0:
-        raise ConfigurationError("byte count must be >= 0")
+    """Transfer time for one exchange on a link validate_config accepted."""
     return latency + nbytes / bandwidth
 
 
@@ -145,27 +140,47 @@ def landing_rounds(delay: int, rounds: int) -> list[int]:
     return [min(r + delay, rounds) for r in range(1, rounds + 1)]
 
 
+def _payload(count: int, cfg: SimConfig) -> int:
+    """Wire bytes of one message of count entries: indexed unless dense."""
+    return payload_bytes(count, indexed=SCHEMES[cfg.algorithm].upload != "dense")
+
+
 def account(log: list, cfg: SimConfig, delay: int) -> list[tuple[float, int, int]]:
     """Each round's (sim_time, up_bytes, down_bytes) by the clock model above,
-    from log[r - 1]: every client's (up, down) payload bytes in round r."""
-    landed = [0] * (len(log) + 1)
-    for lands, (_, down) in zip(landing_rounds(delay, len(log)), log):
-        landed[lands] += sum(down)
+    from log[r - 1] = (every client's shared entry count, the aggregate's
+    support size) in round r. A client downloads what it sent under
+    own-shared, the whole support under full-support."""
+    own = cfg.correction_scope == "own-shared"
+    landed, sent = [0] * (len(log) + 1), []
     clock, times = 0.0, []
-    for r, (up, down) in enumerate(log, 1):
+    for r, (lands, (counts, support)) in enumerate(
+            zip(landing_rounds(delay, len(log)), log), 1):
+        up = [_payload(k, cfg) for k in counts]
+        down = up if own else [_payload(support, cfg)] * len(up)
+        sent.append(sum(up))
+        landed[lands] += sum(down)
         clock += cfg.t_compute
         if delay == 0 or r == len(log):
             clock += comm_time(max(u + dn for u, dn in zip(up, down)),
                                cfg.bandwidth, cfg.latency)
         times.append(clock)
-    return list(zip(times, accumulate(sum(up) for up, _ in log), accumulate(landed[1:])))
+    return list(zip(times, accumulate(sent), accumulate(landed[1:])))
+
+
+def _worst_clock(cfg: SimConfig, delay: int, rt: float) -> float:
+    """account's last sim_time in closed form when every exchange takes rt:
+    t_compute every round, and rt in every round at delay 0 or once, in
+    the last, at D > 0."""
+    try:
+        return (cfg.rounds * (cfg.t_compute + rt) if delay == 0
+                else cfg.rounds * cfg.t_compute + rt)
+    except OverflowError:  # more rounds than a float can hold
+        return math.inf
 
 
 def _worst_roundtrip(cfg: SimConfig) -> float:
     """Per-client up+down time of the largest possible exchange (p = 1)."""
-    indexed = SCHEMES[cfg.algorithm].upload != "dense"
-    return comm_time(2 * payload_bytes(cfg.model_spec().dim, indexed),
-                     cfg.bandwidth, cfg.latency)
+    return comm_time(2 * _payload(cfg.model_spec().dim, cfg), cfg.bandwidth, cfg.latency)
 
 
 def _covering_rounds(rt: float, t_compute: float) -> int:
@@ -182,25 +197,32 @@ def _covering_rounds(rt: float, t_compute: float) -> int:
 
 
 def resolve_delay(cfg: SimConfig) -> int:
-    """The delay D a run uses: 0 blocks on every exchange, D > 0 hides it
-    behind D rounds of compute and must cover the worst round trip."""
+    """The delay D a run uses on a link validate_config accepted: 0 blocks
+    on every exchange, D > 0 hides it behind D rounds of compute and must
+    cover the worst round trip. The clock account would reach if every
+    exchange took that round trip must stay finite."""
+    rt = _worst_roundtrip(cfg)
     if SCHEMES[cfg.algorithm].synchronous:
         if cfg.delay not in (None, 0):
             raise ConfigurationError(
                 f"{cfg.algorithm} is synchronous; delay must be 0 or omitted")
-        return 0
-    rt = _worst_roundtrip(cfg)
-    delay = _covering_rounds(rt, cfg.t_compute) if cfg.delay is None else cfg.delay
-    try:
-        hidden = delay * cfg.t_compute
-    except OverflowError:
+        delay = 0
+    else:
+        delay = _covering_rounds(rt, cfg.t_compute) if cfg.delay is None else cfg.delay
+        try:
+            hidden = delay * cfg.t_compute
+        except OverflowError:
+            raise ConfigurationError(
+                "delay is more rounds than a float can hold") from None
+        if delay > 0 and rt > hidden:
+            raise ConfigurationError(
+                f"delay {delay} hides only {hidden:g} time units "
+                f"but a full exchange takes {rt:g}; corrections would arrive "
+                "before their uploads finish")
+    if not math.isfinite(_worst_clock(cfg, delay, rt)):
         raise ConfigurationError(
-            "delay is more rounds than a float can hold") from None
-    if delay > 0 and rt > hidden:
-        raise ConfigurationError(
-            f"delay {delay} hides only {hidden:g} time units "
-            f"but a full exchange takes {rt:g}; corrections would arrive "
-            "before their uploads finish")
+            "the clock would reach inf; shrink rounds, t_compute or the "
+            "round trip")
     return delay
 
 
@@ -267,19 +289,11 @@ def validate_config(cfg: SimConfig) -> int:
         if 8 * items > _MAX_BYTES:
             raise ConfigurationError(f"{what} would take {8 * items} bytes, "
                                      f"more than numpy can address ({_MAX_BYTES})")
-    delay = resolve_delay(cfg)
-    # The clock is largest when every exchange is as big as it can be.
-    rt = _worst_roundtrip(cfg)
-    try:
-        last_clock = (cfg.rounds * (cfg.t_compute + rt) if delay == 0
-                      else cfg.rounds * cfg.t_compute + rt)
-    except OverflowError:  # more rounds than a float can hold
-        last_clock = math.inf
-    if not math.isfinite(last_clock):
-        raise ConfigurationError(
-            "the clock would reach inf; shrink rounds, t_compute or the "
-            "round trip")
-    return delay
+    if not cfg.bandwidth > 0.0:
+        raise ConfigurationError("bandwidth must be positive")
+    if cfg.latency < 0.0:
+        raise ConfigurationError("latency must be >= 0")
+    return resolve_delay(cfg)
 
 
 def objective(wbar: np.ndarray, train: Batch, spec: ModelSpec) -> float:
@@ -338,17 +352,15 @@ class Simulation:
         self._batch_words = seed_words(cfg.seed, _SEED_BATCH)
 
         self._weights = np.divide(sizes, sum(sizes)) if self.scheme.weighted else None
-        # A fixed upload has one (wire rate, reported p); Top-K walks.
+        # A fixed set is built once and every upload carries it at its
+        # nominal fraction (a dense upload is the tail of all coordinates);
+        # Top-K rates walk.
         self._walks: list[RateState] = []
-        # A fixed set is built once and every upload carries it: a dense
-        # upload is the tail of all coordinates. The wire carries the
-        # snapped grid rate; the record the nominal one.
         if self.scheme.upload != "top-k":
-            fraction = 1.0 if self.scheme.upload == "dense" else cfg.static_fraction
-            self._shared = static_partial_mask(self.spec.dim, fraction)
-            self._fixed_rate = (snap_rate(fraction), fraction)
+            self._fixed_p = 1.0 if self.scheme.upload == "dense" else cfg.static_fraction
+            self._shared = static_partial_mask(self.spec.dim, self._fixed_p)
         else:
-            self._fixed_rate = None
+            self._fixed_p = None
             self._shared = None  # build_upload picks Top-K by |z|
             seeds = ([[cfg.seed, _SEED_WALK, i] for i in range(cfg.n_clients)]
                      if cfg.per_client_walk else [[cfg.seed, _SEED_WALK]])
@@ -360,15 +372,11 @@ class Simulation:
 
     # ---- helpers ---- #
 
-    def _payload(self, count: int) -> int:
-        return payload_bytes(count, indexed=self.scheme.upload != "dense")
-
     def _rates(self, round_: int) -> tuple[list[float], float]:
         """Each client's update rate this round and the p the round reports."""
         n = self.cfg.n_clients
-        if self._fixed_rate is not None:
-            rate, p = self._fixed_rate
-            return [rate] * n, p
+        if self._fixed_p is not None:
+            return [self._fixed_p] * n, self._fixed_p
         # The first round runs at the configured p0.
         rates = [w.p if round_ == 1 else w.sample() for w in self._walks]
         if self.cfg.per_client_walk:
@@ -429,7 +437,7 @@ class Simulation:
     @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> list[MetricsRecord]:
         cfg = self.cfg
-        learned, log = [], []  # (round, p, train_loss, eval_acc), (up, down)
+        learned, log = [], []  # (round, p, train_loss, eval_acc), (counts, support)
         inflight: deque = deque()  # (round, eta * values, delta)
         arrivals = Counter(landing_rounds(self.delay, cfg.rounds))
 
@@ -439,16 +447,12 @@ class Simulation:
 
             msgs = [build_upload(client, z, p, t, shared=self._shared)
                     for client, z, p in zip(self.clients, zs, rates)]
-            up_sizes = [self._payload(m.count) for m in msgs]
 
             agg = server_aggregate(msgs, self.spec.dim, self._weights)
             # Sized while this round's z is raw; clients keep eta * z after.
             delta = max(0.0, *(measure_correction(c, m, agg, cfg.eta, cfg.correction_scope)
                                for c, m in zip(self.clients, msgs)))
-            # Each client gets back what it sent, or the aggregate's support.
-            down_sizes = (up_sizes if cfg.correction_scope == "own-shared"
-                          else [self._payload(int(agg.indices.shape[0]))] * len(msgs))
-            log.append((up_sizes, down_sizes))
+            log.append(([m.count for m in msgs], int(agg.indices.shape[0])))
             inflight.append((t, agg.values * cfg.eta, delta))
             # Delivery reads only inflight; the clients hold every z they still need.
             del agg, msgs, zs

@@ -172,14 +172,6 @@ def extract_shared(z: np.ndarray, shared: SharedSet, round: int,
     return SparseGradient(round=round, p=p, shared=shared, values=z[shared.indices])
 
 
-def snap_rate(fraction: float) -> float:
-    """Nearest grid rate for a free-form fraction (for the wire p field)."""
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-    num = min(max(round(fraction * N_STATES), 1), N_STATES)
-    return num / N_STATES
-
-
 def payload_bytes(count: int, indexed: bool = True) -> int:
     """Bytes on the wire for `count` values: the header plus one entry each.
 

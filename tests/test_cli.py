@@ -217,6 +217,17 @@ class TestRunCommand:
         assert "latency must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("link, reason", [
+        ("network.bandwidth=0", "bandwidth must be positive"),
+        ("network.latency=-1", "latency must be >= 0"),
+    ])
+    def test_bad_link_exits_2(self, tmp_path, capsys, link, reason):
+        code = main(["run", "--set", link, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag, env, sets", [
         (["--seed", "-1"], None, []),
         ([], "-3", []),

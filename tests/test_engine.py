@@ -45,14 +45,6 @@ class TestCommTime:
     def test_example(self):
         assert comm_time(1000, 100.0, 5.0) == 15.0
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigurationError):
-            comm_time(10, 0.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            comm_time(10, 1.0, -1.0)
-        with pytest.raises(ConfigurationError):
-            comm_time(-1, 1.0, 0.0)
-
 
 class TestDeriveDelay:
     def test_explicit_delay_wins(self):
@@ -107,17 +99,20 @@ class TestResolveTiming:
         cfg = _cfg(algorithm=algorithm, bandwidth=bandwidth, latency=latency,
                    t_compute=t_compute, delay=delay)
         payload = DENSE if SCHEMES[algorithm].upload == "dense" else SPARSE_FULL
+        link_ok = bandwidth > 0.0 and latency >= 0.0
+        rt = comm_time(2 * payload, bandwidth, latency) if link_ok else math.nan
         try:
-            rt = comm_time(2 * payload, bandwidth, latency)
+            got = validate_config(cfg)
         except ConfigurationError:
-            rt = math.nan  # a link the config rejects
-        try:
-            got = resolve_delay(cfg)
-        except ConfigurationError:
-            # A derived delay exists whenever the round trip spans a
-            # countable number of compute rounds.
-            assert not (delay is None and math.isfinite(rt / t_compute))
+            # A derived delay exists whenever the link is valid, the round
+            # trip spans a countable number of compute rounds and the
+            # clock stays finite in either closed form.
+            clock_ok = (math.isfinite(cfg.rounds * (t_compute + rt))
+                        and math.isfinite(cfg.rounds * t_compute + rt))
+            assert not (delay is None and link_ok and clock_ok
+                        and math.isfinite(rt / t_compute))
             return
+        assert link_ok
         if SCHEMES[algorithm].synchronous:
             assert got == 0
         elif delay is not None:
@@ -209,6 +204,16 @@ class TestConfigValidation:
             validate_config(_cfg(**kw))
         validate_config(_cfg(n_clients=36, batch_size=1))  # one example each is enough
 
+    @pytest.mark.parametrize("link, reason", [
+        (dict(bandwidth=0.0), "bandwidth must be positive"),
+        (dict(bandwidth=-1.0), "bandwidth must be positive"),
+        (dict(latency=-1.0), "latency must be >= 0"),
+    ], ids=["zero-bandwidth", "negative-bandwidth", "negative-latency"])
+    def test_link_is_refused_for_every_scheme(self, link, reason):
+        for algorithm in ALGORITHMS:
+            with pytest.raises(ConfigurationError, match=reason):
+                validate_config(_cfg(algorithm=algorithm, delay=0, **link))
+
     def test_walk_steps_bound_is_inclusive(self):
         assert validate_config(_cfg(algorithm="dpga", walk_m=MAX_STEPS,
                                     delay=1, bandwidth=1e9)) == 1
@@ -250,41 +255,91 @@ class TestClockModel:
 
 
 class TestAccount:
-    """account on a hand-built exchange log: 2 clients over 4 rounds, on a
-    link of latency 0.5 and bandwidth 4 with t_compute 1, so every column
-    is exact. Each round's downlink totals differ (12, 32, 64, 128 bytes),
-    so the down_bytes column names the round each one landed in."""
+    """account on hand-built entries logs: 2 clients, on a link of latency
+    0.5 and bandwidth 4 with t_compute 1, so every column is exact. A log
+    round is (each client's shared entry count, the aggregate's support
+    size); account prices a message at 17 bytes plus 12 per indexed entry
+    or 8 per dense value. In the Top-K log each round's downlink total
+    differs, so the down_bytes column names the round each one landed in."""
 
-    LOG = [([8, 4], [8, 4]),        # up 12, down 12, worst exchange 16
-           ([4, 12], [16, 16]),     # up 16, down 32, worst exchange 28
-           ([8, 8], [32, 32]),      # up 16, down 64, worst exchange 40
-           ([2, 6], [64, 64])]      # up 8, down 128, worst exchange 70
-    UP = [12, 28, 44, 52]
+    # Top-K (dpga), priced 17 + 12k; own-shared sends each count back.
+    LOG = [([1, 0], 1),     # up 29 + 17 = 46, worst exchange 2 * 29 = 58
+           ([2, 3], 4),     # up 41 + 53 = 94, worst 2 * 53 = 106
+           ([4, 4], 6),     # up 65 + 65 = 130, worst 2 * 65 = 130
+           ([0, 5], 5)]     # up 17 + 77 = 94, worst 2 * 77 = 154
+    UP = [46, 140, 270, 364]
 
-    def _columns(self, delay):
-        cfg = _cfg(rounds=4, t_compute=1.0, latency=0.5, bandwidth=4.0)
-        return account(self.LOG, cfg, delay)
+    def _columns(self, delay, log=LOG, **kw):
+        cfg = _cfg(**{"algorithm": "dpga", "rounds": len(log), "t_compute": 1.0,
+                      "latency": 0.5, "bandwidth": 4.0, **kw})
+        return account(log, cfg, delay)
 
     def test_delay_0_pays_every_exchange_as_it_lands(self):
-        # Round r takes 1 + 0.5 + worst / 4: 5.5, 8.5, 11.5 and 19.
-        assert self._columns(0) == list(zip([5.5, 14.0, 25.5, 44.5], self.UP,
-                                            [12, 44, 108, 236]))
+        # Round r takes 1 + 0.5 + worst / 4: 16, 28, 34 and 40.
+        assert self._columns(0) == list(zip([16.0, 44.0, 78.0, 118.0], self.UP,
+                                            [46, 140, 270, 364]))
 
     def test_delay_2_lands_two_rounds_on_and_drains_at_the_end(self):
-        # Round 1's 12 bytes land in round 3; rounds 2-4 (224 bytes) drain in
-        # round 4, the only round that waits for an exchange: its own 70,
-        # 0.5 + 70 / 4 time units.
-        assert self._columns(2) == list(zip([1.0, 2.0, 3.0, 22.0], self.UP,
-                                            [0, 0, 12, 236]))
+        # Round 1's 46 bytes land in round 3; rounds 2-4 (318 bytes) drain
+        # in round 4, the only round that waits for an exchange: its own
+        # 154, 0.5 + 154 / 4 time units.
+        assert self._columns(2) == list(zip([1.0, 2.0, 3.0, 43.0], self.UP,
+                                            [0, 0, 46, 364]))
 
     def test_delay_1_lands_one_round_on(self):
-        assert self._columns(1) == list(zip([1.0, 2.0, 3.0, 22.0], self.UP,
-                                            [0, 12, 44, 236]))
+        assert self._columns(1) == list(zip([1.0, 2.0, 3.0, 43.0], self.UP,
+                                            [0, 46, 140, 364]))
+
+    def test_dense_values_carry_no_index(self):
+        # fedavg sends all 15 values with no index: 17 + 8 * 15 = 137 bytes
+        # each way, so a round takes 1 + 0.5 + 274 / 4 = 70.
+        log = [([15, 15], 15)] * 3
+        assert self._columns(0, log, algorithm="fedavg") == list(zip(
+            [70.0, 140.0, 210.0], [274, 548, 822], [274, 548, 822]))
+
+    def test_full_support_charges_every_client_the_support(self):
+        # Each client downloads the support, 17 + 12 * (1, 4, 6, 5) = 29,
+        # 65, 89 and 77 bytes, whatever it sent. The worst exchanges are
+        # 29 + 29, 53 + 65, 65 + 89 and 77 + 77, so the rounds take 16, 31,
+        # 40 and 40.
+        assert self._columns(0, correction_scope="full-support") == list(zip(
+            [16.0, 47.0, 87.0, 127.0], self.UP, [58, 188, 366, 520]))
 
     @pytest.mark.parametrize("delay, rounds, want", [
         (0, 3, [1, 2, 3]), (2, 5, [3, 4, 5, 5, 5]), (9, 3, [3, 3, 3])])
     def test_landing_rounds(self, delay, rounds, want):
         assert landing_rounds(delay, rounds) == want
+
+
+class TestClockBound:
+    """Validation refuses a run whose clock could leave the floats by
+    engine._worst_clock, account's clock in closed form. On the worst-case
+    log, where every client shares all d entries every round and the
+    support is d, account's last sim_time must equal that bound within a
+    relative 1e-12, and each byte column must be n * rounds * payload(d)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(algorithm=st.sampled_from(ALGORITHMS), data=st.data(),
+           rounds=st.integers(1, 50), n_clients=st.integers(1, 4),
+           dim=st.integers(1, 4), scope=st.sampled_from(CORRECTION_SCOPES),
+           t_compute=st.floats(0.01, 100.0), latency=st.floats(0.0, 100.0),
+           bandwidth=st.floats(1.0, 1e9) | st.just(math.inf))
+    def test_worst_log_meets_the_bound(self, algorithm, data, rounds, n_clients,
+                                       dim, scope, t_compute, latency, bandwidth):
+        delays = st.integers(0, 0 if SCHEMES[algorithm].synchronous else 3)
+        cfg = _cfg(algorithm=algorithm, rounds=rounds, n_clients=n_clients,
+                   dim=dim, correction_scope=scope, t_compute=t_compute,
+                   latency=latency, bandwidth=bandwidth,
+                   delay=data.draw(st.none() | delays, label="delay"))
+        # The bound holds at any delay; a derived one covers the round trip.
+        delay = resolve_delay(cfg) if cfg.delay is None else cfg.delay
+        d = cfg.model_spec().dim
+        per_entry = 8 if SCHEMES[algorithm].upload == "dense" else ENTRY_BYTES
+        total = n_clients * rounds * (HEADER_BYTES + per_entry * d)
+        last = account([([d] * n_clients, d)] * rounds, cfg, delay)[-1]
+        bound = engine._worst_clock(cfg, delay, engine._worst_roundtrip(cfg))
+        assert math.isclose(last[0], bound, rel_tol=1e-12)
+        assert last[1:] == (total, total)
 
 
 class TestByteAccounting:
@@ -381,6 +436,24 @@ class TestScheduling:
         SharedSet, so no weighted scheme may upload by Top-K."""
         weighted = [s for s in SCHEMES.values() if s.weighted]
         assert weighted and all(s.upload != "top-k" for s in weighted)
+
+    @pytest.mark.parametrize("algorithm, fraction", [
+        ("fedavg", 1.0), ("dga", 1.0), ("static-partial", 0.25)])
+    def test_fixed_set_uploads_carry_the_reported_rate(self, monkeypatch,
+                                                       algorithm, fraction):
+        """A fixed-set message carries the p its record reports: the
+        nominal fraction, 1.0 when dense, off the 0.1 grid or not."""
+        build, sent = engine.build_upload, []
+
+        def capture(*args, **kwargs):
+            msg = build(*args, **kwargs)
+            sent.append(msg.p)
+            return msg
+
+        monkeypatch.setattr(engine, "build_upload", capture)
+        records = Simulation(_cfg(algorithm=algorithm, delay=0, bandwidth=1e6,
+                                  static_fraction=fraction)).run()
+        assert set(sent) == {r.p for r in records} == {fraction}
 
     def test_delay_zero_applies_same_round(self):
         sim = Simulation(_cfg(algorithm="dpga", delay=0, walk_m=0,

@@ -12,7 +12,7 @@ from dpga.checks import lexsort_topk
 from dpga.errors import ConfigurationError, ContractViolationError, DecodeError
 from dpga.masking import (ENTRY_BYTES, HEADER_BYTES, SharedSet, SparseGradient,
                           decode, encode, extract_shared, payload_bytes,
-                          shared_count, snap_rate, topk_shared_indices)
+                          shared_count, topk_shared_indices)
 from dpga.protocol import server_aggregate
 
 
@@ -353,18 +353,3 @@ class TestDecodeProperties:
             return
         assert payload_bytes(msg.count) == len(damaged)
 
-
-class TestSnapRate:
-    def test_on_grid_passthrough(self):
-        assert snap_rate(0.5) == 0.5
-        assert snap_rate(1.0) == 1.0
-
-    def test_rounds_to_nearest_grid_value(self):
-        assert snap_rate(0.41) == 0.4
-        assert snap_rate(0.07) == 0.1
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            snap_rate(0.0)
-        with pytest.raises(ConfigurationError):
-            snap_rate(1.2)
