@@ -24,7 +24,6 @@ byte for byte.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass, fields
 from itertools import accumulate
 
@@ -36,8 +35,8 @@ from .masking import U32_MAX, payload_bytes
 from .models import Batch, ModelSpec, evaluate, init_params, mean_loss
 from .protocol import (CORRECTION_SCOPES, ClientState, apply_correction,
                        build_upload, local_round, measure_correction,
-                       pairwise_mean, seed_words, server_aggregate,
-                       static_partial_mask, step_weights)
+                       pairwise_mean, server_aggregate, static_partial_mask,
+                       step_weights)
 from .ratewalk import MAX_STEPS, RateState, state_index
 
 
@@ -76,6 +75,25 @@ _SEED_DATA, _SEED_PART, _SEED_INIT, _SEED_WALK, _SEED_BATCH = range(1, 6)
 
 def _derived_seed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
+
+
+def seed_words(*values: int) -> np.ndarray:
+    """The uint32 words np.random.SeedSequence takes from the list
+    `values`: each non-negative int as its little-endian 32-bit words, and
+    0 as one word. So default_rng(seed_words(*a, *b)), like
+    default_rng(concatenate((seed_words(*a), seed_words(*b)))), draws
+    exactly what default_rng([*a, *b]) draws, without converting a list
+    of Python ints each time."""
+    words = []
+    for v in values:
+        v = int(v)
+        if v < 0:
+            raise ContractViolationError(f"seed values must be >= 0, got {v}")
+        words.append(v & 0xFFFFFFFF)
+        while v >> 32:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -438,30 +456,27 @@ class Simulation:
     def run(self) -> list[MetricsRecord]:
         cfg = self.cfg
         learned, log = [], []  # (round, p, train_loss, eval_acc), (counts, support)
-        inflight: deque = deque()  # (round, eta * values, delta)
-        arrivals = Counter(landing_rounds(self.delay, cfg.rounds))
+        due: dict[int, list[int]] = {}  # landing round -> the rounds whose aggregates land
+        for r, lands in enumerate(landing_rounds(self.delay, cfg.rounds), 1):
+            due.setdefault(lands, []).append(r)
 
         for t in range(1, cfg.rounds + 1):
             rates, p_used = self._rates(t)
-            zs = self._local_steps(t, keep=not arrivals[t])
+            zs = self._local_steps(t, keep=t not in due)
 
             msgs = [build_upload(client, z, p, t, shared=self._shared)
                     for client, z, p in zip(self.clients, zs, rates)]
 
             agg = server_aggregate(msgs, self.spec.dim, self._weights)
-            # Sized while this round's z is raw; clients keep eta * z after.
-            delta = max(0.0, *(measure_correction(c, m, agg, cfg.eta, cfg.correction_scope)
-                               for c, m in zip(self.clients, msgs)))
             log.append(([m.count for m in msgs], int(agg.indices.shape[0])))
-            inflight.append((t, agg.values * cfg.eta, delta))
-            # Delivery reads only inflight; the clients hold every z they still need.
+            # Sized while this round's z is raw; each client queues eta * z.
+            measure_correction(self.clients, zs, msgs, agg, cfg.eta, cfg.correction_scope)
+            # Delivery reads only the clients' queues, which hold every z they still need.
             del agg, msgs, zs
 
-            for _ in range(arrivals[t]):
-                due, scaled, delta = inflight.popleft()
-                for c in self.clients:
-                    apply_correction(c, due, scaled)
-                self.correction_log.append((due, delta))
+            for r in due.get(t, ()):
+                sizes = [apply_correction(c, r) for c in self.clients]
+                self.correction_log.append((r, max(0.0, *sizes)))
 
             learned.append((t, p_used, *self._evaluate(t)))
 

@@ -14,8 +14,8 @@ step_weights. local_round returns z alone; a caller that keeps the
 round's weights forms them with the same step_weights, so
 w_after == w_before - eta * z holds bitwise, and a round that delivers an
 aggregate, which rebuilds the weights from the anchor, forms none. An
-upload's z is staged until its aggregate forms, then scaled to eta * z
-in place and queued, and not written while it waits. Its delivery
+upload's z stays with the caller until its aggregate forms, then is
+scaled to eta * z in place and queued, and not written while it waits. Its delivery
 consumes it: the merge and the subtraction from the anchor run in place
 in that buffer, which becomes the new anchor. Scaling commutes with the merge's select, and the replay
 subtracts each stored step, so it rounds the same product and difference
@@ -99,11 +99,12 @@ def pairwise_mean(rows) -> np.ndarray:
 
 @dataclass
 class PendingRound:
-    """A measured round waiting for its aggregate: only what delivery reads.
+    """One client's in-flight round: everything its delivery reads.
 
-    z_full is the round's step eta * z, which rebuilds the weights when
-    the aggregate lands, and touched is where the aggregate substitutes
-    (None for every coordinate). Only measure_correction builds one, and
+    z_full is the round's step eta * z, touched is where the aggregate
+    substitutes (None for every coordinate), scaled is the aggregate's
+    eta * values, one array every client's entry shares, and size is the
+    client's correction size. Only measure_correction builds one, and
     nothing writes to it while it is queued; apply_correction takes it off
     the queue and turns z_full into the client's new anchor in place.
     """
@@ -111,13 +112,15 @@ class PendingRound:
     round: int
     z_full: np.ndarray
     touched: np.ndarray | None
+    scaled: np.ndarray
+    size: float
 
 
 @dataclass(eq=False)
 class ClientState:
     """One simulated client. Two clients are equal only when they are the
-    same object. staged holds the raw z of upload last_round until
-    measure_correction queues that round in pending, and is None after.
+    same object. pending holds the measured rounds, oldest first; its
+    newest is last_round, the last upload, once that upload is measured.
     The anchor defaults to the weights array itself: weights and anchor
     are replaced, never written in place, so clients may share them.
     weights is None from the local step of a round that delivers an
@@ -130,7 +133,6 @@ class ClientState:
     max_pending: int
     anchor: np.ndarray = None
     pending: deque = field(default_factory=deque)
-    staged: np.ndarray | None = None
     last_round: int = -1
 
     def __post_init__(self):
@@ -150,7 +152,7 @@ class GlobalAggregate:
     alone: mask is counts > 0 and indices the shared coordinates, ascending.
     It is read-only once server_aggregate returns it, or the support would
     no longer match counts. It lives only for the round it forms, when
-    measure_correction reads it; delivery needs its round and eta * values.
+    measure_correction reads it and queues its round and eta * values.
     """
 
     round: int
@@ -204,54 +206,31 @@ def local_round(w0: np.ndarray, steps: list[Batch], spec: ModelSpec,
     return z
 
 
-def seed_words(*values: int) -> np.ndarray:
-    """The uint32 words np.random.SeedSequence takes from the list
-    `values`: each non-negative int as its little-endian 32-bit words, and
-    0 as one word. So default_rng(seed_words(*a, *b)), like
-    default_rng(concatenate((seed_words(*a), seed_words(*b)))), draws
-    exactly what default_rng([*a, *b]) draws, without converting a list
-    of Python ints each time."""
-    words = []
-    for v in values:
-        v = int(v)
-        if v < 0:
-            raise ContractViolationError(f"seed values must be >= 0, got {v}")
-        words.append(v & 0xFFFFFFFF)
-        while v >> 32:
-            v >>= 32
-            words.append(v & 0xFFFFFFFF)
-    return np.array(words, dtype=np.uint32)
-
-
 def build_upload(client: ClientState, z: np.ndarray, p: float, round: int,
                  shared: SharedSet | None = None) -> SparseGradient:
-    """Select the shared part of z, stage z, and return the message.
+    """Select the shared part of z, record the upload's round, and
+    return the message.
 
     The shared set defaults to Top-K by |z|; a fixed SharedSet (every
     coordinate, or static partial sharing) can be passed instead, and the
     message carries it as is. Anything else is refused, as is a set for
     another length than z's. Rounds must strictly increase per client,
-    the last upload must be measured, and the pending queue may not
-    outgrow the configured delay; a refused upload leaves the client as
-    it was.
+    and the pending queue may not outgrow the configured delay; a
+    refused upload leaves the client as it was.
 
-    The call takes ownership of z: it is staged itself, not a copy, and
-    measure_correction scales it in place, so the caller must not write to
-    z or pass it again. The message holds its own gathered values.
+    z is read, not kept: the caller hands it to measure_correction when
+    the round's aggregate forms. The message holds its own gathered values.
     """
     if round <= client.last_round:
         raise ContractViolationError(
             f"client {client.id}: round {round} not after {client.last_round}")
-    if client.staged is not None:
-        raise ContractViolationError(
-            f"client {client.id}: round {client.last_round} was never measured")
     if len(client.pending) >= client.max_pending:
         raise ContractViolationError(
             f"client {client.id}: pending queue exceeded {client.max_pending}")
     if shared is None:
         shared = topk_shared_indices(z, p)
     msg = extract_shared(z, shared, round, p)
-    client.staged, client.last_round = z, round
+    client.last_round = round
     return msg
 
 
@@ -323,8 +302,6 @@ def _touched(own: SharedSet, agg: GlobalAggregate, scope: str) -> np.ndarray | N
     """Where agg substitutes in the round whose upload shared `own`:
     agg.mask, ANDed with own's mask under own-shared scope; None for
     everywhere, which the index arrays' sizes tell."""
-    if scope not in CORRECTION_SCOPES:
-        raise ContractViolationError(f"unknown correction scope {scope!r}")
     d, own_shared = agg.counts.shape[0], scope == "own-shared"
     if agg.indices.shape[0] == d and (not own_shared or own.indices.shape[0] == d):
         return None
@@ -333,70 +310,76 @@ def _touched(own: SharedSet, agg: GlobalAggregate, scope: str) -> np.ndarray | N
     return np.logical_and(own.mask, agg.mask)
 
 
-def measure_correction(client: ClientState, sent: SparseGradient, agg: GlobalAggregate,
-                       eta: float, scope: str = "own-shared") -> float:
-    """Size the correction agg makes to the client's staged round, in the
-    round agg forms, then scale its z to eta * z in place and queue it.
+def measure_correction(clients: list[ClientState], zs: list[np.ndarray],
+                       sent: list[SparseGradient], agg: GlobalAggregate,
+                       eta: float, scope: str = "own-shared") -> None:
+    """Size the correction agg makes to each client's round, in the round
+    agg forms, then scale its raw z to eta * z in place and queue it.
 
-    sent is the message build_upload returned for that round; its shared
-    set is the client's own, whose mask is read here and not kept. Nothing staged, an
-    aggregate or upload of another round or length than the staged z, or
-    an unknown scope is refused before anything is written. Returns the
+    zs and sent hold each client's z and its upload, whose shared set is
+    the client's own; the set's mask is read here and not kept. Each z is
+    queued itself, so the caller must not write it again. eta * values is
+    formed once and every entry holds that array. An entry's size is the
     largest |where(touched, values, z) - z|, exactly 0.0 when agg agrees
-    with the client's own shared values. The queued round keeps touched
-    for apply_correction: agg.mask itself under full-support scope, and a
-    new mask only under own-shared scope with a partial merge. Neither agg
-    nor sent is written to.
+    with the client's shared values; touched is agg.mask itself under
+    full-support scope, a new mask only under own-shared scope with a
+    partial merge. An unknown scope, or for any client an aggregate other
+    than its last upload's, a round already queued, or an upload or z of
+    another round or length is refused before anything is written.
+    Neither agg nor a message is written to.
     """
-    z = client.staged
-    if z is None:
-        raise ContractViolationError(f"client {client.id}: no upload waits to be measured")
-    if (agg.round != client.last_round or sent.round != agg.round
-            or agg.values.shape != z.shape or sent.shared.d != z.shape[0]):
-        raise ContractViolationError(
-            f"client {client.id}: an upload of round {sent.round} and aggregate round "
-            f"{agg.round} do not fit round {client.last_round} of {z.shape[0]} coordinates")
-    touched = _touched(sent.shared, agg, scope)
-    # On an untouched coordinate the merge equals z, so |merged - z| adds
-    # exactly 0.0, the max's initial value.
-    diff = agg.values - z if touched is None else np.where(touched, agg.values, z) - z
-    delta = float(np.maximum.reduce(np.abs(diff, out=diff), initial=0.0))
-    np.multiply(z, float(eta), out=z)
-    client.pending.append(PendingRound(agg.round, z, touched))
-    client.staged = None
-    return delta
+    if scope not in CORRECTION_SCOPES:
+        raise ContractViolationError(f"unknown correction scope {scope!r}")
+    d = agg.values.shape[0]
+    for client, z, msg in zip(clients, zs, sent, strict=True):
+        if client.pending and client.pending[-1].round >= agg.round:
+            raise ContractViolationError(
+                f"client {client.id}: round {agg.round} is already queued")
+        if (agg.round != client.last_round or msg.round != agg.round
+                or z.shape != (d,) or msg.shared.d != d):
+            raise ContractViolationError(
+                f"client {client.id}: an upload of round {msg.round}, a z of shape {z.shape} "
+                f"and aggregate round {agg.round} do not fit round {client.last_round} "
+                f"of {d} coordinates")
+    scaled = agg.values * float(eta)
+    for client, z, msg in zip(clients, zs, sent):
+        touched = _touched(msg.shared, agg, scope)
+        # On an untouched coordinate the merge equals z, so |merged - z| adds
+        # exactly 0.0, the max's initial value.
+        diff = agg.values - z if touched is None else np.where(touched, agg.values, z) - z
+        size = float(np.maximum.reduce(np.abs(diff, out=diff), initial=0.0))
+        np.multiply(z, float(eta), out=z)
+        client.pending.append(PendingRound(agg.round, z, touched, scaled, size))
 
 
-def apply_correction(client: ClientState, round: int, scaled: np.ndarray) -> None:
-    """Fold round `round`'s delayed aggregate into the client's weights.
+def apply_correction(client: ClientState, round: int) -> float:
+    """Fold round `round`'s delayed aggregate into the client's weights;
+    returns the correction size its measurement stored.
 
-    scaled is that aggregate's eta * values, computed once in the round it
-    formed. round is the oldest pending round, and nothing may be staged,
-    or the replay would drop its step. Each queued round holds its step
-    eta * z and the touched mask its measurement stored. The oldest round
-    is consumed: its step buffer becomes the new anchor in place, first
+    round must be the oldest pending round, and the last upload must be
+    queued, or the replay would miss its step. The oldest round is
+    consumed: its step buffer becomes the new anchor in place, first
     where(touched, scaled, step), then anchor - that, or anchor - scaled
     when every coordinate is touched. The later steps then come off the
     new anchor into one new array, the replayed weights, which is all a
-    call allocates. Nothing else is written: not scaled, not a later pending step, and
-    not the old anchor, which other clients may share; all are checked
-    first.
+    call allocates. Nothing else is written: not scaled, which every
+    client's entry shares, not a later pending step, and not the old
+    anchor, which other clients may share; all are checked first.
     """
-    if client.staged is not None:
-        raise ContractViolationError(
-            f"client {client.id}: round {client.last_round} was never measured")
     if not client.pending:
         raise ContractViolationError(f"client {client.id}: no pending round for correction")
-    pend = client.pending[0]
-    if pend.round != round or pend.z_full.shape != scaled.shape:
+    if client.pending[-1].round != client.last_round:
         raise ContractViolationError(
-            f"client {client.id}: round {round} of shape {scaled.shape} does not fit "
-            f"pending round {pend.round} of shape {pend.z_full.shape}")
+            f"client {client.id}: round {client.last_round} was never measured")
+    pend = client.pending[0]
+    if pend.round != round:
+        raise ContractViolationError(
+            f"client {client.id}: round {round} is not the oldest pending round, {pend.round}")
     anchor, touched = pend.z_full, pend.touched
     if touched is None:
-        np.subtract(client.anchor, scaled, out=anchor)
+        np.subtract(client.anchor, pend.scaled, out=anchor)
     else:
-        np.copyto(anchor, scaled, where=touched)
+        np.copyto(anchor, pend.scaled, where=touched)
         np.subtract(client.anchor, anchor, out=anchor)
     client.anchor = w = anchor
     client.pending.popleft()
@@ -405,6 +388,7 @@ def apply_correction(client: ClientState, round: int, scaled: np.ndarray) -> Non
         for later in islice(client.pending, 1, None):
             w -= later.z_full
     client.weights = w
+    return pend.size
 
 
 def static_partial_mask(d: int, fraction: float) -> SharedSet:

@@ -11,7 +11,7 @@ simulation and exits 1 at the first one that differs, naming the field.
     PYTHONPATH=src python tests/reference_at_bench_shapes.py
 
 Its name keeps it out of the Tier-1 collection; CI runs it natively and
-under the AVX2 emulation.
+under the AVX2 and Nehalem emulations.
 """
 
 import sys

@@ -801,10 +801,11 @@ class TestCheckCommand:
     def test_summed_replay_fails(self, monkeypatch):
         """A correction that replays the later rounds as one summed step
         keeps every correction at 0.0 but leaves the bitwise trajectory."""
-        def summed(client, round, scaled):
-            apply_correction(client, round, scaled)
+        def summed(client, round):
+            size = apply_correction(client, round)
             # Each pending round holds its step eta * z.
             client.weights = client.anchor - sum(p.z_full for p in client.pending)
+            return size
 
         monkeypatch.setattr(engine, "apply_correction", summed)
         assert not check_reductions().passed

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpga import engine, protocol
+from dpga.cli import main
 from dpga.engine import (ALGORITHMS, SCHEMES, MetricsRecord, SimConfig,
                          Simulation, account, comm_time, landing_rounds,
-                         objective, resolve_delay, validate_config)
-from dpga.errors import ConfigurationError
+                         objective, resolve_delay, seed_words, validate_config)
+from dpga.errors import ConfigurationError, ContractViolationError
 from dpga.masking import ENTRY_BYTES, HEADER_BYTES, shared_count
 from dpga.models import Batch, mean_loss
 from dpga.protocol import CORRECTION_SCOPES, pairwise_mean
@@ -36,6 +37,33 @@ def _cfg(**kw):
     merged = dict(BASE)
     merged.update(kw)
     return SimConfig(**merged)
+
+
+class TestSeedWords:
+    """Generators built from precomputed seed words draw what the seed
+    list draws."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 80), t=st.integers(1, 2 ** 32),
+           cid=st.integers(0, 2 ** 33))
+    @example(seed=0, t=1, cid=0)
+    @example(seed=2 ** 32 - 1, t=2 ** 32 - 1, cid=9)
+    @example(seed=2 ** 32, t=2 ** 32, cid=2 ** 32)
+    def test_equals_seed_list(self, seed, t, cid):
+        words = np.concatenate((seed_words(seed, 5), seed_words(t), seed_words(cid)))
+        assert words.dtype == np.uint32
+        got = np.random.default_rng(words)
+        want = np.random.default_rng([seed, 5, t, cid])
+        assert got.bit_generator.state == want.bit_generator.state
+        for n in (40, 400):
+            np.testing.assert_array_equal(got.choice(n, size=32, replace=False),
+                                          want.choice(n, size=32, replace=False))
+
+    def test_words(self):
+        np.testing.assert_array_equal(seed_words(0, 5, 2 ** 32 + 3, 2 ** 64),
+                                      [0, 5, 3, 1, 0, 0, 1])
+        with pytest.raises(ContractViolationError):
+            seed_words(-1)
 
 
 class TestCommTime:
@@ -410,6 +438,25 @@ class TestScheduling:
         assert [r for r, _ in sim.correction_log] == list(range(1, 7))
         assert all(not c.pending for c in sim.clients)
 
+    def test_an_aggregate_that_never_lands_is_refused(self, monkeypatch, tmp_path, capsys):
+        """A landing rule that drops the last round's aggregate leaves it
+        pending: run() ends in a ContractViolationError instead of
+        records, and `dpga run` exits 3 without writing its CSV."""
+        def never_last(delay, rounds):
+            return [min(r + delay, rounds) for r in range(1, rounds)] + [rounds + 1]
+
+        monkeypatch.setattr(engine, "landing_rounds", never_last)
+        sim = Simulation(_cfg(algorithm="dpga", delay=2, bandwidth=1e6))
+        with pytest.raises(ContractViolationError, match="undelivered aggregates"):
+            sim.run()
+        assert [r for r, _ in sim.correction_log] == [1, 2, 3, 4, 5]
+        out = tmp_path / "m.csv"
+        sets = ("run.algorithm=dpga", "run.rounds=4", "network.delay=2")
+        assert main(["run", *(a for s in sets for a in ("--set", s)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "contract violation: run ended with undelivered aggregates" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_no_aggregate_outlives_its_round(self, monkeypatch, scope):
         """Delivery reads only a round and eta * values, so when the server
@@ -550,8 +597,8 @@ class TestMemory:
         """A shortened exchange-heavy run, 32 clients of the (64, 64) MLP
         at D = 8 and a fixed rate, peaks under tracemalloc within 8 rows of
         d of its live state: per client D + 2 rows (the anchor, D pending
-        steps and the staged z, as a round that delivers holds no
-        weights), D + 1 aggregates in flight, one round's messages (an
+        steps and the round's raw z, as a round that delivers holds no
+        weights), D + 1 aggregates' scaled values in flight, one round's messages (an
         8-byte value and an 8-byte index per entry) and ceil(log2 n) + 3
         rows of the server's tree. Nothing else outlives its use: not the previous round's
         messages, a concatenation of every uploaded index, or post-step

@@ -21,8 +21,7 @@ from dpga.models import Batch, ModelSpec, init_params, loss_and_gradient
 from dpga.protocol import (CORRECTION_SCOPES, ClientState, GlobalAggregate,
                            apply_correction, build_upload, local_round,
                            measure_correction, pairwise_mean, pairwise_sum,
-                           seed_words, server_aggregate, static_partial_mask,
-                           step_weights)
+                           server_aggregate, static_partial_mask, step_weights)
 from test_models import _joined
 
 SPEC = ModelSpec(kind="logistic-regression", input_dim=2, num_classes=2)
@@ -185,33 +184,6 @@ class TestPairwiseReductions:
     def test_refuses_rows_that_are_not_one_length_and_1_d(self, rows):
         with pytest.raises(ContractViolationError):
             pairwise_sum(rows)
-
-
-class TestSeedWords:
-    """Generators built from precomputed seed words draw what the seed
-    list draws."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2 ** 80), t=st.integers(1, 2 ** 32),
-           cid=st.integers(0, 2 ** 33))
-    @example(seed=0, t=1, cid=0)
-    @example(seed=2 ** 32 - 1, t=2 ** 32 - 1, cid=9)
-    @example(seed=2 ** 32, t=2 ** 32, cid=2 ** 32)
-    def test_equals_seed_list(self, seed, t, cid):
-        words = np.concatenate((seed_words(seed, 5), seed_words(t), seed_words(cid)))
-        assert words.dtype == np.uint32
-        got = np.random.default_rng(words)
-        want = np.random.default_rng([seed, 5, t, cid])
-        assert got.bit_generator.state == want.bit_generator.state
-        for n in (40, 400):
-            np.testing.assert_array_equal(got.choice(n, size=32, replace=False),
-                                          want.choice(n, size=32, replace=False))
-
-    def test_words(self):
-        np.testing.assert_array_equal(seed_words(0, 5, 2 ** 32 + 3, 2 ** 64),
-                                      [0, 5, 3, 1, 0, 0, 1])
-        with pytest.raises(ContractViolationError):
-            seed_words(-1)
 
 
 class TestLocalRound:
@@ -389,7 +361,7 @@ class TestBuildUpload:
                          shared=np.array(shared))
         with pytest.raises(ContractViolationError):
             SharedSet(np.array(shared), SPEC.dim)
-        assert client.staged is None and not client.pending and client.last_round == -1
+        assert not client.pending and client.last_round == -1
 
     def test_shared_set_travels_as_is(self):
         """Every upload from one SharedSet carries the set's own read-only
@@ -412,18 +384,19 @@ class TestBuildUpload:
         # ceil(0.5 * 6) = 3 largest magnitudes: coordinates 1, 0, 2
         np.testing.assert_array_equal(msg.indices, [0, 1, 2])
         np.testing.assert_array_equal(msg.values, [3.0, -5.0, 1.0])
-        assert client.staged is z  # kept, not copied
-        assert not client.pending
+        # z stays with the caller, unwritten, until its measurement.
+        assert z.tobytes() == np.array([3.0, -5.0, 1.0, 0.0, 0.0, 0.0]).tobytes()
+        assert not client.pending and client.last_round == 1
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_pending_round_keeps_no_index_array(self, scope):
         """A Top-K round, queued once its correction is measured from its
         upload's indices, holds nothing of them."""
         client = _client()
-        msg = build_upload(client, np.array([3.0, -5.0, 1.0, 0.0, 0.0, 0.0]), 0.5, round=1)
-        assert not np.shares_memory(client.staged, msg.indices)
-        measure_correction(client, msg, _agg(1, [0, 3], [1.0, 2.0], [1, 1]), eta=0.1,
-                           scope=scope)
+        z = np.array([3.0, -5.0, 1.0, 0.0, 0.0, 0.0])
+        msg = build_upload(client, z, 0.5, round=1)
+        measure_correction([client], [z], [msg], _agg(1, [0, 3], [1.0, 2.0], [1, 1]),
+                           eta=0.1, scope=scope)
         pend = client.pending[0]
         held = [a for a in (getattr(pend, f.name) for f in dataclasses.fields(pend))
                 if isinstance(a, np.ndarray)]
@@ -454,8 +427,9 @@ class TestBuildUpload:
         """A refused upload leaves the queue and the last round as they were."""
         client = _client(max_pending=2)
         for r in (1, 2):
-            msg = build_upload(client, np.ones(SPEC.dim), 1.0, round=r)
-            measure_correction(client, msg, _agg(r, [0], [1.0], [1]), eta=0.1)
+            z = np.ones(SPEC.dim)
+            msg = build_upload(client, z, 1.0, round=r)
+            measure_correction([client], [z], [msg], _agg(r, [0], [1.0], [1]), eta=0.1)
         with pytest.raises(ContractViolationError, match="pending queue"):
             build_upload(client, np.ones(SPEC.dim), 1.0, round=3)
         assert [p.round for p in client.pending] == [1, 2]
@@ -640,10 +614,11 @@ class TestServerAggregate:
             server_aggregate([msg], 5)
         client = ClientState(id=0, weights=np.zeros(5), shard=Batch(np.zeros((1, 1)), [0]),
                              max_pending=1)
-        build_upload(client, np.ones(5), 0.2, round=1)
+        z = np.ones(5)
+        build_upload(client, z, 0.2, round=1)
         with pytest.raises(ContractViolationError, match="5 coordinates"):
-            measure_correction(client, msg, _agg(1, [0], [1.0], [1], d=5), eta=0.1)
-        assert client.staged.tobytes() == np.ones(5).tobytes() and not client.pending
+            measure_correction([client], [z], [msg], _agg(1, [0], [1.0], [1], d=5), eta=0.1)
+        assert z.tobytes() == np.ones(5).tobytes() and not client.pending
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("fixed", [np.arange(6), np.arange(3, 6)],
@@ -754,19 +729,19 @@ class TestServerAggregate:
         4 GiB: the server and the measurement refuse it on its size before
         any mask is formed."""
         wire = decode(encode(self._msg(2 ** 32, [1, 2 ** 32 - 1], [1.0, 2.0])))
-        client = _client()
-        build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        client, z = _client(), np.ones(SPEC.dim)
+        build_upload(client, z, 1.0, round=1)
         tracemalloc.start()
         try:
             with pytest.raises(ContractViolationError, match=f"size {SPEC.dim}"):
                 server_aggregate([self._msg(SPEC.dim, [0], [1.0]), wire], SPEC.dim)
             with pytest.raises(ContractViolationError, match="coordinates"):
-                measure_correction(client, wire, _agg(1, [0], [1.0], [1]), eta=0.1)
+                measure_correction([client], [z], [wire], _agg(1, [0], [1.0], [1]), eta=0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak
-        assert "mask" not in wire.shared.__dict__ and client.staged is not None
+        assert "mask" not in wire.shared.__dict__ and not client.pending
 
 
 # Signed zeros on purpose: a merge or replay that loses a sign shows in
@@ -829,16 +804,14 @@ def _straight_line_correction(client, uploads, agg, eta, scope):
 
 
 def _deliver(client, uploads, aggs, eta, scope="own-shared", measure=measure_correction):
-    """What a run does: each round's z is staged as build_upload leaves
-    it and measured from its upload (uploads, oldest first) when its
-    aggregate (aggs) forms, and then the oldest round's aggregate is
-    delivered with its values scaled once. Returns that round's size."""
-    sizes = []
+    """What a run does: each round's z stays raw, as build_upload leaves
+    it, until its aggregate (aggs) forms and it is measured from its
+    upload (uploads, oldest first); then the oldest round's aggregate is
+    delivered. Returns the size that delivery reports."""
     for (z, sent), agg in zip(uploads, aggs):
-        client.staged, client.last_round = z, sent.round
-        sizes.append(measure(client, sent, agg, eta, scope=scope))
-    apply_correction(client, aggs[0].round, aggs[0].values * eta)
-    return sizes[0]
+        client.last_round = sent.round
+        measure([client], [z], [sent], agg, eta, scope=scope)
+    return apply_correction(client, aggs[0].round)
 
 
 def _correction_example(own, support, scope="own-shared"):
@@ -913,21 +886,25 @@ def _copy_on_full_own_set(client, uploads, aggs, eta, scope="own-shared"):
     return _deliver(client, uploads, aggs, eta, scope=scope)
 
 
-def _measure_after_scaling(client, sent, agg, eta, scope="own-shared"):
-    """Scales z to eta * z first and sizes the correction against that."""
-    client.staged *= eta
-    return measure_correction(client, sent, agg, 1.0, scope=scope)
+def _measure_after_scaling(clients, zs, sent, agg, eta, scope="own-shared"):
+    """Scales z to eta * z first and sizes the correction against that;
+    the queued step and scaled values are the right ones."""
+    for z in zs:
+        z *= eta
+    measure_correction(clients, zs, sent, agg, 1.0, scope=scope)
+    for c in clients:
+        c.pending[-1].scaled = agg.values * eta
 
 
 def _delta_after_scaling(client, uploads, aggs, eta, scope="own-shared"):
     return _deliver(client, uploads, aggs, eta, scope=scope, measure=_measure_after_scaling)
 
 
-def _measure_against_support(client, sent, agg, eta, scope="own-shared"):
+def _measure_against_support(clients, zs, sent, agg, eta, scope="own-shared"):
     """Takes the aggregate's support for the client's own set."""
-    support = extract_shared(agg.values, SharedSet(agg.indices, agg.values.shape[0]),
-                             sent.round, sent.p)
-    return measure_correction(client, support, agg, eta, scope=scope)
+    support = [extract_shared(agg.values, SharedSet(agg.indices, agg.values.shape[0]),
+                              m.round, m.p) for m in sent]
+    measure_correction(clients, zs, support, agg, eta, scope=scope)
 
 
 def _own_set_from_support(client, uploads, aggs, eta, scope="own-shared"):
@@ -971,27 +948,28 @@ class TestApplyCorrection:
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_shared_aggregate_and_later_rounds_keep_their_bytes(self, scope):
-        """One aggregate goes to every client and its scaled values to
-        every delivery; measuring writes to neither, delivering writes to
-        no round still pending, and no client's new state may share memory
-        with any of them."""
+        """One aggregate goes to every client, and every client's entry
+        for it holds one array of its scaled values; measuring writes to
+        neither, delivering writes to no round still pending, and no
+        client's new state may share memory with any of them."""
         clients = [_client(cid=i, seed=i) for i in range(3)]
         for r in (1, 2, 3):
-            msgs = [build_upload(c, _step(c, 1, 0.1), 0.5, round=r)
-                    for c in clients]
+            zs = [_step(c, 1, 0.1) for c in clients]
+            msgs = [build_upload(c, z, 0.5, round=r) for c, z in zip(clients, zs)]
             formed = server_aggregate(msgs, SPEC.dim)
             if r == 1:
                 agg = formed
                 fields = (agg.values, agg.counts, agg.mask, agg.indices)
                 before = [a.tobytes() for a in fields]
-            for c, m in zip(clients, msgs):
-                measure_correction(c, m, formed, eta=0.1, scope=scope)
-        scaled = agg.values * 0.1
+            measure_correction(clients, zs, msgs, formed, eta=0.1, scope=scope)
+        scaled = clients[0].pending[0].scaled
+        assert all(c.pending[0].scaled is scaled for c in clients)
+        assert scaled.tobytes() == (agg.values * 0.1).tobytes()
         fields += (scaled,)
         before.append(scaled.tobytes())
         later = [p.z_full.tobytes() for c in clients for p in list(c.pending)[1:]]
         for c in clients:
-            apply_correction(c, agg.round, scaled)
+            apply_correction(c, agg.round)
         assert [a.tobytes() for a in fields] == before
         assert [p.z_full.tobytes() for c in clients for p in c.pending] == later
         for c in clients:
@@ -1012,16 +990,14 @@ class TestApplyCorrection:
         shard = _client().shard
         clients = [ClientState(id=i, weights=w0, shard=shard, max_pending=2)
                    for i in range(2)]
-        aggs = []
         for r in (1, 2):
-            msgs = [build_upload(c, _step(c, 1 + i, 0.1), p, round=r)
-                    for i, c in enumerate(clients)]
-            aggs.append(server_aggregate(msgs, SPEC.dim))
-            for c, m in zip(clients, msgs):
-                measure_correction(c, m, aggs[-1], eta=0.1, scope=scope)
+            zs = [_step(c, 1 + i, 0.1) for i, c in enumerate(clients)]
+            msgs = [build_upload(c, z, p, round=r) for c, z in zip(clients, zs)]
+            measure_correction(clients, zs, msgs, server_aggregate(msgs, SPEC.dim),
+                               eta=0.1, scope=scope)
         one, other = clients
         assert (one.pending[0].touched is None) == (p == 1.0)
-        scaled = aggs[0].values * 0.1
+        scaled = one.pending[0].scaled
         scaled.setflags(write=False)
         step = one.pending[0].z_full
         unchanged = lambda: ([scaled.tobytes(), w0.tobytes(), one.pending[-1].z_full.tobytes(),
@@ -1029,7 +1005,7 @@ class TestApplyCorrection:
                              + [(q.round, q.z_full.tobytes(), q.touched is None)
                                 for q in other.pending])
         before = unchanged()
-        apply_correction(one, 1, scaled)
+        apply_correction(one, 1)
         assert unchanged() == before
         assert one.anchor is step and other.anchor is w0
         assert [q.round for q in one.pending] == [2] and len(other.pending) == 2
@@ -1045,13 +1021,14 @@ class TestApplyCorrection:
         rng = np.random.default_rng(9)
         client = ClientState(id=0, weights=rng.standard_normal(d),
                              shard=_client().shard, max_pending=3)
-        client.pending.extend(protocol.PendingRound(r, rng.standard_normal(d), touched)
-                              for r in (1, 2, 3))
         scaled = rng.standard_normal(d)
+        client.pending.extend(protocol.PendingRound(r, rng.standard_normal(d), touched,
+                                                    scaled, 0.0) for r in (1, 2, 3))
+        client.last_round = 3
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            apply_correction(client, 1, scaled)
+            apply_correction(client, 1)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1079,16 +1056,16 @@ class TestApplyCorrection:
         client = _client()
         z = np.zeros(SPEC.dim)
         z[0] = 2.0
-        w_start = client.weights.copy()
-        msg = build_upload(client, z.copy(), 0.1, round=1)  # ceil(0.1 * 6) = 1 coord
+        w_start, raw = client.weights.copy(), z.copy()
+        msg = build_upload(client, raw, 0.1, round=1)  # ceil(0.1 * 6) = 1 coord
         np.testing.assert_array_equal(msg.indices, [0])
         client.weights = w_start - 0.1 * z  # what a local round would leave
 
         agg = _agg(1, [0], [1.0], [2])
         before = client.weights.copy()
-        assert measure_correction(client, msg, agg, eta=0.1) == 1.0  # |1 - 2|
+        measure_correction([client], [raw], [msg], agg, eta=0.1)
         np.testing.assert_array_equal(client.pending[0].z_full, 0.1 * z)
-        apply_correction(client, agg.round, agg.values * 0.1)
+        assert apply_correction(client, agg.round) == 1.0  # |1 - 2|
         np.testing.assert_array_equal(client.weights[0], before[0] + 0.1)
         np.testing.assert_array_equal(client.weights[1:], before[1:])
         assert not client.pending
@@ -1112,80 +1089,99 @@ class TestApplyCorrection:
             np.testing.assert_array_equal(w, trajectories[0])
 
     def test_round_mismatch_rejected(self):
-        """An aggregate of another round than the newest pending one, or an
+        """An aggregate of another round than the last upload, or an
         upload of another round than the aggregate's, is refused."""
         client = _client()
-        first = build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        z1, z2 = np.ones(SPEC.dim), np.ones(SPEC.dim)
+        first = build_upload(client, z1, 1.0, round=1)
         agg = _agg(2, [0], [1.0], [1])
         with pytest.raises(ContractViolationError):
-            measure_correction(client, first, agg, eta=0.1)
-        measure_correction(client, first, _agg(1, [0], [1.0], [1]), eta=0.1)
-        build_upload(client, np.ones(SPEC.dim), 1.0, round=2)
+            measure_correction([client], [z1], [first], agg, eta=0.1)
+        measure_correction([client], [z1], [first], _agg(1, [0], [1.0], [1]), eta=0.1)
+        build_upload(client, z2, 1.0, round=2)
         with pytest.raises(ContractViolationError, match="upload of round 1"):
-            measure_correction(client, first, agg, eta=0.1)
-        assert client.staged.tobytes() == np.ones(SPEC.dim).tobytes()
+            measure_correction([client], [z2], [first], agg, eta=0.1)
+        assert z2.tobytes() == np.ones(SPEC.dim).tobytes()
         assert [p.round for p in client.pending] == [1]
         with pytest.raises(ContractViolationError):
-            apply_correction(client, agg.round, agg.values * 0.1)
+            apply_correction(client, agg.round)
 
     @pytest.mark.parametrize("scope", CORRECTION_SCOPES)
     def test_upload_outside_model_rejected(self, scope):
-        client = _client()
-        build_upload(client, np.ones(SPEC.dim), 0.5, round=1)
+        client, z = _client(), np.ones(SPEC.dim)
+        build_upload(client, z, 0.5, round=1)
         outside = extract_shared(np.ones(SPEC.dim + 1), SharedSet([0, SPEC.dim], SPEC.dim + 1),
                                  round=1, p=0.5)
         with pytest.raises(ContractViolationError, match="6 coordinates"):
-            measure_correction(client, outside, _agg(1, [0], [1.0], [1]), eta=0.1, scope=scope)
-        assert client.staged.tobytes() == np.ones(SPEC.dim).tobytes() and not client.pending
+            measure_correction([client], [z], [outside], _agg(1, [0], [1.0], [1]), eta=0.1,
+                               scope=scope)
+        assert z.tobytes() == np.ones(SPEC.dim).tobytes() and not client.pending
 
     def test_no_pending_rejected(self):
         client = _client()
         agg = _agg(1, [0], [1.0], [1])
         sent = extract_shared(np.ones(SPEC.dim), SharedSet([0], SPEC.dim), round=1, p=0.2)
         with pytest.raises(ContractViolationError):
-            measure_correction(client, sent, agg, eta=0.1)
+            measure_correction([client], [np.ones(SPEC.dim)], [sent], agg, eta=0.1)
         with pytest.raises(ContractViolationError):
-            apply_correction(client, agg.round, agg.values * 0.1)
+            apply_correction(client, agg.round)
 
     def test_each_round_is_measured_once_before_delivery(self):
-        """Delivery and the next upload wait until the staged round is
-        measured, and a measured round is not measured again."""
+        """Delivery waits until the last upload is measured, and a measured
+        round is not measured again."""
         client = _client()
         agg = _agg(1, [0], [1.0], [1])
-        first = build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
-        with pytest.raises(ContractViolationError, match="round 1 was never measured"):
-            apply_correction(client, agg.round, agg.values * 0.1)
-        measure_correction(client, first, agg, eta=0.1)
-        second = build_upload(client, np.ones(SPEC.dim), 1.0, round=2)
+        z1, z2 = np.ones(SPEC.dim), np.ones(SPEC.dim)
+        first = build_upload(client, z1, 1.0, round=1)
+        with pytest.raises(ContractViolationError, match="no pending round"):
+            apply_correction(client, agg.round)
+        measure_correction([client], [z1], [first], agg, eta=0.1)
+        second = build_upload(client, z2, 1.0, round=2)
         with pytest.raises(ContractViolationError, match="round 2 was never measured"):
-            build_upload(client, np.ones(SPEC.dim), 1.0, round=3)
-        measure_correction(client, second, _agg(2, [0], [1.0], [1]), eta=0.1)
-        with pytest.raises(ContractViolationError, match="no upload waits"):
-            measure_correction(client, second, _agg(2, [0], [1.0], [1]), eta=0.1)
+            apply_correction(client, agg.round)
+        measure_correction([client], [z2], [second], _agg(2, [0], [1.0], [1]), eta=0.1)
+        with pytest.raises(ContractViolationError, match="round 2 is already queued"):
+            measure_correction([client], [np.ones(SPEC.dim)], [second],
+                               _agg(2, [0], [1.0], [1]), eta=0.1)
         np.testing.assert_array_equal(client.pending[1].z_full, np.full(SPEC.dim, 0.1))
-        apply_correction(client, agg.round, agg.values * 0.1)
+        apply_correction(client, agg.round)
         assert [p.round for p in client.pending] == [2]
 
-    def test_unknown_scope_rejected(self):
+    def test_skipped_measurement_fails_at_its_delivery(self):
+        """An upload may follow one that was never measured, but the
+        skipped round's delivery is refused: nothing is pending for it, or
+        a later round is the oldest pending one."""
         client = _client()
-        msg = build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
+        with pytest.raises(ContractViolationError, match="no pending round"):
+            apply_correction(client, 1)
+        z2 = np.ones(SPEC.dim)
+        second = build_upload(client, z2, 1.0, round=2)
+        measure_correction([client], [z2], [second], _agg(2, [0], [1.0], [1]), eta=0.1)
+        before = _state(client)
+        with pytest.raises(ContractViolationError, match="not the oldest pending round"):
+            apply_correction(client, 1)
+        assert _state(client) == before
+
+    def test_unknown_scope_rejected(self):
+        client, z = _client(), np.ones(SPEC.dim)
+        msg = build_upload(client, z, 1.0, round=1)
         agg = _agg(1, [0], [1.0], [1])
         with pytest.raises(ContractViolationError, match="scope"):
-            measure_correction(client, msg, agg, eta=0.1, scope="everything")
-        assert client.staged.tobytes() == np.ones(SPEC.dim).tobytes() and not client.pending
+            measure_correction([client], [z], [msg], agg, eta=0.1, scope="everything")
+        assert z.tobytes() == np.ones(SPEC.dim).tobytes() and not client.pending
 
     @pytest.mark.parametrize("d", [SPEC.dim - 1, SPEC.dim + 1])
     def test_wrong_length_rejected(self, d):
-        client = _client()
-        msg = build_upload(client, np.ones(SPEC.dim), 1.0, round=1)
-        wrong = _agg(1, [0], [1.0], [1], d=d)
+        """An aggregate or a z of another length than the upload's set is
+        refused at measurement, and nothing is queued."""
+        client, z = _client(), np.ones(SPEC.dim)
+        msg = build_upload(client, z, 1.0, round=1)
         with pytest.raises(ContractViolationError):
-            measure_correction(client, msg, wrong, eta=0.1)
-        agg = _agg(1, [0], [1.0], [1])
-        measure_correction(client, msg, agg, eta=0.1)
+            measure_correction([client], [z], [msg], _agg(1, [0], [1.0], [1], d=d), eta=0.1)
         with pytest.raises(ContractViolationError):
-            apply_correction(client, agg.round, wrong.values * 0.1)
-        assert len(client.pending) == 1
+            measure_correction([client], [np.ones(d)], [msg], _agg(1, [0], [1.0], [1]), eta=0.1)
+        assert z.tobytes() == np.ones(SPEC.dim).tobytes() and not client.pending
 
     def test_full_support_scope_touches_aggregate_support(self):
         client = _client()
@@ -1209,46 +1205,46 @@ class TestApplyCorrection:
         np.testing.assert_array_equal(client.weights[3], w_before[3])
 
 
+def _z(r, d=SPEC.dim):
+    """Round r's raw z in the lifecycle tests."""
+    return np.arange(d) * 0.5 + r
+
+
 def _upload(client, r):
-    return build_upload(client, np.arange(SPEC.dim) * 0.5 + r, 1.0, round=r)
+    return build_upload(client, _z(r), 1.0, round=r)
 
 
-def _measure(client, msg, d=SPEC.dim, scope="own-shared"):
-    return measure_correction(client, msg, _agg(msg.round, [0], [1.0], [1], d=d), eta=0.1,
-                              scope=scope)
+def _measure(client, msg, z, d=SPEC.dim, scope="own-shared"):
+    measure_correction([client], [z], [msg], _agg(msg.round, [0], [1.0], [1], d=d),
+                       eta=0.1, scope=scope)
 
 
 def _state(client):
-    """What a refused call must leave as it was, by value: the queued
-    rounds, the last round, the weights, the anchor and the staged z."""
-    return ([(p.round, p.z_full.tobytes(), None if p.touched is None else p.touched.tobytes())
-             for p in client.pending],
-            client.last_round, client.weights.tobytes(), client.anchor.tobytes(),
-            None if client.staged is None else client.staged.tobytes())
+    """What a refused call must leave as it was, by value: every field of
+    each queued round, the last round, the weights and the anchor."""
+    return ([(p.round, p.z_full.tobytes(), None if p.touched is None else p.touched.tobytes(),
+              p.scaled.tobytes(), p.size) for p in client.pending],
+            client.last_round, client.weights.tobytes(), client.anchor.tobytes())
 
 
-def _deliver_zeros(round, d=SPEC.dim):
-    return lambda c, m: apply_correction(c, round, np.zeros(d))
-
-
-# name: (rounds measured, round left staged, the refused call on the
-# client and its uploads by round)
+# name: (rounds measured, round uploaded but not measured, the refused
+# call on the client, its uploads by round and a raw z of round 1)
 _REFUSALS = {
-    "upload-while-staged": ([], 1, lambda c, m: _upload(c, 2)),
-    "upload-past-queue-bound": ([1, 2], None, lambda c, m: _upload(c, 3)),
-    "measure-nothing-staged": ([], None, lambda c, m: _measure(
-        c, _sent(1, np.ones(SPEC.dim), [0]))),
-    "measure-twice": ([1], None, lambda c, m: _measure(c, m[1])),
-    "measure-another-round": ([1], 2, lambda c, m: _measure(c, m[1])),
-    "measure-aggregate-of-another-length": ([], 1, lambda c, m: _measure(
-        c, m[1], d=SPEC.dim + 1)),
-    "measure-upload-of-another-length": ([], 1, lambda c, m: _measure(
-        c, _sent(1, np.ones(SPEC.dim + 1), [0]))),
-    "measure-unknown-scope": ([], 1, lambda c, m: _measure(c, m[1], scope="everything")),
-    "deliver-while-staged": ([1], 2, _deliver_zeros(1)),
-    "deliver-nothing-pending": ([], None, _deliver_zeros(1)),
-    "deliver-wrong-round": ([1], None, _deliver_zeros(2)),
-    "deliver-wrong-length": ([1], None, _deliver_zeros(1, SPEC.dim + 1)),
+    "upload-past-queue-bound": ([1, 2], None, lambda c, m, z: _upload(c, 3)),
+    "measure-nothing-staged": ([], None, lambda c, m, z: _measure(
+        c, _sent(1, np.ones(SPEC.dim), [0]), z)),
+    "measure-twice": ([1], None, lambda c, m, z: _measure(c, m[1], z)),
+    "measure-another-round": ([1], 2, lambda c, m, z: _measure(c, m[1], z)),
+    "measure-aggregate-of-another-length": ([], 1, lambda c, m, z: _measure(
+        c, m[1], z, d=SPEC.dim + 1)),
+    "measure-upload-of-another-length": ([], 1, lambda c, m, z: _measure(
+        c, _sent(1, np.ones(SPEC.dim + 1), [0]), z)),
+    "measure-z-of-another-length": ([], 1, lambda c, m, z: _measure(
+        c, m[1], _z(1, SPEC.dim + 1))),
+    "measure-unknown-scope": ([], 1, lambda c, m, z: _measure(c, m[1], z, scope="everything")),
+    "deliver-while-staged": ([1], 2, lambda c, m, z: apply_correction(c, 1)),
+    "deliver-nothing-pending": ([], None, lambda c, m, z: apply_correction(c, 1)),
+    "deliver-wrong-round": ([1], None, lambda c, m, z: apply_correction(c, 2)),
 }
 
 
@@ -1256,23 +1252,25 @@ class TestStagedLifecycle:
     @pytest.mark.parametrize("measured, staged, refused", _REFUSALS.values(),
                              ids=_REFUSALS.keys())
     def test_refusal_leaves_the_client_as_it_was(self, measured, staged, refused):
-        """An upload waits in the staged slot until it is measured and
-        queued; every call out of that order is refused before it writes."""
+        """An upload is staged until measure_correction queues it, and
+        then the newest pending round is the last upload; every call out
+        of that order is refused before it writes to the client or to the
+        z it is handed."""
         client = _client(max_pending=2)
         client.anchor = client.anchor + 1.0  # tell the anchor from the weights
         msgs = {}
         for r in measured:
             msgs[r] = _upload(client, r)
-            _measure(client, msgs[r])
+            _measure(client, msgs[r], _z(r))
         if staged is not None:
             msgs[staged] = _upload(client, staged)
-        before, slot, queued = _state(client), client.staged, list(client.pending)
+        z, before, queued = _z(1), _state(client), list(client.pending)
         with pytest.raises(ContractViolationError):
-            refused(client, msgs)
-        assert client.staged is slot
+            refused(client, msgs, z)
         assert len(client.pending) == len(queued)
         assert all(a is b for a, b in zip(client.pending, queued))
         assert _state(client) == before
+        assert z.tobytes() == _z(1).tobytes()
 
 
 class TestDelayedPipelineTrace:
@@ -1293,24 +1291,22 @@ class TestDelayedPipelineTrace:
         for c in clients:
             z = _step(c, 1, eta)
             z1.append(z)
-            msgs1.append(build_upload(c, z.copy(), 0.5, round=1))
+            msgs1.append(build_upload(c, z, 0.5, round=1))
             sets1.append(msgs1[-1].indices)
         agg1 = server_aggregate(msgs1, SPEC.dim)
-        for c, m in zip(clients, msgs1):
-            measure_correction(c, m, agg1, eta)
+        measure_correction(clients, [z.copy() for z in z1], msgs1, agg1, eta)
 
         # round 2: another local step, its aggregate forms, then the
         # round-1 aggregate lands, and the last round drains round 2's
         z2, msgs2 = [], []
         for c in clients:
             z2.append(_step(c, 1, eta))
-            msgs2.append(build_upload(c, z2[-1].copy(), 0.5, round=2))
+            msgs2.append(build_upload(c, z2[-1], 0.5, round=2))
         agg2 = server_aggregate(msgs2, SPEC.dim)
-        for c, m in zip(clients, msgs2):
-            measure_correction(c, m, agg2, eta)
+        measure_correction(clients, [z.copy() for z in z2], msgs2, agg2, eta)
         for agg in (agg1, agg2):
             for c in clients:
-                apply_correction(c, agg.round, agg.values * eta)
+                apply_correction(c, agg.round)
 
         # independent replay of the same schedule, straight-line
         for i, c in enumerate(clients):
@@ -1333,15 +1329,15 @@ class TestDelayedPipelineTrace:
         client = _client(cid=0, seed=3)
         w0 = client.weights.copy()
         za = _step(client, 2, eta)
-        msg = build_upload(client, za.copy(), 0.5, round=1)
+        msg = build_upload(client, za, 0.5, round=1)
         own = msg.indices
         g = np.full(own.shape[0], 0.25)
         agg = _agg(1, own, g, 1)
-        measure_correction(client, msg, agg, eta)
+        measure_correction([client], [za.copy()], [msg], agg, eta)
         zb = _step(client, 2, eta)
-        later = build_upload(client, zb.copy(), 0.5, round=2)
-        measure_correction(client, later, _agg(2, [], [], 0), eta)
-        apply_correction(client, agg.round, agg.values * eta)
+        later = build_upload(client, zb, 0.5, round=2)
+        measure_correction([client], [zb.copy()], [later], _agg(2, [], [], 0), eta)
+        apply_correction(client, agg.round)
 
         merged = za.copy()
         merged[own] = g
